@@ -49,7 +49,6 @@ from .series import (
     Support,
     ThetaOp,
     Truncation,
-    antiderivative_shift,
     apply_operator,
     euler_operators,
     horn_classical_operators,
@@ -58,10 +57,8 @@ from .series import (
 )
 from .solutions import (
     Solution,
-    assemble_solution,
     component_characters,
     component_polynomial,
-    embed_series,
     gamma_series,
     solution_basis,
     verify_annihilation,

@@ -234,6 +234,11 @@ def _theta_poly_json(poly):
 
 
 def _solve(args):
+    if args.truncate < 0:
+        raise ConventionError(f"--truncate must be >= 0, got {args.truncate}")
+    if args.field_root < 1:
+        raise ConventionError(
+            f"--field-root must be >= 1, got {args.field_root}")
     hi = _load_input(args)
     if not args.beta:
         raise ConventionError("--beta is required")

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+_ZERO = Fraction(0)
+
 
 def _poly_trim(p):
     while p and p[-1] == 0:
@@ -72,7 +74,14 @@ def cyclotomic_polynomial(N: int):
 
 
 class Scalar:
-    """An element of Q(zeta_N) in reduced polynomial form."""
+    """An element of Q(zeta_N) in reduced polynomial form.
+
+    ``coeffs`` always holds exactly deg Phi_N Fractions.  The arithmetic
+    below builds its results directly whenever they are reduced by
+    construction (sums, negations, and products with a rational factor);
+    only a product of two irrational elements goes through the general
+    reducing constructor.
+    """
 
     __slots__ = ("N", "coeffs")
 
@@ -88,8 +97,18 @@ class Scalar:
         self.coeffs = tuple(cs[:deg])
 
     @staticmethod
+    def _reduced(N, coeffs):
+        """An element from an already reduced, full-length Fraction tuple."""
+        out = object.__new__(Scalar)
+        out.N = N
+        out.coeffs = coeffs
+        return out
+
+    @staticmethod
     def rational(q, N=1):
-        return Scalar(N, [Fraction(q)])
+        q = q if type(q) is Fraction else Fraction(q)
+        deg = len(cyclotomic_polynomial(int(N))) - 1
+        return Scalar._reduced(int(N), (q,) + (_ZERO,) * (deg - 1))
 
     @staticmethod
     def zero(N=1):
@@ -107,10 +126,10 @@ class Scalar:
         return Scalar(N, mono)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_rational(self):
         if not self.is_rational():
@@ -128,16 +147,39 @@ class Scalar:
             raise ValueError(f"mixed cyclotomic orders {self.N} and {other.N}")
         return self, Scalar(self.N, [Fraction(other)])
 
+    def _scaled(self, q):
+        return Scalar._reduced(self.N, tuple(c * q if c else c
+                                             for c in self.coeffs))
+
+    def _shifted(self, q):
+        """self + q for a rational q: only the constant coefficient moves."""
+        cs = self.coeffs
+        return Scalar._reduced(self.N, (cs[0] + q,) + cs[1:])
+
     def __add__(self, other):
+        if isinstance(other, Scalar):
+            if other.N == self.N:
+                return Scalar._reduced(self.N, tuple(
+                    x + y for x, y in zip(self.coeffs, other.coeffs)))
+            if other.N == 1:
+                return self._shifted(other.coeffs[0])
+            if self.N == 1:
+                return other._shifted(self.coeffs[0])
+        elif type(other) is Fraction or type(other) is int:
+            return self._shifted(other)
         a, b = self._coerce(other)
         return Scalar(a.N, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.N, [-x for x in self.coeffs])
+        return Scalar._reduced(self.N, tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
+        if isinstance(other, Scalar):
+            return self + (-other)
+        if type(other) is Fraction or type(other) is int:
+            return self._shifted(-other)
         a, b = self._coerce(other)
         return Scalar(a.N, [x - y for x, y in zip(a.coeffs, b.coeffs)])
 
@@ -145,6 +187,13 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Scalar):
+            if other.N == 1 or (other.N == self.N and other.is_rational()):
+                return self._scaled(other.coeffs[0])
+            if self.N == 1 or (self.N == other.N and self.is_rational()):
+                return other._scaled(self.coeffs[0])
+        elif type(other) is Fraction or type(other) is int:
+            return self._scaled(other)
         a, b = self._coerce(other)
         return Scalar(a.N, _poly_mul(list(a.coeffs), list(b.coeffs)))
 
@@ -169,13 +218,16 @@ class Scalar:
         return Scalar(self.N, [c / lead for c in s0])
 
     def __truediv__(self, other):
-        a, b = self._coerce(other)
-        if b.is_rational():
-            q = b.as_rational()
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return Scalar(a.N, [c / q for c in a.coeffs])
-        return a * b.inverse()
+        if type(other) is Fraction or type(other) is int:
+            a, q = self, Fraction(other)
+        else:
+            a, b = self._coerce(other)
+            if not b.is_rational():
+                return a * b.inverse()
+            q = b.coeffs[0]
+        if q == 0:
+            raise ZeroDivisionError("division by zero")
+        return a._scaled(1 / q)
 
     def __rtruediv__(self, other):
         return Scalar(self.N, [Fraction(other)]) / self

@@ -9,7 +9,7 @@ the small rational solvers the geometry layer needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from itertools import combinations
 
 
@@ -521,3 +521,49 @@ def solve_integer(m: IntMatrix, b):
                 return None
             y[i] = ub[i] // di
     return v.mul_vec(tuple(y))
+
+
+def coordinate_map(vectors):
+    """Integer coordinates against independent integer vectors, through
+    one exact left inverse computed here.
+
+    Returns a function taking an integer or rational vector to the tuple
+    of its integer coordinates, or to None when the vector lies outside
+    the lattice the vectors span.  A call costs one small integer
+    matrix-vector product and a membership check, not an elimination.
+    """
+    vectors = tuple(tuple(int(x) for x in vec) for vec in vectors)
+    r = len(vectors)
+    if r == 0:
+        return lambda y: () if all(x == 0 for x in y) else None
+    n = len(vectors[0])
+    # r coordinates on which the vectors restrict to an invertible block
+    rows = []
+    for t in range(n):
+        if len(rows) < r and frac_rank(
+                [[vec[s] for vec in vectors] for s in rows + [t]]) > len(rows):
+            rows.append(t)
+    if len(rows) != r:
+        raise ValueError("vectors are linearly dependent")
+    block = [[vec[t] for vec in vectors] for t in rows]
+    inv_cols = [frac_solve(block, [int(i == j) for i in range(r)])
+                for j in range(r)]
+    den = lcm(*(x.denominator for col in inv_cols for x in col))
+    adj = [[int(inv_cols[j][i] * den) for j in range(r)] for i in range(r)]
+
+    def coordinates(y):
+        if any(x.denominator != 1 for x in y):
+            return None
+        y = [x.numerator for x in y]
+        k = []
+        for row in adj:
+            q, rem = divmod(sum(a * y[t] for a, t in zip(row, rows)), den)
+            if rem:
+                return None
+            k.append(q)
+        for t in range(n):
+            if sum(c * vec[t] for c, vec in zip(k, vectors)) != y[t]:
+                return None
+        return tuple(k)
+
+    return coordinates

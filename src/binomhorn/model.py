@@ -15,7 +15,6 @@ from fractions import Fraction
 from .errors import ConventionError
 from .exact_linalg import (
     IntMatrix,
-    LatticeBasis,
     int_rank,
     invariant_factors,
     left_kernel_basis,
@@ -291,7 +290,3 @@ class Parameter:
     def __getitem__(self, i):
         return self.beta[i]
 
-
-def lattice_contains_columns(l: LatticeBasis, m: IntMatrix) -> bool:
-    """True when every column of m lies in the lattice l."""
-    return all(l.contains(m.column(j)) for j in range(m.ncols))

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclotomic import Scalar
-from .errors import ResonanceError
-from .exact_linalg import IntMatrix, _ff, _rising, frac_solve
+from .exact_linalg import IntMatrix, coordinate_map
 
 
 def _expvec(v):
-    return tuple(Fraction(x) for x in v)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,13 @@ class Truncation:
     basis: tuple  # tuple of integer vectors (the lattice basis columns)
     bound: int
 
+    @cached_property
+    def _coordinates(self):
+        return coordinate_map(self.basis)
+
     def word_coordinates(self, offset):
         """Integer basis coordinates of a rational offset, or None."""
-        if not self.basis:
-            return () if all(x == 0 for x in offset) else None
-        n = len(self.basis[0])
-        rows = [[self.basis[j][i] for j in range(len(self.basis))]
-                for i in range(n)]
-        sol = frac_solve(rows, list(offset))
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return None
-        return tuple(int(x) for x in sol)
+        return self._coordinates(offset)
 
     def word_length(self, offset):
         k = self.word_coordinates(offset)
@@ -260,23 +256,22 @@ def apply_operator(op, s: PuiseuxSeries) -> PuiseuxSeries:
     """Exact term-by-term action of a differential operator."""
     if isinstance(op, BinomialOp):
         out = {}
+        minus_lam = None if op.lam.is_zero() else -op.lam
         for e, c in s.terms.items():
             fp = _mono_derivative_coeff(e, op.u_plus)
-            if fp != 0:
-                key = tuple(a - b for a, b in zip(e, op.u_plus))
-                _acc(out, key, c * fp)
-            if not op.lam.is_zero():
+            if fp:
+                _acc(out, _lowered(e, op.u_plus), c * fp)
+            if minus_lam is not None:
                 fm = _mono_derivative_coeff(e, op.u_minus)
-                if fm != 0:
-                    key = tuple(a - b for a, b in zip(e, op.u_minus))
-                    _acc(out, key, -(op.lam * (c * fm)))
+                if fm:
+                    _acc(out, _lowered(e, op.u_minus), c * (minus_lam * fm))
         trunc = _tighten(s.truncation, sum(op.u_plus) + sum(op.u_minus))
         return PuiseuxSeries(s.nvars, out, field_order=s.field_order,
                              truncation=trunc)
     if isinstance(op, EulerOp):
         out = {}
         for e, c in s.terms.items():
-            f = sum(r * x for r, x in zip(op.row, e)) - op.value
+            f = sum(r * x for r, x in zip(op.row, e) if r) - op.value
             if f != 0:
                 out[e] = c * f
         return PuiseuxSeries(s.nvars, out, field_order=s.field_order,
@@ -307,63 +302,29 @@ def _acc(d, key, val):
 
 
 def _mono_derivative_coeff(e, u):
-    """Coefficient of partial^u x^e, i.e. the falling factorial product."""
-    out = Fraction(1)
+    """Coefficient of partial^u x^e, i.e. the falling factorial product,
+    accumulated over the integers and reduced once."""
+    num = den = 1
     for x, k in zip(e, u):
         if k:
-            out *= _ff(Fraction(x), k)
-            if out == 0:
+            p, q = x.numerator, x.denominator
+            for i in range(k):
+                num *= p - i * q
+            if num == 0:
                 return Fraction(0)
-    return out
+            den *= q ** k
+    return Fraction(num, den)
+
+
+def _lowered(e, u):
+    """The exponent e - u, reusing the unchanged coordinates."""
+    return tuple(a - b if b else a for a, b in zip(e, u))
 
 
 def _tighten(trunc, order):
     if trunc is None:
         return None
     return Truncation(basis=trunc.basis, bound=trunc.bound - order)
-
-
-def antiderivative_shift(s: PuiseuxSeries, shift) -> PuiseuxSeries:
-    """Realize partial^{-shift} term by term.
-
-    Positive shift components integrate, negative components
-    differentiate, coordinate by coordinate; the two commute, so the
-    result does not depend on any factorization of the shift.  Raises
-    ResonanceError when integration would produce a logarithm.
-    """
-    shift = tuple(int(x) for x in shift)
-    if len(shift) != s.nvars:
-        raise ValueError("shift length mismatch")
-    out = {}
-    for e, c in s.terms.items():
-        coeff = c
-        new_e = []
-        dead = False
-        for j, (x, w) in enumerate(zip(e, shift)):
-            if w > 0:
-                den = _rising(x + 1, w)
-                if den == 0:
-                    raise ResonanceError(
-                        f"integration hit exponent -1 in coordinate {j + 1}",
-                        term=e, coordinate=j)
-                coeff = coeff * (Fraction(1) / den)
-            elif w < 0:
-                num = _ff(x, -w)
-                if num == 0:
-                    dead = True
-                    break
-                coeff = coeff * num
-            new_e.append(x + w)
-        if dead:
-            continue
-        _acc(out, tuple(new_e), coeff)
-    support = s.support
-    if support is not None:
-        support = Support(
-            alpha=tuple(a + w for a, w in zip(support.alpha, shift)),
-            translates=support.translates)
-    return PuiseuxSeries(s.nvars, out, field_order=s.field_order,
-                         truncation=s.truncation, support=support)
 
 
 # -- operator factories --------------------------------------------------------

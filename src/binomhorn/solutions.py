@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cyclotomic import Scalar
 from .decomp import Decomposition, andean_report, enumerate_decompositions
@@ -31,8 +32,8 @@ from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
     _ff,
-    _rising,
     column_hnf,
+    coordinate_map,
     frac_solve,
     smith_normal_form,
 )
@@ -50,7 +51,6 @@ from .series import (
     Support,
     ThetaOp,
     Truncation,
-    antiderivative_shift,
     apply_operator,
 )
 from .subgraph import Component, bounded_atlas
@@ -120,25 +120,52 @@ def _l1_ball(r, T):
             yield (first,) + rest
 
 
+def _gamma_ratios(v, lo, hi):
+    """Gamma(v + 1) / Gamma(v + t + 1) for lo <= t <= hi, listed from
+    t = lo; requires lo <= 0 <= hi.
+
+    One step down multiplies by v + t + 1 (a falling factorial factor),
+    one step up divides by v + t (a rising factorial factor).  Past a
+    vanishing rising factorial the entries are None.
+    """
+    down = []
+    r = Fraction(1)
+    for t in range(0, lo, -1):
+        r *= v + t
+        down.append(r)
+    down.reverse()
+    up = [Fraction(1)]
+    r = Fraction(1)
+    for t in range(1, hi + 1):
+        if r is not None:
+            r = None if v + t == 0 else r / (v + t)
+        up.append(r)
+    return down + up
+
+
 def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
                  character=None, field_order: int = 1,
                  offset=None) -> PuiseuxSeries:
     """Hypergeometric series with coefficients normalized at the base
     exponent v, truncated to lattice word length at most T.
 
-    The term at lattice offset u carries the falling-factorial /
-    shifted-rising-factorial coefficient ratio; an optional character on
-    the lattice multiplies each term.  A vanishing denominator raises
-    ResonanceError naming the witness coordinate.
+    The term at lattice offset u carries, in each coordinate j, the ratio
+    Gamma(v_j + 1) / Gamma(v_j + t + 1) with t = w_j + u_j: a falling
+    factorial for t < 0 and the reciprocal of a rising factorial for
+    t > 0.  The ratio depends on t alone, so each coordinate gets one
+    table, built by single steps over the t range the word ball reaches,
+    and a coefficient is a product of one lookup per coordinate.  Terms
+    whose ratio vanishes are dropped; an optional character on the
+    lattice multiplies each term.  A vanishing rising factorial raises
+    ResonanceError naming the first such term (in the order of the word
+    coordinates) and its coordinate.
 
     With an integer ``offset`` w the result realizes the inverse
     derivative partial^{-w} of the unshifted series in the solution-space
-    sense: the term at u sits at exponent v + w + u and carries the ratio
-    of Gamma values at v + 1 and v + w + u + 1 in each coordinate.  This
-    differs from integrating term by term exactly when the unshifted
-    series has terms on an integration boundary (an integer coordinate
-    reaching zero), where honest antiderivatives leave the solution
-    space.
+    sense: the term at u sits at exponent v + w + u.  This differs from
+    integrating term by term exactly when the unshifted series has terms
+    on an integration boundary (an integer coordinate reaching zero),
+    where honest antiderivatives leave the solution space.
     """
     nj = A_J.ncols
     v = tuple(Fraction(x) for x in v)
@@ -152,31 +179,34 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
     for vec in L.vectors:
         if any(x != 0 for x in A_J.mul_vec(vec)):
             raise BinomHornError("lattice is not in the kernel of A_J")
+    ratios, exponents, starts = [], [], []
+    for j in range(nj):
+        reach = T * max((abs(vec[j]) for vec in L.vectors), default=0)
+        lo, hi = min(0, w[j] - reach), max(0, w[j] + reach)
+        ratios.append(_gamma_ratios(v[j], lo, hi))
+        exponents.append([v[j] + t for t in range(lo, hi + 1)])
+        starts.append(w[j] - lo)   # table index of u_j = 0
+    rows = list(zip(*L.vectors)) or [()] * nj  # row t: coordinate t
     terms = {}
     for k in sorted(_l1_ball(L.rank, T)):
-        u = tuple(sum(k[i] * L.vectors[i][t] for i in range(L.rank))
-                  for t in range(nj))
-        num = Fraction(1)
-        den = Fraction(1)
+        u = tuple(sum(map(mul, k, row)) for row in rows)
+        idx = [s + x for s, x in zip(starts, u)]
+        ratio = Fraction(1)
         for j in range(nj):
-            t = w[j] + u[j]
-            if t > 0:
-                f = _rising(v[j] + 1, t)
-                if f == 0:
-                    raise ResonanceError(
-                        "rising factorial vanished at coordinate "
-                        f"{j + 1} for offset {list(u)}",
-                        term=u, coordinate=j)
-                den *= f
-            elif t < 0:
-                num *= _ff(v[j], -t)
-        if num == 0:
+            r = ratios[j][idx[j]]
+            if r is None:
+                raise ResonanceError(
+                    "rising factorial vanished at coordinate "
+                    f"{j + 1} for offset {list(u)}",
+                    term=u, coordinate=j)
+            ratio *= r
+        if ratio == 0:
             continue
-        c = Scalar.rational(num / den, field_order)
+        c = Scalar.rational(ratio, field_order)
         if character is not None:
             c = c * character(u)
         if not c.is_zero():
-            terms[tuple(a + b + x for a, b, x in zip(v, w, u))] = c
+            terms[tuple(e[i] for e, i in zip(exponents, idx))] = c
     base = tuple(a + b for a, b in zip(v, w))
     return PuiseuxSeries(
         nj, terms, field_order=field_order,
@@ -184,39 +214,15 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
         support=Support(alpha=base, translates=((0,) * nj,)))
 
 
-def embed_series(f: PuiseuxSeries, n: int, positions) -> PuiseuxSeries:
-    """Place a series on a subset of a larger variable set (zeros elsewhere)."""
-    positions = list(positions)
-    if len(positions) != f.nvars:
-        raise ValueError("position count mismatch")
-
-    def up(vec, fill=Fraction(0)):
-        full = [fill] * n
-        for pos, j in enumerate(positions):
-            full[j] = vec[pos]
-        return tuple(full)
-
-    terms = {up(e): c for e, c in f.terms.items()}
-    trunc = None
-    if f.truncation is not None:
-        trunc = Truncation(
-            basis=tuple(up(b, 0) for b in f.truncation.basis),
-            bound=f.truncation.bound)
-    support = None
-    if f.support is not None:
-        support = Support(alpha=up(f.support.alpha),
-                          translates=tuple(up(t, 0)
-                                           for t in f.support.translates))
-    return PuiseuxSeries(n, terms, field_order=f.field_order,
-                         truncation=trunc, support=support)
-
-
 # -- assembling one solution -----------------------------------------------------
 
-def _assemble_pieces(dec: Decomposition, gamma, G: PuiseuxSeries, n,
-                     piece_builder, field_order, truncation, alpha):
-    """Shared assembly skeleton: sum the monomial-times-inner-series pieces
-    over the component points, tracking the sheet translates."""
+def _assemble_via_gamma(dec: Decomposition, gamma, G: PuiseuxSeries, n,
+                        v_local, T, character, field_order):
+    """Sum, over the points gamma + M v of the component polynomial G, the
+    monomial x_Jbar^{gamma + M v} times partial_J^{-N v} of the inner
+    series, tracking the sheet translates.  Every inverse-derivative
+    factor is realized exactly as a shifted hypergeometric series
+    (Gamma-ratio coefficients against the unshifted base exponent)."""
     gamma = tuple(int(x) for x in gamma)
     result_terms = {}
     translates = []
@@ -224,12 +230,16 @@ def _assemble_pieces(dec: Decomposition, gamma, G: PuiseuxSeries, n,
         offset = [int(pt[t] - gamma[t]) for t in range(dec.q)]
         v = _solve_integer_exact(dec.M, offset)
         nv = dec.N.mul_vec(v) if dec.q else ()
-        piece = piece_builder(v, nv)
-        mono = [Fraction(0)] * n
+        local = gamma_series(dec.A_J, dec.L_basis, v_local, T,
+                             character=character, field_order=field_order,
+                             offset=nv if dec.q else None)
+        full = [Fraction(0)] * n
         for t, j in enumerate(dec.rowset_Jbar):
-            mono[j] = Fraction(pt[t])
-        piece = piece.shift_exponents(mono)
-        for e, coeff in piece.terms.items():
+            full[j] = Fraction(pt[t])
+        for e_local, coeff in local.terms.items():
+            for pos, j in enumerate(dec.J):
+                full[j] = e_local[pos]
+            e = tuple(full)
             cur = result_terms.get(e)
             val = coeff * c
             result_terms[e] = val if cur is None else cur + val
@@ -239,60 +249,16 @@ def _assemble_pieces(dec: Decomposition, gamma, G: PuiseuxSeries, n,
         for pos, j in enumerate(dec.J):
             lift[j] = nv[pos] if dec.q else 0
         translates.append(tuple(lift))
-    support = None
-    if alpha is not None:
-        support = Support(alpha=alpha, translates=tuple(sorted(translates)))
-    return PuiseuxSeries(n, result_terms, field_order=field_order,
-                         truncation=truncation, support=support)
-
-
-def assemble_solution(dec: Decomposition, gamma, G: PuiseuxSeries,
-                      f: PuiseuxSeries) -> PuiseuxSeries:
-    """Attach the component polynomial G at gamma to an inner solution f.
-
-    f must already live on the full variable set, supported on the J
-    coordinates.  Every monomial x_Jbar^{gamma + M v} of G multiplies the
-    series partial_J^{-N v}(f), realized term by term; with no mixed
-    block (q = 0) the result is f itself.  Term-by-term shifts agree with
-    the solution-space inverse derivative whenever f has no term on an
-    integration boundary; the basis pipeline routes around that caveat by
-    rebuilding each shifted piece through gamma_series with an offset.
-    """
-    n = len(dec.J) + dec.q
-    if f.nvars != n:
-        raise ValueError("inner solution must live on all variables")
-
-    def build(v, nv):
-        shift = [0] * n
-        for pos, j in enumerate(dec.J):
-            shift[j] = nv[pos] if dec.q else 0
-        return antiderivative_shift(f, shift)
-
-    alpha = f.support.alpha if f.support is not None else None
-    return _assemble_pieces(dec, gamma, G, n, build, f.field_order,
-                            f.truncation, alpha)
-
-
-def _assemble_via_gamma(dec: Decomposition, gamma, G: PuiseuxSeries, n,
-                        v_local, T, character, field_order):
-    """Assembly with every inverse-derivative factor realized exactly as a
-    shifted hypergeometric series (Gamma-ratio coefficients against the
-    unshifted base exponent)."""
-
-    def build(v, nv):
-        local = gamma_series(dec.A_J, dec.L_basis, v_local, T,
-                             character=character, field_order=field_order,
-                             offset=nv if dec.q else None)
-        return embed_series(local, n, dec.J)
-
     base = [Fraction(0)] * n
     for pos, j in enumerate(dec.J):
         base[j] = Fraction(v_local[pos])
     trunc = Truncation(
         basis=tuple(_embed_vec(vec, n, dec.J) for vec in dec.L_basis.vectors),
         bound=T)
-    return _assemble_pieces(dec, gamma, G, n, build, field_order, trunc,
-                            tuple(base))
+    return PuiseuxSeries(n, result_terms, field_order=field_order,
+                         truncation=trunc,
+                         support=Support(alpha=tuple(base),
+                                         translates=tuple(sorted(translates))))
 
 
 def _embed_vec(vec, n, positions):
@@ -344,17 +310,20 @@ def component_characters(dec: Decomposition, field_order: int):
     indices = [()]
     for i in nontrivial:
         indices = [t + (k,) for t in indices for k in range(ds[i])]
+    coordinates = coordinate_map(L.vectors)
+    roots = [Scalar.root_of_unity(field_order, e) for e in range(field_order)]
 
     def make(t):
+        # the exponent of zeta_N at lattice coordinates y, as one linear form
+        weights = [sum(t[pos] * U.data[i][s] * (field_order // ds[i])
+                       for pos, i in enumerate(nontrivial))
+                   for s in range(r)]
+
         def char(u):
-            y = L.coordinates(u)
+            y = coordinates(u)
             if y is None:
                 raise BinomHornError("character argument outside the lattice")
-            z = U.mul_vec(y)
-            exp = 0
-            for pos, i in enumerate(nontrivial):
-                exp += t[pos] * z[i] * (field_order // ds[i])
-            return Scalar.root_of_unity(field_order, exp)
+            return roots[sum(a * b for a, b in zip(weights, y)) % field_order]
         return char
 
     return [(t, make(t)) for t in indices]
@@ -437,6 +406,10 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != hi.d:
         raise ValueError(f"beta must have length {hi.d}")
+    if T < 0:
+        raise ValueError(f"truncation bound must be >= 0, got {T}")
+    if field_root < 1:
+        raise ValueError(f"cyclotomic order must be >= 1, got {field_root}")
     decomps = enumerate_decompositions(hi)
     rep = andean_report(decomps, hi.d)
     if not rep.generically_holonomic:
@@ -514,6 +487,7 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
     as boundary residual: they are expected casualties of truncation.
     """
     checks = []
+    bases = s.support.sheet_bases() if s.support is not None else ()
     for op in ops:
         applied = apply_operator(op, s)
         if s.truncation is None:
@@ -535,7 +509,8 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
             interior_list, boundary_list = [], []
             for z, c in applied.sorted_terms():
                 covered = all(
-                    _covered(s, tuple(a + b for a, b in zip(z, sh)))
+                    _covered(s.truncation, bases,
+                             tuple(a + b for a, b in zip(z, sh)))
                     for sh in shifts)
                 (interior_list if covered else boundary_list).append((z, c))
             interior = tuple(interior_list)
@@ -548,13 +523,11 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
                               checks=tuple(checks))
 
 
-def _covered(s: PuiseuxSeries, y):
+def _covered(trunc: Truncation, bases, y):
     """True when the full series value at exponent y is known exactly:
-    either y is off every declared sheet, or it lies within the word bound."""
-    trunc = s.truncation
-    if s.support is None:
-        return True
-    for b in s.support.sheet_bases():
+    either y is off every declared sheet (with the given base points), or
+    it lies within the word bound."""
+    for b in bases:
         word = trunc.word_length(tuple(a - bb for a, bb in zip(y, b)))
         if word is not None and word > trunc.bound:
             return False

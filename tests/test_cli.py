@@ -129,6 +129,20 @@ def test_field_root_solution_count(paths, capsys):
     assert rep["count"] == 9
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("flag, value", [("--field-root", "0"),
+                                         ("--field-root", "-3"),
+                                         ("--truncate", "-1")])
+def test_bad_truncate_or_field_root_exit_2(paths, capsys, command, flag,
+                                           value):
+    code = main([command, "--B", paths["ds"], "--beta", "1/5,2/7",
+                 flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{flag} must be >= " in captured.err
+
+
 def test_byte_identical_output(paths, capsys):
     main(["rank", "--B", paths["erd"]])
     first = capsys.readouterr().out

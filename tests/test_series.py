@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +7,7 @@ from binomhorn import (
     EulerOp,
     IntMatrix,
     PuiseuxSeries,
-    ResonanceError,
     Scalar,
-    antiderivative_shift,
     apply_operator,
     horn_classical_operators,
 )
@@ -132,49 +129,3 @@ def test_horn_ops_single_column_paper_formula():
     op = horn_classical_operators(IntMatrix([[1], [-1]]), [F(0), F(0)])[0]
     assert op.expanded_q() == {(1,): F(1)}
     assert op.expanded_p() == {(1,): F(-1)}
-
-
-def test_antiderivative_single_term():
-    s = PuiseuxSeries.monomial(1, (F(1, 2),))
-    out = antiderivative_shift(s, (1,))
-    assert out.terms == {(F(3, 2),): Scalar.rational(F(2, 3))}
-
-
-def test_antiderivative_resonance():
-    s = PuiseuxSeries.monomial(1, (F(-1),))
-    with pytest.raises(ResonanceError):
-        antiderivative_shift(s, (1,))
-
-
-def test_antiderivative_differentiation_drops_terms():
-    # differentiating an exponent-0 coordinate kills the term exactly
-    s = PuiseuxSeries.monomial(2, (0, F(1, 2)))
-    out = antiderivative_shift(s, (-1, 0))
-    assert out.is_zero()
-
-
-def test_antiderivative_commutativity():
-    # order of mixed shifts never matters on nonresonant terms
-    rng = random.Random(97)
-    for _ in range(20):
-        terms = {}
-        for _ in range(5):
-            e = (F(rng.randint(1, 30), 7), F(rng.randint(1, 30), 11))
-            terms[e] = F(rng.randint(1, 9))
-        s = PuiseuxSeries(2, terms)
-        one_then_two = antiderivative_shift(antiderivative_shift(s, (1, 0)),
-                                            (0, 1))
-        two_then_one = antiderivative_shift(antiderivative_shift(s, (0, 1)),
-                                            (1, 0))
-        joint = antiderivative_shift(s, (1, 1))
-        assert one_then_two == two_then_one == joint
-        # and differentiation undoes integration
-        assert antiderivative_shift(joint, (-1, -1)) == s
-
-
-def test_apply_operator_inverse_roundtrip():
-    op = BinomialOp(u_plus=(1, 0), u_minus=(0, 1))
-    s = PuiseuxSeries(2, {(F(1, 3), F(0)): 1, (F(4, 3), F(1)): F(2, 5)})
-    shifted = antiderivative_shift(s, (2, 3))
-    back = antiderivative_shift(shifted, (-2, -3))
-    assert back == s

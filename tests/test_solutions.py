@@ -24,7 +24,7 @@ from binomhorn import (
     verify_annihilation,
 )
 from binomhorn.series import lattice_binomials
-from binomhorn.solutions import assemble_solution, component_characters
+from binomhorn.solutions import component_characters
 
 
 # -- component polynomials -------------------------------------------------------
@@ -259,15 +259,6 @@ def test_component_characters_need_enough_roots(B_ds, A_ds):
 
 
 # -- assembled solutions ------------------------------------------------------------
-
-def test_assemble_q0_returns_f(B_erd, A_erd):
-    hi = make_horn_input(B_erd, A_erd)
-    dec = enumerate_decompositions(hi)[0]
-    f = PuiseuxSeries.monomial(4, (F(1, 2), 0, 0, F(1, 3)))
-    G = PuiseuxSeries.monomial(0, ())
-    out = assemble_solution(dec, (), G, f)
-    assert out.terms == f.terms
-
 
 def test_erdelyi_monomial_solution(B_erd, A_erd):
     hi = make_horn_input(B_erd, A_erd)
