@@ -371,6 +371,8 @@ HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.cap < 0:
+            raise ConventionError(f"--cap must be >= 0, got {args.cap}")
         return HANDLERS[args.command](args)
     except (ConventionError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

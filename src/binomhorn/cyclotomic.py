@@ -233,10 +233,17 @@ class Scalar:
         return Scalar(self.N, [Fraction(other)]) / self
 
     def __eq__(self, other):
+        """Equality of reduced forms.  Elements of two different orders,
+        neither of them 1, are equal only when both are rational with one
+        value, as ``__hash__`` assumes: zeta_4 and zeta_8^2 compare unequal
+        although Q(zeta_8) contains Q(zeta_4)."""
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.as_rational() == Fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented
+        if self.N != other.N and self.N != 1 and other.N != 1:
+            return (self.is_rational() and other.is_rational()
+                    and self.as_rational() == other.as_rational())
         a, b = self._coerce(other)
         return a.coeffs == b.coeffs
 

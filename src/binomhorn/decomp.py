@@ -7,11 +7,17 @@ block B_J on the complementary rows and columns determines a sublattice
 whose saturation is compared against the kernel of A_J.  The class is
 read off ranks alone: toral exactly when rank(A_J) = |J| - rank(B_J),
 which for square M is equivalent to det(M) != 0.
+
+Row sets are found by a depth-first walk over bitmasks of at most m rows
+(sum_{k <= m} C(n, k) masks instead of 2^n), rejected by integer tests
+on column-sign masks before any submatrix is built; the lattice data
+(``L_basis``, ``g``) is computed only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SizeLimitError
 from .exact_linalg import (
@@ -28,17 +34,15 @@ from .model import HornInput
 MAX_ROWS = 30
 
 
-def _column_is_mixed(col):
-    return any(x > 0 for x in col) and any(x < 0 for x in col)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """One admissible block decomposition of B.
 
     Index sets are 0-based and sorted; ``label`` renders them 1-based for
     reports.  ``L_basis`` is the saturation of the column span of B_J
-    inside Z^J (coordinates indexed by J in increasing order).
+    inside Z^J (coordinates indexed by J in increasing order) and ``g`` is
+    its index over that span.  Both are computed from B_J when first read:
+    the rank formula reads them only for toral decompositions.
     """
 
     rowset_Jbar: tuple
@@ -52,8 +56,14 @@ class Decomposition:
     q: int
     p: int
     klass: str  # "toral" | "andean"
-    L_basis: LatticeBasis
-    g: int
+
+    @cached_property
+    def L_basis(self) -> LatticeBasis:
+        return saturation(LatticeBasis(len(self.J), self.B_J.columns()))
+
+    @cached_property
+    def g(self) -> int:
+        return lattice_index(LatticeBasis(len(self.J), self.B_J.columns()))
 
     @property
     def is_toral(self):
@@ -65,35 +75,57 @@ class Decomposition:
         return "Jbar={" + inner + "}"
 
 
+def _bits(mask, size):
+    """Indices below size of the set bits of mask, increasing."""
+    return tuple(i for i in range(size) if mask >> i & 1)
+
+
+def _admissible_rowsets(B: IntMatrix):
+    """Row masks Jbar of B whose block is mixed with no more rows than
+    columns, each with its column mask.
+
+    Each row carries the mask of the columns where it is positive and the
+    mask of those where it is negative.  A depth-first walk over row sets
+    of size at most m ORs them along; a row set's block meets the columns
+    in the union of the two masks, and every one of those columns is mixed
+    exactly when the two masks are equal.  Row sets larger than m can
+    never have q <= p, so the walk visits sum_{k <= m} C(n, k) masks and
+    rejects each with integer tests alone.
+    """
+    n, m = B.nrows, B.ncols
+    pos = [sum(1 << k for k in range(m) if B.data[i][k] > 0) for i in range(n)]
+    neg = [sum(1 << k for k in range(m) if B.data[i][k] < 0) for i in range(n)]
+    out = []
+    stack = [(0, 0, 0, 0, 0)]  # (next row, row mask, q, pos cols, neg cols)
+    while stack:
+        start, jmask, q, pcols, ncols = stack.pop()
+        if pcols == ncols and q != 1 and q <= pcols.bit_count():
+            out.append((jmask, pcols))
+        if q < m:
+            for i in range(start, n):
+                stack.append((i + 1, jmask | 1 << i, q + 1,
+                              pcols | pos[i], ncols | neg[i]))
+    return out
+
+
 def enumerate_decompositions(hi: HornInput) -> list[Decomposition]:
     """All block decompositions of B, classified, sorted by (|Jbar|, Jbar).
 
     The empty row set is always admissible (M empty, B_J = B) and always
     toral.  Row sets of size one are skipped: a single-row block is never
     mixed.  Row sets whose block has more rows than columns are skipped
-    as well.
+    as well.  Submatrices are built only for admissible row sets.
     """
     B, A = hi.B, hi.A
     n, m, d = hi.n, hi.m, hi.d
     if n > MAX_ROWS:
         raise SizeLimitError(f"B has {n} > {MAX_ROWS} rows")
     out = []
-    for mask in range(1 << n):
-        jbar = tuple(i for i in range(n) if mask >> i & 1)
-        q = len(jbar)
-        if q == 1:
-            continue
-        jbar_set = set(jbar)
-        colset = tuple(k for k in range(m)
-                       if any(B.data[i][k] != 0 for i in jbar))
-        p = len(colset)
-        if q > p:
-            continue
+    for jmask, cmask in _admissible_rowsets(B):
+        jbar, J = _bits(jmask, n), _bits(~jmask, n)
+        colset, other_cols = _bits(cmask, m), _bits(~cmask, m)
+        q, p = len(jbar), len(colset)
         M = B.submatrix(jbar, colset)
-        if not all(_column_is_mixed(M.column(j)) for j in range(p)):
-            continue
-        J = tuple(i for i in range(n) if i not in jbar_set)
-        other_cols = tuple(k for k in range(m) if k not in colset)
         B_J = B.submatrix(J, other_cols)
         N = B.submatrix(J, colset)
         A_J = A.submatrix(range(d), J)
@@ -102,16 +134,16 @@ def enumerate_decompositions(hi: HornInput) -> list[Decomposition]:
         assert rank_BJ == m - p, "columns through B_J must stay independent"
         rank_AJ = int_rank(A_J)
         klass = "toral" if rank_AJ == len(J) - rank_BJ else "andean"
-        L = saturation(LatticeBasis(len(J), B_J.columns()))
-        g = lattice_index(LatticeBasis(len(J), B_J.columns()))
+        dec = Decomposition(
+            rowset_Jbar=jbar, colset_M=colset, J=J, M=M, N=N, B_J=B_J,
+            A_J=A_J, A_Jbar=A_Jbar, q=q, p=p, klass=klass)
         if klass == "toral":
             assert q == p, "toral blocks are square"
             assert q == 0 or bareiss_det(M) != 0, "toral blocks are invertible"
             assert rank_AJ == d, "toral A_J has full rank"
-            assert L == kernel_basis(A_J), "toral lattice is the full kernel"
-        out.append(Decomposition(
-            rowset_Jbar=jbar, colset_M=colset, J=J, M=M, N=N, B_J=B_J,
-            A_J=A_J, A_Jbar=A_Jbar, q=q, p=p, klass=klass, L_basis=L, g=g))
+            assert dec.L_basis == kernel_basis(A_J), \
+                "toral lattice is the full kernel"
+        out.append(dec)
     out.sort(key=lambda dec: (len(dec.rowset_Jbar), dec.rowset_Jbar))
     return out
 

@@ -62,21 +62,21 @@ def component_of(M: IntMatrix, gamma) -> Component:
     Stops with the full vertex set (bounded) or with an unboundedness
     witness the moment two distinct comparable points have both been seen.
     """
-    comp = _explore(M, gamma)
+    gamma = tuple(int(x) for x in gamma)
+    if len(gamma) != M.nrows:
+        raise ValueError("seed length != number of rows of M")
+    if any(x < 0 for x in gamma):
+        raise ValueError("seed outside N^q")
+    comp = _explore(_steps(M), gamma)
     assert comp.bounded or comp.witness is not None
     return comp
 
 
-def _explore(M: IntMatrix, gamma, known_unbounded=None) -> Component:
-    """BFS core; an optional set of points already known to sit in
-    unbounded components lets exploration stop early without a witness."""
-    gamma = tuple(int(x) for x in gamma)
-    q = M.nrows
-    if len(gamma) != q:
-        raise ValueError("seed length != number of rows of M")
-    if any(x < 0 for x in gamma):
-        raise ValueError("seed outside N^q")
-    steps = _steps(M)
+def _explore(steps, gamma, classification=None) -> Component:
+    """BFS core over the translation steps of M from a point gamma of N^q;
+    an optional map of points already classified (True bounded, False
+    unbounded) lets exploration stop early, without a witness, at a point
+    known to sit in an unbounded component."""
     seen = {gamma}
     order = [gamma]
     queue = deque([gamma])
@@ -86,7 +86,7 @@ def _explore(M: IntMatrix, gamma, known_unbounded=None) -> Component:
             v = tuple(a + b for a, b in zip(u, s))
             if any(x < 0 for x in v) or v in seen:
                 continue
-            if known_unbounded is not None and v in known_unbounded:
+            if classification is not None and classification.get(v) is False:
                 return Component(bounded=False,
                                  points=tuple(sorted(seen | {v})),
                                  witness=None)
@@ -142,15 +142,28 @@ def _points_of_degree(q, t):
     return out
 
 
+def _above_unbounded(p, classification):
+    """Whether some p - e_i is already classified unbounded."""
+    for i, x in enumerate(p):
+        if x and classification.get(p[:i] + (x - 1,) + p[i + 1:]) is False:
+            return True
+    return False
+
+
 def bounded_atlas(M: IntMatrix, cap: int = 1000) -> SubgraphAtlas:
     """Enumerate all bounded components by exploring N^q level by level.
 
-    The union of the unbounded components is an up-set, so the first total
-    degree at which every point sits in an unbounded component certifies
-    that all higher degrees do too; enumeration stops there.  Exceeding
-    ``cap`` levels without that closure raises CapExceededError rather
-    than returning a partial answer.
+    The union of the unbounded components is an up-set: the component of
+    p + e_i holds the translate by e_i of the component of p.  So a point
+    with some p - e_i already classified unbounded is classified unbounded
+    without exploring, and the first total degree at which every point
+    sits in an unbounded component certifies that all higher degrees do
+    too; enumeration stops there.  Exceeding ``cap`` levels without that
+    closure raises CapExceededError rather than returning a partial
+    answer; a negative ``cap`` raises ValueError.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     q = M.nrows
     if q == 0:
         comp = Component(bounded=True, points=((),))
@@ -159,8 +172,8 @@ def bounded_atlas(M: IntMatrix, cap: int = 1000) -> SubgraphAtlas:
                              unbounded_min_gens=(),
                              closure_level=0,
                              classification={(): True})
+    steps = _steps(M)
     classification = {}  # point -> True (bounded) / False (unbounded)
-    unbounded_seen = set()
     bounded = []
     level = 0
     while True:
@@ -175,11 +188,12 @@ def bounded_atlas(M: IntMatrix, cap: int = 1000) -> SubgraphAtlas:
                 if classification[p]:
                     all_unbounded = False
                 continue
-            comp = _explore(M, p, known_unbounded=unbounded_seen)
+            if _above_unbounded(p, classification):
+                classification[p] = False
+                continue
+            comp = _explore(steps, p, classification)
             for w in comp.points:
                 classification[w] = comp.bounded
-                if not comp.bounded:
-                    unbounded_seen.add(w)
             if comp.bounded:
                 bounded.append(comp)
                 all_unbounded = False
@@ -187,19 +201,9 @@ def bounded_atlas(M: IntMatrix, cap: int = 1000) -> SubgraphAtlas:
             break
         level += 1
     # minimal generators of the unbounded union; all lie at degree <= level
-    gens = []
-    for p, is_bounded in sorted(classification.items()):
-        if is_bounded or sum(p) > level:
-            continue
-        below_in_union = False
-        for i in range(q):
-            if p[i] > 0:
-                down = p[:i] + (p[i] - 1,) + p[i + 1:]
-                if classification.get(down) is False:
-                    below_in_union = True
-                    break
-        if not below_in_union:
-            gens.append(p)
+    gens = [p for p, is_bounded in sorted(classification.items())
+            if not is_bounded and sum(p) <= level
+            and not _above_unbounded(p, classification)]
     bounded.sort(key=lambda c: (sum(c.points[0]), c.points[0]))
     reps = tuple(min(c.points) for c in bounded)
     return SubgraphAtlas(M=M, mu=len(bounded), representatives=reps,

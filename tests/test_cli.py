@@ -143,6 +143,19 @@ def test_bad_truncate_or_field_root_exit_2(paths, capsys, command, flag,
     assert f"{flag} must be >= " in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["subgraphs", "--M", "m3"], ["rank", "--B", "erd"],
+    ["solve", "--B", "erd", "--beta", "1/2,1/3"],
+    ["verify", "--B", "erd", "--beta", "1/2,1/3"]])
+def test_negative_cap_exit_2(paths, capsys, argv):
+    argv = [paths.get(a, a) for a in argv]
+    code = main(argv + ["--cap", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--cap must be >= 0" in captured.err
+
+
 def test_byte_identical_output(paths, capsys):
     main(["rank", "--B", paths["erd"]])
     first = capsys.readouterr().out

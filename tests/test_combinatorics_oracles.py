@@ -1,0 +1,284 @@
+"""Oracles for the fast paths of the combinatorics layer.
+
+``enumerate_decompositions`` is compared with the plain loop over all 2^n
+row masks that computes every field eagerly, and ``bounded_atlas`` with
+the level-by-level search that explores every unclassified point, both
+kept here as references.  The decompose reports on every fixture are
+compared byte for byte with goldens recorded from the eager enumeration.
+"""
+
+import contextlib
+import io
+import json
+import random
+from collections import deque
+from pathlib import Path
+
+import pytest
+
+from binomhorn import (
+    BinomHornError,
+    CapExceededError,
+    IntMatrix,
+    bounded_atlas,
+    enumerate_decompositions,
+    int_rank,
+    lattice_index,
+    make_horn_input,
+    saturation,
+)
+from binomhorn.cli import main
+from binomhorn.exact_linalg import LatticeBasis, bareiss_det, kernel_basis
+from binomhorn.subgraph import Component, _dominates, _points_of_degree, _steps
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# -- references ----------------------------------------------------------------------
+
+def reference_decompositions(hi):
+    """Every row mask in turn, with the lattice data computed eagerly, as
+    dicts of all fields sorted by (|Jbar|, Jbar)."""
+    B, A = hi.B, hi.A
+    n, m, d = hi.n, hi.m, hi.d
+    out = []
+    for mask in range(1 << n):
+        jbar = tuple(i for i in range(n) if mask >> i & 1)
+        q = len(jbar)
+        if q == 1:
+            continue
+        colset = tuple(k for k in range(m)
+                       if any(B.data[i][k] != 0 for i in jbar))
+        p = len(colset)
+        if q > p:
+            continue
+        M = B.submatrix(jbar, colset)
+        if not all(any(x > 0 for x in M.column(j))
+                   and any(x < 0 for x in M.column(j)) for j in range(p)):
+            continue
+        J = tuple(i for i in range(n) if i not in jbar)
+        other_cols = tuple(k for k in range(m) if k not in colset)
+        B_J = B.submatrix(J, other_cols)
+        A_J = A.submatrix(range(d), J)
+        rank_AJ = int_rank(A_J)
+        klass = ("toral" if rank_AJ == len(J) - int_rank(B_J) else "andean")
+        L = saturation(LatticeBasis(len(J), B_J.columns()))
+        if klass == "toral":
+            assert q == p and (q == 0 or bareiss_det(M) != 0)
+            assert L == kernel_basis(A_J)
+        out.append({
+            "rowset_Jbar": jbar, "colset_M": colset, "J": J, "M": M,
+            "N": B.submatrix(J, colset), "B_J": B_J, "A_J": A_J,
+            "A_Jbar": A.submatrix(range(d), jbar), "q": q, "p": p,
+            "klass": klass, "L_basis": L,
+            "g": lattice_index(LatticeBasis(len(J), B_J.columns()))})
+    out.sort(key=lambda dec: (len(dec["rowset_Jbar"]), dec["rowset_Jbar"]))
+    return out
+
+
+def reference_explore(M, gamma, known_unbounded):
+    """Breadth-first component search, steps recomputed on every call."""
+    steps = _steps(M)
+    seen = {gamma}
+    order = [gamma]
+    queue = deque([gamma])
+    while queue:
+        u = queue.popleft()
+        for s in steps:
+            v = tuple(a + b for a, b in zip(u, s))
+            if any(x < 0 for x in v) or v in seen:
+                continue
+            if v in known_unbounded or any(
+                    _dominates(v, w) or _dominates(w, v) for w in order):
+                return Component(bounded=False,
+                                 points=tuple(sorted(seen | {v})))
+            seen.add(v)
+            order.append(v)
+            queue.append(v)
+    return Component(bounded=True, points=tuple(sorted(seen)))
+
+
+def reference_atlas(M, cap):
+    """(mu, representatives, component points, unbounded minimal
+    generators, closure level, classification up to that level), found
+    by exploring every unclassified point level by level."""
+    q = M.nrows
+    classification = {}
+    unbounded = set()
+    bounded = []
+    level = 0
+    while True:
+        if level > cap:
+            raise CapExceededError("reference cap")
+        all_unbounded = True
+        for p in _points_of_degree(q, level):
+            if p not in classification:
+                comp = reference_explore(M, p, unbounded)
+                for w in comp.points:
+                    classification[w] = comp.bounded
+                    if not comp.bounded:
+                        unbounded.add(w)
+                if comp.bounded:
+                    bounded.append(comp)
+            if classification[p]:
+                all_unbounded = False
+        if level > 0 and all_unbounded:
+            break
+        level += 1
+    low = {p: b for p, b in classification.items() if sum(p) <= level}
+    gens = tuple(
+        p for p in sorted(low) if not low[p]
+        and not any(p[i] and low.get(p[:i] + (p[i] - 1,) + p[i + 1:]) is False
+                    for i in range(q)))
+    bounded.sort(key=lambda c: (sum(c.points[0]), c.points[0]))
+    return (len(bounded), tuple(min(c.points) for c in bounded),
+            tuple(c.points for c in bounded), gens, level, low)
+
+
+def atlas_outcome(M, cap):
+    try:
+        atlas = bounded_atlas(M, cap=cap)
+    except CapExceededError:
+        return "cap exceeded"
+    low = {p: b for p, b in atlas.classification.items()
+           if sum(p) <= atlas.closure_level}
+    return (atlas.mu, atlas.representatives,
+            tuple(c.points for c in atlas.bounded_components),
+            atlas.unbounded_min_gens, atlas.closure_level, low)
+
+
+def reference_atlas_outcome(M, cap):
+    try:
+        return reference_atlas(M, cap)
+    except CapExceededError:
+        return "cap exceeded"
+
+
+# -- inputs --------------------------------------------------------------------------
+
+def chain_rows(n, rng):
+    """The chain B (column k is e_2k - e_2k+1 + e_2k+2 - e_2k+3, indices
+    mod n) under a joint row/column permutation and column negations."""
+    cols = []
+    for k in range(n // 2):
+        col = [0] * n
+        for off, sign in ((0, 1), (1, -1), (2, 1), (3, -1)):
+            col[(2 * k + off) % n] += sign
+        cols.append(col)
+    m = len(cols)
+    rows_perm = rng.sample(range(n), n)
+    cols_perm = rng.sample(range(m), m)
+    signs = [rng.choice((1, -1)) for _ in range(m)]
+    return [[signs[j] * cols[cols_perm[j]][rows_perm[i]] for j in range(m)]
+            for i in range(n)]
+
+
+def random_inputs(rng, count):
+    """Valid HornInputs with a zero row and a duplicated row in B."""
+    out = []
+    while len(out) < count:
+        m = rng.choice((2, 3))
+        rows = [[rng.randint(-2, 2) for _ in range(m)]
+                for _ in range(rng.randint(m + 1, 5))]
+        rows.insert(rng.randrange(len(rows) + 1), [0] * m)
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+        try:
+            out.append(make_horn_input(IntMatrix(rows)))
+        except BinomHornError:
+            continue
+    return out
+
+
+def fields(dec):
+    return {name: getattr(dec, name) for name in (
+        "rowset_Jbar", "colset_M", "J", "M", "N", "B_J", "A_J", "A_Jbar",
+        "q", "p", "klass", "L_basis", "g")}
+
+
+# -- decompositions ------------------------------------------------------------------
+
+def test_decompositions_match_reference_on_random_B():
+    rng = random.Random(3)
+    inputs = random_inputs(rng, 40)
+    assert all(any(not any(row) for row in hi.B.tolist()) for hi in inputs)
+    andean = 0
+    for hi in inputs:
+        got = [fields(dec) for dec in enumerate_decompositions(hi)]
+        want = reference_decompositions(hi)
+        assert got == want, hi.B.tolist()
+        andean += sum(dec["klass"] == "andean" for dec in want)
+    assert andean > 0  # the lazy fields are compared on Andean blocks too
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_decompositions_match_reference_on_permuted_chains(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        hi = make_horn_input(IntMatrix(chain_rows(n, rng)))
+        got = [fields(dec) for dec in enumerate_decompositions(hi)]
+        assert got == reference_decompositions(hi)
+
+
+def test_lattice_fields_are_computed_when_read(B_him, B_nh, B_ds):
+    andean = 0
+    for B in (B_him, B_nh, B_ds):
+        decs = enumerate_decompositions(make_horn_input(B))
+        assert all("g" not in vars(dec) for dec in decs)
+        for dec in decs:
+            span = LatticeBasis(len(dec.J), dec.B_J.columns())
+            assert dec.g == lattice_index(span)
+            assert dec.L_basis == saturation(span)
+            assert dec.g is vars(dec)["g"]  # read once, then kept
+            andean += not dec.is_toral
+    assert andean > 0
+
+
+def test_decompose_reports_match_goldens(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    goldens = json.loads((ROOT / "tests" / "goldens" / "decompose.json")
+                         .read_text(encoding="utf-8"))
+    assert len(goldens) == 10
+    for args, want in goldens.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["decompose"] + args.split())
+        assert (code, out.getvalue()) == (want["exit"], want["stdout"]), args
+
+
+# -- atlases -------------------------------------------------------------------------
+
+def random_M(rng, q):
+    ncols = rng.randint(1, q + 1)
+    cols = [[rng.randint(-2, 2) for _ in range(q)] for _ in range(ncols)]
+    return IntMatrix.from_columns(cols, nrows=q)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("cap", [5, 20])
+def test_atlas_matches_reference(q, cap):
+    rng = random.Random(100 * q + cap)
+    verdicts = set()
+    for _ in range(25 if q < 4 else 8):
+        M = random_M(rng, q)
+        got = atlas_outcome(M, cap)
+        assert got == reference_atlas_outcome(M, cap), M.tolist()
+        verdicts.add(got == "cap exceeded")
+    assert verdicts == {True, False}  # both outcomes are compared
+
+
+def test_atlas_matches_reference_on_mixed_invertible_blocks():
+    rng = random.Random(7)
+    done = 0
+    while done < 30:
+        q = rng.choice((2, 3))
+        M = random_M(rng, q)
+        if M.ncols != q or bareiss_det(M) == 0 or not all(
+                min(c) < 0 < max(c) for c in M.columns()):
+            continue
+        assert atlas_outcome(M, 20) == reference_atlas_outcome(M, 20)
+        done += 1
+
+
+def test_atlas_rejects_a_negative_cap(M3):
+    with pytest.raises(ValueError):
+        bounded_atlas(M3, cap=-1)

@@ -320,6 +320,22 @@ def test_scalar_mixed_orders_still_rejected():
         a / Scalar.zero(3)
 
 
+def test_scalar_equality_across_orders():
+    a = Scalar.root_of_unity(3)
+    b = Scalar.root_of_unity(4)
+    assert not a == b and a != b
+    assert a not in [b] and b in [a, b]
+    table = {b: "b", Scalar.rational(F(2, 3), 3): "two thirds"}
+    assert a not in table and table.get(b) == "b"
+    # rational elements compare by value across orders, as they hash
+    for x, y in ((Scalar.rational(F(2, 3), 3), Scalar.rational(F(2, 3), 4)),
+                 (Scalar.rational(F(2, 3), 5), Scalar.rational(F(2, 3)))):
+        assert x == y and hash(x) == hash(y)
+        assert table[y] == "two thirds"
+    assert Scalar.rational(1, 3) != Scalar.rational(2, 4)
+    assert Scalar.rational(1, 3) != Scalar.root_of_unity(4, 0) + 1
+
+
 # -- input checks ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [{"T": -1}, {"field_root": 0},
