@@ -35,7 +35,6 @@ from .geometry import (
 )
 from .model import (
     HornInput,
-    Parameter,
     compute_A,
     is_pointed,
     make_horn_input,

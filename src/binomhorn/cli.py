@@ -113,7 +113,8 @@ def cmd_validate(args):
         report["certificate"] = list(vr.certificate) if vr.certificate else None
         _emit(report, args.pretty)
         return EXIT_INPUT
-    hi = make_horn_input(B, read_matrix(args.A) if args.A else None)
+    hi = make_horn_input(B, read_matrix(args.A) if args.A else None,
+                         report=vr)
     report["A"] = _matrix_json(hi.A)
     report["pointed_functional"] = [_frac_str(x) for x in hi.pointed_functional]
     report["a_spans_standard_lattice"] = hi.a_spans_standard_lattice

@@ -9,8 +9,7 @@ the small rational solvers the geometry layer needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from itertools import combinations
+from math import lcm, prod
 
 
 class IntMatrix:
@@ -468,41 +467,9 @@ def saturation(l: LatticeBasis):
 
 
 def lattice_index(l: LatticeBasis):
-    """Index |sat(L)/L|, computed two independent ways that must agree."""
-    if not l.vectors:
-        return 1
-    via_snf = index_via_invariant_factors(l)
-    via_minors = index_via_minor_gcd(l)
-    if via_snf != via_minors:  # pragma: no cover - cross-oracle safety net
-        raise AssertionError(
-            f"lattice index oracles disagree: {via_snf} vs {via_minors}")
-    return via_snf
-
-
-def index_via_invariant_factors(l: LatticeBasis):
-    """Product of the invariant factors of the basis matrix."""
-    if not l.vectors:
-        return 1
-    facs = invariant_factors(l.matrix())
-    out = 1
-    for f in facs:
-        out *= f
-    return out
-
-
-def index_via_minor_gcd(l: LatticeBasis):
-    """Gcd of all maximal minors of the basis matrix."""
-    if not l.vectors:
-        return 1
-    m = l.matrix()
-    k = len(l.vectors)
-    g = 0
-    for rows in combinations(range(m.nrows), k):
-        sub = m.submatrix(rows, range(k))
-        g = gcd(g, abs(bareiss_det(sub)))
-    if g == 0:
-        raise ValueError("basis matrix has rank below its column count")
-    return g
+    """Index |sat(L)/L|: the product of the invariant factors of the basis
+    matrix."""
+    return prod(invariant_factors(l.matrix())) if l.vectors else 1
 
 
 def solve_integer(m: IntMatrix, b):

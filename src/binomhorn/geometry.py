@@ -210,7 +210,7 @@ def normalized_volume(A_J: IntMatrix) -> VolumeResult:
     r = int_rank(A_J)
     if r == 0:
         raise BinomHornError("degenerate point set: rank 0")
-    _, coords = own_lattice_coordinates(A_J)
+    lattice, coords = own_lattice_coordinates(A_J)
     pts = [tuple(Fraction(0) for _ in range(r))] + \
           [tuple(Fraction(x) for x in k) for k in coords]
     total = Fraction(0)
@@ -220,7 +220,6 @@ def normalized_volume(A_J: IntMatrix) -> VolumeResult:
         total += _simplex_volume_normalized([pts[i] for i in simplex])
     if total.denominator != 1:
         raise AssertionError("lattice volume must be an integer")
-    lattice, _ = own_lattice_coordinates(A_J)
     return VolumeResult(value=int(total), lattice=lattice)
 
 

@@ -3,14 +3,19 @@
 The input is an integer matrix B (n x m, full column rank) whose integer
 column span must be mixed: every nonzero vector in it has a strictly
 positive and a strictly negative entry.  A companion matrix A spans the
-left kernel of B; its columns generate a pointed cone.  Mixedness and
-pointedness are decided exactly by Fourier-Motzkin elimination.
+left kernel of B; its columns generate a pointed cone.  The kernel of A
+is the rational column span of B, so by Gordan's alternative B is mixed
+exactly when the columns of A are pointed, and a vanishing nonnegative
+combination of them is an unmixed vector of the span.  One pointedness
+test per input, decided exactly by Fourier-Motzkin elimination, settles
+both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import ConventionError
 from .exact_linalg import (
@@ -119,46 +124,6 @@ def _clear_denominators(v):
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    reason: str = ""
-    certificate: tuple | None = None  # unmixed vector in the column span
-
-
-def validate_B(B: IntMatrix) -> ValidationReport:
-    """Accept B iff rank(B) equals its column count and the rational column
-    span meets the nonnegative orthant only in 0.
-
-    On rejection the report carries a primitive integer certificate: a
-    nonzero vector v >= 0 in the column span.
-    """
-    n, m = B.nrows, B.ncols
-    if m == 0:
-        return ValidationReport(ok=True)
-    if int_rank(B) != m:
-        return ValidationReport(ok=False, reason=f"rank(B) < {m}")
-    # search for c with B c >= 0 and (B c)_i >= 1 for some coordinate i
-    rows = [list(B.row(i)) for i in range(n)]
-    for i in range(n):
-        sys_rows = list(rows)
-        rhs = [0] * n
-        sys_rows.append(rows[i])
-        rhs.append(1)
-        feasible, witness = _fm_feasible(sys_rows, rhs)
-        if feasible:
-            v = tuple(sum(Fraction(B.data[r][j]) * witness[j] for j in range(m))
-                      for r in range(n))
-            cert = _clear_denominators(v)
-            return ValidationReport(
-                ok=False,
-                reason="column span contains the unmixed vector "
-                       f"{list(cert)}",
-                certificate=cert,
-            )
-    return ValidationReport(ok=True)
-
-
-@dataclass(frozen=True)
 class PointedReport:
     pointed: bool
     functional: tuple | None = None   # h with h . a_j > 0 for all j
@@ -189,6 +154,51 @@ def is_pointed(A: IntMatrix) -> PointedReport:
     return PointedReport(pointed=False, combination=witness)
 
 
+@dataclass(frozen=True)
+class ValidationReport:
+    ok: bool
+    reason: str = ""
+    certificate: tuple | None = None  # unmixed vector in the column span
+    A: IntMatrix | None = None        # canonical A, when ok
+    functional: tuple | None = None   # h with h . a_j > 0 on A, when ok
+
+
+def validate_B(B: IntMatrix) -> ValidationReport:
+    """Accept B iff rank(B) equals its column count and the rational column
+    span meets the nonnegative orthant only in 0.
+
+    The column span is the kernel of the canonical A (see compute_A), so
+    by Gordan's alternative B is mixed exactly when the columns of A are
+    pointed: one pointedness test decides it.  On acceptance the report
+    carries A and its functional.  On rejection it carries a primitive
+    integer certificate: a nonzero vector v >= 0 in the column span,
+    namely the Farkas combination of the columns of A.
+    """
+    n, m = B.nrows, B.ncols
+    if int_rank(B) != m:
+        return ValidationReport(ok=False, reason=f"rank(B) < {m}")
+    A = row_hnf(IntMatrix([list(v) for v in left_kernel_basis(B).vectors]))
+    if m == n > 0:
+        # a square B spans all of Q^n, and A has no rows to test
+        cert = (1,) + (0,) * (n - 1)
+    else:
+        pr = is_pointed(A)
+        if pr.pointed:
+            return ValidationReport(ok=True, A=A, functional=pr.functional)
+        cert = _clear_denominators(pr.combination)
+    return ValidationReport(
+        ok=False,
+        reason=f"column span contains the unmixed vector {list(cert)}",
+        certificate=cert)
+
+
+def _accepted(report: ValidationReport) -> ValidationReport:
+    if not report.ok:
+        raise ConventionError(f"B rejected: {report.reason}",
+                              certificate=report.certificate)
+    return report
+
+
 def compute_A(B: IntMatrix) -> IntMatrix:
     """Canonical A for a validated B: the row Hermite basis of the left
     kernel {y : y B = 0}.
@@ -197,15 +207,7 @@ def compute_A(B: IntMatrix) -> IntMatrix:
     the result has all invariant factors 1, and the output is a
     deterministic function of B.
     """
-    report = validate_B(B)
-    if not report.ok:
-        raise ConventionError(f"B rejected: {report.reason}",
-                              certificate=report.certificate)
-    lk = left_kernel_basis(B)
-    if not lk.vectors:
-        return IntMatrix.zero(0, B.nrows)
-    rows = [list(v) for v in lk.vectors]
-    return row_hnf(IntMatrix(rows))
+    return _accepted(validate_B(B)).A
 
 
 @dataclass(frozen=True)
@@ -226,24 +228,24 @@ class HornInput:
         return self.d
 
 
-def make_horn_input(B: IntMatrix, A: IntMatrix | None = None) -> HornInput:
+def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
+                    report: ValidationReport | None = None) -> HornInput:
     """Validate B (and A when supplied) and assemble a HornInput.
 
-    A supplied A must satisfy A B = 0, have full rank d = n - m, and have
-    nonzero columns generating a pointed cone.  Whether its columns span
-    all of Z^d is recorded but not enforced: published systems are often
-    written with an A whose column lattice has finite index in Z^d, and
-    every quantity computed here is normalized against the relevant
-    lattice rather than Z^d.
+    ``report`` is validate_B(B) when the caller already has it; B is then
+    not validated again.  A supplied A must satisfy A B = 0 and have full
+    rank d = n - m; its columns are then pointed, because its kernel is the
+    column span of the validated B.  Whether its columns span all of Z^d
+    is recorded but not enforced: published systems are often written with
+    an A whose column lattice has finite index in Z^d, and every quantity
+    computed here is normalized against the relevant lattice rather than
+    Z^d.
     """
-    report = validate_B(B)
-    if not report.ok:
-        raise ConventionError(f"B rejected: {report.reason}",
-                              certificate=report.certificate)
+    vr = _accepted(report if report is not None else validate_B(B))
     n, m = B.nrows, B.ncols
     d = n - m
     if A is None:
-        A = compute_A(B)
+        A, functional = vr.A, vr.functional
     else:
         if A.shape != (d, n):
             raise ConventionError(
@@ -252,41 +254,11 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None) -> HornInput:
             raise ConventionError("A B != 0")
         if int_rank(A) != d:
             raise ConventionError(f"rank(A) != {d}")
-    if d == 0:
-        return HornInput(B=B, A=A, n=n, m=m, d=0,
-                         pointed_functional=(),
-                         a_spans_standard_lattice=True, a_column_index=1)
-    pr = is_pointed(A)
-    if not pr.pointed:
-        raise ConventionError(
-            "columns of A do not lie in an open half-space; "
-            f"vanishing combination {list(pr.combination)}")
+        functional = is_pointed(A).functional
     facs = invariant_factors(A)
-    idx = 1
-    for f in facs:
-        idx *= f
+    idx = prod(facs)
     spans = len(facs) == d and idx == 1
     return HornInput(B=B, A=A, n=n, m=m, d=d,
-                     pointed_functional=pr.functional,
+                     pointed_functional=functional,
                      a_spans_standard_lattice=spans,
                      a_column_index=idx)
-
-
-@dataclass(frozen=True)
-class Parameter:
-    """An exact rational parameter vector in the A-coordinates."""
-
-    beta: tuple
-
-    def __init__(self, beta):
-        object.__setattr__(self, "beta", tuple(Fraction(b) for b in beta))
-
-    def __len__(self):
-        return len(self.beta)
-
-    def __iter__(self):
-        return iter(self.beta)
-
-    def __getitem__(self, i):
-        return self.beta[i]
-

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -14,12 +15,21 @@ from binomhorn import (
     saturation,
     smith_normal_form,
 )
-from binomhorn.exact_linalg import (
-    bareiss_det,
-    index_via_invariant_factors,
-    index_via_minor_gcd,
-    solve_integer,
-)
+from binomhorn.exact_linalg import bareiss_det, solve_integer
+
+
+def index_via_minor_gcd(l):
+    """Reference index |sat(L)/L|: the gcd of all maximal minors of the
+    basis matrix, independent of the Smith form."""
+    if not l.vectors:
+        return 1
+    m = l.matrix()
+    k = len(l.vectors)
+    g = 0
+    for rows in combinations(range(m.nrows), k):
+        g = gcd(g, abs(bareiss_det(m.submatrix(rows, range(k)))))
+    assert g != 0, "basis matrix has rank below its column count"
+    return g
 
 
 def check_snf(m):
@@ -151,15 +161,15 @@ def test_lattice_index_minor_gcd_oracle(B_ds):
         sub = B_ds.submatrix(rows, [0, 1])
         minors.append(bareiss_det(sub))
     assert sorted(abs(m) for m in minors) == [3, 3, 3, 6, 6, 9]
-    from math import gcd
     g = 0
     for m in minors:
         g = gcd(g, abs(m))
     assert g == 3
+    assert index_via_minor_gcd(LatticeBasis(4, B_ds.columns())) == 3
 
 
 def test_index_dual_oracle_random():
-    # invariant-factor product vs gcd of maximal minors on 100 matrices
+    # lattice_index (invariant factors) vs gcd of maximal minors on 100 matrices
     rng = random.Random(19)
     count = 0
     while count < 100:
@@ -169,7 +179,7 @@ def test_index_dual_oracle_random():
         if int_rank(IntMatrix.from_columns(cols, nrows=n)) != k:
             continue
         l = LatticeBasis(n, cols)
-        assert index_via_invariant_factors(l) == index_via_minor_gcd(l)
+        assert lattice_index(l) == index_via_minor_gcd(l)
         count += 1
 
 

@@ -1,19 +1,26 @@
+import json
 import random
-from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from binomhorn import (
     ConventionError,
     IntMatrix,
-    Parameter,
     compute_A,
     is_pointed,
     kernel_basis,
     make_horn_input,
     validate_B,
 )
-from binomhorn.exact_linalg import LatticeBasis, int_rank, invariant_factors
+from binomhorn import model
+from binomhorn.cli import main
+from binomhorn.exact_linalg import (
+    LatticeBasis,
+    frac_solve,
+    int_rank,
+    invariant_factors,
+)
 
 
 def test_validate_accepts_fixtures(B_erd, B_gauss, B_ds, B_nh, B_him):
@@ -151,7 +158,182 @@ def test_make_horn_input_rejects_bad_b():
         make_horn_input(IntMatrix([[1], [0]]))
 
 
-def test_parameter_parsing():
-    p = Parameter(["1/2", Fraction(1, 3)])
-    assert p.beta == (Fraction(1, 2), Fraction(1, 3))
-    assert len(p) == 2
+def test_validate_square_certificate_is_e1(M3):
+    # d = 0: the column span is all of Q^n
+    assert validate_B(M3).certificate == (1, 0, 0)
+    assert validate_B(IntMatrix([[1, 0], [0, 1]])).certificate == (1, 0)
+    with pytest.raises(ConventionError) as exc:
+        make_horn_input(M3)
+    assert exc.value.certificate == (1, 0, 0)
+
+
+# -- the per-row Fourier-Motzkin validation, kept as a reference -------------
+
+def reference_validate_B(B):
+    """(verdict, reason kind): the rank check, then one Fourier-Motzkin
+    problem per row i asking for c with B c >= 0 and (B c)_i >= 1."""
+    n, m = B.nrows, B.ncols
+    if m == 0:
+        return True, None
+    if int_rank(B) != m:
+        return False, "rank"
+    rows = [list(B.row(i)) for i in range(n)]
+    for i in range(n):
+        feasible, witness = model._fm_feasible(rows + [rows[i]],
+                                               [0] * n + [1])
+        if feasible:
+            v = [sum(B.data[r][j] * witness[j] for j in range(m))
+                 for r in range(n)]
+            assert all(x >= 0 for x in v) and v[i] >= 1
+            return False, "unmixed"
+    return True, None
+
+
+def random_B(rng, kind):
+    """One random B of the given kind; the verdict is left to the oracles."""
+    n = rng.randint(2, 6)
+    if kind == "square":
+        m = n = rng.randint(1, 4)
+    elif kind == "one-column":
+        m = 1
+    else:
+        m = rng.randint(1, n - 1)
+    if kind == "kernel":
+        # the kernel of a random A: mixed exactly when A is pointed
+        d = n - m
+        while True:
+            A = IntMatrix([[rng.randint(-3, 4) for _ in range(n)]
+                           for _ in range(d)])
+            if int_rank(A) == d:
+                break
+        cols = [[rng.randint(1, 2) * x for x in v]
+                for v in kernel_basis(A).vectors]
+        return IntMatrix.from_columns(cols, nrows=n)
+    cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    if kind == "rank-deficient" and m > 1:
+        f = rng.choice((-2, -1, 1, 2))
+        cols[-1] = [f * x for x in cols[0]]
+    elif kind == "unmixed":
+        # a nonnegative vector inside the span, hidden by a mixed column
+        w = [rng.randint(0, 2) for _ in range(n)]
+        w[rng.randrange(n)] = 1
+        cols[0] = [x + y for x, y in zip(w, cols[-1])] if m > 1 else w
+    return IntMatrix.from_columns(cols, nrows=n)
+
+
+def check_certificate(B, v):
+    assert len(v) == B.nrows
+    assert all(isinstance(x, int) and x >= 0 for x in v)
+    assert any(v)
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    assert g == 1
+    assert frac_solve([list(r) for r in B.data], list(v)) is not None
+
+
+def assert_positive(h, A):
+    assert all(sum(h[i] * A.data[i][j] for i in range(A.nrows)) > 0
+               for j in range(A.ncols))
+
+
+KINDS = ("random", "kernel", "rank-deficient", "unmixed", "square",
+         "one-column")
+
+
+def test_validate_matches_per_row_reference_on_random_B():
+    rng = random.Random(2024)
+    seen = set()
+    for t in range(240):
+        kind = KINDS[t % len(KINDS)]
+        B = random_B(rng, kind)
+        want, why = reference_validate_B(B)
+        vr = validate_B(B)
+        assert vr.ok == want, B.tolist()
+        seen.add((kind, want, why))
+        if vr.ok:
+            assert vr.certificate is None
+            A = vr.A
+            assert A == compute_A(B)
+            assert A.mul(B).is_zero()
+            assert int_rank(A) == B.nrows - B.ncols
+            assert_positive(vr.functional, A)
+            # any other A with A B = 0 and full rank is pointed as well
+            d = A.nrows
+            rows = [[x * f for x in r]
+                    for r, f in zip(A.data, rng.choices((1, 2, 3), k=d))]
+            for i in range(1, d):
+                f = rng.randint(-2, 2)
+                rows[i] = [x + f * y for x, y in zip(rows[i], rows[0])]
+            A2 = IntMatrix(rows)
+            assert_positive(make_horn_input(B, A2).pointed_functional, A2)
+        elif why == "rank":
+            assert "rank" in vr.reason and vr.certificate is None
+        else:
+            check_certificate(B, vr.certificate)
+            assert str(list(vr.certificate)) in vr.reason
+    # every kind of input and every verdict is exercised
+    assert {(k, ok) for k, ok, _ in seen} >= {
+        ("random", True), ("random", False), ("kernel", True),
+        ("kernel", False), ("unmixed", False), ("square", False),
+        ("one-column", True), ("one-column", False)}
+    assert ("rank-deficient", False, "rank") in seen
+
+
+@pytest.fixture
+def count_fm(monkeypatch):
+    calls = []
+    inner = model._fm_feasible
+
+    def counting(rows, rhs):
+        calls.append(len(rows))
+        return inner(rows, rhs)
+
+    monkeypatch.setattr(model, "_fm_feasible", counting)
+    return calls
+
+
+def test_make_horn_input_runs_one_feasibility_problem(count_fm, B_erd, A_erd,
+                                                      B_him):
+    for B in (B_erd, B_him):
+        count_fm.clear()
+        hi = make_horn_input(B)
+        assert len(count_fm) == 1
+        assert hi.A == compute_A(B)
+    # a supplied A gets its own call, for its own functional
+    count_fm.clear()
+    make_horn_input(B_erd, A_erd)
+    assert len(count_fm) == 2
+
+
+def write_matrices(tmp_path, **mats):
+    out = {}
+    for name, rows in mats.items():
+        p = tmp_path / f"{name}.mat"
+        p.write_text("".join(" ".join(map(str, r)) + "\n" for r in rows))
+        out[name] = str(p)
+    return out
+
+
+def test_cli_validate_runs_one_feasibility_problem(count_fm, tmp_path, capsys):
+    paths = write_matrices(tmp_path, erd=[[1, 0], [-2, 1], [1, -2], [0, 1]])
+    assert main(["validate", "--B", paths["erd"]]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert len(count_fm) == 1
+
+
+@pytest.mark.parametrize("B, A", [
+    ([[1], [0], [0]], [[0, 1, 0], [0, 0, 1]]),
+    ([[2, -1], [-1, 1], [1, 0]], [[2, 2, -2]]),
+    ([[1, -1], [-1, 1], [1, 1], [0, 0]], [[1, 1, 0, 1], [0, 0, 0, 2]]),
+])
+def test_cli_validate_rejection_ignores_supplied_A(tmp_path, capsys, B, A):
+    paths = write_matrices(tmp_path, B=B, A=A)
+    assert IntMatrix(A).mul(IntMatrix(B)).is_zero()
+    assert main(["validate", "--B", paths["B"]]) == 2
+    alone = capsys.readouterr().out
+    assert main(["validate", "--B", paths["B"], "--A", paths["A"]]) == 2
+    assert capsys.readouterr().out == alone
+    rep = json.loads(alone)
+    assert rep["ok"] is False
+    check_certificate(IntMatrix(B), tuple(rep["certificate"]))
