@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .decomp import andean_report, enumerate_decompositions
+from .decomp import andean_report
 from .errors import (
     BinomHornError,
     CapExceededError,
@@ -134,7 +134,7 @@ def cmd_complement(args):
 
 def cmd_decompose(args):
     hi = _load_input(args)
-    decs = enumerate_decompositions(hi)
+    decs = hi.decompositions
     rep = andean_report(decs, hi.d)
     report = {
         "schema": SCHEMA, "command": "decompose",

@@ -11,7 +11,8 @@ which for square M is equivalent to det(M) != 0.
 Row sets are found by a depth-first walk over bitmasks of at most m rows
 (sum_{k <= m} C(n, k) masks instead of 2^n), rejected by integer tests
 on column-sign masks before any submatrix is built; the lattice data
-(``L_basis``, ``g``) is computed only when read.
+(``L_basis``, ``g``) is computed only when read.  ``HornInput.decompositions``
+keeps the enumeration, so one input is enumerated once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .exact_linalg import (
     int_rank,
     kernel_basis,
     lattice_index,
+    saturated_span,
     saturation,
 )
 from .model import HornInput
@@ -108,7 +110,7 @@ def _admissible_rowsets(B: IntMatrix):
     return out
 
 
-def enumerate_decompositions(hi: HornInput) -> list[Decomposition]:
+def enumerate_decompositions(hi: HornInput) -> tuple[Decomposition, ...]:
     """All block decompositions of B, classified, sorted by (|Jbar|, Jbar).
 
     The empty row set is always admissible (M empty, B_J = B) and always
@@ -144,14 +146,14 @@ def enumerate_decompositions(hi: HornInput) -> list[Decomposition]:
             assert dec.L_basis == kernel_basis(A_J), \
                 "toral lattice is the full kernel"
         out.append(dec)
-    out.sort(key=lambda dec: (len(dec.rowset_Jbar), dec.rowset_Jbar))
-    return out
+    return tuple(sorted(out, key=lambda dec: (len(dec.rowset_Jbar),
+                                              dec.rowset_Jbar)))
 
 
 @dataclass(frozen=True)
 class AndeanReport:
-    """Directions (column spans of A_J over Andean decompositions) and the
-    generic-holonomicity verdict.
+    """Directions (saturated column spans of A_J over Andean
+    decompositions) and the generic-holonomicity verdict.
 
     Directions are canonical saturated lattice bases of the rational
     column spans; integer translates are not computed, so the set is a
@@ -167,22 +169,8 @@ def andean_report(decomps, d: int) -> AndeanReport:
     for dec in decomps:
         if dec.is_toral:
             continue
-        span = saturation(LatticeBasis(d, []) if dec.A_J.ncols == 0
-                          else _column_span_basis(dec.A_J))
+        span = saturated_span(dec.A_J)
         dirs[span.vectors] = span
     directions = tuple(dirs[k] for k in sorted(dirs))
     holonomic = all(len(b.vectors) < d for b in directions)
     return AndeanReport(directions=directions, generically_holonomic=holonomic)
-
-
-def _column_span_basis(m: IntMatrix) -> LatticeBasis:
-    """An independent generating subset of the columns of m, as a lattice."""
-    cols = []
-    rank = 0
-    for j in range(m.ncols):
-        trial = cols + [m.column(j)]
-        r = int_rank(IntMatrix.from_columns(trial, nrows=m.nrows))
-        if r > rank:
-            cols.append(m.column(j))
-            rank = r
-    return LatticeBasis(m.nrows, cols)

@@ -1,9 +1,10 @@
 """Arbitrary-precision integer and rational linear algebra.
 
-Everything here is exact: matrices hold Python ints, rational elimination
-uses fractions.Fraction.  No floating point anywhere.  Provides Smith and
-Hermite normal forms, integer kernels, lattice saturation and indices, and
-the small rational solvers the geometry layer needs.
+Everything here is exact: matrices hold Python ints, ranks come from a
+fraction-free integer elimination (rational rows are scaled to integers
+first), and the small rational solvers use fractions.Fraction.  No
+floating point anywhere.  Provides Smith and Hermite normal forms,
+integer kernels, lattice saturation and indices, and those solvers.
 """
 
 from __future__ import annotations
@@ -109,24 +110,35 @@ def _rising(a, k):
     return out
 
 
-def frac_rank(rows):
-    """Rank over the rationals of a list-of-rows matrix (ints or Fractions)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+def _bareiss_rank(rows):
+    """Rank of integer rows by fraction-free elimination (Bareiss 1968):
+    each entry becomes its 2x2 determinant with the pivot divided by the
+    previous pivot, exactly, since every entry is a minor of the input."""
+    rows = [r for r in rows if any(r)]
+    rank, prev = 0, 1
+    while rows:
+        piv = next((r for r in rows if r[0]), None)
         if piv is None:
+            rows = [r[1:] for r in rows]
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rows.remove(piv)
+        p, tail = piv[0], piv[1:]
+        rows = [row for row in (
+            [(p * x - r[0] * y) // prev for x, y in zip(r[1:], tail)]
+            for r in rows) if any(row)]
+        prev = p
         rank += 1
     return rank
+
+
+def frac_rank(rows):
+    """Rank over the rationals of a list-of-rows matrix (ints or Fractions),
+    on the rows scaled to integers, which keeps the rank."""
+    int_rows = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        int_rows.append([x.numerator * (den // x.denominator) for x in row])
+    return _bareiss_rank(int_rows)
 
 
 def frac_solve(rows, rhs):
@@ -311,10 +323,8 @@ def invariant_factors(m: IntMatrix):
 
 
 def int_rank(m: IntMatrix):
-    """Rank over the rationals."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    return frac_rank([list(r) for r in m.data])
+    """Rank over the rationals, by fraction-free integer elimination."""
+    return _bareiss_rank(m.data)
 
 
 # -- Hermite normal form -------------------------------------------------------
@@ -450,20 +460,20 @@ def left_kernel_basis(m: IntMatrix):
 
 
 def saturation(l: LatticeBasis):
-    """Saturation sat(L) = (Q L) intersect Z^n, as a LatticeBasis.
+    """Saturation sat(L) = (Q L) intersect Z^n, as a LatticeBasis."""
+    return saturated_span(l.matrix())
 
-    Computed as the integer kernel of a matrix whose rational kernel is the
-    span of L, so the result is saturated by construction and contains L.
-    """
-    if not l.vectors:
-        return l
-    w = l.matrix()
-    t = left_kernel_basis(w)  # rows y with y w = 0
-    if not t.vectors:
-        # L spans Q^n: saturation is all of Z^n
-        return LatticeBasis(l.ambient_dim, IntMatrix.identity(l.ambient_dim).columns())
-    tm = IntMatrix.from_columns(t.vectors, nrows=l.ambient_dim).transpose()
-    return kernel_basis(tm)
+
+def saturated_span(m: IntMatrix):
+    """(Q colspan m) intersect Z^nrows as a LatticeBasis, for any columns:
+    the integer kernel of the left kernel of m, saturated by construction."""
+    if m.ncols == 0:
+        return LatticeBasis(m.nrows, [])
+    t = left_kernel_basis(m).vectors  # rows y with y m = 0
+    if not t:
+        # the columns span Q^n: the saturation is all of Z^n
+        return LatticeBasis(m.nrows, IntMatrix.identity(m.nrows).columns())
+    return kernel_basis(IntMatrix(t))
 
 
 def lattice_index(l: LatticeBasis):

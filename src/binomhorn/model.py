@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .errors import ConventionError
@@ -226,6 +227,12 @@ class HornInput:
     @property
     def beta_dim(self):
         return self.d
+
+    @cached_property
+    def decompositions(self) -> tuple:
+        """The block decompositions of B, enumerated once per input."""
+        from .decomp import enumerate_decompositions  # decomp imports model
+        return enumerate_decompositions(self)
 
 
 def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,

@@ -5,14 +5,15 @@ whose mixed block is square and invertible: each contributes the product
 of its bounded-component count, its lattice index, and the normalized
 volume of its column configuration.  A full-dimensional Andean direction
 means the system is non-holonomic for every parameter, reported as an
-infinite verdict instead of a number.
+infinite verdict instead of a number.  Both functions here read the
+decompositions the input caches, so together they enumerate once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomp import andean_report, enumerate_decompositions
+from .decomp import andean_report
 from .geometry import normalized_volume
 from .model import HornInput
 from .subgraph import bounded_atlas
@@ -53,7 +54,7 @@ def generic_rank(hi: HornInput, cap: int = 1000) -> RankReport:
     with infinite rank inside a generically finite family) are not
     computed.
     """
-    decomps = enumerate_decompositions(hi)
+    decomps = hi.decompositions
     report = andean_report(decomps, hi.d)
     directions = tuple(b.vectors for b in report.directions)
     note = ("translates of Andean directions not computed; verdicts are "
@@ -90,8 +91,7 @@ def degree_cross_check(hi: HornInput) -> int | None:
     for k in range(hi.m):
         if sum(B.data[j][k] for j in range(hi.n)) != 0:
             return None
-    decomps = enumerate_decompositions(hi)
-    if any(not dec.is_toral for dec in decomps):
+    if any(not dec.is_toral for dec in hi.decompositions):
         return None
     out = 1
     for k in range(hi.m):

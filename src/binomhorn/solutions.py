@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 
 from .cyclotomic import Scalar
-from .decomp import Decomposition, andean_report, enumerate_decompositions
+from .decomp import Decomposition, andean_report
 from .errors import (
     BinomHornError,
     InfiniteRankError,
@@ -410,7 +410,7 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
         raise ValueError(f"truncation bound must be >= 0, got {T}")
     if field_root < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {field_root}")
-    decomps = enumerate_decompositions(hi)
+    decomps = hi.decompositions
     rep = andean_report(decomps, hi.d)
     if not rep.generically_holonomic:
         raise InfiniteRankError(

@@ -126,20 +126,14 @@ class SubgraphAtlas:
 
 
 def _points_of_degree(q, t):
-    """All points of N^q with coordinate sum exactly t, lexicographic."""
+    """All points of N^q with coordinate sum exactly t, lexicographic;
+    built by a loop, since a recursive closure leaves a reference cycle."""
     if q == 0:
         return [()] if t == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), t, q)
-    return out
+    layer = [((), t)]
+    for _ in range(q - 1):
+        layer = [(p + (v,), r - v) for p, r in layer for v in range(r + 1)]
+    return [p + (r,) for p, r in layer]
 
 
 def _above_unbounded(p, classification):

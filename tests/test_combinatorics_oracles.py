@@ -1,9 +1,10 @@
 """Oracles for the fast paths of the combinatorics layer.
 
 ``enumerate_decompositions`` is compared with the plain loop over all 2^n
-row masks that computes every field eagerly, and ``bounded_atlas`` with
-the level-by-level search that explores every unclassified point, both
-kept here as references.  The decompose reports on every fixture are
+row masks that computes every field eagerly, ``andean_report`` with the
+saturation of an independent column subset of A_J picked by growing rank,
+and ``bounded_atlas`` with the level-by-level search that explores every
+unclassified point, all kept here as references.  The decompose reports on every fixture are
 compared byte for byte with goldens recorded from the eager enumeration.
 """
 
@@ -20,6 +21,7 @@ from binomhorn import (
     BinomHornError,
     CapExceededError,
     IntMatrix,
+    andean_report,
     bounded_atlas,
     enumerate_decompositions,
     int_rank,
@@ -27,8 +29,13 @@ from binomhorn import (
     make_horn_input,
     saturation,
 )
-from binomhorn.cli import main
-from binomhorn.exact_linalg import LatticeBasis, bareiss_det, kernel_basis
+from binomhorn.cli import main, read_matrix
+from binomhorn.exact_linalg import (
+    LatticeBasis,
+    bareiss_det,
+    kernel_basis,
+    left_kernel_basis,
+)
 from binomhorn.subgraph import Component, _dominates, _points_of_degree, _steps
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +81,34 @@ def reference_decompositions(hi):
             "g": lattice_index(LatticeBasis(len(J), B_J.columns()))})
     out.sort(key=lambda dec: (len(dec["rowset_Jbar"]), dec["rowset_Jbar"]))
     return out
+
+
+def reference_saturation(l):
+    """sat(L) as the integer kernel of the left kernel of a basis of L."""
+    if not l.vectors:
+        return l
+    t = left_kernel_basis(l.matrix())
+    if not t.vectors:
+        return LatticeBasis(l.ambient_dim,
+                            IntMatrix.identity(l.ambient_dim).columns())
+    return kernel_basis(IntMatrix([list(v) for v in t.vectors]))
+
+
+def reference_andean_report(decomps, d):
+    """(directions, verdict): each Andean A_J cut down to an independent
+    subset of its columns, picked by growing rank, then saturated."""
+    dirs = {}
+    for dec in decomps:
+        if dec.is_toral:
+            continue
+        cols = []
+        for col in dec.A_J.columns():
+            if int_rank(IntMatrix.from_columns(cols + [col], nrows=d)) > len(cols):
+                cols.append(col)
+        span = reference_saturation(LatticeBasis(d, cols))
+        dirs[span.vectors] = span
+    directions = tuple(dirs[k] for k in sorted(dirs))
+    return directions, all(len(b.vectors) < d for b in directions)
 
 
 def reference_explore(M, gamma, known_unbounded):
@@ -243,6 +278,47 @@ def test_decompose_reports_match_goldens(monkeypatch):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["decompose"] + args.split())
         assert (code, out.getvalue()) == (want["exit"], want["stdout"]), args
+
+
+# -- Andean directions ---------------------------------------------------------------
+
+def andean_inputs():
+    """Every fixture B (computed A, and the published A where there is
+    one), permuted chains at n = 6, 10, 14, and 40 random valid B."""
+    out = []
+    for path in sorted((ROOT / "fixtures").glob("*.mat")):
+        if path.stem.endswith("_A"):
+            continue
+        B = read_matrix(str(path))
+        if B.nrows == B.ncols:
+            continue  # a square B is rejected, so it has no decompositions
+        out.append(make_horn_input(B))
+        a_path = path.with_name(path.stem + "_A.mat")
+        if a_path.exists():
+            out.append(make_horn_input(B, read_matrix(str(a_path))))
+    assert len(out) == 9
+    rng = random.Random(41)
+    for n in (6, 10, 14):
+        out.append(make_horn_input(IntMatrix(chain_rows(n, rng))))
+    return out + random_inputs(random.Random(43), 40)
+
+
+def test_andean_directions_match_reference():
+    dependent = 0
+    for hi in andean_inputs():
+        decs = enumerate_decompositions(hi)
+        rep = andean_report(decs, hi.d)
+        want, verdict = reference_andean_report(decs, hi.d)
+        assert (rep.directions, rep.generically_holonomic) == (want, verdict)
+        andean = [dec for dec in decs if not dec.is_toral]
+        for b in rep.directions:
+            # saturated, of rank rank(A_J), inside the span of some A_J
+            assert lattice_index(b) == 1
+            assert any(int_rank(dec.A_J) == b.rank == int_rank(
+                IntMatrix.from_columns(dec.A_J.columns() + list(b.vectors)))
+                for dec in andean)
+        dependent += sum(dec.A_J.ncols > int_rank(dec.A_J) for dec in andean)
+    assert dependent > 0  # directions from dependent columns are compared
 
 
 # -- atlases -------------------------------------------------------------------------

@@ -1,15 +1,25 @@
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from binomhorn import (
     IntMatrix,
     SizeLimitError,
     andean_report,
+    decomp,
+    degree_cross_check,
     enumerate_decompositions,
+    generic_rank,
     kernel_basis,
     lattice_index,
     make_horn_input,
+    solution_basis,
 )
+from binomhorn.cli import main
 from binomhorn.exact_linalg import LatticeBasis, bareiss_det
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_erdelyi_decompositions(B_erd, A_erd):
@@ -116,3 +126,39 @@ def test_size_limit():
                      a_spans_standard_lattice=True, a_column_index=1)
     with pytest.raises(SizeLimitError):
         enumerate_decompositions(fake)
+
+
+@pytest.fixture
+def count_enumerations(monkeypatch):
+    calls = []
+    inner = decomp.enumerate_decompositions
+
+    def counting(hi):
+        calls.append(hi)
+        return inner(hi)
+
+    monkeypatch.setattr(decomp, "enumerate_decompositions", counting)
+    return calls
+
+
+def test_one_enumeration_per_input(count_enumerations, B_erd, A_erd):
+    hi = make_horn_input(B_erd, A_erd)
+    assert generic_rank(hi).total == 4
+    assert degree_cross_check(hi) == 4
+    sols = solution_basis(hi, (Fraction(1, 2), Fraction(1, 3)), T=2)
+    assert len(sols) == 4
+    assert count_enumerations == [hi]
+    assert isinstance(hi.decompositions, tuple)
+    assert hi.decompositions == enumerate_decompositions(hi)
+    # the enumeration is kept on the instance, not anywhere shared
+    count_enumerations.clear()
+    for _ in range(2):
+        generic_rank(make_horn_input(B_erd, A_erd))
+    assert len(count_enumerations) == 2
+
+
+@pytest.mark.parametrize("command", ["rank", "decompose"])
+def test_cli_enumerates_once(count_enumerations, capsys, command):
+    assert main([command, "--B", str(FIXTURES / "erdelyi.mat")]) == 0
+    assert capsys.readouterr().out
+    assert len(count_enumerations) == 1

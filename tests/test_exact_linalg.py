@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -15,7 +16,7 @@ from binomhorn import (
     saturation,
     smith_normal_form,
 )
-from binomhorn.exact_linalg import bareiss_det, solve_integer
+from binomhorn.exact_linalg import bareiss_det, frac_rank, solve_integer
 
 
 def index_via_minor_gcd(l):
@@ -187,6 +188,79 @@ def test_int_rank(A_erd):
     assert int_rank(A_erd) == 2
     assert int_rank(IntMatrix.zero(3, 2)) == 0
     assert int_rank(IntMatrix([[-2, 1], [1, -2]])) == 2  # det = 3
+
+
+def reference_rank(rows):
+    """Rank over Q by Gauss-Jordan elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def low_rank_rows(rng, nr, nc, r, bound):
+    """An nr x nc integer matrix of rank at most r: a product of an
+    nr x r and an r x nc factor, then zero rows and columns spliced in."""
+    left = [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(nr)]
+    right = [[rng.randint(-bound, bound) for _ in range(nc)] for _ in range(r)]
+    rows = [[sum(a * right[k][j] for k, a in enumerate(row))
+             for j in range(nc)] for row in left]
+    for row in rows:
+        if rng.random() < 0.2:
+            row[:] = [0] * nc
+    for j in range(nc):
+        if rng.random() < 0.2:
+            for row in rows:
+                row[j] = 0
+    return rows
+
+
+def test_int_rank_matches_fraction_elimination():
+    rng = random.Random(101)
+    shapes = [(1, c) for c in range(1, 15)] + [(r, 1) for r in range(1, 15)]
+    shapes += [(rng.randint(1, 14), rng.randint(1, 14)) for _ in range(200)]
+    deficient = 0
+    for nr, nc in shapes:
+        bound = rng.choice((1, 3, 1000, 10 ** 6))
+        if rng.random() < 0.5:
+            rows = low_rank_rows(rng, nr, nc, rng.randint(0, min(nr, nc)),
+                                 min(bound, 1000))
+        else:
+            rows = [[rng.randint(-bound, bound) for _ in range(nc)]
+                    for _ in range(nr)]
+        want = reference_rank(rows)
+        assert int_rank(IntMatrix(rows)) == want, rows
+        deficient += want < min(nr, nc)
+    assert deficient >= 50  # rank-deficient inputs are well represented
+    assert int_rank(IntMatrix([[10 ** 6, -10 ** 6], [-10 ** 6, 10 ** 6]])) == 1
+
+
+def test_frac_rank_matches_fraction_elimination():
+    rng = random.Random(103)
+    for _ in range(150):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+                 for _ in range(nc)] for _ in range(nr)]
+        if rng.random() < 0.5:
+            # a rational combination of earlier rows makes the rank drop
+            c = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in rows]
+            rows.append([sum(ci * row[j] for ci, row in zip(c, rows))
+                         for j in range(nc)])
+        rows.append([Fraction(0)] * nc)
+        assert frac_rank(rows) == reference_rank(rows), rows
+    assert frac_rank([]) == 0 == frac_rank([[]])
 
 
 def test_row_hnf_canonical():

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 
 from binomhorn import CapExceededError, IntMatrix, bounded_atlas, component_of
 from binomhorn.exact_linalg import bareiss_det
+from binomhorn.subgraph import _points_of_degree
 
 
 # -- independent oracle: component search restricted to a box -------------------
@@ -178,3 +180,32 @@ def test_mu_invariance_row_permutation_and_column_negation():
         Mn = IntMatrix([[(-1 if k == j else 1) * M.data[i][k]
                          for k in range(q)] for i in range(q)])
         assert bounded_atlas(Mn, cap=25).mu == mu
+
+
+def test_points_of_degree_match_brute_force():
+    assert _points_of_degree(0, 0) == [()]
+    assert _points_of_degree(0, 3) == []
+    for q in range(1, 5):
+        for t in range(9):
+            want = [p for p in product(range(t + 1), repeat=q) if sum(p) == t]
+            assert _points_of_degree(q, t) == want
+
+
+def test_atlases_leave_no_cyclic_garbage(M3, M_erd23):
+    # the himalayan block exceeds the cap; the others close below it
+    blocks = [M3, M_erd23, IntMatrix.from_columns(
+        [[1, -1, 1], [1, -2, 0], [1, -3, 0]])]
+    gc.collect()
+    gc.disable()
+    try:
+        exceeded = 0
+        for _ in range(3):
+            for M in blocks:
+                try:
+                    bounded_atlas(M, cap=20)
+                except CapExceededError:
+                    exceeded += 1
+        assert exceeded == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
