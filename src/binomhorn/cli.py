@@ -84,9 +84,13 @@ def _matrix_json(m: IntMatrix):
 
 
 def _series_json(s):
-    terms = [{"exponent": [_frac_str(x) for x in e],
-              "coeff": {"N": c.N, "coeffs": [_frac_str(x) for x in c.coeffs]}}
-             for e, c in s.sorted_terms()]
+    # base_j = p/q in lowest terms, so (p + z_j q)/q is too: each exponent
+    # prints as _frac_str would print it, without building a Fraction
+    pq = [(b.numerator, b.denominator) for b in s.base]
+    terms = [{"exponent": [str(p + x * q) if q == 1 else f"{p + x * q}/{q}"
+                           for (p, q), x in zip(pq, z)],
+              "coeff": {"N": c.N, "coeffs": [str(x) for x in c.coeffs]}}
+             for z, c in s.sorted_terms()]
     return {"nvars": s.nvars, "terms": terms}
 
 
@@ -289,8 +293,9 @@ def cmd_verify(args):
             "ok": rep.ok,
             "checks": [
                 {"operator": c.operator, "ok": c.ok,
-                 "interior_residual": [[_frac_str(x) for x in e]
-                                       for e, _ in c.interior_residual],
+                 "interior_residual": [
+                     [_frac_str(x) for x in s.series.exponent(z)]
+                     for z, _ in c.interior_residual],
                  "boundary_terms": len(c.boundary_residual)}
                 for c in rep.checks],
         })

@@ -148,8 +148,8 @@ class Scalar:
         return self, Scalar(self.N, [Fraction(other)])
 
     def _scaled(self, q):
-        return Scalar._reduced(self.N, tuple(c * q if c else c
-                                             for c in self.coeffs))
+        return Scalar._reduced(self.N, tuple([c * q if c else c
+                                              for c in self.coeffs]))
 
     def _shifted(self, q):
         """self + q for a rational q: only the constant coefficient moves."""
@@ -159,8 +159,8 @@ class Scalar:
     def __add__(self, other):
         if isinstance(other, Scalar):
             if other.N == self.N:
-                return Scalar._reduced(self.N, tuple(
-                    x + y for x, y in zip(self.coeffs, other.coeffs)))
+                return Scalar._reduced(self.N, tuple([
+                    x + y for x, y in zip(self.coeffs, other.coeffs)]))
             if other.N == 1:
                 return self._shifted(other.coeffs[0])
             if self.N == 1:

@@ -14,19 +14,24 @@ from math import lcm, prod
 
 
 class IntMatrix:
-    """Immutable integer matrix, row-major."""
+    """Immutable integer matrix, row-major.
+
+    A matrix without rows takes its column count from ``ncols``, so a
+    0 x n matrix keeps its shape (and so does its transpose, n x 0).
+    """
 
     __slots__ = ("data", "nrows", "ncols")
 
-    def __init__(self, rows):
+    def __init__(self, rows, ncols=None):
         data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data:
-            w = len(data[0])
-            if any(len(r) != w for r in data):
-                raise ValueError("ragged rows")
+        w = len(data[0]) if data else (ncols or 0)
+        if any(len(r) != w for r in data):
+            raise ValueError("ragged rows")
+        if ncols is not None and ncols != w:
+            raise ValueError(f"rows of length {w}, expected {ncols}")
         self.data = data
         self.nrows = len(data)
-        self.ncols = len(data[0]) if data else 0
+        self.ncols = w
 
     @staticmethod
     def identity(n):
@@ -34,7 +39,7 @@ class IntMatrix:
 
     @staticmethod
     def zero(r, c):
-        return IntMatrix([[0] * c for _ in range(r)])
+        return IntMatrix([[0] * c for _ in range(r)], ncols=c)
 
     @staticmethod
     def from_columns(cols, nrows=None):
@@ -42,7 +47,8 @@ class IntMatrix:
         if not cols:
             return IntMatrix.zero(nrows or 0, 0)
         n = len(cols[0])
-        return IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        return IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)],
+                         ncols=len(cols))
 
     def row(self, i):
         return self.data[i]
@@ -59,14 +65,14 @@ class IntMatrix:
 
     def transpose(self):
         return IntMatrix([[self.data[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)])
+                          for j in range(self.ncols)], ncols=self.nrows)
 
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         ot = other.transpose().data
         return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                          for row in self.data])
+                          for row in self.data], ncols=other.ncols)
 
     def mul_vec(self, v):
         if len(v) != self.ncols:
@@ -74,16 +80,19 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
 
     def submatrix(self, rows, cols):
-        return IntMatrix([[self.data[i][j] for j in cols] for i in rows])
+        cols = list(cols)
+        return IntMatrix([[self.data[i][j] for j in cols] for i in rows],
+                         ncols=len(cols))
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data
+        return (isinstance(other, IntMatrix) and self.data == other.data
+                and self.ncols == other.ncols)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.data, self.ncols))
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]})"
@@ -99,14 +108,6 @@ def _ff(a, k):
     out = Fraction(1) if isinstance(a, Fraction) else 1
     for i in range(k):
         out *= a - i
-    return out
-
-
-def _rising(a, k):
-    """Rising factorial a (a+1) ... (a+k-1); k >= 0."""
-    out = Fraction(1) if isinstance(a, Fraction) else 1
-    for i in range(k):
-        out *= a + i
     return out
 
 
@@ -467,8 +468,6 @@ def saturation(l: LatticeBasis):
 def saturated_span(m: IntMatrix):
     """(Q colspan m) intersect Z^nrows as a LatticeBasis, for any columns:
     the integer kernel of the left kernel of m, saturated by construction."""
-    if m.ncols == 0:
-        return LatticeBasis(m.nrows, [])
     t = left_kernel_basis(m).vectors  # rows y with y m = 0
     if not t:
         # the columns span Q^n: the saturation is all of Z^n
@@ -480,24 +479,6 @@ def lattice_index(l: LatticeBasis):
     """Index |sat(L)/L|: the product of the invariant factors of the basis
     matrix."""
     return prod(invariant_factors(l.matrix())) if l.vectors else 1
-
-
-def solve_integer(m: IntMatrix, b):
-    """One integer solution x of m x = b, or None if none exists."""
-    u, d, v = smith_normal_form(m)
-    ub = u.mul_vec(tuple(b))
-    rdim = min(d.nrows, d.ncols)
-    y = [0] * m.ncols
-    for i in range(m.nrows):
-        di = d.data[i][i] if i < rdim else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    return v.mul_vec(tuple(y))
 
 
 def coordinate_map(vectors):

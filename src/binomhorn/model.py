@@ -224,10 +224,6 @@ class HornInput:
     a_spans_standard_lattice: bool
     a_column_index: int  # index of ZA inside Z^d (1 when spanning)
 
-    @property
-    def beta_dim(self):
-        return self.d
-
     @cached_property
     def decompositions(self) -> tuple:
         """The block decompositions of B, enumerated once per input."""

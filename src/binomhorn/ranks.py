@@ -41,10 +41,6 @@ class RankReport:
     andean_directions: tuple  # canonical direction bases (vector tuples)
     note: str = ""
 
-    @property
-    def is_finite(self):
-        return not self.infinite
-
 
 def generic_rank(hi: HornInput, cap: int = 1000) -> RankReport:
     """Evaluate the rank formula, or report the infinite verdict.

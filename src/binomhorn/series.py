@@ -1,11 +1,12 @@
 """Puiseux polynomials and series with exact operator actions.
 
-A series is a finite map from rational exponent vectors to nonzero
-scalars in Q(zeta_N), together with optional truncation metadata: the
-support lattice, a word-length bound, and the finitely many sheet base
-points the full solution lives on.  Operators act term by term and
-exactly; partial derivatives use falling factorials, so rational and
-negative exponents are handled uniformly.
+A series has one rational base exponent and a finite map from integer
+offsets z to nonzero scalars in Q(zeta_N): the term at z sits at
+exponent base + z.  Optional truncation metadata gives the support
+lattice, a word-length bound, and the finitely many sheet translates
+the full solution lives on.  Operators act term by term and exactly;
+partial derivatives use falling factorials of base + z, so rational and
+negative exponents are handled uniformly, while keys stay integer.
 """
 
 from __future__ import annotations
@@ -13,13 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 
 from .cyclotomic import Scalar
 from .exact_linalg import IntMatrix, coordinate_map
-
-
-def _expvec(v):
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class Truncation:
         return coordinate_map(self.basis)
 
     def word_coordinates(self, offset):
-        """Integer basis coordinates of a rational offset, or None."""
+        """Integer basis coordinates of an integer offset, or None."""
         return self._coordinates(offset)
 
     def word_length(self, offset):
@@ -60,35 +58,58 @@ class Support:
 
 
 class PuiseuxSeries:
-    """Finitely many exact terms of a formal Puiseux series."""
+    """Finitely many exact terms of a formal Puiseux series.
 
-    __slots__ = ("nvars", "field_order", "terms", "truncation", "support")
+    ``terms`` maps integer offsets z to nonzero Scalars; the term at z
+    has exponent ``base + z``.  The base defaults to the support's alpha
+    (and must equal it when both are given), else to zero.
+    """
+
+    __slots__ = ("nvars", "field_order", "base", "terms", "truncation",
+                 "support")
 
     def __init__(self, nvars, terms=None, field_order=1,
-                 truncation=None, support=None):
+                 truncation=None, support=None, base=None):
         self.nvars = int(nvars)
         self.field_order = int(field_order)
+        if base is None:
+            base = support.alpha if support is not None else (0,) * self.nvars
+        base = tuple(Fraction(x) for x in base)
+        if len(base) != self.nvars:
+            raise ValueError("base length mismatch")
+        if support is not None and tuple(support.alpha) != base:
+            raise ValueError("the base must be the support's alpha")
         clean = {}
-        for e, c in (terms or {}).items():
-            e = _expvec(e)
-            if len(e) != self.nvars:
+        for z, c in (terms or {}).items():
+            key = tuple(int(x) for x in z)
+            if len(key) != self.nvars:
                 raise ValueError("exponent length mismatch")
+            if key != tuple(z):
+                raise ValueError("term offsets must be integer vectors")
             if not isinstance(c, Scalar):
                 c = Scalar.rational(c, self.field_order)
             if not c.is_zero():
-                clean[e] = c
+                clean[key] = c
+        self.base = base
         self.terms = clean
         self.truncation = truncation
         self.support = support
 
-    @staticmethod
-    def monomial(nvars, exponent, coeff=1, field_order=1, **kw):
-        return PuiseuxSeries(nvars, {tuple(exponent): coeff},
-                             field_order=field_order, **kw)
+    def _with_terms(self, terms, truncation=None, support=None):
+        """A series on this base and field from integer-keyed nonzero
+        Scalars, without the constructor's checks."""
+        out = object.__new__(PuiseuxSeries)
+        out.nvars, out.field_order, out.base = \
+            self.nvars, self.field_order, self.base
+        out.terms = terms
+        out.truncation = truncation
+        out.support = support
+        return out
 
     @staticmethod
-    def zero(nvars, field_order=1):
-        return PuiseuxSeries(nvars, {}, field_order=field_order)
+    def monomial(nvars, exponent, coeff=1, field_order=1, **kw):
+        return PuiseuxSeries(nvars, {(0,) * int(nvars): coeff},
+                             field_order=field_order, base=exponent, **kw)
 
     def is_zero(self):
         return not self.terms
@@ -96,55 +117,32 @@ class PuiseuxSeries:
     def num_terms(self):
         return len(self.terms)
 
+    def exponent(self, z):
+        """The rational exponent base + z of the term at offset z."""
+        return tuple(b + x for b, x in zip(self.base, z))
+
     def coefficient(self, exponent):
-        return self.terms.get(_expvec(exponent),
+        z = tuple(Fraction(e) - b for e, b in zip(exponent, self.base))
+        if len(z) != self.nvars or any(x.denominator != 1 for x in z):
+            return Scalar.zero(self.field_order)
+        return self.terms.get(tuple(int(x) for x in z),
                               Scalar.zero(self.field_order))
 
     def sorted_terms(self):
+        """(z, coefficient) pairs, sorted by z and so by exponent."""
         return sorted(self.terms.items())
-
-    def add(self, other):
-        if other.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        order = max(self.field_order, other.field_order)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            c2 = c if s is None else s + c
-            if isinstance(c2, Scalar) and c2.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = c2
-        return PuiseuxSeries(self.nvars, out, field_order=order,
-                             truncation=self.truncation, support=self.support)
-
-    def scale(self, c):
-        return PuiseuxSeries(
-            self.nvars, {e: v * c for e, v in self.terms.items()},
-            field_order=self.field_order,
-            truncation=self.truncation, support=self.support)
-
-    def shift_exponents(self, w):
-        w = _expvec(w)
-        return PuiseuxSeries(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, w)): c
-             for e, c in self.terms.items()},
-            field_order=self.field_order,
-            truncation=self.truncation,
-            support=None if self.support is None else Support(
-                alpha=tuple(a + b for a, b in zip(self.support.alpha, w)),
-                translates=self.support.translates))
 
     def __eq__(self, other):
         return (isinstance(other, PuiseuxSeries)
                 and self.nvars == other.nvars
+                and self.base == other.base
                 and self.terms == other.terms)
 
     def __repr__(self):
         parts = []
-        for e, c in self.sorted_terms()[:8]:
-            mono = "*".join(f"x{i + 1}^({x})" for i, x in enumerate(e) if x != 0)
+        for z, c in self.sorted_terms()[:8]:
+            mono = "*".join(f"x{i + 1}^({x})"
+                            for i, x in enumerate(self.exponent(z)) if x != 0)
             parts.append(f"({c})" + ("*" + mono if mono else ""))
         more = "" if len(self.terms) <= 8 else f" ... [{len(self.terms)} terms]"
         return " + ".join(parts) + more if parts else "0"
@@ -253,72 +251,89 @@ def _expand_factors(factors, nvars):
 
 
 def apply_operator(op, s: PuiseuxSeries) -> PuiseuxSeries:
-    """Exact term-by-term action of a differential operator."""
+    """Exact term-by-term action of a differential operator; the result
+    keeps the base of ``s``, so every operator only moves integer keys."""
     if isinstance(op, BinomialOp):
         out = {}
-        minus_lam = None if op.lam.is_zero() else -op.lam
-        for e, c in s.terms.items():
-            fp = _mono_derivative_coeff(e, op.u_plus)
-            if fp:
-                _acc(out, _lowered(e, op.u_plus), c * fp)
-            if minus_lam is not None:
-                fm = _mono_derivative_coeff(e, op.u_minus)
-                if fm:
-                    _acc(out, _lowered(e, op.u_minus), c * (minus_lam * fm))
+        _add_derivative(out, s, op.u_plus, None)
+        if not op.lam.is_zero():
+            _add_derivative(out, s, op.u_minus, -op.lam)
         trunc = _tighten(s.truncation, sum(op.u_plus) + sum(op.u_minus))
-        return PuiseuxSeries(s.nvars, out, field_order=s.field_order,
-                             truncation=trunc)
+        return s._with_terms(out, truncation=trunc)
     if isinstance(op, EulerOp):
+        # sum_j row_j (base_j + z_j) - value: one rational constant plus
+        # a dot product with the integer offset
+        const = sum(r * b for r, b in zip(op.row, s.base)) - op.value
+        row = [(j, int(r) if r == int(r) else r)
+               for j, r in enumerate(op.row) if r]
         out = {}
-        for e, c in s.terms.items():
-            f = sum(r * x for r, x in zip(op.row, e) if r) - op.value
+        for z, c in s.terms.items():
+            f = const + sum(r * z[j] for j, r in row)
             if f != 0:
-                out[e] = c * f
-        return PuiseuxSeries(s.nvars, out, field_order=s.field_order,
-                             truncation=s.truncation, support=s.support)
+                out[z] = c * f
+        return s._with_terms(out, truncation=s.truncation, support=s.support)
     if isinstance(op, ThetaOp):
         out = {}
-        for e, c in s.terms.items():
+        k = op.k
+        for z, c in s.terms.items():
+            e = s.exponent(z)
             qv = op.q_at(e)
             if qv != 0:
-                _acc(out, e, c * qv)
+                _acc(out, z, c * qv)
             pv = op.p_at(e)
             if pv != 0:
-                ek = e[:op.k] + (e[op.k] + 1,) + e[op.k + 1:]
-                _acc(out, ek, -(c * pv))
-        trunc = _tighten(s.truncation, 1)
-        return PuiseuxSeries(s.nvars, out, field_order=s.field_order,
-                             truncation=trunc)
+                _acc(out, z[:k] + (z[k] + 1,) + z[k + 1:], -(c * pv))
+        return s._with_terms(out, truncation=_tighten(s.truncation, 1))
     raise TypeError(f"unknown operator type {type(op)!r}")
 
 
 def _acc(d, key, val):
     cur = d.get(key)
     new = val if cur is None else cur + val
-    if isinstance(new, Scalar) and new.is_zero():
+    if new.is_zero():
         d.pop(key, None)
     else:
         d[key] = new
 
 
-def _mono_derivative_coeff(e, u):
-    """Coefficient of partial^u x^e, i.e. the falling factorial product,
-    accumulated over the integers and reduced once."""
-    num = den = 1
-    for x, k in zip(e, u):
-        if k:
-            p, q = x.numerator, x.denominator
-            for i in range(k):
-                num *= p - i * q
-            if num == 0:
-                return Fraction(0)
-            den *= q ** k
-    return Fraction(num, den)
+def _add_derivative(out, s, u, factor):
+    """Accumulate factor * partial^u (s) into ``out`` (factor None means 1).
 
-
-def _lowered(e, u):
-    """The exponent e - u, reusing the unchanged coordinates."""
-    return tuple(a - b if b else a for a, b in zip(e, u))
+    The coefficient of partial^u x^(base + z) is a product over the
+    coordinates j with u_j > 0 of falling factorials of base_j + z_j.
+    With base_j = p/q each factor is an integer numerator over q^u_j, so
+    one table per coordinate maps z_j to that numerator, and a term
+    costs integer lookups and one reduction.  A rational factor is
+    folded into that reduction.
+    """
+    active = [(j, k) for j, k in enumerate(u) if k]
+    tables, num0, den = [], 1, 1
+    if factor is not None and factor.is_rational():
+        q = factor.as_rational()
+        num0, den, factor = q.numerator, q.denominator, None
+    for j, k in active:
+        p, q = s.base[j].numerator, s.base[j].denominator
+        table = {}
+        for z in s.terms:
+            x = z[j]
+            if x not in table:
+                num, top = 1, p + x * q
+                for i in range(k):
+                    num *= top - i * q
+                table[x] = num
+        tables.append((j, table))
+        den *= q ** k
+    for z, c in s.terms.items():
+        num = num0
+        for j, table in tables:
+            num *= table[z[j]]
+            if not num:
+                break
+        if not num:
+            continue
+        f = Fraction(num, den) if den != 1 else num
+        key = tuple(map(sub, z, u)) if active else z
+        _acc(out, key, c * f if factor is None else c * (factor * f))
 
 
 def _tighten(trunc, order):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 
 from .cyclotomic import Scalar
 from .decomp import Decomposition, andean_report
@@ -33,7 +33,6 @@ from .exact_linalg import (
     LatticeBasis,
     _ff,
     column_hnf,
-    coordinate_map,
     frac_solve,
     smith_normal_form,
 )
@@ -144,7 +143,6 @@ def _gamma_ratios(v, lo, hi):
 
 
 def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
-                 character=None, field_order: int = 1,
                  offset=None) -> PuiseuxSeries:
     """Hypergeometric series with coefficients normalized at the base
     exponent v, truncated to lattice word length at most T.
@@ -155,17 +153,17 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
     t > 0.  The ratio depends on t alone, so each coordinate gets one
     table, built by single steps over the t range the word ball reaches,
     and a coefficient is a product of one lookup per coordinate.  Terms
-    whose ratio vanishes are dropped; an optional character on the
-    lattice multiplies each term.  A vanishing rising factorial raises
-    ResonanceError naming the first such term (in the order of the word
-    coordinates) and its coordinate.
+    whose ratio vanishes are dropped.  A vanishing rising factorial
+    raises ResonanceError naming the first such term (in the order of
+    the word coordinates) and its coordinate.
 
     With an integer ``offset`` w the result realizes the inverse
     derivative partial^{-w} of the unshifted series in the solution-space
-    sense: the term at u sits at exponent v + w + u.  This differs from
-    integrating term by term exactly when the unshifted series has terms
-    on an integration boundary (an integer coordinate reaching zero),
-    where honest antiderivatives leave the solution space.
+    sense: the series has base v + w and keeps the term at u under the
+    key u.  This differs from integrating term by term exactly when the
+    unshifted series has terms on an integration boundary (an integer
+    coordinate reaching zero), where honest antiderivatives leave the
+    solution space.
     """
     nj = A_J.ncols
     v = tuple(Fraction(x) for x in v)
@@ -179,86 +177,77 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
     for vec in L.vectors:
         if any(x != 0 for x in A_J.mul_vec(vec)):
             raise BinomHornError("lattice is not in the kernel of A_J")
-    ratios, exponents, starts = [], [], []
+    ratios, starts = [], []
     for j in range(nj):
         reach = T * max((abs(vec[j]) for vec in L.vectors), default=0)
         lo, hi = min(0, w[j] - reach), max(0, w[j] + reach)
         ratios.append(_gamma_ratios(v[j], lo, hi))
-        exponents.append([v[j] + t for t in range(lo, hi + 1)])
         starts.append(w[j] - lo)   # table index of u_j = 0
     rows = list(zip(*L.vectors)) or [()] * nj  # row t: coordinate t
     terms = {}
     for k in sorted(_l1_ball(L.rank, T)):
         u = tuple(sum(map(mul, k, row)) for row in rows)
-        idx = [s + x for s, x in zip(starts, u)]
-        ratio = Fraction(1)
+        num = den = 1
         for j in range(nj):
-            r = ratios[j][idx[j]]
+            r = ratios[j][starts[j] + u[j]]
             if r is None:
                 raise ResonanceError(
                     "rising factorial vanished at coordinate "
                     f"{j + 1} for offset {list(u)}",
                     term=u, coordinate=j)
-            ratio *= r
-        if ratio == 0:
-            continue
-        c = Scalar.rational(ratio, field_order)
-        if character is not None:
-            c = c * character(u)
-        if not c.is_zero():
-            terms[tuple(e[i] for e, i in zip(exponents, idx))] = c
+            num *= r.numerator
+            den *= r.denominator
+        if num:
+            terms[u] = Scalar.rational(Fraction(num, den))
     base = tuple(a + b for a, b in zip(v, w))
     return PuiseuxSeries(
-        nj, terms, field_order=field_order,
-        truncation=Truncation(basis=L.vectors, bound=T),
+        nj, terms, truncation=Truncation(basis=L.vectors, bound=T),
         support=Support(alpha=base, translates=((0,) * nj,)))
 
 
 # -- assembling one solution -----------------------------------------------------
 
 def _assemble_via_gamma(dec: Decomposition, gamma, G: PuiseuxSeries, n,
-                        v_local, T, character, field_order):
+                        v_local, T, words):
     """Sum, over the points gamma + M v of the component polynomial G, the
     monomial x_Jbar^{gamma + M v} times partial_J^{-N v} of the inner
     series, tracking the sheet translates.  Every inverse-derivative
     factor is realized exactly as a shifted hypergeometric series
-    (Gamma-ratio coefficients against the unshifted base exponent)."""
+    (Gamma-ratio coefficients against the unshifted base exponent).
+
+    Returns the support (base v_local on J, zero on Jbar) and the
+    rational coefficient table, one (z, k, coefficient) row per term,
+    where z is the integer offset from the base and k the word
+    coordinates the term was generated from (``words`` maps each
+    lattice offset to them).  Distinct points of G differ on Jbar, so no
+    two rows share a z.
+    """
     gamma = tuple(int(x) for x in gamma)
-    result_terms = {}
-    translates = []
+    table, translates = [], []
+    nj = len(dec.J)
     for pt, c in sorted(G.terms.items()):
-        offset = [int(pt[t] - gamma[t]) for t in range(dec.q)]
-        v = _solve_integer_exact(dec.M, offset)
-        nv = dec.N.mul_vec(v) if dec.q else ()
-        local = gamma_series(dec.A_J, dec.L_basis, v_local, T,
-                             character=character, field_order=field_order,
-                             offset=nv if dec.q else None)
-        full = [Fraction(0)] * n
-        for t, j in enumerate(dec.rowset_Jbar):
-            full[j] = Fraction(pt[t])
-        for e_local, coeff in local.terms.items():
-            for pos, j in enumerate(dec.J):
-                full[j] = e_local[pos]
-            e = tuple(full)
-            cur = result_terms.get(e)
-            val = coeff * c
-            result_terms[e] = val if cur is None else cur + val
+        if dec.q:
+            offset = [pt[t] - gamma[t] for t in range(dec.q)]
+            nv = dec.N.mul_vec(_solve_integer_exact(dec.M, offset))
+        else:
+            nv = (0,) * nj
+        local = gamma_series(dec.A_J, dec.L_basis, v_local, T, offset=nv)
         lift = [0] * n
         for t, j in enumerate(dec.rowset_Jbar):
             lift[j] = pt[t]
         for pos, j in enumerate(dec.J):
-            lift[j] = nv[pos] if dec.q else 0
+            lift[j] = nv[pos]
         translates.append(tuple(lift))
+        cq = c.as_rational()
+        for u, coeff in local.terms.items():
+            for pos, j in enumerate(dec.J):
+                lift[j] = nv[pos] + u[pos]
+            table.append((tuple(lift), words[u], coeff.coeffs[0] * cq))
     base = [Fraction(0)] * n
     for pos, j in enumerate(dec.J):
         base[j] = Fraction(v_local[pos])
-    trunc = Truncation(
-        basis=tuple(_embed_vec(vec, n, dec.J) for vec in dec.L_basis.vectors),
-        bound=T)
-    return PuiseuxSeries(n, result_terms, field_order=field_order,
-                         truncation=trunc,
-                         support=Support(alpha=tuple(base),
-                                         translates=tuple(sorted(translates))))
+    return (Support(alpha=tuple(base), translates=tuple(sorted(translates))),
+            table)
 
 
 def _embed_vec(vec, n, positions):
@@ -282,14 +271,16 @@ def _solve_integer_exact(M: IntMatrix, rhs):
 def component_characters(dec: Decomposition, field_order: int):
     """The lattice_index(B_J) characters of sat(Z B_J) trivial on Z B_J.
 
-    Returns a list of (index tuple, callable) pairs; the callable maps an
-    ambient lattice vector to a Scalar root of unity.  Requires every
-    invariant factor of the inclusion to divide the cyclotomic order.
+    Returns a list of (index tuple, callable) pairs; the callable maps
+    the coordinates k of a lattice vector in ``dec.L_basis`` to a Scalar
+    root of unity, zeta_N^(w . k mod N) for one integer weight vector w
+    per character.  Requires every invariant factor of the inclusion to
+    divide the cyclotomic order.
     """
     L = dec.L_basis
     r = L.rank
     if r == 0 or dec.g == 1:
-        return [((), lambda u: Scalar.one(field_order))]
+        return [((), lambda k: Scalar.one(field_order))]
     coords = []
     for col in dec.B_J.columns():
         k = L.coordinates(col)
@@ -310,21 +301,13 @@ def component_characters(dec: Decomposition, field_order: int):
     indices = [()]
     for i in nontrivial:
         indices = [t + (k,) for t in indices for k in range(ds[i])]
-    coordinates = coordinate_map(L.vectors)
     roots = [Scalar.root_of_unity(field_order, e) for e in range(field_order)]
 
     def make(t):
-        # the exponent of zeta_N at lattice coordinates y, as one linear form
         weights = [sum(t[pos] * U.data[i][s] * (field_order // ds[i])
                        for pos, i in enumerate(nontrivial))
                    for s in range(r)]
-
-        def char(u):
-            y = coordinates(u)
-            if y is None:
-                raise BinomHornError("character argument outside the lattice")
-            return roots[sum(a * b for a, b in zip(weights, y)) % field_order]
-        return char
+        return lambda k: roots[sum(map(mul, weights, k)) % field_order]
 
     return [(t, make(t)) for t in indices]
 
@@ -342,10 +325,6 @@ class Solution:
     simplex: tuple      # 1-based column indices of the inner simplex
     character: tuple
     support_rank: int   # dimension of the support lattice
-
-    @property
-    def is_monomial(self):
-        return self.series.num_terms() == 1
 
 
 def _cell_exponents(dec: Decomposition, sigma, cell_volume, beta_shifted):
@@ -435,7 +414,14 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
         if total != normalized_volume(dec.A_J).value:
             raise AssertionError("triangulation volume mismatch")
         chars = component_characters(dec, field_root) if field_root > 1 \
-            else [((), lambda u: Scalar.one(1))]
+            else [((), None)]
+        L = dec.L_basis
+        lrows = list(zip(*L.vectors)) or [()] * len(dec.J)
+        words = {tuple(sum(map(mul, k, row)) for row in lrows): k
+                 for k in _l1_ball(L.rank, T)}
+        trunc = Truncation(
+            basis=tuple(_embed_vec(vec, hi.n, dec.J) for vec in L.vectors),
+            bound=T)
         for gamma in atlas.representatives:
             comp = next(c for c in atlas.bounded_components
                         if gamma in c.points)
@@ -443,18 +429,26 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
             beta_shifted = _shift_beta(beta, dec, gamma)
             for sigma, cellvol in cells:
                 for v in _cell_exponents(dec, sigma, cellvol, beta_shifted):
+                    support, table = _assemble_via_gamma(
+                        dec, gamma, G, hi.n, v, T, words)
+                    shell = PuiseuxSeries(hi.n, field_order=field_root,
+                                          support=support)
+                    # one rational table per (gamma, v); a twist only
+                    # scales each row by its root of unity
                     for tchar, charfn in chars:
-                        F = _assemble_via_gamma(
-                            dec, gamma, G, hi.n, v, T,
-                            charfn if tchar else None, field_root)
+                        if tchar:
+                            terms = {z: charfn(k) * q for z, k, q in table}
+                        else:
+                            terms = {z: Scalar.rational(q, field_root)
+                                     for z, _, q in table}
                         out.append(Solution(
-                            series=F,
+                            series=shell._with_terms(terms, trunc, support),
                             decomposition=dec.label,
                             rowset=tuple(i + 1 for i in dec.rowset_Jbar),
                             gamma=gamma,
                             simplex=tuple(dec.J[t] + 1 for t in sigma),
                             character=tchar,
-                            support_rank=dec.L_basis.rank))
+                            support_rank=L.rank))
     out.sort(key=lambda srec: (srec.rowset, srec.gamma, srec.simplex,
                                srec.character))
     return out
@@ -480,14 +474,16 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
     """Apply each operator; exact inputs must map to the zero series, and
     truncated inputs must have an empty interior residual.
 
-    A result term is interior when every preimage exponent the operator
+    A result term is interior when every preimage offset the operator
     could have pulled it from is either outside the declared support (so
     the full series holds nothing there) or within the generated word
     bound.  Terms with an out-of-bound preimage are reported separately
     as boundary residual: they are expected casualties of truncation.
+    Residual terms are (z, coefficient) pairs on the base of ``s``.
     """
     checks = []
-    bases = s.support.sheet_bases() if s.support is not None else ()
+    sheets = s.support.translates if s.support is not None else ()
+    zero = (0,) * s.nvars
     for op in ops:
         applied = apply_operator(op, s)
         if s.truncation is None:
@@ -499,18 +495,17 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
                 if not op.lam.is_zero():
                     shifts.append(op.u_minus)
             elif isinstance(op, EulerOp):
-                shifts = [(0,) * s.nvars]
+                shifts = [zero]
             elif isinstance(op, ThetaOp):
                 ek = [0] * s.nvars
                 ek[op.k] = 1
-                shifts = [(0,) * s.nvars, tuple(ek)]
+                shifts = [zero, tuple(ek)]
             else:
                 raise TypeError(f"unknown operator type {type(op)!r}")
             interior_list, boundary_list = [], []
             for z, c in applied.sorted_terms():
                 covered = all(
-                    _covered(s.truncation, bases,
-                             tuple(a + b for a, b in zip(z, sh)))
+                    _covered(s.truncation, sheets, tuple(map(add, z, sh)))
                     for sh in shifts)
                 (interior_list if covered else boundary_list).append((z, c))
             interior = tuple(interior_list)
@@ -523,12 +518,12 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
                               checks=tuple(checks))
 
 
-def _covered(trunc: Truncation, bases, y):
-    """True when the full series value at exponent y is known exactly:
-    either y is off every declared sheet (with the given base points), or
-    it lies within the word bound."""
-    for b in bases:
-        word = trunc.word_length(tuple(a - bb for a, bb in zip(y, b)))
+def _covered(trunc: Truncation, sheets, y):
+    """True when the full series value at integer offset y is known
+    exactly: either y is off every declared sheet (given by its integer
+    translate), or it lies within the word bound."""
+    for t in sheets:
+        word = trunc.word_length(tuple(map(sub, y, t)))
         if word is not None and word > trunc.bound:
             return False
     return True

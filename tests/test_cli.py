@@ -1,8 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
 from binomhorn.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -188,3 +194,60 @@ def test_volume_report_lattice(paths, capsys):
     basis = rep["lattice_basis"]
     det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
     assert abs(det) == 3
+
+
+def test_series_reports_match_goldens(monkeypatch):
+    # solve and verify stdout, byte for byte (by sha256 and length), on
+    # erdelyi with its A and on ds06 over Q(zeta_3) at T = 6, 12, 20, and
+    # on gauss at the default T
+    monkeypatch.chdir(ROOT)
+    goldens = json.loads((ROOT / "tests" / "goldens" / "series_cli.json")
+                         .read_text(encoding="utf-8"))
+    assert len(goldens) == 14
+    for args, want in goldens.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(args.split())
+        data = out.getvalue().encode("utf-8")
+        got = {"exit": code, "sha256": hashlib.sha256(data).hexdigest(),
+               "bytes": len(data)}
+        assert got == want, args
+
+
+def test_verify_prints_interior_residual_exponents(paths, capsys,
+                                                   monkeypatch):
+    # a corrupted coefficient leaves interior residual; its terms print
+    # at their rational exponents base + z
+    import binomhorn.cli as cli
+    from fractions import Fraction
+
+    from binomhorn import (horn_system_operators, make_horn_input,
+                           verify_annihilation)
+
+    solve = cli.solution_basis
+
+    def corrupted(*args, **kwargs):
+        sols = solve(*args, **kwargs)
+        s = next(sol for sol in sols if sol.support_rank == 2).series
+        z = min(s.terms)
+        s.terms[z] = s.terms[z] * 7
+        corrupted.sols = sols
+        return sols
+
+    monkeypatch.setattr(cli, "solution_basis", corrupted)
+    code, rep = run(capsys, ["verify", "--B", paths["erd"], "--A",
+                             paths["erd_A"], "--beta", "1/2,1/3",
+                             "--truncate", "4"])
+    assert code == 1 and rep["ok"] is False
+    hi = make_horn_input(cli.read_matrix(paths["erd"]),
+                         cli.read_matrix(paths["erd_A"]))
+    ops = horn_system_operators(hi, (Fraction(1, 2), Fraction(1, 3)))
+    printed = 0
+    for sol, got in zip(corrupted.sols, rep["solutions"]):
+        want = verify_annihilation(ops, sol.series)
+        for check, c in zip(want.checks, got["checks"]):
+            assert c["interior_residual"] == [
+                [str(x) for x in sol.series.exponent(z)]
+                for z, _ in check.interior_residual]
+            printed += len(c["interior_residual"])
+    assert printed > 0

@@ -12,11 +12,31 @@ from binomhorn import (
     invariant_factors,
     kernel_basis,
     lattice_index,
+    left_kernel_basis,
     row_hnf,
     saturation,
     smith_normal_form,
 )
-from binomhorn.exact_linalg import bareiss_det, frac_rank, solve_integer
+from binomhorn.exact_linalg import bareiss_det, frac_rank, saturated_span
+
+
+def solve_integer(m, b):
+    """One integer solution x of m x = b through the Smith form, or None
+    if none exists."""
+    u, d, v = smith_normal_form(m)
+    ub = u.mul_vec(tuple(b))
+    rdim = min(d.nrows, d.ncols)
+    y = [0] * m.ncols
+    for i in range(m.nrows):
+        di = d.data[i][i] if i < rdim else 0
+        if di == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % di != 0:
+                return None
+            y[i] = ub[i] // di
+    return v.mul_vec(tuple(y))
 
 
 def index_via_minor_gcd(l):
@@ -287,6 +307,33 @@ def test_solve_integer():
     m2 = IntMatrix([[1, 1]])
     x = solve_integer(m2, (5,))
     assert x is not None and sum(x) == 5
+
+
+def test_empty_dimension_keeps_the_other():
+    # 3 x 0 and 0 x 3 keep their shapes through transpose, products and
+    # submatrices, and the kernels see the ambient Z^3
+    z30, z03 = IntMatrix.zero(3, 0), IntMatrix.zero(0, 3)
+    assert z30.shape == (3, 0) and z03.shape == (0, 3)
+    assert z30.transpose().shape == (0, 3) and z03.transpose().shape == (3, 0)
+    assert z30.transpose() == z03 and z30 != IntMatrix.zero(0, 0)
+    assert z03 != IntMatrix.zero(0, 5)
+    assert hash(z03) != hash(IntMatrix.zero(0, 5))
+    assert z30.mul(z03) == IntMatrix.zero(3, 3)
+    assert z03.mul(z30) == IntMatrix.zero(0, 0)
+    assert IntMatrix.from_columns([(), ()]).shape == (0, 2)
+    assert IntMatrix.from_columns([], nrows=3).shape == (3, 0)
+    assert IntMatrix.identity(3).submatrix([], [0, 2]).shape == (0, 2)
+    assert IntMatrix([], ncols=3) == z03
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], ncols=3)
+    full = IntMatrix.identity(3).columns()
+    for lat in (left_kernel_basis(z30), kernel_basis(z03)):
+        assert lat.ambient_dim == 3 and list(lat.vectors) == full
+    assert kernel_basis(z30) == LatticeBasis(0, [])
+    assert left_kernel_basis(z03) == LatticeBasis(0, [])
+    assert saturated_span(z30) == LatticeBasis(3, [])
+    assert saturated_span(z03) == LatticeBasis(0, [])
+    assert int_rank(z30) == int_rank(z03) == 0
 
 
 def test_index_three_five_row_lattice():

@@ -70,9 +70,10 @@ def test_binomial_op_polynomial():
     s = PuiseuxSeries.monomial(4, (1, 0, 1, 0))
     op = BinomialOp(u_plus=(1, 0, 1, 0), u_minus=(0, 2, 0, 0))
     out = apply_operator(op, s)
-    assert out.terms == {(F(0),) * 4: Scalar.one()}
+    assert {out.exponent(z): c for z, c in out.terms.items()} == \
+        {(F(0),) * 4: Scalar.one()}
     # and x1 x3 - ... plus x2^2 is annihilated
-    s2 = s.add(PuiseuxSeries.monomial(4, (0, 2, 0, 0), F(1, 2)))
+    s2 = PuiseuxSeries(4, {(1, 0, 1, 0): 1, (0, 2, 0, 0): F(1, 2)})
     assert apply_operator(op, s2).is_zero()
 
 
@@ -81,7 +82,8 @@ def test_binomial_monomial_operator():
     op = BinomialOp(u_plus=(2, 0), u_minus=(0, 0), lam=Scalar.zero())
     s = PuiseuxSeries.monomial(2, (F(5, 2), 1))
     out = apply_operator(op, s)
-    assert out.terms == {(F(1, 2), F(1)): Scalar.rational(F(15, 4))}
+    assert {out.exponent(z): c for z, c in out.terms.items()} == \
+        {(F(1, 2), F(1)): Scalar.rational(F(15, 4))}
 
 
 def test_binomial_rejects_overlapping_supports():

@@ -3,42 +3,69 @@
 Each fast routine is compared, on seeded random inputs, with a direct
 reference kept here: the per-term rising/falling factorial formula for
 gamma_series, a fresh elimination per call for characters and word
-coordinates, and the general reducing constructor for Scalar arithmetic.
+coordinates, the general reducing constructor for Scalar arithmetic,
+and the earlier series layer that keyed every term by its rational
+exponent (operator action, residual split, solution assembly and
+character twists on lattice offsets).
 """
 
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
 from binomhorn import (
     BinomHornError,
+    BinomialOp,
+    EulerOp,
     IntMatrix,
     LatticeBasis,
     ResonanceError,
     Scalar,
+    ThetaOp,
+    bounded_atlas,
+    component_polynomial,
     enumerate_decompositions,
     gamma_series,
+    horn_classical_operators,
+    horn_system_operators,
     kernel_basis,
     make_horn_input,
     solution_basis,
+    verify_annihilation,
 )
 from binomhorn.cyclotomic import cyclotomic_polynomial
 from binomhorn.exact_linalg import (
-    _ff,
-    _rising,
     coordinate_map,
+    frac_solve,
     smith_normal_form,
 )
-from binomhorn.series import PuiseuxSeries, Support, Truncation
+from binomhorn.series import PuiseuxSeries, Support, Truncation, apply_operator
 from binomhorn.solutions import _l1_ball, component_characters
 
 
 # -- references ----------------------------------------------------------------------
 
+def _rising(a, k):
+    """Rising factorial a (a+1) ... (a+k-1) of a rational a; k >= 0."""
+    p, q = a.numerator, a.denominator
+    num = 1
+    for i in range(k):
+        num *= p + i * q
+    return F(num, q ** k)
+
+
+def _falling(a, k):
+    """Falling factorial a (a-1) ... (a-k+1) of a rational a; k >= 0."""
+    return (-1) ** k * _rising(-a, k)
+
+
 def reference_gamma_series(A_J, L, v, T, character=None, field_order=1,
                            offset=None):
-    """gamma_series with every coefficient rebuilt from full factorials."""
+    """gamma_series with every coefficient rebuilt from full factorials,
+    as (terms keyed by rational exponent, truncation, support); an
+    optional character takes the lattice offset u of a term."""
     nj = A_J.ncols
     v = tuple(F(x) for x in v)
     w = tuple(int(x) for x in offset) if offset is not None else (0,) * nj
@@ -59,7 +86,7 @@ def reference_gamma_series(A_J, L, v, T, character=None, field_order=1,
                         term=u, coordinate=j)
                 den *= f
             elif t < 0:
-                num *= _ff(v[j], -t)
+                num *= _falling(v[j], -t)
         if num == 0:
             continue
         c = Scalar.rational(num / den, field_order)
@@ -68,14 +95,13 @@ def reference_gamma_series(A_J, L, v, T, character=None, field_order=1,
         if not c.is_zero():
             terms[tuple(a + b + x for a, b, x in zip(v, w, u))] = c
     base = tuple(a + b for a, b in zip(v, w))
-    return PuiseuxSeries(
-        nj, terms, field_order=field_order,
-        truncation=Truncation(basis=L.vectors, bound=T),
-        support=Support(alpha=base, translates=((0,) * nj,)))
+    return (terms, Truncation(basis=L.vectors, bound=T),
+            Support(alpha=base, translates=((0,) * nj,)))
 
 
 def reference_characters(dec, N):
-    """Characters through a fresh elimination and Smith form per call."""
+    """Characters on lattice offsets u, through a fresh elimination and
+    Smith form per call."""
     L = dec.L_basis
     r = L.rank
     C = IntMatrix.from_columns([L.coordinates(col)
@@ -101,13 +127,135 @@ def reference_characters(dec, N):
     return {t: make(t) for t in indices}
 
 
+def reference_assembly(dec, gamma, n, v_local, T, character, N):
+    """One solution keyed by rational exponent, assembled piece by piece
+    from reference_gamma_series with the character on lattice offsets;
+    returns (terms, truncation basis, sheet bases)."""
+    gamma = tuple(gamma)
+    comp = component_polynomial(
+        dec.M, gamma, next(c for c in bounded_atlas(dec.M).bounded_components
+                           if gamma in c.points))
+    terms, sheets = {}, []
+    for pt, c in sorted(comp.terms.items()):
+        nv = None
+        if dec.q:
+            sol = frac_solve([list(r) for r in dec.M.data],
+                             [pt[t] - gamma[t] for t in range(dec.q)])
+            nv = dec.N.mul_vec(tuple(int(x) for x in sol))
+        local, _, _ = reference_gamma_series(
+            dec.A_J, dec.L_basis, v_local, T, character=character,
+            field_order=N, offset=nv)
+        full = [F(0)] * n
+        for t, j in enumerate(dec.rowset_Jbar):
+            full[j] = F(pt[t])
+        for e_local, coeff in local.items():
+            for pos, j in enumerate(dec.J):
+                full[j] = e_local[pos]
+            e = tuple(full)
+            terms[e] = terms.get(e, Scalar.zero(N)) + coeff * c
+        sheet = list(full)
+        for pos, j in enumerate(dec.J):
+            sheet[j] = F(v_local[pos]) + (nv[pos] if dec.q else 0)
+        sheets.append(tuple(sheet))
+    basis = []
+    for vec in dec.L_basis.vectors:
+        full = [0] * n
+        for pos, j in enumerate(dec.J):
+            full[j] = vec[pos]
+        basis.append(tuple(full))
+    return ({e: c for e, c in terms.items() if not c.is_zero()},
+            Truncation(basis=tuple(basis), bound=T), sorted(sheets))
+
+
+def _acc(d, key, val):
+    new = val if key not in d else d[key] + val
+    if new.is_zero():
+        d.pop(key, None)
+    else:
+        d[key] = new
+
+
+def _derivative_coeff(e, u):
+    out = F(1)
+    for x, k in zip(e, u):
+        out *= _falling(x, k)
+    return out
+
+
+def reference_apply(op, terms):
+    """The action of op on a series keyed by rational exponent."""
+    out = {}
+    if isinstance(op, BinomialOp):
+        for e, c in terms.items():
+            fp = _derivative_coeff(e, op.u_plus)
+            if fp:
+                _acc(out, tuple(a - b for a, b in zip(e, op.u_plus)), c * fp)
+            if not op.lam.is_zero():
+                fm = _derivative_coeff(e, op.u_minus)
+                if fm:
+                    _acc(out, tuple(a - b for a, b in zip(e, op.u_minus)),
+                         c * (-op.lam * fm))
+    elif isinstance(op, EulerOp):
+        for e, c in terms.items():
+            f = sum(r * x for r, x in zip(op.row, e)) - op.value
+            if f != 0:
+                out[e] = c * f
+    else:
+        for e, c in terms.items():
+            qv = op.q_at(e)
+            if qv != 0:
+                _acc(out, e, c * qv)
+            pv = op.p_at(e)
+            if pv != 0:
+                ek = e[:op.k] + (e[op.k] + 1,) + e[op.k + 1:]
+                _acc(out, ek, -(c * pv))
+    return out
+
+
+def reference_verify(ops, terms, trunc, sheets):
+    """Per operator: (interior, boundary) residual terms keyed by rational
+    exponent, each sorted, split by word length against every sheet."""
+    out = []
+    for op in ops:
+        applied = sorted(reference_apply(op, terms).items())
+        nvars = len(sheets[0])
+        if isinstance(op, BinomialOp):
+            shifts = [op.u_plus] + ([] if op.lam.is_zero() else [op.u_minus])
+        elif isinstance(op, EulerOp):
+            shifts = [(0,) * nvars]
+        else:
+            shifts = [(0,) * nvars,
+                      tuple(int(i == op.k) for i in range(nvars))]
+        interior, boundary = [], []
+        for y, c in applied:
+            covered = True
+            for sh in shifts:
+                for b in sheets:
+                    word = trunc.word_length(
+                        tuple(a + s - bb for a, s, bb in zip(y, sh, b)))
+                    if word is not None and word > trunc.bound:
+                        covered = False
+            (interior if covered else boundary).append((y, c))
+        out.append((interior, boundary))
+    return out
+
+
+def by_exponent(s):
+    """The terms of a series as a list of (rational exponent, coefficient)
+    pairs, in the series' own order."""
+    return [(s.exponent(z), c) for z, c in s.terms.items()]
+
+
 def gamma_outcome(fn, *args, **kwargs):
     """The series, or the resonance witness, of one call."""
     try:
         s = fn(*args, **kwargs)
     except ResonanceError as exc:
         return ("resonance", str(exc), exc.term, exc.coordinate)
-    return (list(s.terms.items()), s.truncation, s.support, s.field_order)
+    if isinstance(s, PuiseuxSeries):
+        return (by_exponent(s), s.truncation, s.support)
+    terms, trunc, support = s
+    return (list(terms.items()), trunc, support)
 
 
 def random_v(rng, nj):
@@ -144,6 +292,11 @@ def test_gamma_series_matches_factorial_reference():
             resonant += 1
         else:
             plain += 1
+            # the key of every term is its lattice offset from the base
+            s = gamma_series(A, L, v, T, offset=w)
+            words = {tuple(sum(map(mul, k, row)) for row in zip(*L.vectors))
+                     for k in _l1_ball(L.rank, T)} if L.rank else {(0,) * nj}
+            assert set(s.terms) <= words
     # the draws must exercise both outcomes
     assert resonant >= 5 and plain >= 20
 
@@ -162,45 +315,181 @@ def test_gamma_series_resonance_witness_matches_reference():
 
 
 def test_gamma_series_ds06_characters_match_reference(B_ds, A_ds):
+    # a character applied at the word coordinates of each term of the
+    # untwisted series reproduces the twist on lattice offsets
     hi = make_horn_input(B_ds, A_ds)
     dec = next(d for d in enumerate_decompositions(hi) if d.g > 1)
     chars = component_characters(dec, 3)
     refs = reference_characters(dec, 3)
     assert sorted(refs) == [t for t, _ in chars]
+    L = dec.L_basis
     rng = random.Random(7)
     for t, fn in chars:
         for _ in range(3):
             v = tuple(F(rng.randint(-9, 9), rng.choice([5, 7]))
                       for _ in range(len(dec.J)))
-            got = gamma_outcome(gamma_series, dec.A_J, dec.L_basis, v, 5,
-                                character=fn, field_order=3)
-            want = gamma_outcome(reference_gamma_series, dec.A_J,
-                                 dec.L_basis, v, 5, character=refs[t],
-                                 field_order=3)
+            got = gamma_outcome(gamma_series, dec.A_J, L, v, 5)
+            if got[0] != "resonance":
+                s = gamma_series(dec.A_J, L, v, 5)
+                got = ([(s.exponent(u), c * fn(L.coordinates(u)))
+                        for u, c in s.terms.items()], s.truncation, s.support)
+            want = gamma_outcome(reference_gamma_series, dec.A_J, L, v, 5,
+                                 character=refs[t], field_order=3)
             assert got == want
+
+
+# -- solutions and verification against the exponent-keyed layer ------------------
+
+def oracle_betas(count, seed):
+    """Rational parameters (p/5, r/7) and (p/7, r/5) as in the series
+    benchmark's pool, drawn without replacement."""
+    pool = [(F(p, q1), F(r, q2)) for q1, q2 in ((5, 7), (7, 5))
+            for p in range(1, 2 * q1) for r in range(1, 2 * q2)
+            if p % q1 and r % q2]
+    return random.Random(seed).sample(pool, count)
+
+
+@pytest.mark.parametrize("fixture, N, rank", [("erdelyi", 1, 4),
+                                              ("ds06", 3, 9)])
+def test_solutions_match_exponent_keyed_reference(fixture, N, rank, B_erd,
+                                                   A_erd, B_ds, A_ds):
+    # every solution (every twist on ds06) at T = 12, for 8 betas: the
+    # series, and the interior and boundary residuals of every operator,
+    # term for term at exponent base + z
+    B, A = (B_erd, A_erd) if fixture == "erdelyi" else (B_ds, A_ds)
+    hi = make_horn_input(B, A)
+    decs = {d.label: d for d in enumerate_decompositions(hi)}
+    refs = {label: reference_characters(d, N) for label, d in decs.items()
+            if d.is_toral}
+    T = 12
+    seen_boundary = 0
+    for beta in oracle_betas(8, 12 + N):
+        sols = solution_basis(hi, beta, T=T, field_root=N)
+        assert len(sols) == rank
+        ops = horn_system_operators(hi, beta, field_order=N)
+        for sol in sols:
+            dec = decs[sol.decomposition]
+            v = tuple(sol.series.base[j] for j in dec.J)
+            char = refs[dec.label][sol.character] if sol.character else None
+            terms, trunc, sheets = reference_assembly(
+                dec, sol.gamma, hi.n, v, T, char, N)
+            assert sorted(by_exponent(sol.series)) == sorted(terms.items())
+            assert sol.series.truncation == trunc
+            assert sorted(sol.series.support.sheet_bases()) == sheets
+            got = verify_annihilation(ops, sol.series)
+            want = reference_verify(ops, terms, trunc, sheets)
+            assert len(got.checks) == len(want)
+            for check, (interior, boundary) in zip(got.checks, want):
+                exps = sol.series.exponent
+                assert [(exps(z), c) for z, c in check.interior_residual] \
+                    == interior == []
+                assert [(exps(z), c) for z, c in check.boundary_residual] \
+                    == boundary
+                seen_boundary += len(boundary)
+    assert seen_boundary > 0
+
+
+def test_operators_match_exponent_keyed_reference():
+    # seeded twin of the property test below, so the comparison also runs
+    # where hypothesis is not installed
+    rng = random.Random(99)
+    for _ in range(150):
+        check_operator_against_reference(*random_operator_case(rng.randint))
+
+
+def random_operator_case(pick):
+    """A random series on a rational base, with a truncation and sheets,
+    and random Binomial, Euler and Theta operators; ``pick(lo, hi)``
+    draws an integer in [lo, hi]."""
+    n = pick(1, 3)
+    N = (1, 3, 4)[pick(0, 2)]
+    base = tuple(F(pick(-6, 6), pick(1, 4)) for _ in range(n))
+    terms = {}
+    for _ in range(pick(0, 12)):
+        z = tuple(pick(-3, 3) for _ in range(n))
+        terms[z] = Scalar(N, [F(pick(-5, 5), pick(1, 3))
+                              for _ in range(pick(1, 2))])
+    vec = tuple(pick(-2, 2) for _ in range(n))
+    trunc = Truncation(basis=(vec,) if any(vec) else (), bound=pick(0, 3))
+    translates = tuple({tuple(pick(-1, 1) for _ in range(n))
+                        for _ in range(pick(1, 2))})
+    s = PuiseuxSeries(n, terms, field_order=N, truncation=trunc,
+                      support=Support(alpha=base, translates=translates))
+    ops = []
+    for _ in range(pick(1, 3)):
+        kind = pick(0, 2)
+        if kind == 0:
+            up = tuple(pick(0, 2) for _ in range(n))
+            um = tuple(0 if a else pick(0, 2) for a in up)
+            lam = Scalar(N, [F(pick(-2, 2)), F(pick(-1, 1))])
+            ops.append(BinomialOp(u_plus=up, u_minus=um, lam=lam))
+        elif kind == 1:
+            ops.append(EulerOp(row=tuple(F(pick(-3, 3), pick(1, 2))
+                                         for _ in range(n)),
+                               value=F(pick(-4, 4), pick(1, 3))))
+        else:
+            B = IntMatrix([[pick(-2, 2)] for _ in range(n)])
+            c = [F(pick(-3, 3), pick(1, 3)) for _ in range(n)]
+            op = horn_classical_operators(B, c)[0]
+            ops.append(ThetaOp(op.q_factors, op.p_factors, 0, n))
+    return s, ops
+
+
+def check_operator_against_reference(s, ops):
+    terms = dict(by_exponent(s))
+    for op in ops:
+        got = apply_operator(op, s)
+        assert got.base == s.base
+        assert sorted(by_exponent(got)) == sorted(
+            reference_apply(op, terms).items())
+    got = verify_annihilation(ops, s)
+    want = reference_verify(ops, terms, s.truncation,
+                            s.support.sheet_bases())
+    for check, (interior, boundary) in zip(got.checks, want):
+        assert [(s.exponent(z), c) for z, c in check.interior_residual] \
+            == interior
+        assert [(s.exponent(z), c) for z, c in check.boundary_residual] \
+            == boundary
+        assert check.ok == (not interior)
+
+
+def test_operators_match_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        case = random_operator_case(
+            lambda lo, hi: data.draw(st.integers(lo, hi)))
+        check_operator_against_reference(*case)
+
+    prop()
 
 
 # -- characters ------------------------------------------------------------------
 
 def test_characters_match_reference_and_reject_outside(B_ds, A_ds):
+    # the callables take word coordinates k in dec.L_basis, so no argument
+    # lies outside the lattice; the per-offset reference still rejects
+    # offsets outside it, and agrees with the callables at u = L k
     hi = make_horn_input(B_ds, A_ds)
     dec = next(d for d in enumerate_decompositions(hi) if d.g > 1)
     refs = reference_characters(dec, 3)
     rng = random.Random(11)
-    vecs = dec.L_basis.vectors
+    L = dec.L_basis
+    cols = [L.coordinates(col) for col in dec.B_J.columns()]
     for t, fn in component_characters(dec, 3):
         for _ in range(20):
-            u = [0] * len(dec.J)
-            for vec in vecs:
-                c = rng.randint(-4, 4)
-                u = [a + c * b for a, b in zip(u, vec)]
-            assert fn(tuple(u)) == refs[t](tuple(u))
-        outside = list(vecs[0])
+            k = tuple(rng.randint(-4, 4) for _ in range(L.rank))
+            u = tuple(sum(map(mul, k, row)) for row in zip(*L.vectors))
+            assert fn(k) == refs[t](u)
+            for col in cols:  # trivial on the column span of B_J
+                assert fn(tuple(a + b for a, b in zip(k, col))) == fn(k)
+        outside = list(L.vectors[0])
         outside[0] += 1     # breaks A_J u = 0
         with pytest.raises(BinomHornError):
-            fn(tuple(outside))
-        with pytest.raises(BinomHornError):
-            fn(tuple(F(x, 2) for x in vecs[0]))
+            refs[t](tuple(outside))
 
 
 # -- word coordinates ---------------------------------------------------------------
