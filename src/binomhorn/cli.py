@@ -5,8 +5,8 @@ integers, '#' comments ignored).  Every report is a single JSON object
 with sorted keys, a schema tag, and the input matrices echoed back.
 
 Exit codes: 0 success, 2 input or convention violation, 3 generically
-infinite rank, 4 resonance or very-generic violation, 5 level cap
-exceeded.
+infinite rank, 4 resonance or very-generic violation, 5 subgraph level cap
+exceeded or mu certified infinite.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .decomp import andean_report
 from .errors import (
@@ -311,6 +312,7 @@ def cmd_verify(args):
     return EXIT_OK if all_ok else 1
 
 
+@cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="binomhorn",

@@ -24,7 +24,12 @@ class SizeLimitError(BinomHornError):
 
 
 class CapExceededError(BinomHornError):
-    """Level cap hit before the subgraph atlas could be certified complete."""
+    """Level cap hit before the subgraph atlas could be certified complete,
+    or mu certified infinite by y > 0 with yM = 0, held in ``certificate``."""
+
+    def __init__(self, message, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 class ResonanceError(BinomHornError):

@@ -6,7 +6,8 @@ finite or contain two distinct comparable points; the comparable pair is
 a terminating certificate of unboundedness (an infinite subset of N^q
 always contains one, and a component with one is closed under adding the
 difference, hence infinite).  That certificate is what makes the
-enumeration here terminate on every input.
+exploration of one component terminate on every input; the atlas walks
+N^q from the bounded frontier of one level to the next.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, int_rank, left_kernel_basis
+from .model import _clear_denominators, is_pointed
 
 
 def _steps(M: IntMatrix):
@@ -113,7 +115,8 @@ class SubgraphAtlas:
     lexicographically smallest point of each, and ``unbounded_min_gens``
     are the minimal points of the (upward closed) union of the unbounded
     components: the staircase below them is exactly the union of the
-    bounded components.
+    bounded components, which ``is_bounded`` tests.  ``classification``
+    maps each explored point to True (bounded) or False (unbounded).
     """
 
     M: IntMatrix
@@ -124,37 +127,26 @@ class SubgraphAtlas:
     closure_level: int
     classification: dict = field(repr=False, compare=False, hash=False)
 
-
-def _points_of_degree(q, t):
-    """All points of N^q with coordinate sum exactly t, lexicographic;
-    built by a loop, since a recursive closure leaves a reference cycle."""
-    if q == 0:
-        return [()] if t == 0 else []
-    layer = [((), t)]
-    for _ in range(q - 1):
-        layer = [(p + (v,), r - v) for p, r in layer for v in range(r + 1)]
-    return [p + (r,) for p, r in layer]
-
-
-def _above_unbounded(p, classification):
-    """Whether some p - e_i is already classified unbounded."""
-    for i, x in enumerate(p):
-        if x and classification.get(p[:i] + (x - 1,) + p[i + 1:]) is False:
-            return True
-    return False
+    def is_bounded(self, p):
+        """Whether the point p of N^q lies in a bounded component."""
+        return not any(_dominates(p, g) for g in self.unbounded_min_gens)
 
 
 def bounded_atlas(M: IntMatrix, cap: int = 1000) -> SubgraphAtlas:
-    """Enumerate all bounded components by exploring N^q level by level.
+    """Enumerate all bounded components by walking N^q level by level.
 
-    The union of the unbounded components is an up-set: the component of
-    p + e_i holds the translate by e_i of the component of p.  So a point
-    with some p - e_i already classified unbounded is classified unbounded
-    without exploring, and the first total degree at which every point
-    sits in an unbounded component certifies that all higher degrees do
-    too; enumeration stops there.  Exceeding ``cap`` levels without that
-    closure raises CapExceededError rather than returning a partial
-    answer; a negative ``cap`` raises ValueError.
+    When some y > 0 has yM = 0, every component lies in a finite level set
+    of y, so mu is infinite: CapExceededError is raised at once with y as
+    its ``certificate``.  Otherwise the union of the unbounded components
+    is an up-set (the component of p + e_i holds the translate by e_i of
+    that of p), so the candidates of level t + 1 are the upper neighbours
+    of the bounded points of level t whose lower neighbours are all
+    bounded; the rest of the level is unbounded, and an unbounded candidate
+    is a minimal generator of the union.  The first level t > 0 without a
+    bounded point certifies that all higher levels are unbounded too;
+    enumeration stops there.  Exceeding ``cap`` levels without that closure
+    raises CapExceededError rather than returning a partial answer; a
+    negative ``cap`` raises ValueError.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
@@ -166,42 +158,49 @@ def bounded_atlas(M: IntMatrix, cap: int = 1000) -> SubgraphAtlas:
                              unbounded_min_gens=(),
                              closure_level=0,
                              classification={(): True})
+    if int_rank(M) < q:
+        # y = hK for h > 0 on the columns of the left kernel K, if pointed
+        K = IntMatrix([list(v) for v in left_kernel_basis(M).vectors])
+        report = is_pointed(K)
+        if report.pointed:
+            y = _clear_denominators(
+                [sum(h * x for h, x in zip(report.functional, col))
+                 for col in K.columns()])
+            raise CapExceededError(
+                f"mu is infinite: y = {list(y)} > 0 has yM = 0, so every "
+                "component is bounded", certificate=y)
     steps = _steps(M)
-    classification = {}  # point -> True (bounded) / False (unbounded)
-    bounded = []
+    classification = {}  # explored point -> True (bounded) / False (unbounded)
+    bounded, gens = [], []
+    candidates = [(0,) * q]
     level = 0
     while True:
         if level > cap:
             raise CapExceededError(
                 f"no closure certificate within {cap} levels: "
                 "undetermined (possible Andean/infinite mu)")
-        pts = _points_of_degree(q, level)
-        all_unbounded = True
-        for p in pts:
-            if p in classification:
-                if classification[p]:
-                    all_unbounded = False
-                continue
-            if _above_unbounded(p, classification):
-                classification[p] = False
-                continue
-            comp = _explore(steps, p, classification)
-            for w in comp.points:
-                classification[w] = comp.bounded
-            if comp.bounded:
-                bounded.append(comp)
-                all_unbounded = False
-        if level > 0 and all_unbounded:
+        for p in candidates:
+            if p not in classification:
+                comp = _explore(steps, p, classification)
+                for w in comp.points:
+                    classification[w] = comp.bounded
+                if comp.bounded:
+                    bounded.append(comp)
+        frontier = {p for p in candidates if classification[p]}
+        gens += (p for p in candidates if not classification[p])
+        if level > 0 and not frontier:
             break
+        ups = {s[:i] + (s[i] + 1,) + s[i + 1:] for s in frontier
+               for i in range(q)}
+        candidates = sorted(
+            c for c in ups
+            if all(not x or c[:i] + (x - 1,) + c[i + 1:] in frontier
+                   for i, x in enumerate(c)))
         level += 1
-    # minimal generators of the unbounded union; all lie at degree <= level
-    gens = [p for p, is_bounded in sorted(classification.items())
-            if not is_bounded and sum(p) <= level
-            and not _above_unbounded(p, classification)]
     bounded.sort(key=lambda c: (sum(c.points[0]), c.points[0]))
     reps = tuple(min(c.points) for c in bounded)
     return SubgraphAtlas(M=M, mu=len(bounded), representatives=reps,
                          bounded_components=tuple(bounded),
-                         unbounded_min_gens=tuple(gens),
+                         unbounded_min_gens=tuple(sorted(gens)),
                          closure_level=level,
                          classification=classification)

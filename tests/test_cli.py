@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,8 +181,58 @@ def test_missing_file_exit_2(capsys):
 def test_subgraphs_cap_exit_5(tmp_path, capsys):
     p = tmp_path / "inf.mat"
     p.write_text("1 -1\n-1 1\n")  # every antidiagonal is bounded: infinite mu
-    code, _ = run(capsys, ["subgraphs", "--M", str(p), "--cap", "10"])
+    code = main(["subgraphs", "--M", str(p), "--cap", "10"])
+    captured = capsys.readouterr()
     assert code == 5
+    assert captured.out == ""
+    assert "mu is infinite: y = [1, 1] > 0" in captured.err
+
+
+def test_subgraphs_zero_columns_certified_at_the_default_cap(tmp_path, capsys):
+    p = tmp_path / "zero.mat"
+    p.write_text("0 0\n0 0\n0 0\n")  # no steps: every point is a component
+    code = main(["subgraphs", "--M", str(p)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert "mu is infinite: y = [" in captured.err
+
+
+def test_subgraphs_walk_cap_exit_5(paths, capsys):
+    code = main(["subgraphs", "--M", paths["m3"], "--cap", "2"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert "no closure certificate within 2 levels" in captured.err
+
+
+def call_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def call_fresh(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "binomhorn.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_calls_in_one_process_match_fresh_processes(paths):
+    # the parser is built once per process; no option of one call may
+    # reach the next
+    m3 = ["subgraphs", "--M", paths["m3"]]
+    calls = [m3 + ["--pretty"], m3, m3 + ["--cap", "x"], m3 + ["--cap", "2"],
+             m3, ["rank", "--B", paths["erd"], "--pretty"]]
+    got = [call_in_process(argv) for argv in calls]
+    assert [code for code, _, _ in got] == [0, 0, 2, 5, 0, 0]
+    assert got[0][1] != got[1][1] == got[4][1]
+    assert got == [call_fresh(argv) for argv in calls]
 
 
 def test_horn_ops_bad_c_length(paths, capsys):

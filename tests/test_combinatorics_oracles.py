@@ -4,8 +4,9 @@
 row masks that computes every field eagerly, ``andean_report`` with the
 saturation of an independent column subset of A_J picked by growing rank,
 and ``bounded_atlas`` with the level-by-level search that explores every
-unclassified point, all kept here as references.  The decompose reports on every fixture are
-compared byte for byte with goldens recorded from the eager enumeration.
+unclassified point of every level, all kept here as references.  The
+decompose reports on every fixture are compared byte for byte with
+goldens recorded from the eager enumeration.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import io
 import json
 import random
 from collections import deque
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -36,7 +38,7 @@ from binomhorn.exact_linalg import (
     kernel_basis,
     left_kernel_basis,
 )
-from binomhorn.subgraph import Component, _dominates, _points_of_degree, _steps
+from binomhorn.subgraph import Component, _dominates, _steps
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -111,6 +113,17 @@ def reference_andean_report(decomps, d):
     return directions, all(len(b.vectors) < d for b in directions)
 
 
+def points_of_degree(q, t):
+    """All points of N^q with coordinate sum exactly t, lexicographic;
+    built by a loop, since a recursive closure leaves a reference cycle."""
+    if q == 0:
+        return [()] if t == 0 else []
+    layer = [((), t)]
+    for _ in range(q - 1):
+        layer = [(p + (v,), r - v) for p, r in layer for v in range(r + 1)]
+    return [p + (r,) for p, r in layer]
+
+
 def reference_explore(M, gamma, known_unbounded):
     """Breadth-first component search, steps recomputed on every call."""
     steps = _steps(M)
@@ -146,7 +159,7 @@ def reference_atlas(M, cap):
         if level > cap:
             raise CapExceededError("reference cap")
         all_unbounded = True
-        for p in _points_of_degree(q, level):
+        for p in points_of_degree(q, level):
             if p not in classification:
                 comp = reference_explore(M, p, unbounded)
                 for w in comp.points:
@@ -171,12 +184,14 @@ def reference_atlas(M, cap):
 
 
 def atlas_outcome(M, cap):
+    """The fields of ``reference_atlas``, with ``is_bounded`` asked on
+    every point up to the closure level for the classification."""
     try:
         atlas = bounded_atlas(M, cap=cap)
     except CapExceededError:
         return "cap exceeded"
-    low = {p: b for p, b in atlas.classification.items()
-           if sum(p) <= atlas.closure_level}
+    low = {p: atlas.is_bounded(p) for t in range(atlas.closure_level + 1)
+           for p in points_of_degree(M.nrows, t)}
     return (atlas.mu, atlas.representatives,
             tuple(c.points for c in atlas.bounded_components),
             atlas.unbounded_min_gens, atlas.closure_level, low)
@@ -358,3 +373,50 @@ def test_atlas_matches_reference_on_mixed_invertible_blocks():
 def test_atlas_rejects_a_negative_cap(M3):
     with pytest.raises(ValueError):
         bounded_atlas(M3, cap=-1)
+
+
+def rank_deficient_M(rng, q):
+    """A random M with q rows and rank below q: fewer than q columns, or
+    a last row that combines the others, with the rows shuffled."""
+    ncols = rng.randint(0, q + 1)
+    rows = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(q - 1)]
+    c = [rng.randint(-2, 2) for _ in range(q - 1)]
+    rows.append([sum(a * row[j] for a, row in zip(c, rows))
+                 for j in range(ncols)])
+    rng.shuffle(rows)
+    return IntMatrix(rows, ncols=ncols)
+
+
+def certificate_of(M, cap):
+    """The certificate bounded_atlas raises with, or None."""
+    try:
+        bounded_atlas(M, cap=cap)
+    except CapExceededError as exc:
+        return exc.certificate
+    return None
+
+
+def test_infinite_mu_certificate_matches_reference():
+    # a certified M has infinitely many bounded components, so the
+    # reference walk never closes; a full-rank M is never certified
+    rng = random.Random(59)
+    certified = 0
+    for _ in range(150):
+        M = rank_deficient_M(rng, rng.randint(1, 3))
+        assert int_rank(M) < M.nrows
+        y = certificate_of(M, 8)
+        if y is None:
+            continue
+        certified += 1
+        assert all(type(x) is int and x > 0 for x in y) and gcd(*y) == 1
+        assert all(sum(a * b for a, b in zip(y, col)) == 0
+                   for col in M.columns())
+        assert reference_atlas_outcome(M, 8) == "cap exceeded", M.tolist()
+    assert 0 < certified < 150  # both outcomes are drawn
+    full = 0
+    while full < 60:
+        q = rng.randint(1, 3)
+        M = random_M(rng, q)
+        if int_rank(M) == q:
+            assert certificate_of(M, 8) is None, M.tolist()
+            full += 1

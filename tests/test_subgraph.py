@@ -1,12 +1,17 @@
 import gc
+import json
 import random
 from itertools import product
+from math import gcd
+from pathlib import Path
 
 import pytest
 
 from binomhorn import CapExceededError, IntMatrix, bounded_atlas, component_of
 from binomhorn.exact_linalg import bareiss_det
-from binomhorn.subgraph import _points_of_degree
+from test_combinatorics_oracles import points_of_degree
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- independent oracle: component search restricted to a box -------------------
@@ -100,6 +105,61 @@ def test_atlas_cap_error():
         bounded_atlas(M, cap=12)
 
 
+def assert_infinite_mu_certificate(M, y):
+    """y is a primitive integer vector, y > 0 and yM = 0."""
+    assert len(y) == M.nrows
+    assert all(type(x) is int and x > 0 for x in y)
+    assert gcd(*y) == 1
+    assert all(sum(a * b for a, b in zip(y, col)) == 0 for col in M.columns())
+
+
+def test_infinite_mu_certified_without_walking():
+    M = IntMatrix([[1, -1], [-1, 1]])
+    with pytest.raises(CapExceededError, match=r"y = \[1, 1\]") as info:
+        bounded_atlas(M, cap=10**9)
+    assert info.value.certificate == (1, 1)
+    assert_infinite_mu_certificate(M, info.value.certificate)
+
+
+@pytest.mark.parametrize("ncols", [0, 2])
+def test_infinite_mu_certified_for_zero_columns(ncols):
+    # no step at all: every point of N^3 is its own bounded component
+    M = IntMatrix.zero(3, ncols)
+    with pytest.raises(CapExceededError) as info:
+        bounded_atlas(M, cap=10**9)
+    assert_infinite_mu_certificate(M, info.value.certificate)
+
+
+def test_cap_exceeded_by_the_walk_carries_no_certificate():
+    # the himalayan block has full rank, so no y > 0 has yM = 0
+    M = IntMatrix.from_columns([[1, -1, 1], [1, -2, 0], [1, -3, 0]])
+    with pytest.raises(CapExceededError, match="within 20 levels") as info:
+        bounded_atlas(M, cap=20)
+    assert info.value.certificate is None
+
+
+def test_atlas_pool_verdicts_at_the_default_cap():
+    # every block of the benchmark's atlas pool gets its recorded verdict
+    # (None: the cap is exceeded) at cap 1000, not just at the recorded cap
+    goldens = json.loads((ROOT / "perfbench" / "goldens" / "atlas_blocks.json")
+                         .read_text(encoding="utf-8"))["blocks"]
+    assert len(goldens) == 257
+    for golden in goldens:
+        M = IntMatrix.from_columns([tuple(c) for c in golden["columns"]],
+                                   nrows=3)
+        try:
+            atlas = bounded_atlas(M, cap=1000)
+        except CapExceededError as exc:
+            assert exc.certificate is None
+            verdict = None
+        else:
+            verdict = {"mu": atlas.mu,
+                       "representatives": [list(r)
+                                           for r in atlas.representatives],
+                       "sizes": [c.size for c in atlas.bounded_components]}
+        assert verdict == golden["verdict"], golden["columns"]
+
+
 def test_dickson_equivalence_against_box_oracle():
     # acceptance 7(a): bounded <=> no comparable pair, cross-checked in a box.
     # A standalone mixed invertible M may still have infinitely many bounded
@@ -135,6 +195,7 @@ def test_dickson_equivalence_against_box_oracle():
         q = M.nrows
         level = atlas.closure_level
         for p, is_bounded in atlas.classification.items():
+            assert atlas.is_bounded(p) is is_bounded
             if is_bounded:
                 continue
             for i in range(q):
@@ -183,12 +244,12 @@ def test_mu_invariance_row_permutation_and_column_negation():
 
 
 def test_points_of_degree_match_brute_force():
-    assert _points_of_degree(0, 0) == [()]
-    assert _points_of_degree(0, 3) == []
+    assert points_of_degree(0, 0) == [()]
+    assert points_of_degree(0, 3) == []
     for q in range(1, 5):
         for t in range(9):
             want = [p for p in product(range(t + 1), repeat=q) if sum(p) == t]
-            assert _points_of_degree(q, t) == want
+            assert points_of_degree(q, t) == want
 
 
 def test_atlases_leave_no_cyclic_garbage(M3, M_erd23):
