@@ -7,6 +7,13 @@ lattice, a word-length bound, and the finitely many sheet translates
 the full solution lives on.  Operators act term by term and exactly;
 partial derivatives use falling factorials of base + z, so rational and
 negative exponents are handled uniformly, while keys stay integer.
+
+The stored terms are the only representation of a series.  Binomial and
+Euler operators work on its integer form instead (``_integer_form``):
+one positive common denominator D and, per offset, the deg Phi_N
+integers whose quotients by D are the coefficients.  The form is built
+where an operator is applied, once per ``verify_annihilation`` call, and
+is never cached on the series, so edits of ``terms`` are always seen.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from math import lcm
+from operator import mul, sub
 
-from .cyclotomic import Scalar
+from .cyclotomic import Scalar, cyclotomic_polynomial
 from .exact_linalg import IntMatrix, coordinate_map
 
 
@@ -250,28 +258,44 @@ def _expand_factors(factors, nvars):
     return poly
 
 
-def apply_operator(op, s: PuiseuxSeries) -> PuiseuxSeries:
+def apply_operator(op, s: PuiseuxSeries, *, form=None) -> PuiseuxSeries:
     """Exact term-by-term action of a differential operator; the result
-    keeps the base of ``s``, so every operator only moves integer keys."""
+    keeps the base of ``s``, so every operator only moves integer keys.
+
+    Binomial and Euler operators act on the integer form of ``s`` (see
+    ``_integer_form``): integer coefficient vectors over one common
+    denominator, so a term costs integer products and a term that
+    cancels is an all-zero vector.  Scalars are built only for the terms
+    that survive.  A caller applying several operators to one series
+    passes its integer form once as ``form``; without it the form is
+    built from ``s.terms`` here.  Theta operators act on the Scalars.
+    """
     if isinstance(op, BinomialOp):
-        out = {}
-        _add_derivative(out, s, op.u_plus, None)
-        if not op.lam.is_zero():
-            _add_derivative(out, s, op.u_minus, -op.lam)
+        order, den, vecs = form or _integer_form(s)
+        lam = None if op.lam.is_zero() else op.lam
+        if lam is not None and lam.N != order and order == 1:
+            order, vecs = _lift_form(lam.N, vecs)
+        common, acc = _binomial_action(s.base, vecs, order, op.u_plus,
+                                       op.u_minus, lam)
         trunc = _tighten(s.truncation, sum(op.u_plus) + sum(op.u_minus))
-        return s._with_terms(out, truncation=trunc)
+        return s._with_terms(_scalars(order, den * common, acc),
+                             truncation=trunc)
     if isinstance(op, EulerOp):
         # sum_j row_j (base_j + z_j) - value: one rational constant plus
-        # a dot product with the integer offset
+        # a dot product with the integer offset, over one denominator
+        order, den, vecs = form or _integer_form(s)
         const = sum(r * b for r, b in zip(op.row, s.base)) - op.value
-        row = [(j, int(r) if r == int(r) else r)
-               for j, r in enumerate(op.row) if r]
+        row = [(j, r) for j, r in enumerate(op.row) if r]
+        e = lcm(const.denominator, *(r.denominator for _, r in row))
+        const = const.numerator * (e // const.denominator)
+        row = [(j, r.numerator * (e // r.denominator)) for j, r in row]
         out = {}
-        for z, c in s.terms.items():
-            f = const + sum(r * z[j] for j, r in row)
-            if f != 0:
-                out[z] = c * f
-        return s._with_terms(out, truncation=s.truncation, support=s.support)
+        for z, v in vecs.items():
+            f = const + sum([r * z[j] for j, r in row])
+            if f:
+                out[z] = [f * x for x in v]
+        return s._with_terms(_scalars(order, den * e, out),
+                             truncation=s.truncation, support=s.support)
     if isinstance(op, ThetaOp):
         out = {}
         k = op.k
@@ -287,6 +311,43 @@ def apply_operator(op, s: PuiseuxSeries) -> PuiseuxSeries:
     raise TypeError(f"unknown operator type {type(op)!r}")
 
 
+def _integer_form(s):
+    """The terms of ``s`` over one common denominator.
+
+    Returns (N, D, vectors): the cyclotomic order N of the coefficients,
+    a positive integer D, and for every offset z the list of deg Phi_N
+    integers whose quotients by D are the coefficients of the term at z.
+    A rational coefficient of order 1 in a series of order N > 1 is
+    padded with zeros, as in Q(zeta_N).  The form is rebuilt from
+    ``s.terms`` on every call, so edits of the terms are always seen.
+    """
+    orders = {c.N for c in s.terms.values()} - {1}
+    if len(orders) > 1:
+        raise ValueError(f"mixed cyclotomic orders {sorted(orders)}")
+    order = orders.pop() if orders else 1
+    deg = len(cyclotomic_polynomial(order)) - 1
+    den = lcm(*{x.denominator for c in s.terms.values() for x in c.coeffs})
+    vecs = {}
+    for z, c in s.terms.items():
+        v = [x.numerator * (den // x.denominator) if x else 0
+             for x in c.coeffs]
+        vecs[z] = v + [0] * (deg - len(v)) if len(v) < deg else v
+    return order, den, vecs
+
+
+def _lift_form(order, vecs):
+    """Integer vectors of order 1 as vectors of Q(zeta_order)."""
+    pad = [0] * (len(cyclotomic_polynomial(order)) - 2)
+    return order, {z: v + pad for z, v in vecs.items()}
+
+
+def _scalars(order, den, vecs):
+    """Scalars of order ``order`` from integer vectors over ``den``,
+    skipping the all-zero vectors of cancelled terms."""
+    return {z: Scalar._reduced(order, tuple([Fraction(x, den) for x in v]))
+            for z, v in vecs.items() if any(v)}
+
+
 def _acc(d, key, val):
     cur = d.get(key)
     new = val if cur is None else cur + val
@@ -296,44 +357,70 @@ def _acc(d, key, val):
         d[key] = new
 
 
-def _add_derivative(out, s, u, factor):
-    """Accumulate factor * partial^u (s) into ``out`` (factor None means 1).
+def _binomial_action(base, vecs, order, u_plus, u_minus, lam):
+    """partial^u_plus - lam partial^u_minus (lam None: the first part
+    alone) applied to the integer vectors ``vecs`` on ``base``; returns
+    the common denominator of the two parts and the integer vectors over
+    it, keyed by offset.
 
     The coefficient of partial^u x^(base + z) is a product over the
     coordinates j with u_j > 0 of falling factorials of base_j + z_j.
     With base_j = p/q each factor is an integer numerator over q^u_j, so
-    one table per coordinate maps z_j to that numerator, and a term
-    costs integer lookups and one reduction.  A rational factor is
-    folded into that reduction.
+    one table per coordinate maps z_j to that numerator, and a part has
+    the single denominator prod_j q_j^u_j.  lam acts through its integer
+    multiplication matrix on Z[zeta_N], over one more denominator; a
+    rational lam has a scalar matrix.
     """
-    active = [(j, k) for j, k in enumerate(u) if k]
-    tables, num0, den = [], 1, 1
-    if factor is not None and factor.is_rational():
-        q = factor.as_rational()
-        num0, den, factor = q.numerator, q.denominator, None
-    for j, k in active:
-        p, q = s.base[j].numerator, s.base[j].denominator
-        table = {}
-        for z in s.terms:
-            x = z[j]
-            if x not in table:
-                num, top = 1, p + x * q
-                for i in range(k):
-                    num *= top - i * q
-                table[x] = num
-        tables.append((j, table))
-        den *= q ** k
-    for z, c in s.terms.items():
-        num = num0
-        for j, table in tables:
-            num *= table[z[j]]
+    parts = [(u_plus, 1, None)]
+    if lam is not None:
+        parts.append((u_minus, *_multiplication_matrix(lam, order)))
+    prepared = []
+    for u, den, matrix in parts:
+        tables = []
+        for j, k in enumerate(u):
+            if not k:
+                continue
+            p, q = base[j].numerator, base[j].denominator
+            table = {}
+            for z in vecs:
+                x = z[j]
+                if x not in table:
+                    num, top = 1, p + x * q
+                    for i in range(k):
+                        num *= top - i * q
+                    table[x] = num
+            tables.append((j, table))
+            den *= q ** k
+        prepared.append((u, tables, den, matrix))
+    common = lcm(*(den for _, _, den, _ in prepared))
+    acc = {}
+    for u, tables, den, matrix in prepared:
+        scale = common // den if matrix is None else -(common // den)
+        for z, v in vecs.items():
+            num = scale
+            for j, table in tables:
+                num *= table[z[j]]
+                if not num:
+                    break
             if not num:
-                break
-        if not num:
-            continue
-        f = Fraction(num, den) if den != 1 else num
-        key = tuple(map(sub, z, u)) if active else z
-        _acc(out, key, c * f if factor is None else c * (factor * f))
+                continue
+            if matrix is not None:
+                v = [sum(map(mul, row, v)) for row in matrix]
+            key = tuple(map(sub, z, u))
+            cur = acc.get(key)
+            acc[key] = [num * x for x in v] if cur is None else \
+                [a + num * x for a, x in zip(cur, v)]
+    return common, acc
+
+
+def _multiplication_matrix(lam, order):
+    """(den, rows): lam times an element of Q(zeta_order) with integer
+    coordinates x has the coordinates rows x / den."""
+    deg = len(cyclotomic_polynomial(order)) - 1
+    cols = [(lam * Scalar.root_of_unity(order, i)).coeffs
+            for i in range(deg)]
+    den = lcm(*(x.denominator for col in cols for x in col))
+    return den, [[int(col[r] * den) for col in cols] for r in range(deg)]
 
 
 def _tighten(trunc, order):

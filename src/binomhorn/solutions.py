@@ -33,6 +33,7 @@ from .exact_linalg import (
     LatticeBasis,
     _ff,
     column_hnf,
+    coordinate_map,
     frac_solve,
     smith_normal_form,
 )
@@ -50,6 +51,7 @@ from .series import (
     Support,
     ThetaOp,
     Truncation,
+    _integer_form,
     apply_operator,
 )
 from .subgraph import Component, bounded_atlas
@@ -119,27 +121,86 @@ def _l1_ball(r, T):
             yield (first,) + rest
 
 
-def _gamma_ratios(v, lo, hi):
-    """Gamma(v + 1) / Gamma(v + t + 1) for lo <= t <= hi, listed from
-    t = lo; requires lo <= 0 <= hi.
+def _words(L: LatticeBasis, T: int):
+    """The lattice words of length at most T: (k, u) pairs sorted by the
+    word coordinates k, with u the lattice offset sum_i k_i L_i; and for
+    each coordinate the reach T max_i |L_i| of the offsets."""
+    rows = list(zip(*L.vectors)) or [()] * L.ambient_dim
+    words = [(k, tuple(sum(map(mul, k, row)) for row in rows))
+             for k in sorted(_l1_ball(L.rank, T))]
+    reach = [T * max((abs(x) for x in row), default=0) for row in rows]
+    return words, reach
 
-    One step down multiplies by v + t + 1 (a falling factorial factor),
-    one step up divides by v + t (a rising factorial factor).  Past a
-    vanishing rising factorial the entries are None.
+
+def _check_kernel(A_J: IntMatrix, L: LatticeBasis):
+    for vec in L.vectors:
+        if any(x != 0 for x in A_J.mul_vec(vec)):
+            raise BinomHornError("lattice is not in the kernel of A_J")
+
+
+def _gamma_ratios(v, lo, hi):
+    """Gamma(v + 1) / Gamma(v + t + 1) for lo <= t <= hi as integer
+    (numerator, denominator) pairs, listed from t = lo; requires
+    lo <= 0 <= hi.
+
+    With v = p/q, one step down multiplies by v + t + 1 = (p + (t+1) q)/q
+    (a falling factorial factor), one step up divides by v + t (a rising
+    factorial factor).  Past a vanishing rising factorial the entries
+    are None.
     """
+    p, q = v.numerator, v.denominator
     down = []
-    r = Fraction(1)
+    num = den = 1
     for t in range(0, lo, -1):
-        r *= v + t
-        down.append(r)
+        num *= p + t * q
+        den *= q
+        down.append((num, den))
     down.reverse()
-    up = [Fraction(1)]
-    r = Fraction(1)
+    up = [(1, 1)]
+    r = (1, 1)
     for t in range(1, hi + 1):
         if r is not None:
-            r = None if v + t == 0 else r / (v + t)
+            top = p + t * q
+            r = None if top == 0 else (r[0] * q, r[1] * top)
         up.append(r)
     return down + up
+
+
+def _ratio_tables(v, offsets, reach):
+    """Per coordinate j, the ``_gamma_ratios`` table of v_j over every
+    shift w_j + u_j that the words reach from any of the integer
+    ``offsets`` w, and the table index of u_j = 0 for each offset."""
+    ratios, los = [], []
+    for j, r in enumerate(reach):
+        lo = min(0, min(w[j] for w in offsets) - r)
+        hi = max(0, max(w[j] for w in offsets) + r)
+        ratios.append(_gamma_ratios(v[j], lo, hi))
+        los.append(lo)
+    return ratios, [list(map(sub, w, los)) for w in offsets]
+
+
+def _gamma_terms(words, ratios, starts):
+    """Yield (i, numerator, denominator) of the Gamma-ratio product of
+    the i-th word, for every word where it is nonzero, in word order.
+
+    ``ratios`` and ``starts`` come from ``_ratio_tables``: the table of
+    each coordinate j and its index of u_j = 0.  A vanishing rising factorial
+    raises ResonanceError naming the first such term and its coordinate.
+    """
+    cols = list(enumerate(zip(ratios, starts)))
+    for i, (_, u) in enumerate(words):
+        num = den = 1
+        for j, (table, start) in cols:
+            r = table[start + u[j]]
+            if r is None:
+                raise ResonanceError(
+                    "rising factorial vanished at coordinate "
+                    f"{j + 1} for offset {list(u)}",
+                    term=u, coordinate=j)
+            num *= r[0]
+            den *= r[1]
+        if num:
+            yield i, num, den
 
 
 def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
@@ -151,11 +212,12 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
     Gamma(v_j + 1) / Gamma(v_j + t + 1) with t = w_j + u_j: a falling
     factorial for t < 0 and the reciprocal of a rising factorial for
     t > 0.  The ratio depends on t alone, so each coordinate gets one
-    table, built by single steps over the t range the word ball reaches,
-    and a coefficient is a product of one lookup per coordinate.  Terms
-    whose ratio vanishes are dropped.  A vanishing rising factorial
-    raises ResonanceError naming the first such term (in the order of
-    the word coordinates) and its coordinate.
+    table of integer numerators and denominators, built by single steps
+    over the t range the word ball reaches, and a coefficient is a
+    product of one lookup per coordinate, reduced once.  Terms whose
+    ratio vanishes are dropped.  A vanishing rising factorial raises
+    ResonanceError naming the first such term (in the order of the word
+    coordinates) and its coordinate.
 
     With an integer ``offset`` w the result realizes the inverse
     derivative partial^{-w} of the unshifted series in the solution-space
@@ -174,31 +236,11 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
     w = tuple(int(x) for x in offset) if offset is not None else (0,) * nj
     if len(w) != nj:
         raise ValueError("offset length mismatch")
-    for vec in L.vectors:
-        if any(x != 0 for x in A_J.mul_vec(vec)):
-            raise BinomHornError("lattice is not in the kernel of A_J")
-    ratios, starts = [], []
-    for j in range(nj):
-        reach = T * max((abs(vec[j]) for vec in L.vectors), default=0)
-        lo, hi = min(0, w[j] - reach), max(0, w[j] + reach)
-        ratios.append(_gamma_ratios(v[j], lo, hi))
-        starts.append(w[j] - lo)   # table index of u_j = 0
-    rows = list(zip(*L.vectors)) or [()] * nj  # row t: coordinate t
-    terms = {}
-    for k in sorted(_l1_ball(L.rank, T)):
-        u = tuple(sum(map(mul, k, row)) for row in rows)
-        num = den = 1
-        for j in range(nj):
-            r = ratios[j][starts[j] + u[j]]
-            if r is None:
-                raise ResonanceError(
-                    "rising factorial vanished at coordinate "
-                    f"{j + 1} for offset {list(u)}",
-                    term=u, coordinate=j)
-            num *= r.numerator
-            den *= r.denominator
-        if num:
-            terms[u] = Scalar.rational(Fraction(num, den))
+    _check_kernel(A_J, L)
+    words, reach = _words(L, T)
+    ratios, (starts,) = _ratio_tables(v, [w], reach)
+    terms = {words[i][1]: Scalar.rational(Fraction(num, den))
+             for i, num, den in _gamma_terms(words, ratios, starts)}
     base = tuple(a + b for a, b in zip(v, w))
     return PuiseuxSeries(
         nj, terms, truncation=Truncation(basis=L.vectors, bound=T),
@@ -207,42 +249,41 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
 
 # -- assembling one solution -----------------------------------------------------
 
-def _assemble_via_gamma(dec: Decomposition, gamma, G: PuiseuxSeries, n,
-                        v_local, T, words):
+def _assemble_via_gamma(dec: Decomposition, points, n, v_local, words,
+                        lifted, reach):
     """Sum, over the points gamma + M v of the component polynomial G, the
     monomial x_Jbar^{gamma + M v} times partial_J^{-N v} of the inner
     series, tracking the sheet translates.  Every inverse-derivative
     factor is realized exactly as a shifted hypergeometric series
     (Gamma-ratio coefficients against the unshifted base exponent).
 
+    ``points`` lists (point of G, its rational coefficient, N v) once per
+    gamma; ``words`` and their offsets ``lifted`` to n coordinates come
+    from ``_words`` once per decomposition, with its ``reach``.  One
+    integer Gamma-ratio table per coordinate covers every point, and a
+    term's coefficient is reduced once.
+
     Returns the support (base v_local on J, zero on Jbar) and the
     rational coefficient table, one (z, k, coefficient) row per term,
     where z is the integer offset from the base and k the word
-    coordinates the term was generated from (``words`` maps each
-    lattice offset to them).  Distinct points of G differ on Jbar, so no
-    two rows share a z.
+    coordinates the term was generated from.  Distinct points of G
+    differ on Jbar, so no two rows share a z.
     """
-    gamma = tuple(int(x) for x in gamma)
+    ratios, starts = _ratio_tables(v_local, [nv for _, _, nv in points],
+                                   reach)
     table, translates = [], []
-    nj = len(dec.J)
-    for pt, c in sorted(G.terms.items()):
-        if dec.q:
-            offset = [pt[t] - gamma[t] for t in range(dec.q)]
-            nv = dec.N.mul_vec(_solve_integer_exact(dec.M, offset))
-        else:
-            nv = (0,) * nj
-        local = gamma_series(dec.A_J, dec.L_basis, v_local, T, offset=nv)
+    for (pt, c, nv), start in zip(points, starts):
         lift = [0] * n
         for t, j in enumerate(dec.rowset_Jbar):
             lift[j] = pt[t]
         for pos, j in enumerate(dec.J):
             lift[j] = nv[pos]
-        translates.append(tuple(lift))
-        cq = c.as_rational()
-        for u, coeff in local.terms.items():
-            for pos, j in enumerate(dec.J):
-                lift[j] = nv[pos] + u[pos]
-            table.append((tuple(lift), words[u], coeff.coeffs[0] * cq))
+        lift = tuple(lift)
+        translates.append(lift)
+        cn, cd = c.numerator, c.denominator
+        for i, num, den in _gamma_terms(words, ratios, start):
+            table.append((tuple(map(add, lift, lifted[i])), words[i][0],
+                          Fraction(num * cn, den * cd)))
     base = [Fraction(0)] * n
     for pos, j in enumerate(dec.J):
         base[j] = Fraction(v_local[pos])
@@ -250,20 +291,24 @@ def _assemble_via_gamma(dec: Decomposition, gamma, G: PuiseuxSeries, n,
             table)
 
 
+def _component_points(dec: Decomposition, gamma, G: PuiseuxSeries, coords):
+    """(point, rational coefficient, N v) for the points gamma + M v of
+    G, sorted; ``coords`` maps an offset to its coordinates v against
+    the columns of M."""
+    out = []
+    for pt, c in sorted(G.terms.items()):
+        v = coords(list(map(sub, pt, gamma)))
+        if v is None:
+            raise BinomHornError("point is not on the component lattice")
+        out.append((pt, c.as_rational(), dec.N.mul_vec(v)))
+    return out
+
+
 def _embed_vec(vec, n, positions):
     full = [0] * n
     for pos, j in enumerate(positions):
         full[j] = vec[pos]
     return tuple(full)
-
-
-def _solve_integer_exact(M: IntMatrix, rhs):
-    if M.nrows == 0:
-        return ()
-    sol = frac_solve([list(r) for r in M.data], rhs)
-    if sol is None or any(x.denominator != 1 for x in sol):
-        raise BinomHornError("point is not on the component lattice")
-    return tuple(int(x) for x in sol)
 
 
 # -- characters ------------------------------------------------------------------
@@ -416,21 +461,23 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
         chars = component_characters(dec, field_root) if field_root > 1 \
             else [((), None)]
         L = dec.L_basis
-        lrows = list(zip(*L.vectors)) or [()] * len(dec.J)
-        words = {tuple(sum(map(mul, k, row)) for row in lrows): k
-                 for k in _l1_ball(L.rank, T)}
+        _check_kernel(dec.A_J, L)
+        words, reach = _words(L, T)
+        lifted = [_embed_vec(u, hi.n, dec.J) for _, u in words]
+        coords = coordinate_map(dec.M.columns())
         trunc = Truncation(
             basis=tuple(_embed_vec(vec, hi.n, dec.J) for vec in L.vectors),
             bound=T)
         for gamma in atlas.representatives:
             comp = next(c for c in atlas.bounded_components
                         if gamma in c.points)
-            G = component_polynomial(dec.M, gamma, comp)
+            points = _component_points(
+                dec, gamma, component_polynomial(dec.M, gamma, comp), coords)
             beta_shifted = _shift_beta(beta, dec, gamma)
             for sigma, cellvol in cells:
                 for v in _cell_exponents(dec, sigma, cellvol, beta_shifted):
                     support, table = _assemble_via_gamma(
-                        dec, gamma, G, hi.n, v, T, words)
+                        dec, points, hi.n, v, words, lifted, reach)
                     shell = PuiseuxSeries(hi.n, field_order=field_root,
                                           support=support)
                     # one rational table per (gamma, v); a twist only
@@ -480,12 +527,19 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
     bound.  Terms with an out-of-bound preimage are reported separately
     as boundary residual: they are expected casualties of truncation.
     Residual terms are (z, coefficient) pairs on the base of ``s``.
+
+    The terms of ``s`` are put over one common denominator once per call,
+    and every binomial and Euler operator acts on that integer form, so
+    a cancelled term costs integer arithmetic only and Scalars are built
+    for the residual terms alone.  The form is not kept on ``s``: each
+    call reads ``s.terms`` afresh.
     """
     checks = []
     sheets = s.support.translates if s.support is not None else ()
     zero = (0,) * s.nvars
+    form = _integer_form(s)
     for op in ops:
-        applied = apply_operator(op, s)
+        applied = apply_operator(op, s, form=form)
         if s.truncation is None:
             interior = tuple(applied.sorted_terms())
             boundary = ()

@@ -251,12 +251,12 @@ def test_volume_report_lattice(paths, capsys):
 
 def test_series_reports_match_goldens(monkeypatch):
     # solve and verify stdout, byte for byte (by sha256 and length), on
-    # erdelyi with its A and on ds06 over Q(zeta_3) at T = 6, 12, 20, and
-    # on gauss at the default T
+    # erdelyi with its A at T = 6, 12, 20, on ds06 over Q(zeta_3) at
+    # T = 6, 12, 20, 40, and on gauss at the default T
     monkeypatch.chdir(ROOT)
     goldens = json.loads((ROOT / "tests" / "goldens" / "series_cli.json")
                          .read_text(encoding="utf-8"))
-    assert len(goldens) == 14
+    assert len(goldens) == 16
     for args, want in goldens.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

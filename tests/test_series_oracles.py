@@ -10,6 +10,7 @@ character twists on lattice offsets).
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from operator import mul
 
@@ -461,6 +462,115 @@ def test_operators_match_reference_property():
     @hypothesis.given(st.data())
     def prop(data):
         case = random_operator_case(
+            lambda lo, hi: data.draw(st.integers(lo, hi)))
+        check_operator_against_reference(*case)
+
+    prop()
+
+
+# large primes: products of them make coefficient denominators that share
+# no factor, so a cancellation is exact only over their common multiple
+BIG_PRIMES = (10007, 65537, 999983, 1000003, 2147483647)
+
+
+def random_cancelling_case(pick):
+    """A series over Q(zeta_N), N in {1, 3, 4, 5, 6, 12}, with large
+    coprime coefficient denominators, and a binomial operator whose lam
+    has coefficients over denominators 2 to 9, plus an Euler operator
+    with large denominators.  Some terms get a partner chosen so that the two parts
+    of the binomial operator cancel at one key, and the Euler value is
+    often the weight of one term, so both operators cancel terms whose
+    contributions have unrelated denominators.  ``pick(lo, hi)`` draws
+    an integer in [lo, hi]."""
+    n = pick(1, 3)
+    N = (1, 3, 4, 5, 6, 12)[pick(0, 5)]
+    deg = len(cyclotomic_polynomial(N)) - 1
+
+    def big():
+        return BIG_PRIMES[pick(0, 4)] * pick(1, 6)
+
+    base = tuple(F(pick(-6, 6), pick(1, 5)) for _ in range(n))
+    up = tuple(pick(0, 2) for _ in range(n))
+    um = tuple(0 if a else pick(0, 2) for a in up)
+    lam = Scalar(N, [F(pick(-4, 4), pick(2, 9)) for _ in range(pick(1, deg))])
+    if lam.is_zero():
+        lam = Scalar(N, [F(1, pick(2, 9))])
+    binomial = BinomialOp(u_plus=up, u_minus=um, lam=lam)
+    # rational coefficients of order 1 in a series over Q(zeta_N)
+    rational = not pick(0, 3)
+    terms = {}
+    for _ in range(pick(1, 8)):
+        z = tuple(pick(-3, 3) for _ in range(n))
+        c = Scalar(1, [F(pick(-9, 9), big())]) if rational else \
+            Scalar(N, [F(pick(-9, 9), big()) for _ in range(pick(1, deg))])
+        if z in terms or c.is_zero():
+            continue
+        terms[z] = c
+        # the partner z' = z - u_plus + u_minus cancels the image of z
+        # under partial^u_plus against lam partial^u_minus of its own term
+        zp = tuple(a - b + d for a, b, d in zip(z, up, um))
+        fp = _derivative_coeff(tuple(b + x for b, x in zip(base, z)), up)
+        fm = _derivative_coeff(tuple(b + x for b, x in zip(base, zp)), um)
+        if zp != z and zp not in terms and fp and fm and pick(0, 3) \
+                and (not rational or pick(0, 1)):
+            terms[zp] = c * fp / (lam * fm)
+    row = tuple(F(pick(-3, 3), big()) for _ in range(n))
+    z0 = sorted(terms)[pick(0, len(terms) - 1)] if terms else (0,) * n
+    value = sum(r * (b + x) for r, b, x in zip(row, base, z0))
+    if not pick(0, 2):
+        value += F(pick(-4, 4), big())
+    vec = tuple(pick(-2, 2) for _ in range(n))
+    trunc = Truncation(basis=(vec,) if any(vec) else (), bound=pick(0, 3))
+    translates = tuple({tuple(pick(-1, 1) for _ in range(n))
+                        for _ in range(pick(1, 2))})
+    s = PuiseuxSeries(n, terms, field_order=N, truncation=trunc,
+                      support=Support(alpha=base, translates=translates))
+    return s, [binomial, EulerOp(row=row, value=value)]
+
+
+def cancelled_keys(op, s):
+    """Keys that receive a nonzero contribution from s but hold no term
+    of apply_operator(op, s)."""
+    terms = dict(by_exponent(s))
+    if isinstance(op, BinomialOp):
+        touched = {tuple(a - b for a, b in zip(e, u))
+                   for e in terms for u in (op.u_plus, op.u_minus)
+                   if _derivative_coeff(e, u)}
+    else:
+        touched = set(terms)
+    got = apply_operator(op, s)
+    return touched - {got.exponent(z) for z in got.terms}
+
+
+def test_cancelling_operators_match_reference():
+    # seeded twin of the property test below: the draws must cancel terms
+    # under both operator kinds, and over every cyclotomic order
+    rng = random.Random(2718)
+    cancelled = {BinomialOp: 0, EulerOp: 0}
+    orders, mixed = set(), Counter()
+    for _ in range(200):
+        s, ops = random_cancelling_case(rng.randint)
+        check_operator_against_reference(s, ops)
+        orders.add(s.field_order)
+        if s.field_order > 1:
+            # order-1 coefficients alone (lam lifts them), or beside others
+            mixed[frozenset(c.N for c in s.terms.values())] += 1
+        for op in ops:
+            cancelled[type(op)] += len(cancelled_keys(op, s))
+    assert orders == {1, 3, 4, 5, 6, 12}
+    assert mixed[frozenset({1})] >= 5
+    assert sum(v for k, v in mixed.items() if len(k) == 2) >= 5
+    assert cancelled[BinomialOp] >= 200 and cancelled[EulerOp] >= 100
+
+
+def test_cancelling_operators_match_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        case = random_cancelling_case(
             lambda lo, hi: data.draw(st.integers(lo, hi)))
         check_operator_against_reference(*case)
 
