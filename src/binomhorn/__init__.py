@@ -25,14 +25,7 @@ from .exact_linalg import (
     saturation,
     smith_normal_form,
 )
-from .geometry import (
-    SupportFunction,
-    VolumeResult,
-    cone_triangulation,
-    facet_support_functions,
-    normalized_volume,
-    very_generic_check,
-)
+from .geometry import Cone, SupportFunction, very_generic_check
 from .model import (
     HornInput,
     compute_A,

@@ -28,7 +28,7 @@ from .errors import (
     VeryGenericError,
 )
 from .exact_linalg import IntMatrix
-from .geometry import normalized_volume
+from .geometry import Cone
 from .model import compute_A, make_horn_input, validate_B
 from .ranks import degree_cross_check, generic_rank
 from .series import horn_classical_operators, horn_system_operators
@@ -177,10 +177,10 @@ def cmd_subgraphs(args):
 
 def cmd_volume(args):
     A = read_matrix(args.A)
-    res = normalized_volume(A)
+    cone = Cone(A)
     report = {"schema": SCHEMA, "command": "volume", "A": _matrix_json(A),
-              "volume": res.value,
-              "lattice_basis": [list(v) for v in res.lattice.vectors]}
+              "volume": cone.volume,
+              "lattice_basis": [list(v) for v in cone.lattice.vectors]}
     _emit(report, args.pretty)
     return EXIT_OK
 

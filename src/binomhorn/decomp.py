@@ -4,15 +4,16 @@ A row subset Jbar (never a singleton) forces the column set through its
 block: the columns of B meeting Jbar.  The block M on (Jbar x those
 columns) must be mixed with no more rows than columns; the remaining
 block B_J on the complementary rows and columns determines a sublattice
-whose saturation is compared against the kernel of A_J.  The class is
+whose saturation, for a toral block, is the kernel of A_J.  The class is
 read off ranks alone: toral exactly when rank(A_J) = |J| - rank(B_J),
 which for square M is equivalent to det(M) != 0.
 
 Row sets are found by a depth-first walk over bitmasks of at most m rows
 (sum_{k <= m} C(n, k) masks instead of 2^n), rejected by integer tests
 on column-sign masks before any submatrix is built; the lattice data
-(``L_basis``, ``g``) is computed only when read.  ``HornInput.decompositions``
-keeps the enumeration, so one input is enumerated once.
+(``L_basis``, ``g``) and the cone over A_J are computed only when read.
+``HornInput.decompositions`` keeps the enumeration, so one input is
+enumerated once and each of its cones is built once.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from .errors import SizeLimitError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
-    bareiss_det,
     int_rank,
-    kernel_basis,
     lattice_index,
     saturated_span,
     saturation,
 )
+from .geometry import Cone
 from .model import HornInput
 
 MAX_ROWS = 30
@@ -44,7 +44,9 @@ class Decomposition:
     reports.  ``L_basis`` is the saturation of the column span of B_J
     inside Z^J (coordinates indexed by J in increasing order) and ``g`` is
     its index over that span.  Both are computed from B_J when first read:
-    the rank formula reads them only for toral decompositions.
+    the rank formula reads them only for toral decompositions.  ``cone``
+    holds the cells, volume and support functions of A_J, likewise
+    computed when first read.
     """
 
     rowset_Jbar: tuple
@@ -66,6 +68,10 @@ class Decomposition:
     @cached_property
     def g(self) -> int:
         return lattice_index(LatticeBasis(len(self.J), self.B_J.columns()))
+
+    @cached_property
+    def cone(self) -> Cone:
+        return Cone(self.A_J)
 
     @property
     def is_toral(self):
@@ -139,12 +145,6 @@ def enumerate_decompositions(hi: HornInput) -> tuple[Decomposition, ...]:
         dec = Decomposition(
             rowset_Jbar=jbar, colset_M=colset, J=J, M=M, N=N, B_J=B_J,
             A_J=A_J, A_Jbar=A_Jbar, q=q, p=p, klass=klass)
-        if klass == "toral":
-            assert q == p, "toral blocks are square"
-            assert q == 0 or bareiss_det(M) != 0, "toral blocks are invertible"
-            assert rank_AJ == d, "toral A_J has full rank"
-            assert dec.L_basis == kernel_basis(A_J), \
-                "toral lattice is the full kernel"
         out.append(dec)
     return tuple(sorted(out, key=lambda dec: (len(dec.rowset_Jbar),
                                               dec.rowset_Jbar)))

@@ -1,46 +1,46 @@
-"""Exact polyhedral computations for the column configurations A_J.
+"""Exact polyhedral data of the column configurations A_J, one cone each.
 
-Volumes are normalized against the lattice generated by the columns
-themselves: the columns are rewritten in a basis of their own integer
-column span, and the volume of conv(0, columns) is r! times the Euclidean
-volume in those coordinates.  This makes the result invariant under any
-invertible rational change of row coordinates, which is what allows
-published coordinate choices for A to differ by more than a unimodular
-transformation without changing any output.
+A ``Cone`` rewrites the columns of A_J in a basis of their own integer
+column span, once, and reads everything else lazily from one scan for
+the facets of conv(0, columns) in those coordinates:
 
-Facets of the cone over the columns come with primitive support
-functions: rational functionals, nonnegative on the columns, vanishing
-exactly on the facet, normalized to take value group Z on the column
-lattice.
+- the cells: 0 coned over a triangulation of each facet not containing
+  it, each with its integer volume in the column lattice;
+- the normalized volume, r! times the Euclidean volume in those
+  coordinates, as the sum of the cells;
+- the primitive support functions of the facets through 0: rational
+  functionals, nonnegative on the columns, vanishing exactly on the
+  facet, normalized to take value group Z on the column lattice.
+
+Coning from any point of a polytope subdivides it, so 0 need not be a
+vertex: the volume of an unvalidated A is read the same way.  Taking
+the coordinates in the column lattice makes every result invariant
+under any invertible rational change of row coordinates, which is what
+allows published coordinate choices for A to differ by more than a
+unimodular transformation without changing any output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import BinomHornError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
+    bareiss_det,
     column_hnf,
     frac_nullspace,
     frac_rank,
     frac_solve,
-    int_rank,
 )
 
 
 # -- exact convex hull machinery ----------------------------------------------
-
-def _affine_rank(points):
-    if len(points) <= 1:
-        return 0
-    p0 = points[0]
-    rows = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    return frac_rank(rows)
-
 
 def _facet_hyperplanes(points, dim):
     """Supporting hyperplanes of conv(points), full-dimensional in Q^dim.
@@ -74,21 +74,11 @@ def _facet_hyperplanes(points, dim):
     return [(nu, off, members) for members, (nu, off) in sorted(facets.items())]
 
 
-def _triangulate(points):
-    """Deterministic exact triangulation of conv(points).
-
-    points live in Q^k and affinely span dimension dim <= k.  Returns a
-    list of (dim+1)-tuples of point indices.  Construction: fan from the
-    lexicographically smallest vertex over recursively triangulated
-    facets not containing it.
-    """
-    idx = sorted(range(len(points)), key=lambda i: points[i])
-    pts = [tuple(Fraction(x) for x in points[i]) for i in range(len(points))]
-    dim = _affine_rank([pts[i] for i in idx])
-    return _triangulate_rec([pts[i] for i in idx], idx, dim)
-
-
 def _triangulate_rec(pts, labels, dim):
+    """Deterministic triangulation of conv(pts), of affine dimension dim,
+    as a sorted list of label tuples: the lexicographically smallest
+    point coned over the recursively triangulated facets not containing
+    it."""
     distinct = sorted(set(pts))
     if dim == 0:
         return [(labels[pts.index(distinct[0])],)]
@@ -149,36 +139,7 @@ def _in_basis_coords(p, base, basis):
     return tuple(sol)
 
 
-def _simplex_volume_normalized(simplex_points):
-    """|det| of the edge matrix from the first vertex: r! x Euclidean."""
-    p0 = simplex_points[0]
-    rows = [[x - y for x, y in zip(p, p0)] for p in simplex_points[1:]]
-    n = len(rows)
-    det = Fraction(1)
-    m = [list(map(Fraction, r)) for r in rows]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return abs(det)
-
-
-# -- public results ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VolumeResult:
-    value: int
-    lattice: LatticeBasis  # basis of the column lattice used to normalize
-
+# -- the cone over one column configuration -----------------------------------
 
 def own_lattice_coordinates(A_J: IntMatrix):
     """Columns of A_J rewritten in a canonical basis of their own span.
@@ -199,60 +160,6 @@ def own_lattice_coordinates(A_J: IntMatrix):
     return lattice, coords
 
 
-def normalized_volume(A_J: IntMatrix) -> VolumeResult:
-    """Lattice-normalized volume of conv(0, columns of A_J).
-
-    The normalization makes a lattice simplex of the column lattice have
-    volume 1; the result is a nonnegative integer.
-    """
-    if A_J.ncols == 0:
-        raise BinomHornError("degenerate point set: no columns")
-    r = int_rank(A_J)
-    if r == 0:
-        raise BinomHornError("degenerate point set: rank 0")
-    lattice, coords = own_lattice_coordinates(A_J)
-    pts = [tuple(Fraction(0) for _ in range(r))] + \
-          [tuple(Fraction(x) for x in k) for k in coords]
-    total = Fraction(0)
-    for simplex in _triangulate(pts):
-        if len(simplex) != r + 1:
-            raise BinomHornError("triangulation produced a degenerate cell")
-        total += _simplex_volume_normalized([pts[i] for i in simplex])
-    if total.denominator != 1:
-        raise AssertionError("lattice volume must be an integer")
-    return VolumeResult(value=int(total), lattice=lattice)
-
-
-def cone_triangulation(A_J: IntMatrix):
-    """Triangulation of conv(0, columns) using 0 as the apex of every cell.
-
-    Returns a list of (column index tuple, cell volume) pairs; the volumes
-    are normalized to the column lattice and sum to normalized_volume.
-    Requires 0 to be a vertex, i.e. the columns must generate a pointed
-    cone, which holds for every valid A.
-    """
-    if A_J.ncols == 0:
-        raise BinomHornError("degenerate point set: no columns")
-    r = int_rank(A_J)
-    if r == 0:
-        raise BinomHornError("degenerate point set: rank 0")
-    _, coords = own_lattice_coordinates(A_J)
-    origin = tuple(Fraction(0) for _ in range(r))
-    pts = [origin] + [tuple(Fraction(x) for x in k) for k in coords]
-    cells = []
-    for nu, off, members in _facet_hyperplanes(pts, r):
-        if 0 in members:
-            continue
-        sub_pts = [pts[i] for i in members]
-        for simplex in _triangulate_rec(sub_pts, list(members), r - 1):
-            cell = [origin] + [pts[i] for i in simplex]
-            vol = _simplex_volume_normalized(cell)
-            if vol == 0:
-                raise BinomHornError("degenerate cone cell")
-            cells.append((tuple(i - 1 for i in simplex), int(vol)))
-    return sorted(cells)
-
-
 @dataclass(frozen=True)
 class SupportFunction:
     """Primitive support function of one facet of the cone over A_J.
@@ -269,64 +176,81 @@ class SupportFunction:
         return sum(a * Fraction(b) for a, b in zip(self.nu, beta))
 
 
-def facet_support_functions(A_J: IntMatrix) -> list[SupportFunction]:
-    """One primitive support function per facet of cone(columns of A_J).
+class Cone:
+    """conv(0, columns of A_J) in the coordinates of its column lattice.
 
-    Requires the columns to span Q^d (full rank); lower rank is an error.
+    ``lattice`` is the basis of the column lattice that normalizes every
+    volume.  ``cells``, ``volume`` and ``supports`` are computed when
+    first read, from one facet scan over the distinct points of
+    {0} and the columns; a configuration with only rank + 1 distinct
+    points is a simplex, whose single cell needs no scan.
     """
-    d, nj = A_J.nrows, A_J.ncols
-    if nj == 0 or int_rank(A_J) != d:
-        raise BinomHornError("support functions need a full-rank column set")
-    cols = [tuple(Fraction(x) for x in A_J.column(j)) for j in range(nj)]
-    lattice_gens = cols
-    found = {}
-    if d == 1:
-        sign = 1 if cols[0][0] > 0 else -1
-        nu = (Fraction(sign),)
-        found[()] = nu
-    else:
-        for sub in combinations(range(nj), d - 1):
-            rows = [list(cols[j]) for j in sub]
-            if frac_rank(rows) != d - 1:
-                continue
-            normals = frac_nullspace(rows, d)
-            if len(normals) != 1:
-                continue
-            nu = normals[0]
-            vals = [sum(a * b for a, b in zip(nu, c)) for c in cols]
-            if all(v >= 0 for v in vals):
-                pass
-            elif all(v <= 0 for v in vals):
-                nu = tuple(-x for x in nu)
-                vals = [-v for v in vals]
-            else:
-                continue
-            members = tuple(j for j, v in enumerate(vals) if v == 0)
-            found[members] = nu
-    out = []
-    for members, nu in sorted(found.items()):
-        values = [sum(a * b for a, b in zip(nu, g)) for g in lattice_gens]
-        gen = _rational_content(values)
-        if gen == 0:
-            raise BinomHornError("support function vanishes on the lattice")
-        nu = tuple(x / gen for x in nu)
-        out.append(SupportFunction(facet=members, nu=nu))
-    return out
 
+    def __init__(self, A_J: IntMatrix):
+        if A_J.ncols == 0:
+            raise BinomHornError("degenerate point set: no columns")
+        self.lattice, self.coords = own_lattice_coordinates(A_J)
+        self.rank = self.lattice.rank
+        if self.rank == 0:
+            raise BinomHornError("degenerate point set: rank 0")
+        # distinct points, 0 first, each labelled by its first column
+        first = {}
+        for j, k in enumerate(self.coords):
+            first.setdefault(k, j)
+        origin = (0,) * self.rank
+        first.pop(origin, None)
+        self._points = [origin, *first]
+        self._labels = [None, *first.values()]
 
-def _rational_content(values):
-    """Positive generator of the subgroup of Q generated by the values."""
-    from math import gcd, lcm
-    nonzero = [Fraction(v) for v in values if v != 0]
-    if not nonzero:
-        return Fraction(0)
-    den = 1
-    for v in nonzero:
-        den = lcm(den, v.denominator)
-    g = 0
-    for v in nonzero:
-        g = gcd(g, abs(int(v * den)))
-    return Fraction(g, den)
+    @cached_property
+    def _facets(self):
+        return _facet_hyperplanes(self._points, self.rank)
+
+    @cached_property
+    def cells(self):
+        """Sorted (column index tuple, normalized volume) pairs, one per
+        cell of the triangulation with apex 0."""
+        pts, labels, r = self._points, self._labels, self.rank
+        if len(pts) == r + 1:
+            simplices = [tuple(labels[1:])]
+        else:
+            simplices = [
+                simplex
+                for _, _, members in self._facets if 0 not in members
+                for simplex in _triangulate_rec([pts[i] for i in members],
+                                                [labels[i] for i in members],
+                                                r - 1)]
+        return sorted(
+            (simplex, abs(bareiss_det(IntMatrix([self.coords[j]
+                                                 for j in simplex]))))
+            for simplex in simplices)
+
+    @cached_property
+    def volume(self) -> int:
+        """Normalized volume: a lattice simplex of the column lattice has
+        volume 1."""
+        return sum(vol for _, vol in self.cells)
+
+    @cached_property
+    def supports(self) -> tuple:
+        """One primitive support function per facet of the cone over the
+        columns, sorted by facet; the columns must span Q^d."""
+        if self.rank != self.lattice.ambient_dim:
+            raise BinomHornError("support functions need a full-rank column set")
+        out = []
+        for normal, _, members in self._facets:
+            if 0 not in members:
+                continue
+            # the inward normal, primitive on the lattice coordinates
+            den = lcm(*(x.denominator for x in normal))
+            inward = [-int(x * den) for x in normal]
+            g = gcd(*inward)
+            inward = [x // g for x in inward]
+            facet = tuple(j for j, k in enumerate(self.coords)
+                          if sum(a * b for a, b in zip(inward, k)) == 0)
+            nu = frac_solve([list(v) for v in self.lattice.vectors], inward)
+            out.append(SupportFunction(facet=facet, nu=nu))
+        return tuple(sorted(out, key=lambda sf: sf.facet))
 
 
 @dataclass(frozen=True)
@@ -341,7 +265,7 @@ def very_generic_check(beta, dec, atlas) -> VeryGenericReport:
     """
     if not dec.is_toral:
         raise BinomHornError("very-generic check applies to toral blocks only")
-    supports = facet_support_functions(dec.A_J)
+    supports = dec.cone.supports
     violations = []
     for gamma in atlas.representatives:
         shift = _shift_beta(beta, dec, gamma)

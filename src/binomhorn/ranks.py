@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decomp import andean_report
-from .geometry import normalized_volume
 from .model import HornInput
 from .subgraph import bounded_atlas
 
@@ -64,11 +63,10 @@ def generic_rank(hi: HornInput, cap: int = 1000) -> RankReport:
         if not dec.is_toral:
             continue
         atlas = bounded_atlas(dec.M, cap=cap)
-        vol = normalized_volume(dec.A_J).value
         summands.append(RankSummand(
             label=dec.label,
             rowset=tuple(i + 1 for i in dec.rowset_Jbar),
-            mu=atlas.mu, g=dec.g, vol=vol))
+            mu=atlas.mu, g=dec.g, vol=dec.cone.volume))
     total = sum(s.product for s in summands)
     return RankReport(total=total, infinite=False, summands=tuple(summands),
                       generically_holonomic=True,

@@ -37,12 +37,7 @@ from .exact_linalg import (
     frac_solve,
     smith_normal_form,
 )
-from .geometry import (
-    cone_triangulation,
-    normalized_volume,
-    very_generic_check,
-    _shift_beta,
-)
+from .geometry import very_generic_check, _shift_beta
 from .model import HornInput
 from .series import (
     BinomialOp,
@@ -454,14 +449,9 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
     out = []
     for dec in torals:
         atlas = atlases[dec.rowset_Jbar]
-        cells = cone_triangulation(dec.A_J)
-        total = sum(vol for _, vol in cells)
-        if total != normalized_volume(dec.A_J).value:
-            raise AssertionError("triangulation volume mismatch")
         chars = component_characters(dec, field_root) if field_root > 1 \
             else [((), None)]
         L = dec.L_basis
-        _check_kernel(dec.A_J, L)
         words, reach = _words(L, T)
         lifted = [_embed_vec(u, hi.n, dec.J) for _, u in words]
         coords = coordinate_map(dec.M.columns())
@@ -474,7 +464,7 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
             points = _component_points(
                 dec, gamma, component_polynomial(dec.M, gamma, comp), coords)
             beta_shifted = _shift_beta(beta, dec, gamma)
-            for sigma, cellvol in cells:
+            for sigma, cellvol in dec.cone.cells:
                 for v in _cell_exponents(dec, sigma, cellvol, beta_shifted):
                     support, table = _assemble_via_gamma(
                         dec, points, hi.n, v, words, lifted, reach)

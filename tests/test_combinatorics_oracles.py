@@ -6,7 +6,10 @@ saturation of an independent column subset of A_J picked by growing rank,
 and ``bounded_atlas`` with the level-by-level search that explores every
 unclassified point of every level, all kept here as references.  The
 decompose reports on every fixture are compared byte for byte with
-goldens recorded from the eager enumeration.
+goldens recorded from the eager enumeration.  The consequences of the
+toral class (a square invertible block, a full-rank A_J and the full
+kernel as lattice) are checked here too, on the fixtures and on the same
+chains and random inputs.
 """
 
 import contextlib
@@ -267,6 +270,33 @@ def test_decompositions_match_reference_on_permuted_chains(n):
         hi = make_horn_input(IntMatrix(chain_rows(n, rng)))
         got = [fields(dec) for dec in enumerate_decompositions(hi)]
         assert got == reference_decompositions(hi)
+
+
+def test_toral_blocks_are_square_invertible_with_the_full_kernel():
+    # enumerate_decompositions classifies by ranks alone; these are the
+    # consequences the rank formula and the solution basis rely on
+    fixtures = ROOT / "fixtures"
+    inputs = [make_horn_input(read_matrix(fixtures / f"{name}.mat"),
+                              read_matrix(fixtures / f"{name}_A.mat"))
+              for name in ("erdelyi", "ds06", "himalayan", "nonholonomic")]
+    inputs.append(make_horn_input(read_matrix(fixtures / "gauss.mat")))
+    for n in (6, 10, 14):
+        rng = random.Random(n)
+        inputs += [make_horn_input(IntMatrix(chain_rows(n, rng)))
+                   for _ in range(3)]
+    inputs += random_inputs(random.Random(3), 40)
+    torals = 0
+    for hi in inputs:
+        for dec in enumerate_decompositions(hi):
+            if not dec.is_toral:
+                continue
+            assert dec.q == dec.p
+            assert dec.q == 0 or bareiss_det(dec.M) != 0
+            assert int_rank(dec.A_J) == hi.d
+            assert dec.L_basis == kernel_basis(dec.A_J)
+            assert all(not any(dec.A_J.mul_vec(v)) for v in dec.L_basis.vectors)
+            torals += 1
+    assert torals > len(inputs)
 
 
 def test_lattice_fields_are_computed_when_read(B_him, B_nh, B_ds):
