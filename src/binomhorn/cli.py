@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .decomp import andean_report
 from .errors import (
     BinomHornError,
     CapExceededError,
@@ -140,7 +139,7 @@ def cmd_complement(args):
 def cmd_decompose(args):
     hi = _load_input(args)
     decs = hi.decompositions
-    rep = andean_report(decs, hi.d)
+    rep = hi.andean
     report = {
         "schema": SCHEMA, "command": "decompose",
         "B": _matrix_json(hi.B), "A": _matrix_json(hi.A),

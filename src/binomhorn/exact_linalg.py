@@ -1,10 +1,12 @@
 """Arbitrary-precision integer and rational linear algebra.
 
-Everything here is exact: matrices hold Python ints, ranks come from a
-fraction-free integer elimination (rational rows are scaled to integers
-first), and the small rational solvers use fractions.Fraction.  No
-floating point anywhere.  Provides Smith and Hermite normal forms,
-integer kernels, lattice saturation and indices, and those solvers.
+Everything here is exact: matrices hold Python ints, and rational rows
+are scaled to integers before any elimination.  Every rational solve
+and null space, pivot choice and lattice coordinate reads one
+fraction-free Gauss-Jordan routine, ``rref``; ranks come from its
+forward-only form, integer kernels from the Smith form.  No floating
+point anywhere.  Provides Smith and Hermite normal forms, integer
+kernels, lattice saturation and indices, and those solvers.
 """
 
 from __future__ import annotations
@@ -132,75 +134,55 @@ def _bareiss_rank(rows):
     return rank
 
 
-def frac_rank(rows):
-    """Rank over the rationals of a list-of-rows matrix (ints or Fractions),
-    on the rows scaled to integers, which keeps the rank."""
-    int_rows = []
+def rref(rows, ncols):
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination:
+    Bareiss's update, applied to the rows above each pivot as well.
+
+    Rational rows are scaled to integers first, which keeps the row
+    space.  Returns (pivots, rows, d): the pivot columns in increasing
+    order and the reduced integer rows, where row i holds d in column
+    pivots[i], every other row holds 0 there, and the rows past the
+    pivots are zero; dividing by d gives the usual reduced form.  Every
+    entry is a minor of the scaled rows, so each division is exact; d is
+    the last pivot, or 1 when there is none.
+    """
+    a = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
-        int_rows.append([x.numerator * (den // x.denominator) for x in row])
-    return _bareiss_rank(int_rows)
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    pivots, prev = [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        p = prow[c]
+        a = [row if i == r else [(p * x - row[c] * y) // prev
+                                 for x, y in zip(row, prow)]
+             for i, row in enumerate(a)]
+        pivots.append(c)
+        prev = p
+    return pivots, a, prev
 
 
 def frac_solve(rows, rhs):
     """One exact solution x of M x = rhs over Q, or None if inconsistent.
 
-    Free variables are set to zero.
+    Free variables are set to zero; a right-hand side whose length is
+    not the number of rows raises ValueError.
     """
-    nr = len(rows)
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} rows, {len(rhs)} right-hand sides")
     nc = len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(nr)]
-    pivots = []
-    rank = 0
-    for col in range(nc):
-        piv = next((i for i in range(rank, nr) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for i in range(nr):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, nr):
-        if aug[i][nc] != 0:
-            return None
+    pivots, red, d = rref([[*row, b] for row, b in zip(rows, rhs)], nc + 1)
+    if pivots and pivots[-1] == nc:
+        return None
     x = [Fraction(0)] * nc
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][nc]
+    for c, row in zip(pivots, red):
+        x[c] = Fraction(row[nc], d)
     return tuple(x)
-
-
-def frac_nullspace(rows, ncols):
-    """Basis of the rational right null space of a list-of-rows matrix."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def bareiss_det(m: IntMatrix):
@@ -410,22 +392,13 @@ class LatticeBasis:
 
     def contains(self, v):
         """Exact membership test for an integer (or rational) vector."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient mismatch")
-        coeffs = self.coordinates(v)
-        return coeffs is not None
+        return self.coordinates(v) is not None
 
     def coordinates(self, v):
         """Integer coordinates of v in this basis, or None if v is outside."""
-        if not self.vectors:
-            return () if all(x == 0 for x in v) else None
-        sol = frac_solve([list(row) for row in self.matrix().data], list(v))
-        if sol is None:
-            return None
-        if any(x.denominator != 1 for x in sol):
-            return None
-        # the matrix has full column rank, so the solution is unique
-        return tuple(int(x) for x in sol)
+        if len(v) != self.ambient_dim:
+            raise ValueError("ambient mismatch")
+        return coordinate_map(self.vectors)(v)
 
     def __eq__(self, other):
         return (isinstance(other, LatticeBasis)
@@ -485,37 +458,36 @@ def coordinate_map(vectors):
     """Integer coordinates against independent integer vectors, through
     one exact left inverse computed here.
 
-    Returns a function taking an integer or rational vector to the tuple
-    of its integer coordinates, or to None when the vector lies outside
-    the lattice the vectors span.  A call costs one small integer
-    matrix-vector product and a membership check, not an elimination.
+    One rref of [V^T | I], the vectors as rows beside the identity,
+    gives both: its pivots are the first coordinates on which the
+    vectors restrict to an invertible block, and its right block E
+    turns that block into d I, so E^T over d inverts it.  Returns a
+    function taking an integer or rational vector to the tuple of its
+    integer coordinates, or to None when the vector lies outside the
+    lattice the vectors span; a vector of the wrong length raises
+    ValueError.  A call costs one small integer matrix-vector product
+    and a membership check, not an elimination.
     """
     vectors = tuple(tuple(int(x) for x in vec) for vec in vectors)
     r = len(vectors)
     if r == 0:
         return lambda y: () if all(x == 0 for x in y) else None
     n = len(vectors[0])
-    # r coordinates on which the vectors restrict to an invertible block
-    rows = []
-    for t in range(n):
-        if len(rows) < r and frac_rank(
-                [[vec[s] for vec in vectors] for s in rows + [t]]) > len(rows):
-            rows.append(t)
-    if len(rows) != r:
+    rows, red, d = rref([[*vec, *(int(i == j) for j in range(r))]
+                         for i, vec in enumerate(vectors)], n + r)
+    if rows[-1] >= n:
         raise ValueError("vectors are linearly dependent")
-    block = [[vec[t] for vec in vectors] for t in rows]
-    inv_cols = [frac_solve(block, [int(i == j) for i in range(r)])
-                for j in range(r)]
-    den = lcm(*(x.denominator for col in inv_cols for x in col))
-    adj = [[int(inv_cols[j][i] * den) for j in range(r)] for i in range(r)]
+    adj = [[row[n + i] for row in red] for i in range(r)]
 
     def coordinates(y):
+        if len(y) != n:
+            raise ValueError(f"vector of length {len(y)}, expected {n}")
         if any(x.denominator != 1 for x in y):
             return None
         y = [x.numerator for x in y]
         k = []
         for row in adj:
-            q, rem = divmod(sum(a * y[t] for a, t in zip(row, rows)), den)
+            q, rem = divmod(sum(a * y[t] for a, t in zip(row, rows)), d)
             if rem:
                 return None
             k.append(q)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .errors import BinomHornError
 from .exact_linalg import (
@@ -34,9 +34,9 @@ from .exact_linalg import (
     LatticeBasis,
     bareiss_det,
     column_hnf,
-    frac_nullspace,
-    frac_rank,
+    coordinate_map,
     frac_solve,
+    rref,
 )
 
 
@@ -47,30 +47,33 @@ def _facet_hyperplanes(points, dim):
 
     Returns a list of (normal, offset, facet_points) with normal . x <= offset
     for all points and equality exactly on facet_points.  Brute force over
-    dim-subsets; fine at desk scale.
+    dim-subsets; fine at desk scale.  A subset spans a hyperplane exactly
+    when the rref of its differences leaves one free column, and the
+    integer normal is read off that column.
     """
     facets = {}
     for sub in combinations(range(len(points)), dim):
         base = points[sub[0]]
-        rows = [[points[i][k] - base[k] for k in range(dim)] for i in sub[1:]]
-        if rows and frac_rank(rows) != dim - 1:
+        pivots, red, d = rref([[x - y for x, y in zip(points[i], base)]
+                               for i in sub[1:]], dim)
+        if len(pivots) != dim - 1:
             continue
-        normals = frac_nullspace(rows, dim) if rows else frac_nullspace([[Fraction(0)] * dim], dim)
-        if len(normals) != 1:
-            continue
-        nu = normals[0]
+        free, = set(range(dim)).difference(pivots)
+        nu = [d if c == free else 0 for c in range(dim)]
+        for c, row in zip(pivots, red):
+            nu[c] = -row[free]
         off = sum(a * b for a, b in zip(nu, base))
         vals = [sum(a * b for a, b in zip(nu, p)) - off for p in points]
         if all(v <= 0 for v in vals):
             pass
         elif all(v >= 0 for v in vals):
-            nu = tuple(-x for x in nu)
+            nu = [-x for x in nu]
             off = -off
             vals = [-v for v in vals]
         else:
             continue
         members = tuple(i for i, v in enumerate(vals) if v == 0)
-        facets[members] = (nu, off)
+        facets[members] = (tuple(nu), off)
     return [(nu, off, members) for members, (nu, off) in sorted(facets.items())]
 
 
@@ -86,14 +89,13 @@ def _triangulate_rec(pts, labels, dim):
         # chain through every distinct point so collinear configuration
         # points subdivide the segment (finer cells mean finer exponent
         # lattices downstream); lexicographic order is monotone on a line
-        chain = sorted(set(pts))
         first = {}
         for p, l in zip(pts, labels):
             if p not in first or l < first[p]:
                 first[p] = l
         return sorted((first[a], first[b]) if first[a] < first[b]
                       else (first[b], first[a])
-                      for a, b in zip(chain, chain[1:]))
+                      for a, b in zip(distinct, distinct[1:]))
     if len(distinct) == dim + 1:
         used = []
         seen = set()
@@ -102,11 +104,19 @@ def _triangulate_rec(pts, labels, dim):
                 seen.add(p)
                 used.append(l)
         return [tuple(used)]
-    # coordinates within the affine hull so facet enumeration is full-dim
+    # coordinates within the affine hull so facet enumeration is full-dim:
+    # with the differences from the first distinct point as columns, the
+    # rref's pivots are the greedy basis among them, and column j holds d
+    # times the coordinates of point j + 1 in it; scaling by |d| keeps
+    # the lexicographic order and the facets
     base = distinct[0]
-    diffs = [[x - y for x, y in zip(p, base)] for p in distinct[1:]]
-    basis = _row_space_basis(diffs, dim)
-    local = [_in_basis_coords(p, base, basis) for p in pts]
+    _, red, d = rref([[p[t] - base[t] for p in distinct[1:]]
+                      for t in range(len(base))], len(distinct) - 1)
+    sign = 1 if d > 0 else -1
+    at = {p: tuple(sign * row[j] for row in red[:dim])
+          for j, p in enumerate(distinct[1:])}
+    at[base] = (0,) * dim
+    local = [at[p] for p in pts]
     apex_pos = min(range(len(local)), key=lambda i: (local[i], labels[i]))
     out = []
     for nu, off, members in _facet_hyperplanes(local, dim):
@@ -119,26 +129,6 @@ def _triangulate_rec(pts, labels, dim):
     return sorted(out)
 
 
-def _row_space_basis(rows, rank):
-    basis = []
-    for row in rows:
-        trial = basis + [row]
-        if frac_rank(trial) > len(basis):
-            basis.append(row)
-        if len(basis) == rank:
-            break
-    return basis
-
-
-def _in_basis_coords(p, base, basis):
-    diff = [x - y for x, y in zip(p, base)]
-    cols = [[basis[j][i] for j in range(len(basis))] for i in range(len(diff))]
-    sol = frac_solve(cols, diff)
-    if sol is None:
-        raise BinomHornError("point outside the affine hull of its polytope")
-    return tuple(sol)
-
-
 # -- the cone over one column configuration -----------------------------------
 
 def own_lattice_coordinates(A_J: IntMatrix):
@@ -147,16 +137,12 @@ def own_lattice_coordinates(A_J: IntMatrix):
     Returns (lattice, coords) where coords[j] is an integer vector of
     length rank(A_J).
     """
-    cols = A_J.columns()
     h = column_hnf(A_J)
     basis_cols = [c for c in h.columns() if any(x != 0 for x in c)]
     lattice = LatticeBasis(A_J.nrows, basis_cols)
-    coords = []
-    for c in cols:
-        k = lattice.coordinates(c)
-        if k is None:
-            raise BinomHornError("column outside its own lattice")
-        coords.append(k)
+    coords = list(map(coordinate_map(lattice.vectors), A_J.columns()))
+    if None in coords:
+        raise BinomHornError("column outside its own lattice")
     return lattice, coords
 
 
@@ -242,10 +228,8 @@ class Cone:
             if 0 not in members:
                 continue
             # the inward normal, primitive on the lattice coordinates
-            den = lcm(*(x.denominator for x in normal))
-            inward = [-int(x * den) for x in normal]
-            g = gcd(*inward)
-            inward = [x // g for x in inward]
+            g = gcd(*normal)
+            inward = [-x // g for x in normal]
             facet = tuple(j for j, k in enumerate(self.coords)
                           if sum(a * b for a, b in zip(inward, k)) == 0)
             nu = frac_solve([list(v) for v in self.lattice.vectors], inward)

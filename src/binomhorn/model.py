@@ -230,6 +230,12 @@ class HornInput:
         from .decomp import enumerate_decompositions  # decomp imports model
         return enumerate_decompositions(self)
 
+    @cached_property
+    def andean(self):
+        """The Andean report of the decompositions, computed once per input."""
+        from .decomp import andean_report
+        return andean_report(self.decompositions, self.d)
+
 
 def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
                     report: ValidationReport | None = None) -> HornInput:

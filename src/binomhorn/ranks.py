@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomp import andean_report
 from .model import HornInput
 from .subgraph import bounded_atlas
 
@@ -50,7 +49,7 @@ def generic_rank(hi: HornInput, cap: int = 1000) -> RankReport:
     computed.
     """
     decomps = hi.decompositions
-    report = andean_report(decomps, hi.d)
+    report = hi.andean
     directions = tuple(b.vectors for b in report.directions)
     note = ("translates of Andean directions not computed; verdicts are "
             "for generic parameters")

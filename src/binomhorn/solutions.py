@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .cyclotomic import Scalar
-from .decomp import Decomposition, andean_report
+from .decomp import Decomposition
 from .errors import (
     BinomHornError,
     InfiniteRankError,
@@ -321,12 +321,9 @@ def component_characters(dec: Decomposition, field_order: int):
     r = L.rank
     if r == 0 or dec.g == 1:
         return [((), lambda k: Scalar.one(field_order))]
-    coords = []
-    for col in dec.B_J.columns():
-        k = L.coordinates(col)
-        if k is None:
-            raise AssertionError("B_J column outside its saturation")
-        coords.append(k)
+    coords = list(map(coordinate_map(L.vectors), dec.B_J.columns()))
+    if None in coords:
+        raise AssertionError("B_J column outside its saturation")
     C = IntMatrix.from_columns(coords, nrows=r)
     U, D, _ = smith_normal_form(C)
     ds = [D.data[i][i] for i in range(r)]
@@ -430,8 +427,7 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
     if field_root < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {field_root}")
     decomps = hi.decompositions
-    rep = andean_report(decomps, hi.d)
-    if not rep.generically_holonomic:
+    if not hi.andean.generically_holonomic:
         raise InfiniteRankError(
             "generically non-holonomic: a full-dimensional Andean "
             "direction is present")

@@ -1,0 +1,71 @@
+"""Reference rational linear algebra for the oracles, on Fractions.
+
+Plain Gauss-Jordan elimination over fractions.Fraction, kept apart from
+the library's fraction-free ``rref`` so that no oracle reads the code it
+checks: ``frac_solve`` sets free variables to zero and gives None for an
+inconsistent system, ``frac_nullspace`` has one basis vector per free
+column, and ``frac_rank`` counts the pivots.
+"""
+
+from fractions import Fraction
+
+
+def gauss_jordan(rows, ncols):
+    """(pivot columns, reduced rows) of the rows, with every pivot 1."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+    return pivots, m
+
+
+def frac_rank(rows):
+    return len(gauss_jordan(rows, len(rows[0]) if rows else 0)[0])
+
+
+def frac_solve(rows, rhs):
+    """One exact solution x of M x = rhs over Q, or None if inconsistent."""
+    nc = len(rows[0]) if rows else 0
+    pivots, m = gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)],
+                             nc + 1)
+    if pivots and pivots[-1] == nc:
+        return None
+    x = [Fraction(0)] * nc
+    for i, col in enumerate(pivots):
+        x[col] = m[i][nc]
+    return tuple(x)
+
+
+def frac_nullspace(rows, ncols):
+    """Basis of the rational right null space of a list-of-rows matrix."""
+    pivots, m = gauss_jordan(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def lattice_coordinates(vectors, y):
+    """Integer coordinates of y against independent integer vectors, or
+    None when y lies outside the lattice they span."""
+    if not vectors:
+        return () if not any(y) else None
+    sol = frac_solve([list(row) for row in zip(*vectors)], list(y))
+    if sol is None or any(x.denominator != 1 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)

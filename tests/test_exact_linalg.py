@@ -1,7 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -17,7 +18,19 @@ from binomhorn import (
     saturation,
     smith_normal_form,
 )
-from binomhorn.exact_linalg import bareiss_det, frac_rank, saturated_span
+from binomhorn.exact_linalg import (
+    bareiss_det,
+    coordinate_map,
+    frac_solve,
+    rref,
+    saturated_span,
+)
+from linalg_reference import (
+    frac_rank,
+    frac_solve as reference_solve,
+    gauss_jordan,
+    lattice_coordinates,
+)
 
 
 def solve_integer(m, b):
@@ -210,26 +223,6 @@ def test_int_rank(A_erd):
     assert int_rank(IntMatrix([[-2, 1], [1, -2]])) == 2  # det = 3
 
 
-def reference_rank(rows):
-    """Rank over Q by Gauss-Jordan elimination on Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def low_rank_rows(rng, nr, nc, r, bound):
     """An nr x nc integer matrix of rank at most r: a product of an
     nr x r and an r x nc factor, then zero rows and columns spliced in."""
@@ -260,7 +253,7 @@ def test_int_rank_matches_fraction_elimination():
         else:
             rows = [[rng.randint(-bound, bound) for _ in range(nc)]
                     for _ in range(nr)]
-        want = reference_rank(rows)
+        want = frac_rank(rows)
         assert int_rank(IntMatrix(rows)) == want, rows
         deficient += want < min(nr, nc)
     assert deficient >= 50  # rank-deficient inputs are well represented
@@ -268,6 +261,8 @@ def test_int_rank_matches_fraction_elimination():
 
 
 def test_frac_rank_matches_fraction_elimination():
+    # the rank of rational rows is the pivot count of rref, and the
+    # int_rank of the rows scaled to integers
     rng = random.Random(103)
     for _ in range(150):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
@@ -279,8 +274,111 @@ def test_frac_rank_matches_fraction_elimination():
             rows.append([sum(ci * row[j] for ci, row in zip(c, rows))
                          for j in range(nc)])
         rows.append([Fraction(0)] * nc)
-        assert frac_rank(rows) == reference_rank(rows), rows
-    assert frac_rank([]) == 0 == frac_rank([[]])
+        want = frac_rank(rows)
+        assert len(rref(rows, nc)[0]) == want, rows
+        scaled = [[x * lcm(*(y.denominator for y in row)) for x in row]
+                  for row in rows]
+        assert int_rank(IntMatrix(scaled)) == want, rows
+    assert len(rref([], 0)[0]) == 0 == len(rref([[]], 0)[0])
+    assert int_rank(IntMatrix.zero(0, 3)) == 0
+
+
+def random_rational_system(rng):
+    """(rows, rhs, ncols): up to 6 x 6 rational rows, often with a row
+    combined from the others or a zero row, and a right-hand side that
+    is consistent by construction about half of the time."""
+    nr, nc = rng.randint(0, 6), rng.randint(1, 6)
+    rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+             for _ in range(nc)] for _ in range(nr)]
+    if nr > 1 and rng.random() < 0.4:
+        c = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in rows]
+        rows[rng.randrange(nr)] = [sum(ci * row[j] for ci, row in zip(c, rows))
+                                   for j in range(nc)]
+    if nr and rng.random() < 0.2:
+        rows[rng.randrange(nr)] = [Fraction(0)] * nc
+    if rng.random() < 0.5:
+        x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in rows]
+    return rows, rhs, nc
+
+
+def test_rref_and_frac_solve_match_fraction_elimination():
+    rng = random.Random(67)
+    seen = Counter()
+    for _ in range(2000):
+        rows, rhs, nc = random_rational_system(rng)
+        pivots, red, d = rref(rows, nc)
+        want_pivots, want = gauss_jordan(rows, nc)
+        assert pivots == want_pivots, rows
+        assert len(red) == len(rows) and d != 0
+        for i, row in enumerate(red):
+            if i < len(pivots):
+                assert row[pivots[i]] == d
+                assert all(other[pivots[i]] == 0
+                           for k, other in enumerate(red) if k != i)
+                assert [Fraction(x, d) for x in row] == want[i], rows
+            else:
+                assert not any(row), rows
+        sol = frac_solve(rows, rhs)
+        assert sol == reference_solve(rows, rhs), (rows, rhs)
+        seen["rank-deficient"] += len(pivots) < min(len(rows), nc)
+        seen["inconsistent"] += sol is None
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["row-less"] += not rows
+        seen["one column"] += nc == 1
+    assert min(seen.values()) >= 50 and len(seen) == 5, seen
+
+
+def test_coordinates_match_fraction_elimination():
+    # coordinate_map and LatticeBasis.coordinates against Fraction
+    # elimination on the vectors as columns, for integer and rational
+    # vectors inside and outside the lattice
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        r = rng.randint(0, n)
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r)]
+        if r and frac_rank(vecs) < r:
+            with pytest.raises(ValueError):
+                coordinate_map(vecs)
+            seen["dependent"] += 1
+            continue
+        L = LatticeBasis(n, vecs)
+        coords = coordinate_map(L.vectors)
+        for _ in range(3):
+            if r and rng.random() < 0.5:
+                k = [rng.randint(-5, 5) for _ in range(r)]
+                y = [sum(c * vec[t] for c, vec in zip(k, L.vectors))
+                     for t in range(n)]
+            else:
+                y = [rng.randint(-5, 5) for _ in range(n)]
+            if rng.random() < 0.3:
+                y = [Fraction(x, rng.choice((1, 2))) for x in y]
+            want = lattice_coordinates(L.vectors, y)
+            assert coords(y) == want == L.coordinates(y), (L, y)
+            assert L.contains(y) == (want is not None)
+            seen["inside" if want is not None else "outside"] += 1
+    assert min(seen.values()) >= 50 and len(seen) == 3, seen
+
+
+def test_coordinates_reject_wrong_lengths():
+    L = LatticeBasis(2, [(1, 0)])
+    for bad in ((3, 0, 7), (3,)):
+        with pytest.raises(ValueError):
+            L.coordinates(bad)
+        with pytest.raises(ValueError):
+            L.contains(bad)
+        with pytest.raises(ValueError):
+            coordinate_map(L.vectors)(bad)
+    with pytest.raises(ValueError):
+        LatticeBasis(3, []).coordinates((0, 0))
+    assert L.coordinates((3, 0)) == (3,) and L.coordinates((3, 1)) is None
+    for rhs in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError):
+            frac_solve([[1, 0], [0, 1]], rhs)
 
 
 def test_row_hnf_canonical():

@@ -26,13 +26,18 @@ from binomhorn import (
 from binomhorn import geometry
 from binomhorn.errors import BinomHornError
 from binomhorn.exact_linalg import (
+    LatticeBasis,
     bareiss_det,
-    frac_nullspace,
-    frac_rank,
-    frac_solve,
+    column_hnf,
     int_rank,
 )
 from binomhorn.geometry import own_lattice_coordinates
+from linalg_reference import (
+    frac_nullspace,
+    frac_rank,
+    frac_solve,
+    lattice_coordinates,
+)
 
 
 # -- references ----------------------------------------------------------------------
@@ -130,7 +135,9 @@ def reference_points(A):
     the coordinates of the column lattice."""
     if A.ncols == 0 or int_rank(A) == 0:
         raise BinomHornError("degenerate point set")
-    lattice, coords = own_lattice_coordinates(A)
+    lattice = LatticeBasis(A.nrows, [c for c in column_hnf(A).columns()
+                                     if any(c)])
+    coords = [lattice_coordinates(lattice.vectors, c) for c in A.columns()]
     r = len(lattice.vectors)
     return lattice, [tuple(Fraction(0) for _ in range(r))] + \
         [tuple(Fraction(x) for x in k) for k in coords]
@@ -268,6 +275,30 @@ def test_cone_matches_references():
             assert all(is_support_function(A, f, nu) for f, nu in got)
             seen["d = 1 repaired"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_facet_normals_match_fraction_elimination():
+    # the integer normals read from rref are multiples of the Fraction
+    # null-space normals, positive ones on every proper face, with the
+    # offsets scaled alike and the same facets found
+    rng = random.Random(31)
+    seen = {"degenerate": 0, "full": 0}
+    for _ in range(2000):
+        dim = rng.randint(1, 3)
+        points = [tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                        for _ in range(dim))
+                  for _ in range(rng.randint(1, dim + 3))]
+        got = geometry._facet_hyperplanes(points, dim)
+        want = reference_facet_hyperplanes(points, dim)
+        assert [m for *_, m in got] == [m for *_, m in want], points
+        for (nu, off, members), (ref, ref_off, _) in zip(got, want):
+            assert all(isinstance(x, int) for x in nu)
+            scale = next(x / y for x, y in zip(nu, ref) if y)
+            assert [scale * y for y in ref] == list(nu) and off == scale * ref_off
+            assert scale > 0 or len(members) == len(points)
+        seen["full" if reference_affine_rank(points) == dim
+             else "degenerate"] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 # -- one cone per toral block -------------------------------------------------------

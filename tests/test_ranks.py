@@ -122,3 +122,22 @@ def test_rank_five_row_mellin_variant():
     assert (rep.summands[0].mu, rep.summands[0].g, rep.summands[0].vol) \
         == (1, 3, 3)
     assert degree_cross_check(hi) == 9  # degrees 3, 3, 1
+
+
+def test_andean_report_is_computed_once_per_input(monkeypatch):
+    # two rank evaluations of one input saturate each Andean A_J once
+    from binomhorn import decomp
+    from test_combinatorics_oracles import chain_rows
+    spans = []
+    inner = decomp.saturated_span
+
+    def counting(m):
+        spans.append(m)
+        return inner(m)
+
+    monkeypatch.setattr(decomp, "saturated_span", counting)
+    hi = make_horn_input(IntMatrix(chain_rows(10, random.Random(10))))
+    first, second = generic_rank(hi), generic_rank(hi)
+    assert first == second
+    andean = [dec.A_J for dec in hi.decompositions if not dec.is_toral]
+    assert len(andean) == 10 and spans == andean
