@@ -4,9 +4,10 @@ Everything here is exact: matrices hold Python ints, and rational rows
 are scaled to integers before any elimination.  Every rational solve
 and null space, pivot choice and lattice coordinate reads one
 fraction-free Gauss-Jordan routine, ``rref``; ranks come from its
-forward-only form, integer kernels from the Smith form.  No floating
-point anywhere.  Provides Smith and Hermite normal forms, integer
-kernels, lattice saturation and indices, and those solvers.
+forward-only form, integer kernels from one echelon pass of gcd
+column operations.  No floating point anywhere.  Provides Smith and
+Hermite normal forms, integer kernels, lattice saturation and indices,
+and those solvers.
 """
 
 from __future__ import annotations
@@ -35,22 +36,30 @@ class IntMatrix:
         self.nrows = len(data)
         self.ncols = w
 
+    @classmethod
+    def _of(cls, data, ncols):
+        """The matrix on rows held as equal-length int tuples, unchecked."""
+        m = object.__new__(cls)
+        m.data, m.nrows, m.ncols = data, len(data), ncols
+        return m
+
     @staticmethod
     def identity(n):
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix._of(tuple(tuple(int(i == j) for j in range(n))
+                                   for i in range(n)), n)
 
     @staticmethod
     def zero(r, c):
-        return IntMatrix([[0] * c for _ in range(r)], ncols=c)
+        return IntMatrix._of(((0,) * c,) * r, c)
 
     @staticmethod
     def from_columns(cols, nrows=None):
         cols = list(cols)
         if not cols:
             return IntMatrix.zero(nrows or 0, 0)
-        n = len(cols[0])
-        return IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)],
-                         ncols=len(cols))
+        if len({len(c) for c in cols}) > 1:
+            raise ValueError("columns of different lengths")
+        return IntMatrix._of(tuple(zip(*cols)), len(cols))
 
     def row(self, i):
         return self.data[i]
@@ -66,8 +75,8 @@ class IntMatrix:
         return (self.nrows, self.ncols)
 
     def transpose(self):
-        return IntMatrix([[self.data[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)], ncols=self.nrows)
+        rows = tuple(zip(*self.data)) if self.nrows else ((),) * self.ncols
+        return IntMatrix._of(rows, self.nrows)
 
     def mul(self, other):
         if self.ncols != other.nrows:
@@ -83,8 +92,8 @@ class IntMatrix:
 
     def submatrix(self, rows, cols):
         cols = list(cols)
-        return IntMatrix([[self.data[i][j] for j in cols] for i in rows],
-                         ncols=len(cols))
+        return IntMatrix._of(tuple(tuple([self.data[i][j] for j in cols])
+                                   for i in rows), len(cols))
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
@@ -398,7 +407,7 @@ class LatticeBasis:
         """Integer coordinates of v in this basis, or None if v is outside."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
-        return coordinate_map(self.vectors)(v)
+        return coordinate_map(self.vectors, self.ambient_dim)(v)
 
     def __eq__(self, other):
         return (isinstance(other, LatticeBasis)
@@ -415,17 +424,27 @@ class LatticeBasis:
 def kernel_basis(m: IntMatrix):
     """Basis of the integer right kernel ker_Z(m) = {u : m u = 0}.
 
-    The kernel of an integer matrix is saturated by construction.  Returns
-    a LatticeBasis with ambient dimension m.ncols (empty list if trivial).
+    Gcd column operations on [m; I], a row of m at a time (Kannan-Bachem
+    1979; Cohen, GTM 138, 2.4): the live column with the smallest nonzero
+    entry in the row reduces the others until it alone is nonzero there,
+    then drops out as the row's pivot.  The operations are unimodular, so
+    the I-parts of the columns left live span ker_Z(m).  Returns a
+    LatticeBasis in Z^(ncols), with no vectors if the kernel is trivial.
     """
-    if m.ncols == 0:
-        return LatticeBasis(0, [])
-    if m.nrows == 0:
-        return LatticeBasis(m.ncols, IntMatrix.identity(m.ncols).columns())
-    _, d, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(d.nrows, d.ncols)) if d.data[i][i] != 0)
-    cols = [v.column(j) for j in range(r, m.ncols)]
-    return LatticeBasis(m.ncols, cols)
+    n = m.ncols
+    cols = [[*col, *(int(i == j) for i in range(n))]
+            for j, col in enumerate(m.columns())]
+    for _ in range(m.nrows):
+        nz = [c for c in cols if c[0]]
+        while len(nz) > 1:
+            p = min(nz, key=lambda c: abs(c[0]))
+            for c in nz:
+                if c is not p:
+                    q = c[0] // p[0]
+                    c[:] = [x - q * y for x, y in zip(c, p)]
+            nz = [c for c in nz if c[0]]
+        cols = [c[1:] for c in cols if not c[0]]
+    return LatticeBasis(n, cols)
 
 
 def left_kernel_basis(m: IntMatrix):
@@ -439,13 +458,20 @@ def saturation(l: LatticeBasis):
 
 
 def saturated_span(m: IntMatrix):
-    """(Q colspan m) intersect Z^nrows as a LatticeBasis, for any columns:
-    the integer kernel of the left kernel of m, saturated by construction."""
-    t = left_kernel_basis(m).vectors  # rows y with y m = 0
-    if not t:
-        # the columns span Q^n: the saturation is all of Z^n
-        return LatticeBasis(m.nrows, IntMatrix.identity(m.nrows).columns())
-    return kernel_basis(IntMatrix(t))
+    """(Q colspan m) intersect Z^nrows as a LatticeBasis, for any columns.
+
+    One rref of m^T gives integer rows y spanning the rational left
+    kernel: y_f = d at a free column f and y_p = -row_p[f] at each pivot
+    p.  The integer kernel of those rows is the saturated span.
+    """
+    n = m.nrows
+    pivots, red, d = rref(m.transpose().data, n)
+    ys = [[0] * n for _ in range(n - len(pivots))]
+    for y, f in zip(ys, sorted(set(range(n)) - set(pivots))):
+        y[f] = d
+        for p, row in zip(pivots, red):
+            y[p] = -row[f]
+    return kernel_basis(IntMatrix._of(tuple(map(tuple, ys)), n))
 
 
 def lattice_index(l: LatticeBasis):
@@ -454,9 +480,9 @@ def lattice_index(l: LatticeBasis):
     return prod(invariant_factors(l.matrix())) if l.vectors else 1
 
 
-def coordinate_map(vectors):
-    """Integer coordinates against independent integer vectors, through
-    one exact left inverse computed here.
+def coordinate_map(vectors, n):
+    """Integer coordinates against independent integer vectors of length
+    n, through one exact left inverse computed here.
 
     One rref of [V^T | I], the vectors as rows beside the identity,
     gives both: its pivots are the first coordinates on which the
@@ -470,12 +496,11 @@ def coordinate_map(vectors):
     """
     vectors = tuple(tuple(int(x) for x in vec) for vec in vectors)
     r = len(vectors)
-    if r == 0:
-        return lambda y: () if all(x == 0 for x in y) else None
-    n = len(vectors[0])
+    if any(len(vec) != n for vec in vectors):
+        raise ValueError(f"vectors of length other than {n}")
     rows, red, d = rref([[*vec, *(int(i == j) for j in range(r))]
                          for i, vec in enumerate(vectors)], n + r)
-    if rows[-1] >= n:
+    if rows and rows[-1] >= n:
         raise ValueError("vectors are linearly dependent")
     adj = [[row[n + i] for row in red] for i in range(r)]
 

@@ -140,7 +140,8 @@ def own_lattice_coordinates(A_J: IntMatrix):
     h = column_hnf(A_J)
     basis_cols = [c for c in h.columns() if any(x != 0 for x in c)]
     lattice = LatticeBasis(A_J.nrows, basis_cols)
-    coords = list(map(coordinate_map(lattice.vectors), A_J.columns()))
+    coords = list(map(coordinate_map(lattice.vectors, A_J.nrows),
+                      A_J.columns()))
     if None in coords:
         raise BinomHornError("column outside its own lattice")
     return lattice, coords

@@ -254,7 +254,9 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
     n, m = B.nrows, B.ncols
     d = n - m
     if A is None:
+        # a basis of the saturated left kernel: its columns span Z^d
         A, functional = vr.A, vr.functional
+        idx = 1
     else:
         if A.shape != (d, n):
             raise ConventionError(
@@ -264,10 +266,8 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
         if int_rank(A) != d:
             raise ConventionError(f"rank(A) != {d}")
         functional = is_pointed(A).functional
-    facs = invariant_factors(A)
-    idx = prod(facs)
-    spans = len(facs) == d and idx == 1
+        idx = prod(invariant_factors(A))  # d of them: A has rank d
     return HornInput(B=B, A=A, n=n, m=m, d=d,
                      pointed_functional=functional,
-                     a_spans_standard_lattice=spans,
+                     a_spans_standard_lattice=idx == 1,
                      a_column_index=idx)

@@ -38,10 +38,11 @@ class Truncation:
 
     basis: tuple  # tuple of integer vectors (the lattice basis columns)
     bound: int
+    dim: int      # the length of the basis vectors and of every offset
 
     @cached_property
     def _coordinates(self):
-        return coordinate_map(self.basis)
+        return coordinate_map(self.basis, self.dim)
 
     def word_coordinates(self, offset):
         """Integer basis coordinates of an integer offset, or None."""
@@ -426,7 +427,8 @@ def _multiplication_matrix(lam, order):
 def _tighten(trunc, order):
     if trunc is None:
         return None
-    return Truncation(basis=trunc.basis, bound=trunc.bound - order)
+    return Truncation(basis=trunc.basis, bound=trunc.bound - order,
+                      dim=trunc.dim)
 
 
 # -- operator factories --------------------------------------------------------

@@ -238,7 +238,7 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
              for i, num, den in _gamma_terms(words, ratios, starts)}
     base = tuple(a + b for a, b in zip(v, w))
     return PuiseuxSeries(
-        nj, terms, truncation=Truncation(basis=L.vectors, bound=T),
+        nj, terms, truncation=Truncation(basis=L.vectors, bound=T, dim=nj),
         support=Support(alpha=base, translates=((0,) * nj,)))
 
 
@@ -321,7 +321,8 @@ def component_characters(dec: Decomposition, field_order: int):
     r = L.rank
     if r == 0 or dec.g == 1:
         return [((), lambda k: Scalar.one(field_order))]
-    coords = list(map(coordinate_map(L.vectors), dec.B_J.columns()))
+    coords = list(map(coordinate_map(L.vectors, L.ambient_dim),
+                      dec.B_J.columns()))
     if None in coords:
         raise AssertionError("B_J column outside its saturation")
     C = IntMatrix.from_columns(coords, nrows=r)
@@ -450,10 +451,10 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
         L = dec.L_basis
         words, reach = _words(L, T)
         lifted = [_embed_vec(u, hi.n, dec.J) for _, u in words]
-        coords = coordinate_map(dec.M.columns())
+        coords = coordinate_map(dec.M.columns(), dec.M.nrows)
         trunc = Truncation(
             basis=tuple(_embed_vec(vec, hi.n, dec.J) for vec in L.vectors),
-            bound=T)
+            bound=T, dim=hi.n)
         for gamma in atlas.representatives:
             comp = next(c for c in atlas.bounded_components
                         if gamma in c.points)

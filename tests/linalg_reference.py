@@ -1,13 +1,22 @@
-"""Reference rational linear algebra for the oracles, on Fractions.
+"""Reference linear algebra for the oracles.
 
 Plain Gauss-Jordan elimination over fractions.Fraction, kept apart from
 the library's fraction-free ``rref`` so that no oracle reads the code it
 checks: ``frac_solve`` sets free variables to zero and gives None for an
 inconsistent system, ``frac_nullspace`` has one basis vector per free
-column, and ``frac_rank`` counts the pivots.
+column, and ``frac_rank`` counts the pivots.  Integer kernels and
+saturated spans come from the Smith form, apart from the library's
+echelon kernel: ``smith_kernel_basis`` and ``smith_saturated_span``.
 """
 
 from fractions import Fraction
+
+from binomhorn.exact_linalg import (
+    IntMatrix,
+    LatticeBasis,
+    row_hnf,
+    smith_normal_form,
+)
 
 
 def gauss_jordan(rows, ncols):
@@ -69,3 +78,30 @@ def lattice_coordinates(vectors, y):
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
     return tuple(int(x) for x in sol)
+
+
+def smith_kernel_basis(m):
+    """ker_Z(m) from the Smith form U h V = D of the row Hermite form h of
+    m: the columns of V past the rank span it, because V is unimodular.
+
+    h has the row lattice of m, hence its kernel.  Without that step the
+    transforms of a tall input explode: the left kernel of a random 8 x 10
+    matrix with entries in [-3, 3] can run for over 40 s.
+    """
+    if m.ncols == 0:
+        return LatticeBasis(0, [])
+    m = row_hnf(m)
+    if m.nrows == 0:
+        return LatticeBasis(m.ncols, IntMatrix.identity(m.ncols).columns())
+    _, d, v = smith_normal_form(m)
+    r = sum(1 for i in range(min(d.nrows, d.ncols)) if d.data[i][i] != 0)
+    return LatticeBasis(m.ncols, [v.column(j) for j in range(r, m.ncols)])
+
+
+def smith_saturated_span(m):
+    """(Q colspan m) intersect Z^nrows: the integer kernel of the integer
+    left kernel of m, both from the Smith form."""
+    t = smith_kernel_basis(m.transpose()).vectors
+    if not t:
+        return LatticeBasis(m.nrows, IntMatrix.identity(m.nrows).columns())
+    return smith_kernel_basis(IntMatrix(t))

@@ -20,6 +20,7 @@ from binomhorn import (
 )
 from binomhorn.exact_linalg import (
     bareiss_det,
+    column_hnf,
     coordinate_map,
     frac_solve,
     rref,
@@ -30,6 +31,8 @@ from linalg_reference import (
     frac_solve as reference_solve,
     gauss_jordan,
     lattice_coordinates,
+    smith_kernel_basis,
+    smith_saturated_span,
 )
 
 
@@ -146,6 +149,99 @@ def test_kernel_rank_sum():
         assert kb.rank + int_rank(m) == c
         for v in kb.vectors:
             assert all(x == 0 for x in m.mul_vec(v))
+
+
+# -- the echelon kernel against the Smith-form reference ---------------------
+
+ORACLE_KINDS = ("random", "zero row", "zero column", "duplicate column",
+                "rank-deficient")
+
+
+def oracle_matrix(rng, kind):
+    """A random matrix from 0 x 0 up to 8 x 10 with entries in [-3, 3],
+    shaped by ``kind`` when its size allows."""
+    r, c = rng.randint(0, 8), rng.randint(0, 10)
+    rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+    if kind == "zero row" and r:
+        rows[rng.randrange(r)] = [0] * c
+    elif kind == "zero column" and c:
+        j = rng.randrange(c)
+        for row in rows:
+            row[j] = 0
+    elif kind == "duplicate column" and c > 1:
+        i, j = rng.sample(range(c), 2)
+        s = rng.choice((-1, 1))
+        for row in rows:
+            row[j] = s * row[i]
+    elif kind == "rank-deficient" and r > 1:
+        # rows past the first k combine two of them, so rank <= k < r
+        k = rng.randint(1, r - 1)
+        for i in range(r):
+            if i < k:
+                rows[i] = [rng.randint(-1, 1) for _ in range(c)]
+            else:
+                a, b = rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))
+                u, v = rows[rng.randrange(k)], rows[rng.randrange(k)]
+                rows[i] = [a * x + b * y for x, y in zip(u, v)]
+    return IntMatrix(rows, ncols=c)
+
+
+def check_against_smith(m):
+    """Every kernel and saturated span of m equals the Smith reference, as
+    a lattice: LatticeBasis is canonical, so equal bases mean equal
+    lattices."""
+    assert kernel_basis(m) == smith_kernel_basis(m)
+    assert left_kernel_basis(m) == smith_kernel_basis(m.transpose())
+    span = smith_saturated_span(m)
+    assert saturated_span(m) == span
+    # the nonzero columns of the column Hermite form generate Z colspan m
+    lattice = LatticeBasis(m.nrows, column_hnf(m).columns())
+    assert saturation(lattice) == span
+
+
+def test_echelon_kernels_match_the_smith_reference():
+    rng = random.Random(1101)
+    seen, shapes = Counter(), set()
+    for t in range(1250):
+        kind = ORACLE_KINDS[t % len(ORACLE_KINDS)]
+        m = oracle_matrix(rng, kind)
+        check_against_smith(m)
+        seen[kind, int_rank(m) < min(m.shape)] += 1
+        shapes.add(m.shape)
+    assert (0, 0) in shapes and (8, 10) in shapes and len(shapes) == 99
+    # every kind meets both full-rank and rank-deficient matrices
+    assert len(seen) == 2 * len(ORACLE_KINDS), seen
+    assert sum(n for (_, short), n in seen.items() if short) >= 400, seen
+
+
+def test_echelon_kernels_match_the_smith_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        r, c = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 10))
+        row = st.lists(st.integers(-3, 3), min_size=c, max_size=c)
+        rows = data.draw(st.lists(row, min_size=r, max_size=r))
+        check_against_smith(IntMatrix(rows, ncols=c))
+
+    prop()
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (10, 20), (12, 24), (10, 30)])
+def test_kernel_past_the_smith_wall(shape):
+    # the Smith-form kernel ran for over 30 s on random matrices of these
+    # shapes; the echelon pass takes milliseconds
+    r, c = shape
+    rng = random.Random(r * 100 + c)
+    for _ in range(3):
+        m = IntMatrix([[rng.randint(-3, 3) for _ in range(c)]
+                       for _ in range(r)])
+        kb = kernel_basis(m)
+        assert kb.rank == c - int_rank(m)
+        for v in kb.vectors:
+            assert not any(m.mul_vec(v))
 
 
 def test_saturation_primitive_vector():
@@ -343,11 +439,11 @@ def test_coordinates_match_fraction_elimination():
         vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r)]
         if r and frac_rank(vecs) < r:
             with pytest.raises(ValueError):
-                coordinate_map(vecs)
+                coordinate_map(vecs, n)
             seen["dependent"] += 1
             continue
         L = LatticeBasis(n, vecs)
-        coords = coordinate_map(L.vectors)
+        coords = coordinate_map(L.vectors, n)
         for _ in range(3):
             if r and rng.random() < 0.5:
                 k = [rng.randint(-5, 5) for _ in range(r)]
@@ -372,13 +468,25 @@ def test_coordinates_reject_wrong_lengths():
         with pytest.raises(ValueError):
             L.contains(bad)
         with pytest.raises(ValueError):
-            coordinate_map(L.vectors)(bad)
+            coordinate_map(L.vectors, 2)(bad)
     with pytest.raises(ValueError):
         LatticeBasis(3, []).coordinates((0, 0))
     assert L.coordinates((3, 0)) == (3,) and L.coordinates((3, 1)) is None
     for rhs in ([1], [1, 2, 3]):
         with pytest.raises(ValueError):
             frac_solve([[1, 0], [0, 1]], rhs)
+
+
+def test_coordinate_map_of_no_vectors_checks_lengths():
+    # the empty list still knows its ambient dimension
+    coords = coordinate_map((), 3)
+    assert coords((0, 0, 0)) == () and coords((0, 1, 0)) is None
+    assert coords((Fraction(1, 2), 0, 0)) is None
+    for bad in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            coords(bad)
+    with pytest.raises(ValueError):
+        coordinate_map(((1, 0),), 3)
 
 
 def test_row_hnf_canonical():

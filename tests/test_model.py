@@ -53,8 +53,19 @@ def test_validate_rejects_square_full_rank():
 
 
 def test_compute_a_defining_property(B_erd, B_nh, B_ds, B_gauss):
-    for B in (B_erd, B_nh, B_ds, B_gauss):
+    # the fixtures and seeded random valid B
+    rng = random.Random(808)
+    randoms = []
+    while len(randoms) < 40:
+        B = random_B(rng, ("kernel", "random")[len(randoms) % 2])
+        if validate_B(B).ok:
+            randoms.append(B)
+    for B in (B_erd, B_nh, B_ds, B_gauss, *randoms):
         A = compute_A(B)
+        # make_horn_input records the spanning without a Smith form; the
+        # same A supplied explicitly goes through invariant_factors
+        for hi in (make_horn_input(B), make_horn_input(B, A)):
+            assert hi.a_column_index == 1 and hi.a_spans_standard_lattice
         assert A.mul(B).is_zero()
         assert int_rank(A) == B.nrows - B.ncols
         # columns span the full standard lattice

@@ -93,7 +93,7 @@ def reference_gamma_series(A_J, L, v, T, character=None, field_order=1,
         if not c.is_zero():
             terms[tuple(a + b + x for a, b, x in zip(v, w, u))] = c
     base = tuple(a + b for a, b in zip(v, w))
-    return (terms, Truncation(basis=L.vectors, bound=T),
+    return (terms, Truncation(basis=L.vectors, bound=T, dim=nj),
             Support(alpha=base, translates=((0,) * nj,)))
 
 
@@ -162,7 +162,7 @@ def reference_assembly(dec, gamma, n, v_local, T, character, N):
             full[j] = vec[pos]
         basis.append(tuple(full))
     return ({e: c for e, c in terms.items() if not c.is_zero()},
-            Truncation(basis=tuple(basis), bound=T), sorted(sheets))
+            Truncation(basis=tuple(basis), bound=T, dim=n), sorted(sheets))
 
 
 def _acc(d, key, val):
@@ -408,7 +408,8 @@ def random_operator_case(pick):
         terms[z] = Scalar(N, [F(pick(-5, 5), pick(1, 3))
                               for _ in range(pick(1, 2))])
     vec = tuple(pick(-2, 2) for _ in range(n))
-    trunc = Truncation(basis=(vec,) if any(vec) else (), bound=pick(0, 3))
+    trunc = Truncation(basis=(vec,) if any(vec) else (), bound=pick(0, 3),
+                       dim=n)
     translates = tuple({tuple(pick(-1, 1) for _ in range(n))
                         for _ in range(pick(1, 2))})
     s = PuiseuxSeries(n, terms, field_order=N, truncation=trunc,
@@ -517,7 +518,8 @@ def random_cancelling_case(pick):
     if not pick(0, 2):
         value += F(pick(-4, 4), big())
     vec = tuple(pick(-2, 2) for _ in range(n))
-    trunc = Truncation(basis=(vec,) if any(vec) else (), bound=pick(0, 3))
+    trunc = Truncation(basis=(vec,) if any(vec) else (), bound=pick(0, 3),
+                       dim=n)
     translates = tuple({tuple(pick(-1, 1) for _ in range(n))
                         for _ in range(pick(1, 2))})
     s = PuiseuxSeries(n, terms, field_order=N, truncation=trunc,
@@ -614,7 +616,7 @@ def test_coordinate_map_matches_elimination():
             except ValueError:
                 continue
             break
-        coords = coordinate_map(L.vectors)
+        coords = coordinate_map(L.vectors, n)
         for _ in range(15):
             kind = rng.random()
             if kind < 0.5 and r:
@@ -629,12 +631,14 @@ def test_coordinate_map_matches_elimination():
 
 
 def test_word_coordinates_are_reused_per_truncation():
-    tr = Truncation(basis=((1, -2, 1, 0), (0, 1, -2, 1)), bound=3)
+    tr = Truncation(basis=((1, -2, 1, 0), (0, 1, -2, 1)), bound=3, dim=4)
     assert tr.word_coordinates((F(2), F(-3), F(0), F(1))) == (2, 1)
     assert tr.word_length((F(2), F(-3), F(0), F(1))) == 3
     assert tr.word_coordinates((F(1, 2), 0, 0, 0)) is None
     assert tr.word_coordinates((1, 0, 0, 0)) is None
-    assert Truncation(basis=(), bound=2).word_coordinates((0, 0)) == ()
+    assert Truncation(basis=(), bound=2, dim=2).word_coordinates((0, 0)) == ()
+    with pytest.raises(ValueError):
+        Truncation(basis=(), bound=2, dim=3).word_coordinates((0, 0))
 
 
 # -- Scalar arithmetic ----------------------------------------------------------------
