@@ -51,11 +51,10 @@ from .solutions import (
     Solution,
     component_characters,
     component_polynomial,
-    gamma_series,
     solution_basis,
     verify_annihilation,
 )
-from .subgraph import Component, SubgraphAtlas, bounded_atlas, component_of
+from .subgraph import Component, SubgraphAtlas, bounded_atlas
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -6,9 +6,12 @@ positive and a strictly negative entry.  A companion matrix A spans the
 left kernel of B; its columns generate a pointed cone.  The kernel of A
 is the rational column span of B, so by Gordan's alternative B is mixed
 exactly when the columns of A are pointed, and a vanishing nonnegative
-combination of them is an unmixed vector of the span.  One pointedness
-test per input, decided exactly by Fourier-Motzkin elimination, settles
-both.
+combination of them is an unmixed vector of the span.  One linear
+program per input settles both: maximize sum_j lam_j over A lam = A 1,
+lam >= 0, solved exactly by a two-phase simplex with Bland's rule on a
+fraction-free integer tableau.  It is bounded exactly when A is pointed,
+and its optimal multipliers are then the witness functional; otherwise
+its unbounded ray is the vanishing combination.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import ConventionError
 from .exact_linalg import (
     IntMatrix,
+    frac_solve,
     int_rank,
     invariant_factors,
     left_kernel_basis,
@@ -28,131 +33,106 @@ from .exact_linalg import (
 )
 
 
-# -- exact linear feasibility ----------------------------------------------
-
-def _fm_feasible(rows, rhs):
-    """Decide { x : rows[i] . x >= rhs[i] } != empty by Fourier-Motzkin.
-
-    Returns (True, x) with a rational witness, or (False, lam) with a
-    nonnegative rational Farkas certificate: sum lam_i rows[i] = 0 and
-    sum lam_i rhs[i] > 0.
-    """
-    nvars = len(rows[0]) if rows else 0
-    # each inequality carries its multiplier vector over the original rows
-    ineqs = []
-    for i, (row, c) in enumerate(zip(rows, rhs)):
-        mult = [Fraction(0)] * len(rows)
-        mult[i] = Fraction(1)
-        ineqs.append(([Fraction(x) for x in row], Fraction(c), mult))
-
-    stages = []  # per eliminated variable: the inequalities used for bounds
-    for var in range(nvars - 1, -1, -1):
-        pos, neg, zero = [], [], []
-        for coeffs, c, mult in ineqs:
-            if coeffs[var] > 0:
-                pos.append((coeffs, c, mult))
-            elif coeffs[var] < 0:
-                neg.append((coeffs, c, mult))
-            else:
-                zero.append((coeffs, c, mult))
-        stages.append((var, pos, neg))
-        new = list(zero)
-        for pc, pcst, pmult in pos:
-            for nc, ncst, nmult in neg:
-                a, b = pc[var], -nc[var]
-                coeffs = [b * x + a * y for x, y in zip(pc, nc)]
-                cst = b * pcst + a * ncst
-                mult = [b * x + a * y for x, y in zip(pmult, nmult)]
-                coeffs[var] = Fraction(0)
-                if all(x == 0 for x in coeffs) and cst > 0:
-                    return False, tuple(mult)
-                new.append((coeffs, cst, mult))
-        # drop duplicate inequalities up to positive scaling
-        seen = {}
-        for coeffs, cst, mult in new:
-            scale = next((abs(x) for x in coeffs if x != 0), None)
-            if scale is None:
-                scale = abs(cst) if cst != 0 else Fraction(1)
-            key = (tuple(x / scale for x in coeffs), cst / scale)
-            if key not in seen:
-                seen[key] = (coeffs, cst, mult)
-        ineqs = list(seen.values())
-
-    for coeffs, c, mult in ineqs:
-        if c > 0:
-            return False, tuple(mult)
-
-    # feasible: back-substitute, picking any value between the bounds
-    x = [Fraction(0)] * nvars
-    for var, pos, neg in reversed(stages):
-        lo, hi = None, None
-        for coeffs, c, _ in pos:
-            # coeffs[var] * x_var >= c - rest  with positive coefficient
-            rest = sum(coeffs[j] * x[j] for j in range(nvars) if j != var)
-            bound = (c - rest) / coeffs[var]
-            lo = bound if lo is None or bound > lo else lo
-        for coeffs, c, _ in neg:
-            rest = sum(coeffs[j] * x[j] for j in range(nvars) if j != var)
-            bound = (c - rest) / coeffs[var]
-            hi = bound if hi is None or bound < hi else hi
-        if lo is None and hi is None:
-            x[var] = Fraction(0)
-        elif lo is None:
-            x[var] = hi
-        elif hi is None:
-            x[var] = lo
-        else:
-            x[var] = (lo + hi) / 2
-    return True, tuple(x)
-
-
 def _clear_denominators(v):
     """Scale a rational vector to a primitive integer vector."""
-    from math import gcd, lcm
-    den = 1
-    for x in v:
-        den = lcm(den, Fraction(x).denominator)
+    den = lcm(*(Fraction(x).denominator for x in v))
     ints = [int(Fraction(x) * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-# -- validation reports ------------------------------------------------------
+# -- pointedness by one linear program ----------------------------------------
 
 
 @dataclass(frozen=True)
 class PointedReport:
+    """The verdict of ``is_pointed`` and its certificate.
+
+    Pointed columns come with the optimal multipliers h of the linear
+    program: h . a_j >= 1 on every column, with equality on the basic
+    columns of the optimum.  Otherwise the primitive integer ray mu of
+    the program comes instead: mu >= 0, mu != 0 and sum_j mu_j a_j = 0.
+    """
+
     pointed: bool
-    functional: tuple | None = None   # h with h . a_j > 0 for all j
-    combination: tuple | None = None  # nonneg lambda with sum lambda_j a_j = 0
+    functional: tuple | None = None   # h with h . a_j >= 1 for all j
+    combination: tuple | None = None  # integer mu >= 0 with A mu = 0
 
 
 def is_pointed(A: IntMatrix) -> PointedReport:
     """Decide whether the columns of A lie in a common open half-space.
 
-    True comes with a rational functional h (h . a_j > 0 for every column);
-    false comes with a nontrivial nonnegative combination of columns
-    summing to zero.
+    Solves max sum_j lam_j subject to A lam = A 1 and lam >= 0.  The
+    program is feasible (lam = 1), and it is bounded exactly when A is
+    pointed: any h with h . a_j >= 1 bounds the sum by h . A 1, and a
+    vanishing nonnegative combination mu != 0 is a ray along which the
+    sum grows.  Its dual is min sum_j h . a_j subject to h . a_j >= 1,
+    so the optimal multipliers are the witness functional.
+
+    The simplex runs in two phases, on artificial variables first, with
+    Bland's rule: the least improving column enters, and a tie in the
+    ratio test leaves by the least basic index, so no basis repeats.
+    The tableau holds D times the rational tableau, D the determinant
+    of the basis, and a pivot p takes Bareiss's exact step
+    (p row - f pivot_row) // D, as ``rref`` does.  An artificial that
+    no pivot drives out after phase 1 sits on a zero row, where the
+    rows of A are dependent.
     """
-    d, n = A.nrows, A.ncols
-    if n == 0:
-        return PointedReport(pointed=True, functional=tuple([Fraction(0)] * d))
-    if any(all(A.data[i][j] == 0 for i in range(d)) for j in range(n)):
-        j = next(j for j in range(n)
-                 if all(A.data[i][j] == 0 for i in range(d)))
-        lam = [Fraction(0)] * n
-        lam[j] = Fraction(1)
-        return PointedReport(pointed=False, combination=tuple(lam))
-    rows = [[A.data[i][j] for i in range(d)] for j in range(n)]  # a_j as rows
-    rhs = [1] * n
-    feasible, witness = _fm_feasible(rows, rhs)
-    if feasible:
-        return PointedReport(pointed=True, functional=witness)
-    return PointedReport(pointed=False, combination=witness)
+    d, n = A.shape
+    signs = [-1 if sum(a) < 0 else 1 for a in A.data]
+    # rows s_i [a_i | e_i | b_i] with b = A 1 and s_i = +-1 making b_i >= 0:
+    # the artificial columns n .. n + d - 1 form the first basis
+    t = [[s * x for x in a] + [int(k == i) for k in range(d)] + [s * sum(a)]
+         for i, (a, s) in enumerate(zip(A.data, signs))]
+    # objective rows of z_j - c_j: phase 1 maximizes minus the sum of the
+    # artificials, phase 2 the sum of the lam_j
+    t.append([0 if n <= k < n + d else -sum(row[k] for row in t)
+              for k in range(n + d + 1)])
+    t.append([-1] * n + [0] * (d + 1))
+    basis = list(range(n, n + d))
+    D = 1
+
+    def pivot(r, c):
+        nonlocal t, D
+        prow = t[r]
+        p = prow[c]
+        t = [row if i == r else [(p * x - row[c] * y) // D
+                                 for x, y in zip(row, prow)]
+             for i, row in enumerate(t)]
+        basis[r], D = c, p
+
+    def simplex(z):
+        """Pivot to the optimum of objective row z; returns the entering
+        column of an unbounded ray, or None."""
+        while True:
+            c = next((j for j in range(n) if t[z][j] < 0), None)
+            if c is None:
+                return None
+            rows = [i for i in range(d) if t[i][c] > 0]
+            if not rows:
+                return c
+            pivot(min(rows, key=lambda i: (Fraction(t[i][-1], t[i][c]),
+                                           basis[i])), c)
+
+    # only the lam_j enter, so an artificial that leaves stays out
+    simplex(d)  # lam = 1 is feasible, so the artificials end at 0
+    for r in [r for r in range(d) if basis[r] >= n]:
+        c = next((j for j in range(n) if t[r][j]), None)
+        if c is not None:
+            if t[r][c] < 0:
+                t[r] = [-x for x in t[r]]  # its right-hand side is 0
+            pivot(r, c)
+    ray = simplex(d + 1)
+    if ray is None:
+        z = t[d + 1]
+        return PointedReport(pointed=True, functional=tuple(
+            Fraction(s * z[n + i], D) for i, s in enumerate(signs)))
+    mu = [0] * n
+    mu[ray] = D
+    for i, j in enumerate(basis):
+        if j < n:
+            mu[j] = -t[i][ray]
+    return PointedReport(pointed=False, combination=_clear_denominators(mu))
 
 
 @dataclass(frozen=True)
@@ -161,7 +141,7 @@ class ValidationReport:
     reason: str = ""
     certificate: tuple | None = None  # unmixed vector in the column span
     A: IntMatrix | None = None        # canonical A, when ok
-    functional: tuple | None = None   # h with h . a_j > 0 on A, when ok
+    functional: tuple | None = None   # h with h . a_j >= 1 on A, when ok
 
 
 def validate_B(B: IntMatrix) -> ValidationReport:
@@ -170,10 +150,10 @@ def validate_B(B: IntMatrix) -> ValidationReport:
 
     The column span is the kernel of the canonical A (see compute_A), so
     by Gordan's alternative B is mixed exactly when the columns of A are
-    pointed: one pointedness test decides it.  On acceptance the report
-    carries A and its functional.  On rejection it carries a primitive
-    integer certificate: a nonzero vector v >= 0 in the column span,
-    namely the Farkas combination of the columns of A.
+    pointed: one ``is_pointed`` program decides it.  On acceptance the
+    report carries A and its functional.  On rejection it carries a
+    primitive integer certificate: a nonzero vector v >= 0 in the column
+    span, namely the unbounded ray of that program.
     """
     n, m = B.nrows, B.ncols
     if int_rank(B) != m:
@@ -186,7 +166,7 @@ def validate_B(B: IntMatrix) -> ValidationReport:
         pr = is_pointed(A)
         if pr.pointed:
             return ValidationReport(ok=True, A=A, functional=pr.functional)
-        cert = _clear_denominators(pr.combination)
+        cert = pr.combination
     return ValidationReport(
         ok=False,
         reason=f"column span contains the unmixed vector {list(cert)}",
@@ -244,7 +224,9 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
     ``report`` is validate_B(B) when the caller already has it; B is then
     not validated again.  A supplied A must satisfy A B = 0 and have full
     rank d = n - m; its columns are then pointed, because its kernel is the
-    column span of the validated B.  Whether its columns span all of Z^d
+    column span of the validated B, and its functional is the one h with
+    h A equal to the canonical functional times the canonical A, so no
+    second program runs.  Whether its columns span all of Z^d
     is recorded but not enforced: published systems are often written with
     an A whose column lattice has finite index in Z^d, and every quantity
     computed here is normalized against the relevant lattice rather than
@@ -265,7 +247,10 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
             raise ConventionError("A B != 0")
         if int_rank(A) != d:
             raise ConventionError(f"rank(A) != {d}")
-        functional = is_pointed(A).functional
+        # A and vr.A have the same row space, so one h has h A = h_c vr.A:
+        # it takes the canonical functional's values on the columns
+        values = [sum(map(mul, vr.functional, col)) for col in vr.A.columns()]
+        functional = frac_solve(A.columns(), values)
         idx = prod(invariant_factors(A))  # d of them: A has rank d
     return HornInput(B=B, A=A, n=n, m=m, d=d,
                      pointed_functional=functional,

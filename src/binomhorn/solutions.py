@@ -127,12 +127,6 @@ def _words(L: LatticeBasis, T: int):
     return words, reach
 
 
-def _check_kernel(A_J: IntMatrix, L: LatticeBasis):
-    for vec in L.vectors:
-        if any(x != 0 for x in A_J.mul_vec(vec)):
-            raise BinomHornError("lattice is not in the kernel of A_J")
-
-
 def _gamma_ratios(v, lo, hi):
     """Gamma(v + 1) / Gamma(v + t + 1) for lo <= t <= hi as integer
     (numerator, denominator) pairs, listed from t = lo; requires
@@ -196,50 +190,6 @@ def _gamma_terms(words, ratios, starts):
             den *= r[1]
         if num:
             yield i, num, den
-
-
-def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
-                 offset=None) -> PuiseuxSeries:
-    """Hypergeometric series with coefficients normalized at the base
-    exponent v, truncated to lattice word length at most T.
-
-    The term at lattice offset u carries, in each coordinate j, the ratio
-    Gamma(v_j + 1) / Gamma(v_j + t + 1) with t = w_j + u_j: a falling
-    factorial for t < 0 and the reciprocal of a rising factorial for
-    t > 0.  The ratio depends on t alone, so each coordinate gets one
-    table of integer numerators and denominators, built by single steps
-    over the t range the word ball reaches, and a coefficient is a
-    product of one lookup per coordinate, reduced once.  Terms whose
-    ratio vanishes are dropped.  A vanishing rising factorial raises
-    ResonanceError naming the first such term (in the order of the word
-    coordinates) and its coordinate.
-
-    With an integer ``offset`` w the result realizes the inverse
-    derivative partial^{-w} of the unshifted series in the solution-space
-    sense: the series has base v + w and keeps the term at u under the
-    key u.  This differs from integrating term by term exactly when the
-    unshifted series has terms on an integration boundary (an integer
-    coordinate reaching zero), where honest antiderivatives leave the
-    solution space.
-    """
-    nj = A_J.ncols
-    v = tuple(Fraction(x) for x in v)
-    if len(v) != nj:
-        raise ValueError("exponent length mismatch")
-    if L.ambient_dim != nj:
-        raise ValueError("lattice ambient mismatch")
-    w = tuple(int(x) for x in offset) if offset is not None else (0,) * nj
-    if len(w) != nj:
-        raise ValueError("offset length mismatch")
-    _check_kernel(A_J, L)
-    words, reach = _words(L, T)
-    ratios, (starts,) = _ratio_tables(v, [w], reach)
-    terms = {words[i][1]: Scalar.rational(Fraction(num, den))
-             for i, num, den in _gamma_terms(words, ratios, starts)}
-    base = tuple(a + b for a, b in zip(v, w))
-    return PuiseuxSeries(
-        nj, terms, truncation=Truncation(basis=L.vectors, bound=T, dim=nj),
-        support=Support(alpha=base, translates=((0,) * nj,)))
 
 
 # -- assembling one solution -----------------------------------------------------

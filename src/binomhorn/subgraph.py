@@ -58,22 +58,6 @@ class Component:
         return len(self.points)
 
 
-def component_of(M: IntMatrix, gamma) -> Component:
-    """Breadth-first exploration of the component of gamma in N^q.
-
-    Stops with the full vertex set (bounded) or with an unboundedness
-    witness the moment two distinct comparable points have both been seen.
-    """
-    gamma = tuple(int(x) for x in gamma)
-    if len(gamma) != M.nrows:
-        raise ValueError("seed length != number of rows of M")
-    if any(x < 0 for x in gamma):
-        raise ValueError("seed outside N^q")
-    comp = _explore(_steps(M), gamma)
-    assert comp.bounded or comp.witness is not None
-    return comp
-
-
 def _explore(steps, gamma, classification=None) -> Component:
     """BFS core over the translation steps of M from a point gamma of N^q;
     an optional map of points already classified (True bounded, False

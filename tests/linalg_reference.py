@@ -7,6 +7,8 @@ inconsistent system, ``frac_nullspace`` has one basis vector per free
 column, and ``frac_rank`` counts the pivots.  Integer kernels and
 saturated spans come from the Smith form, apart from the library's
 echelon kernel: ``smith_kernel_basis`` and ``smith_saturated_span``.
+Linear feasibility is decided by Fourier-Motzkin elimination,
+``fm_feasible``, apart from the library's simplex.
 """
 
 from fractions import Fraction
@@ -105,3 +107,79 @@ def smith_saturated_span(m):
     if not t:
         return LatticeBasis(m.nrows, IntMatrix.identity(m.nrows).columns())
     return smith_kernel_basis(IntMatrix(t))
+
+
+def fm_feasible(rows, rhs):
+    """Decide { x : rows[i] . x >= rhs[i] } != empty by Fourier-Motzkin.
+
+    Returns (True, x) with a rational witness, or (False, lam) with a
+    nonnegative rational Farkas certificate: sum lam_i rows[i] = 0 and
+    sum lam_i rhs[i] > 0.
+    """
+    nvars = len(rows[0]) if rows else 0
+    # each inequality carries its multiplier vector over the original rows
+    ineqs = []
+    for i, (row, c) in enumerate(zip(rows, rhs)):
+        mult = [Fraction(0)] * len(rows)
+        mult[i] = Fraction(1)
+        ineqs.append(([Fraction(x) for x in row], Fraction(c), mult))
+
+    stages = []  # per eliminated variable: the inequalities used for bounds
+    for var in range(nvars - 1, -1, -1):
+        pos, neg, zero = [], [], []
+        for coeffs, c, mult in ineqs:
+            if coeffs[var] > 0:
+                pos.append((coeffs, c, mult))
+            elif coeffs[var] < 0:
+                neg.append((coeffs, c, mult))
+            else:
+                zero.append((coeffs, c, mult))
+        stages.append((var, pos, neg))
+        new = list(zero)
+        for pc, pcst, pmult in pos:
+            for nc, ncst, nmult in neg:
+                a, b = pc[var], -nc[var]
+                coeffs = [b * x + a * y for x, y in zip(pc, nc)]
+                cst = b * pcst + a * ncst
+                mult = [b * x + a * y for x, y in zip(pmult, nmult)]
+                coeffs[var] = Fraction(0)
+                if all(x == 0 for x in coeffs) and cst > 0:
+                    return False, tuple(mult)
+                new.append((coeffs, cst, mult))
+        # drop duplicate inequalities up to positive scaling
+        seen = {}
+        for coeffs, cst, mult in new:
+            scale = next((abs(x) for x in coeffs if x != 0), None)
+            if scale is None:
+                scale = abs(cst) if cst != 0 else Fraction(1)
+            key = (tuple(x / scale for x in coeffs), cst / scale)
+            if key not in seen:
+                seen[key] = (coeffs, cst, mult)
+        ineqs = list(seen.values())
+
+    for coeffs, c, mult in ineqs:
+        if c > 0:
+            return False, tuple(mult)
+
+    # feasible: back-substitute, picking any value between the bounds
+    x = [Fraction(0)] * nvars
+    for var, pos, neg in reversed(stages):
+        lo, hi = None, None
+        for coeffs, c, _ in pos:
+            # coeffs[var] * x_var >= c - rest  with positive coefficient
+            rest = sum(coeffs[j] * x[j] for j in range(nvars) if j != var)
+            bound = (c - rest) / coeffs[var]
+            lo = bound if lo is None or bound > lo else lo
+        for coeffs, c, _ in neg:
+            rest = sum(coeffs[j] * x[j] for j in range(nvars) if j != var)
+            bound = (c - rest) / coeffs[var]
+            hi = bound if hi is None or bound < hi else hi
+        if lo is None and hi is None:
+            x[var] = Fraction(0)
+        elif lo is None:
+            x[var] = hi
+        elif hi is None:
+            x[var] = lo
+        else:
+            x[var] = (lo + hi) / 2
+    return True, tuple(x)

@@ -1,6 +1,9 @@
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -16,7 +19,7 @@ from binomhorn import (
 from binomhorn import model
 from binomhorn.cli import main
 from binomhorn.exact_linalg import LatticeBasis, int_rank, invariant_factors
-from linalg_reference import frac_solve
+from linalg_reference import fm_feasible, frac_rank, frac_solve
 
 
 def test_validate_accepts_fixtures(B_erd, B_gauss, B_ds, B_nh, B_him):
@@ -52,15 +55,20 @@ def test_validate_rejects_square_full_rank():
     assert not vr.ok
 
 
-def test_compute_a_defining_property(B_erd, B_nh, B_ds, B_gauss):
-    # the fixtures and seeded random valid B
+def seeded_valid_B():
+    """40 seeded random B that validate, half of them kernels of an A."""
     rng = random.Random(808)
     randoms = []
     while len(randoms) < 40:
         B = random_B(rng, ("kernel", "random")[len(randoms) % 2])
         if validate_B(B).ok:
             randoms.append(B)
-    for B in (B_erd, B_nh, B_ds, B_gauss, *randoms):
+    return randoms
+
+
+def test_compute_a_defining_property(B_erd, B_nh, B_ds, B_gauss):
+    # the fixtures and seeded random valid B
+    for B in (B_erd, B_nh, B_ds, B_gauss, *seeded_valid_B()):
         A = compute_A(B)
         # make_horn_input records the spanning without a Smith form; the
         # same A supplied explicitly goes through invariant_factors
@@ -173,6 +181,114 @@ def test_validate_square_certificate_is_e1(M3):
     assert exc.value.certificate == (1, 0, 0)
 
 
+# -- pointedness against Fourier-Motzkin elimination --------------------------
+
+def dot(h, col):
+    return sum(map(mul, h, col))
+
+
+def check_pointed_report(A, pr):
+    """Every certificate exactly: a pointed A has h . a_j >= 1 on every
+    column, tight on columns spanning the column space (h is a vertex of
+    the dual); otherwise mu is a primitive nonnegative integer vector,
+    not zero, with A mu = 0."""
+    cols = A.columns()
+    if pr.pointed:
+        assert pr.combination is None and len(pr.functional) == A.nrows
+        values = [dot(pr.functional, c) for c in cols]
+        assert all(v >= 1 for v in values)
+        tight = [c for c, v in zip(cols, values) if v == 1]
+        assert frac_rank(tight) == frac_rank(cols)
+    else:
+        mu = pr.combination
+        assert pr.functional is None and len(mu) == A.ncols
+        assert all(isinstance(x, int) and x >= 0 for x in mu) and any(mu)
+        assert gcd(*mu) == 1
+        assert not any(A.mul_vec(mu))
+
+
+def fm_pointed(A):
+    """The Fourier-Motzkin verdict: some h has h . a_j >= 1 on every column."""
+    return fm_feasible([list(c) for c in A.columns()], [1] * A.ncols)[0]
+
+
+POINTED_KINDS = ("random", "positive-row", "rank-deficient", "zero-column",
+                 "duplicate-column", "opposite-column")
+
+
+def random_A(rng, kind):
+    """A d x n matrix, d <= 4 and n <= 8, with entries in [-3, 3]."""
+    d = rng.randint(2 if kind == "rank-deficient" else 1, 4)
+    n = rng.randint(2, 8) if kind.endswith("-column") else rng.randint(1, 8)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+    if kind == "positive-row" or (kind != "random" and rng.random() < 0.5):
+        rows[0] = [rng.randint(1, 3) for _ in range(n)]  # pointed, so far
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    if kind == "rank-deficient":
+        f, g = rng.choice((-2, -1, 1, 2)), rng.randint(-1, 1)
+        other = rows[1] if d > 2 else [0] * n
+        rows[-1] = [f * x + g * y for x, y in zip(rows[0], other)]
+    for row in rows:
+        if kind == "zero-column":
+            row[j] = 0
+        elif kind == "duplicate-column":
+            row[j] = row[i]
+        elif kind == "opposite-column":
+            row[j] = -row[i]
+    return IntMatrix(rows)
+
+
+def test_is_pointed_matches_fourier_motzkin():
+    rng = random.Random(1977)
+    seen = Counter()
+    for t in range(2100):
+        kind = POINTED_KINDS[t % len(POINTED_KINDS)]
+        A = random_A(rng, kind)
+        pr = is_pointed(A)
+        assert pr.pointed == fm_pointed(A), A.tolist()
+        check_pointed_report(A, pr)
+        seen[kind, pr.pointed, int_rank(A) < A.nrows] += 1
+    verdicts = Counter()
+    for (kind, pointed, _), v in seen.items():
+        verdicts[kind, pointed] += v
+    # both verdicts where both can occur, and only the possible one elsewhere
+    for kind in ("random", "duplicate-column"):
+        assert verdicts[kind, True] >= 20 and verdicts[kind, False] >= 20
+    assert verdicts["positive-row", False] == 0
+    assert verdicts["zero-column", True] == verdicts["opposite-column", True] == 0
+    assert seen["rank-deficient", True, True] >= 20
+    assert seen["rank-deficient", False, True] >= 20
+    assert sum(verdicts[k, True] for k in POINTED_KINDS) >= 500
+
+
+def test_is_pointed_matches_fourier_motzkin_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        d, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        A = IntMatrix(data.draw(st.lists(row, min_size=d, max_size=d)))
+        pr = is_pointed(A)
+        assert pr.pointed == fm_pointed(A)
+        check_pointed_report(A, pr)
+
+    prop()
+
+
+def test_is_pointed_degenerate_shapes():
+    # no columns: pointed by the zero functional; no rows: every column is
+    # the zero vector
+    assert is_pointed(IntMatrix.zero(2, 0)).functional == (0, 0)
+    pr = is_pointed(IntMatrix.zero(0, 3))
+    assert not pr.pointed and pr.combination == (1, 0, 0)
+    # a zero row leaves its artificial in the basis
+    A = IntMatrix([[1, 2, 1], [0, 0, 0]])
+    check_pointed_report(A, is_pointed(A))
+
+
 # -- the per-row Fourier-Motzkin validation, kept as a reference -------------
 
 def reference_validate_B(B):
@@ -185,8 +301,7 @@ def reference_validate_B(B):
         return False, "rank"
     rows = [list(B.row(i)) for i in range(n)]
     for i in range(n):
-        feasible, witness = model._fm_feasible(rows + [rows[i]],
-                                               [0] * n + [1])
+        feasible, witness = fm_feasible(rows + [rows[i]], [0] * n + [1])
         if feasible:
             v = [sum(B.data[r][j] * witness[j] for j in range(m))
                  for r in range(n)]
@@ -265,13 +380,7 @@ def test_validate_matches_per_row_reference_on_random_B():
             assert int_rank(A) == B.nrows - B.ncols
             assert_positive(vr.functional, A)
             # any other A with A B = 0 and full rank is pointed as well
-            d = A.nrows
-            rows = [[x * f for x in r]
-                    for r, f in zip(A.data, rng.choices((1, 2, 3), k=d))]
-            for i in range(1, d):
-                f = rng.randint(-2, 2)
-                rows[i] = [x + f * y for x, y in zip(rows[i], rows[0])]
-            A2 = IntMatrix(rows)
+            A2 = other_A(A, rng)
             assert_positive(make_horn_input(B, A2).pointed_functional, A2)
         elif why == "rank":
             assert "rank" in vr.reason and vr.certificate is None
@@ -287,29 +396,88 @@ def test_validate_matches_per_row_reference_on_random_B():
 
 
 @pytest.fixture
-def count_fm(monkeypatch):
+def count_lp(monkeypatch):
+    """The shapes of the matrices given to the pointedness program."""
     calls = []
-    inner = model._fm_feasible
+    inner = model.is_pointed
 
-    def counting(rows, rhs):
-        calls.append(len(rows))
-        return inner(rows, rhs)
+    def counting(A):
+        calls.append(A.shape)
+        return inner(A)
 
-    monkeypatch.setattr(model, "_fm_feasible", counting)
+    monkeypatch.setattr(model, "is_pointed", counting)
     return calls
 
 
-def test_make_horn_input_runs_one_feasibility_problem(count_fm, B_erd, A_erd,
-                                                      B_him):
+def test_make_horn_input_runs_one_feasibility_problem(count_lp, B_erd, A_erd,
+                                                      B_him, A_him):
     for B in (B_erd, B_him):
-        count_fm.clear()
+        count_lp.clear()
         hi = make_horn_input(B)
-        assert len(count_fm) == 1
+        assert len(count_lp) == 1
         assert hi.A == compute_A(B)
-    # a supplied A gets its own call, for its own functional
-    count_fm.clear()
-    make_horn_input(B_erd, A_erd)
-    assert len(count_fm) == 2
+    # a supplied A reads its functional off the canonical one
+    for B, A in ((B_erd, A_erd), (B_him, A_him)):
+        count_lp.clear()
+        make_horn_input(B, A)
+        assert count_lp == [A.shape]
+
+
+def other_A(A, rng):
+    """A with its rows scaled by 1 to 3 and sheared by the first row: the
+    same rational row space, another lattice."""
+    d = A.nrows
+    rows = [[x * f for x in r]
+            for r, f in zip(A.data, rng.choices((1, 2, 3), k=d))]
+    for i in range(1, d):
+        f = rng.randint(-2, 2)
+        rows[i] = [x + f * y for x, y in zip(rows[i], rows[0])]
+    return IntMatrix(rows)
+
+
+def test_supplied_a_functional_has_the_canonical_values(
+        B_erd, A_erd, B_ds, A_ds, B_nh, A_nh, B_him, A_him):
+    # h_s . a^s_j = h_c . a^c_j on every column j
+    rng = random.Random(12)
+    pairs = [(B_erd, A_erd), (B_ds, A_ds), (B_nh, A_nh), (B_him, A_him)]
+    for B in seeded_valid_B():
+        A = compute_A(B)
+        pairs += [(B, A), (B, other_A(A, rng))]
+    for B, A in pairs:
+        vr = validate_B(B)
+        h = make_horn_input(B, A).pointed_functional
+        assert all(isinstance(x, Fraction) for x in h)
+        for j in range(B.nrows):
+            assert dot(h, A.column(j)) == dot(vr.functional, vr.A.column(j))
+
+
+def random_pointed_rows(rng, d, n, first, rest):
+    """Rows of a rank-d pointed A: the first row positive."""
+    while True:
+        rows = [[rng.randint(*first) for _ in range(n)]]
+        rows += [[rng.randint(*rest) for _ in range(n)] for _ in range(d - 1)]
+        if int_rank(IntMatrix(rows)) == d:
+            return IntMatrix(rows)
+
+
+def test_validation_past_the_fm_wall():
+    # inputs on which Fourier-Motzkin ran from seconds to minutes; each must
+    # be accepted with a functional positive on every column
+    for n, m in ((16, 8), (20, 10), (24, 12)):
+        for seed in range(3):
+            A = random_pointed_rows(random.Random(f"{n}x{m}/{seed}"),
+                                    n - m, n, (1, 2), (-1, 1))
+            B = IntMatrix.from_columns(kernel_basis(A).vectors, nrows=n)
+            vr = validate_B(B)
+            assert vr.ok, (n, m, seed)
+            assert_positive(vr.functional, vr.A)
+    for d, n in ((4, 16), (5, 12)):
+        for seed in range(3):
+            A = random_pointed_rows(random.Random(f"A{d}x{n}/{seed}"),
+                                    d, n, (1, 3), (-3, 3))
+            assert_positive(is_pointed(A).functional, A)
+            B = IntMatrix.from_columns(kernel_basis(A).vectors, nrows=n)
+            assert_positive(make_horn_input(B, A).pointed_functional, A)
 
 
 def write_matrices(tmp_path, **mats):
@@ -321,11 +489,11 @@ def write_matrices(tmp_path, **mats):
     return out
 
 
-def test_cli_validate_runs_one_feasibility_problem(count_fm, tmp_path, capsys):
+def test_cli_validate_runs_one_feasibility_problem(count_lp, tmp_path, capsys):
     paths = write_matrices(tmp_path, erd=[[1, 0], [-2, 1], [1, -2], [0, 1]])
     assert main(["validate", "--B", paths["erd"]]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
-    assert len(count_fm) == 1
+    assert len(count_lp) == 1
 
 
 @pytest.mark.parametrize("B, A", [

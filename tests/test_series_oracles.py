@@ -28,7 +28,6 @@ from binomhorn import (
     bounded_atlas,
     component_polynomial,
     enumerate_decompositions,
-    gamma_series,
     horn_classical_operators,
     horn_system_operators,
     kernel_basis,
@@ -41,6 +40,7 @@ from binomhorn.exact_linalg import coordinate_map, smith_normal_form
 from binomhorn.series import PuiseuxSeries, Support, Truncation, apply_operator
 from binomhorn.solutions import _l1_ball, component_characters
 from linalg_reference import frac_solve, lattice_coordinates
+from pipeline_reference import gamma_series
 
 
 # -- references ----------------------------------------------------------------------

