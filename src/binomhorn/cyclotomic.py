@@ -148,8 +148,13 @@ class Scalar:
         return self, Scalar(self.N, [Fraction(other)])
 
     def _scaled(self, q):
-        return Scalar._reduced(self.N, tuple([c * q if c else c
-                                              for c in self.coeffs]))
+        """self * q for a rational q.  A coefficient of 1 or -1 (the only
+        nonzero coefficients of zeta_N^e for N < 105) gives q or -q
+        without a Fraction multiply."""
+        q = q if type(q) is Fraction else Fraction(q)
+        return Scalar._reduced(self.N, tuple([
+            c if not c else q if c == 1 else -q if c == -1 else c * q
+            for c in self.coeffs]))
 
     def _shifted(self, q):
         """self + q for a rational q: only the constant coefficient moves."""

@@ -4,13 +4,16 @@ A row subset Jbar (never a singleton) forces the column set through its
 block: the columns of B meeting Jbar.  The block M on (Jbar x those
 columns) must be mixed with no more rows than columns; the remaining
 block B_J on the complementary rows and columns determines a sublattice
-whose saturation, for a toral block, is the kernel of A_J.  The class is
-read off ranks alone: toral exactly when rank(A_J) = |J| - rank(B_J),
-which for square M is equivalent to det(M) != 0.
+whose saturation, for a toral block, is the kernel of A_J.  The rows of A
+span the left kernel of B, and a vector of it vanishing on J is a left
+kernel vector of M, so rank(A_J) = d - q + rank(M).  The rank criterion
+rank(A_J) = |J| - rank(B_J) = d - q + p is therefore rank(M) = p: a
+decomposition is toral exactly when q = p and det(M) != 0.
 
-Row sets are found by a depth-first walk over bitmasks of at most m rows
-(sum_{k <= m} C(n, k) masks instead of 2^n), rejected by integer tests
-on column-sign masks before any submatrix is built; the lattice data
+Row sets are found by a branching walk on bitmasks: while an included
+column is one-signed, only rows of the other sign in it are tried next,
+so each admissible set is reached once and dead branches end early.
+Submatrices are built only for admissible sets; the lattice data
 (``L_basis``, ``g``) and the cone over A_J are computed only when read.
 ``HornInput.decompositions`` keeps the enumeration, so one input is
 enumerated once and each of its cones is built once.
@@ -25,6 +28,7 @@ from .errors import SizeLimitError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
+    bareiss_det,
     int_rank,
     lattice_index,
     saturated_span,
@@ -90,29 +94,56 @@ def _bits(mask, size):
 
 def _admissible_rowsets(B: IntMatrix):
     """Row masks Jbar of B whose block is mixed with no more rows than
-    columns, each with its column mask.
+    columns, each with its column mask, each exactly once.
 
     Each row carries the mask of the columns where it is positive and the
-    mask of those where it is negative.  A depth-first walk over row sets
-    of size at most m ORs them along; a row set's block meets the columns
-    in the union of the two masks, and every one of those columns is mixed
-    exactly when the two masks are equal.  Row sets larger than m can
-    never have q <= p, so the walk visits sum_{k <= m} C(n, k) masks and
-    rejects each with integer tests alone.
+    mask of those where it is negative; a row set's block meets the union
+    of its rows' masks, and every one of those columns is mixed exactly
+    when the two unions are equal.  The walk's state is (included rows,
+    decided rows, positive columns, negative columns).  While some column
+    is one-signed on the included rows, the lowest such column needs an
+    undecided row of the other sign, so the walk branches on those rows
+    r_1, r_2, ... as (include r_1), (exclude r_1, include r_2), ...; with
+    no such row the branch is dead.  Once every column is mixed, it
+    branches on the lowest undecided row: include it, or exclude it.  An
+    excluded row stays excluded, so each row set is made by exactly one
+    include step, which records it when it is mixed with q <= p (a single
+    row is mixed only when it is zero, and then q > p).  No branch includes more than m rows, since a
+    larger set has q > p.  The empty set is recorded once, at the root.
     """
     n, m = B.nrows, B.ncols
     pos = [sum(1 << k for k in range(m) if B.data[i][k] > 0) for i in range(n)]
     neg = [sum(1 << k for k in range(m) if B.data[i][k] < 0) for i in range(n)]
-    out = []
-    stack = [(0, 0, 0, 0, 0)]  # (next row, row mask, q, pos cols, neg cols)
+    rows_pos = [sum(1 << i for i in range(n) if pos[i] >> k & 1)
+                for k in range(m)]
+    rows_neg = [sum(1 << i for i in range(n) if neg[i] >> k & 1)
+                for k in range(m)]
+    out = [(0, 0)]
+    every_row = (1 << n) - 1
+    # (included rows, decided rows, q, positive cols, negative cols)
+    stack = [(0, 0, 0, 0, 0)]
     while stack:
-        start, jmask, q, pcols, ncols = stack.pop()
-        if pcols == ncols and q != 1 and q <= pcols.bit_count():
-            out.append((jmask, pcols))
-        if q < m:
-            for i in range(start, n):
-                stack.append((i + 1, jmask | 1 << i, q + 1,
-                              pcols | pos[i], ncols | neg[i]))
+        jmask, done, q, pcols, ncols = stack.pop()
+        odd = pcols ^ ncols
+        if odd:
+            k = (odd & -odd).bit_length() - 1
+            partners = (rows_neg[k] if pcols >> k & 1 else rows_pos[k]) & ~done
+        else:
+            free = every_row & ~done
+            if not free:
+                continue
+            partners = free & -free
+            stack.append((jmask, done | partners, q, pcols, ncols))
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            done |= low
+            i = low.bit_length() - 1
+            pc, nc = pcols | pos[i], ncols | neg[i]
+            if pc == nc and q + 1 <= pc.bit_count():
+                out.append((jmask | low, pc))
+            if q + 1 < m:
+                stack.append((jmask | low, done, q + 1, pc, nc))
     return out
 
 
@@ -120,9 +151,11 @@ def enumerate_decompositions(hi: HornInput) -> tuple[Decomposition, ...]:
     """All block decompositions of B, classified, sorted by (|Jbar|, Jbar).
 
     The empty row set is always admissible (M empty, B_J = B) and always
-    toral.  Row sets of size one are skipped: a single-row block is never
-    mixed.  Row sets whose block has more rows than columns are skipped
-    as well.  Submatrices are built only for admissible row sets.
+    toral.  The walk of ``_admissible_rowsets`` yields each row set whose
+    block is mixed with q <= p once; submatrices are built only for
+    those.  A decomposition is toral exactly when M is square with
+    det(M) != 0, which is the rank criterion rank(A_J) = |J| - rank(B_J)
+    (see the module docstring).
     """
     B, A = hi.B, hi.A
     n, m, d = hi.n, hi.m, hi.d
@@ -138,10 +171,9 @@ def enumerate_decompositions(hi: HornInput) -> tuple[Decomposition, ...]:
         N = B.submatrix(J, colset)
         A_J = A.submatrix(range(d), J)
         A_Jbar = A.submatrix(range(d), jbar)
-        rank_BJ = int_rank(B_J)
-        assert rank_BJ == m - p, "columns through B_J must stay independent"
-        rank_AJ = int_rank(A_J)
-        klass = "toral" if rank_AJ == len(J) - rank_BJ else "andean"
+        assert int_rank(B_J) == m - p, \
+            "columns through B_J must stay independent"
+        klass = "toral" if q == p and bareiss_det(M) != 0 else "andean"
         dec = Decomposition(
             rowset_Jbar=jbar, colset_M=colset, J=J, M=M, N=N, B_J=B_J,
             A_J=A_J, A_Jbar=A_Jbar, q=q, p=p, klass=klass)

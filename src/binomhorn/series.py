@@ -61,10 +61,6 @@ class Support:
     alpha: tuple          # rational base exponent
     translates: tuple      # tuple of integer vectors, one per sheet
 
-    def sheet_bases(self):
-        return tuple(tuple(a + t for a, t in zip(self.alpha, tr))
-                     for tr in self.translates)
-
 
 class PuiseuxSeries:
     """Finitely many exact terms of a formal Puiseux series.

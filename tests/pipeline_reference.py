@@ -3,7 +3,8 @@
 ``gamma_series`` builds one hypergeometric series from the library's
 word and Gamma-ratio tables, the inner series that solution assembly
 sums without building; ``component_of`` explores one component of the
-translation graph with the atlas's breadth-first core.  Tests read them
+translation graph with the atlas's breadth-first core; ``sheet_bases``
+lists the base exponents of a support's sheets.  Tests read them
 as small, separately checkable pieces of the pipeline.
 """
 
@@ -63,6 +64,12 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
     return PuiseuxSeries(
         nj, terms, truncation=Truncation(basis=L.vectors, bound=T, dim=nj),
         support=Support(alpha=base, translates=((0,) * nj,)))
+
+
+def sheet_bases(support: Support):
+    """alpha + t for each sheet translate t of the support."""
+    return tuple(tuple(a + t for a, t in zip(support.alpha, tr))
+                 for tr in support.translates)
 
 
 def component_of(M: IntMatrix, gamma) -> Component:

@@ -1,7 +1,9 @@
 """Oracles for the fast paths of the combinatorics layer.
 
 ``enumerate_decompositions`` is compared with the plain loop over all 2^n
-row masks that computes every field eagerly, ``andean_report`` with the
+row masks that computes every field eagerly, and its row-set walk with
+the same loop on masks alone; each class is checked against the rank
+criterion rank(A_J) = |J| - rank(B_J), ``andean_report`` with the
 saturation of an independent column subset of A_J picked by growing rank,
 and ``bounded_atlas`` with the level-by-level search that explores every
 unclassified point of every level, all kept here as references.  The
@@ -16,7 +18,7 @@ import contextlib
 import io
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from math import gcd
 from pathlib import Path
 
@@ -29,12 +31,14 @@ from binomhorn import (
     andean_report,
     bounded_atlas,
     enumerate_decompositions,
+    generic_rank,
     int_rank,
     lattice_index,
     make_horn_input,
     saturation,
 )
 from binomhorn.cli import main, read_matrix
+from binomhorn.decomp import _admissible_rowsets
 from binomhorn.exact_linalg import (
     LatticeBasis,
     bareiss_det,
@@ -85,6 +89,24 @@ def reference_decompositions(hi):
             "klass": klass, "L_basis": L,
             "g": lattice_index(LatticeBasis(len(J), B_J.columns()))})
     out.sort(key=lambda dec: (len(dec["rowset_Jbar"]), dec["rowset_Jbar"]))
+    return out
+
+
+def reference_rowsets(B):
+    """Every row mask in turn, kept with the mask of the columns its rows
+    meet when every one of those columns is mixed and q != 1, q <= p."""
+    n, m = B.nrows, B.ncols
+    pos = [sum(1 << k for k in range(m) if B.data[i][k] > 0) for i in range(n)]
+    neg = [sum(1 << k for k in range(m) if B.data[i][k] < 0) for i in range(n)]
+    out = set()
+    for mask in range(1 << n):
+        rows = [i for i in range(n) if mask >> i & 1]
+        pcols = ncols = 0
+        for i in rows:
+            pcols |= pos[i]
+            ncols |= neg[i]
+        if pcols == ncols and len(rows) != 1 and len(rows) <= pcols.bit_count():
+            out.add((mask, pcols))
     return out
 
 
@@ -242,6 +264,36 @@ def random_inputs(rng, count):
     return out
 
 
+WALK_KINDS = ("random", "zero-row", "zero-column", "duplicate-row",
+              "opposite-row")
+
+
+def random_walk_B(rng, kind):
+    """An n x m matrix, m <= n <= 12, with entries in [-2, 2]."""
+    n = rng.randint(0, 12) if kind == "random" else rng.randint(2, 12)
+    m = rng.randint(1 if kind == "zero-column" else 0, n)
+    rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    if kind == "zero-column":
+        k = rng.randrange(m)
+        for row in rows:
+            row[k] = 0
+    elif kind == "zero-row":
+        rows[i] = [0] * m
+    elif kind == "duplicate-row":
+        rows[j] = list(rows[i])
+    elif kind == "opposite-row":
+        rows[j] = [-x for x in rows[i]]
+    return IntMatrix(rows) if n else IntMatrix.zero(0, m)
+
+
+def check_walk(B):
+    got = _admissible_rowsets(B)
+    assert len(got) == len(set(got)), B.tolist()
+    assert set(got) == reference_rowsets(B), B.tolist()
+    return got
+
+
 def fields(dec):
     return {name: getattr(dec, name) for name in (
         "rowset_Jbar", "colset_M", "J", "M", "N", "B_J", "A_J", "A_Jbar",
@@ -272,9 +324,63 @@ def test_decompositions_match_reference_on_permuted_chains(n):
         assert got == reference_decompositions(hi)
 
 
+def test_walk_matches_the_mask_reference():
+    rng = random.Random(2010)
+    seen = Counter()
+    for t in range(1250):
+        kind = WALK_KINDS[t % len(WALK_KINDS)]
+        B = random_walk_B(rng, kind)
+        got = check_walk(B)
+        rows = B.tolist()
+        seen[kind] += 1
+        seen["nonempty sets"] += len(got) - 1
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["zero column"] += any(not any(col) for col in B.columns())
+        seen["repeated row"] += len({tuple(row) for row in rows}) < B.nrows
+        seen["opposite rows"] += any(
+            any(row) and [-x for x in row] in rows for row in rows)
+        seen["m = 0 < n"] += B.ncols == 0 < B.nrows
+        seen["n = 0"] += B.nrows == 0
+    for shape in ((0, 0), (0, 3), (4, 0), (12, 0)):
+        assert check_walk(IntMatrix.zero(*shape)) == [(0, 0)]
+    assert seen["nonempty sets"] >= 100000
+    assert min(seen[k] for k in ("zero row", "zero column", "repeated row",
+                                 "opposite rows")) >= 250
+    assert seen["m = 0 < n"] >= 10 and seen["n = 0"] >= 1
+
+
+def test_walk_matches_the_mask_reference_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        n = data.draw(st.integers(0, 10))
+        m = data.draw(st.integers(0, n))
+        row = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        check_walk(IntMatrix(rows) if n else IntMatrix.zero(0, m))
+
+    prop()
+
+
+@pytest.mark.parametrize("n, count", [(26, 521), (30, 1364)])
+def test_decomposition_walk_past_the_mask_wall(n, count):
+    # a walk over every row set of at most m rows took 8 s or more at
+    # n = 26; no clock assertion here: CI runs this test as its own step
+    # with a time limit
+    for seed in (n, n + 1):
+        hi = make_horn_input(IntMatrix(chain_rows(n, random.Random(seed))))
+        assert len(hi.decompositions) == count
+        assert generic_rank(hi).total == 2
+
+
 def test_toral_blocks_are_square_invertible_with_the_full_kernel():
-    # enumerate_decompositions classifies by ranks alone; these are the
-    # consequences the rank formula and the solution basis rely on
+    # enumerate_decompositions classifies by q = p and det(M) != 0; each
+    # class must match the rank criterion rank(A_J) = |J| - rank(B_J), and
+    # the toral ones must have the consequences the rank formula and the
+    # solution basis rely on
     fixtures = ROOT / "fixtures"
     inputs = [make_horn_input(read_matrix(fixtures / f"{name}.mat"),
                               read_matrix(fixtures / f"{name}_A.mat"))
@@ -285,10 +391,14 @@ def test_toral_blocks_are_square_invertible_with_the_full_kernel():
         inputs += [make_horn_input(IntMatrix(chain_rows(n, rng)))
                    for _ in range(3)]
     inputs += random_inputs(random.Random(3), 40)
-    torals = 0
+    torals = andean = 0
     for hi in inputs:
         for dec in enumerate_decompositions(hi):
+            rank_formula = (int_rank(dec.A_J)
+                            == len(dec.J) - int_rank(dec.B_J))
+            assert dec.is_toral == rank_formula, (hi.B.tolist(), dec.label)
             if not dec.is_toral:
+                andean += 1
                 continue
             assert dec.q == dec.p
             assert dec.q == 0 or bareiss_det(dec.M) != 0
@@ -296,7 +406,7 @@ def test_toral_blocks_are_square_invertible_with_the_full_kernel():
             assert dec.L_basis == kernel_basis(dec.A_J)
             assert all(not any(dec.A_J.mul_vec(v)) for v in dec.L_basis.vectors)
             torals += 1
-    assert torals > len(inputs)
+    assert torals > len(inputs) and andean > len(inputs)
 
 
 def test_lattice_fields_are_computed_when_read(B_him, B_nh, B_ds):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from binomhorn import (
     apply_operator,
     horn_classical_operators,
 )
-from binomhorn.cyclotomic import cyclotomic_polynomial
+from binomhorn.cyclotomic import _poly_mul, cyclotomic_polynomial
 
 
 # -- cyclotomic scalars ----------------------------------------------------------
@@ -52,6 +53,24 @@ def test_scalar_promotion():
     c = a + b
     assert c.N == 4
     assert c - b == F(2, 3)
+
+
+def test_rational_scaling_matches_the_generic_product():
+    # scaling skips the multiply for coefficients of 1 and -1; the general
+    # reducing product is the reference
+    rng = random.Random(12)
+    qs = [F(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(20)]
+    qs += [0, 1, -1, 3, F(-2, 7)]
+    for N in range(1, 13):
+        elements = [Scalar.root_of_unity(N, e) for e in range(N)]
+        elements += [Scalar(N, [rng.randint(-3, 3) * F(1, rng.randint(1, 4))
+                                for _ in range(N)]) for _ in range(3)]
+        for x in elements:
+            for q in qs:
+                want = Scalar(N, _poly_mul(list(x.coeffs), [F(q)]))
+                for got in (x * q, q * x, x * Scalar.rational(q)):
+                    assert got.coeffs == want.coeffs
+                    assert all(type(c) is F for c in got.coeffs)
 
 
 # -- series and operators ---------------------------------------------------------

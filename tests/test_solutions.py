@@ -23,7 +23,7 @@ from binomhorn import (
 )
 from binomhorn.series import lattice_binomials
 from binomhorn.solutions import component_characters
-from pipeline_reference import component_of, gamma_series
+from pipeline_reference import component_of, gamma_series, sheet_bases
 
 
 # -- component polynomials -------------------------------------------------------
@@ -406,7 +406,7 @@ def test_supports_lie_on_declared_sheets(B_erd, A_erd):
     sols = solution_basis(hi, (F(1, 2), F(1, 3)), T=4)
     for s in sols:
         tr = s.series.truncation
-        sheets = s.series.support.sheet_bases()
+        sheets = sheet_bases(s.series.support)
         for e in map(s.series.exponent, s.series.terms):
             words = []
             for b in sheets:
