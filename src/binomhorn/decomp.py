@@ -14,21 +14,26 @@ Row sets are found by a branching walk on bitmasks: while an included
 column is one-signed, only rows of the other sign in it are tried next,
 so each admissible set is reached once and dead branches end early.
 Submatrices are built only for admissible sets; the lattice data
-(``L_basis``, ``g``) and the cone over A_J are computed only when read.
+(``L_basis``, ``g``), the cone over A_J and the word table of each
+truncation bound T are computed only when read.
 ``HornInput.decompositions`` keeps the enumeration, so one input is
-enumerated once and each of its cones is built once.
+enumerated once, each of its cones is built once, and each word table
+once per T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
+from typing import Callable
 
 from .errors import SizeLimitError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
     bareiss_det,
+    coordinate_map,
     int_rank,
     lattice_index,
     saturated_span,
@@ -36,6 +41,7 @@ from .exact_linalg import (
 )
 from .geometry import Cone
 from .model import HornInput
+from .series import Truncation
 
 MAX_ROWS = 30
 
@@ -50,7 +56,8 @@ class Decomposition:
     its index over that span.  Both are computed from B_J when first read:
     the rank formula reads them only for toral decompositions.  ``cone``
     holds the cells, volume and support functions of A_J, likewise
-    computed when first read.
+    computed when first read, and ``word_table(T)`` builds the
+    ``WordTable`` of each bound T once.
     """
 
     rowset_Jbar: tuple
@@ -77,6 +84,18 @@ class Decomposition:
     def cone(self) -> Cone:
         return Cone(self.A_J)
 
+    @cached_property
+    def _word_tables(self):
+        return {}
+
+    def word_table(self, T: int) -> WordTable:
+        """The ``WordTable`` of the lattice words of length at most T,
+        built on the first call for each T and shared by later ones."""
+        table = self._word_tables.get(T)
+        if table is None:
+            table = self._word_tables[T] = _word_table(self, T)
+        return table
+
     @property
     def is_toral(self):
         return self.klass == "toral"
@@ -85,6 +104,65 @@ class Decomposition:
     def label(self):
         inner = ",".join(str(i + 1) for i in self.rowset_Jbar)
         return "Jbar={" + inner + "}"
+
+
+@dataclass(frozen=True)
+class WordTable:
+    """What every solution of one toral decomposition at one truncation
+    bound T shares.
+
+    ``words`` are the lattice words of length at most T as (k, u) pairs,
+    sorted by the word coordinates k in ``L_basis``, with u the lattice
+    offset sum_i k_i L_i in Z^J; ``reach`` gives, for each coordinate of
+    J, the bound T max_i |L_i| on the offsets; ``lifted`` holds each u
+    embedded in the n coordinates of B (zero on Jbar).  ``truncation``
+    is the one ``Truncation`` of those solutions, and ``coords`` maps an
+    integer vector of length q to its coordinates against the columns
+    of M (see ``coordinate_map``).
+    """
+
+    words: tuple
+    reach: tuple
+    lifted: tuple
+    truncation: Truncation
+    coords: Callable
+
+
+def _l1_ball(r, T):
+    if r == 0:
+        yield ()
+        return
+    for first in range(-T, T + 1):
+        for rest in _l1_ball(r - 1, T - abs(first)):
+            yield (first,) + rest
+
+
+def _words(L: LatticeBasis, T: int):
+    """The lattice words of length at most T: (k, u) pairs sorted by the
+    word coordinates k, with u the lattice offset sum_i k_i L_i; and for
+    each coordinate the reach T max_i |L_i| of the offsets."""
+    rows = list(zip(*L.vectors)) or [()] * L.ambient_dim
+    words = tuple((k, tuple(sum(map(mul, k, row)) for row in rows))
+                  for k in sorted(_l1_ball(L.rank, T)))
+    reach = tuple(T * max((abs(x) for x in row), default=0) for row in rows)
+    return words, reach
+
+
+def _word_table(dec: Decomposition, T: int) -> WordTable:
+    n = len(dec.J) + len(dec.rowset_Jbar)
+
+    def lift(u):
+        full = [0] * n
+        for j, x in zip(dec.J, u):
+            full[j] = x
+        return tuple(full)
+
+    words, reach = _words(dec.L_basis, T)
+    return WordTable(
+        words=words, reach=reach, lifted=tuple(lift(u) for _, u in words),
+        truncation=Truncation(basis=tuple(map(lift, dec.L_basis.vectors)),
+                              bound=T, dim=n),
+        coords=coordinate_map(dec.M.columns(), dec.M.nrows))
 
 
 def _bits(mask, size):

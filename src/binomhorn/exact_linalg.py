@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
 
 class IntMatrix:
@@ -460,18 +461,26 @@ def saturation(l: LatticeBasis):
 def saturated_span(m: IntMatrix):
     """(Q colspan m) intersect Z^nrows as a LatticeBasis, for any columns.
 
-    One rref of m^T gives integer rows y spanning the rational left
-    kernel: y_f = d at a free column f and y_p = -row_p[f] at each pivot
-    p.  The integer kernel of those rows is the saturated span.
+    One rref of m^T gives integer rows spanning the rational left kernel
+    (``_null_rows``); the integer kernel of those rows is the saturated
+    span.
     """
     n = m.nrows
-    pivots, red, d = rref(m.transpose().data, n)
+    ys = _null_rows(*rref(m.transpose().data, n), n)
+    return kernel_basis(IntMatrix._of(tuple(map(tuple, ys)), n))
+
+
+def _null_rows(pivots, red, d, n):
+    """Integer rows spanning the rational null space of a matrix with n
+    columns, from its ``rref`` (pivots, red, d): for each free column f
+    the row y with y_f = d, y_p = -red_p[f] at each pivot p, and zero
+    elsewhere."""
     ys = [[0] * n for _ in range(n - len(pivots))]
     for y, f in zip(ys, sorted(set(range(n)) - set(pivots))):
         y[f] = d
         for p, row in zip(pivots, red):
             y[p] = -row[f]
-    return kernel_basis(IntMatrix._of(tuple(map(tuple, ys)), n))
+    return ys
 
 
 def lattice_index(l: LatticeBasis):
@@ -480,19 +489,20 @@ def lattice_index(l: LatticeBasis):
     return prod(invariant_factors(l.matrix())) if l.vectors else 1
 
 
-def coordinate_map(vectors, n):
-    """Integer coordinates against independent integer vectors of length
-    n, through one exact left inverse computed here.
+def coordinate_forms(vectors, n):
+    """Integer forms (C, P, d) of the lattice spanned by independent
+    integer vectors of length n: an integer y lies in that lattice
+    exactly when C y = 0 and d divides every entry of P y, and then its
+    coordinates are P y / d.  d is positive.
 
     One rref of [V^T | I], the vectors as rows beside the identity,
-    gives both: its pivots are the first coordinates on which the
-    vectors restrict to an invertible block, and its right block E
-    turns that block into d I, so E^T over d inverts it.  Returns a
-    function taking an integer or rational vector to the tuple of its
-    integer coordinates, or to None when the vector lies outside the
-    lattice the vectors span; a vector of the wrong length raises
-    ValueError.  A call costs one small integer matrix-vector product
-    and a membership check, not an elimination.
+    gives both.  Its pivots are the first coordinates on which the
+    vectors restrict to an invertible block, and its right block E turns
+    that block into d I, so E^T over d inverts it: P holds E^T on the
+    pivot coordinates and zeros elsewhere.  The null space of its left
+    block is the orthogonal complement of the span, so its rows C (see
+    ``_null_rows``) vanish exactly on the rational span.  C has
+    n - len(vectors) rows and P has len(vectors).
     """
     vectors = tuple(tuple(int(x) for x in vec) for vec in vectors)
     r = len(vectors)
@@ -502,7 +512,26 @@ def coordinate_map(vectors, n):
                          for i, vec in enumerate(vectors)], n + r)
     if rows and rows[-1] >= n:
         raise ValueError("vectors are linearly dependent")
-    adj = [[row[n + i] for row in red] for i in range(r)]
+    sign = 1 if d > 0 else -1
+    P = [[0] * n for _ in range(r)]
+    for i, p_row in enumerate(P):
+        for t, row in zip(rows, red):
+            p_row[t] = sign * row[n + i]
+    C = _null_rows(rows, red, d, n)
+    return (tuple(map(tuple, C)), tuple(map(tuple, P)), sign * d)
+
+
+def coordinate_map(vectors, n):
+    """Integer coordinates against independent integer vectors of length
+    n, through their ``coordinate_forms`` computed here.
+
+    Returns a function taking an integer or rational vector to the tuple
+    of its integer coordinates, or to None when the vector lies outside
+    the lattice the vectors span; a vector of the wrong length raises
+    ValueError.  A call costs two small integer matrix-vector products,
+    not an elimination.
+    """
+    C, P, d = coordinate_forms(vectors, n)
 
     def coordinates(y):
         if len(y) != n:
@@ -510,15 +539,14 @@ def coordinate_map(vectors, n):
         if any(x.denominator != 1 for x in y):
             return None
         y = [x.numerator for x in y]
+        if any(sum(map(mul, row, y)) for row in C):
+            return None
         k = []
-        for row in adj:
-            q, rem = divmod(sum(a * y[t] for a, t in zip(row, rows)), d)
+        for row in P:
+            q, rem = divmod(sum(map(mul, row, y)), d)
             if rem:
                 return None
             k.append(q)
-        for t in range(n):
-            if sum(c * vec[t] for c, vec in zip(k, vectors)) != y[t]:
-                return None
         return tuple(k)
 
     return coordinates

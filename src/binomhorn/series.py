@@ -14,6 +14,15 @@ one positive common denominator D and, per offset, the deg Phi_N
 integers whose quotients by D are the coefficients.  The form is built
 where an operator is applied, once per ``verify_annihilation`` call, and
 is never cached on the series, so edits of ``terms`` are always seen.
+A rational lambda of a binomial operator is one more integer factor of
+its second part; only an irrational one acts through a multiplication
+matrix on Z[zeta_N].
+
+A ``Truncation`` is shared by every solution of one decomposition at one
+bound (see ``Decomposition.word_table``).  It builds the integer forms
+of its lattice once, on first use, and answers which offsets the
+truncation determines (``Truncation.coverage``) from them, with no
+elimination per offset.
 """
 
 from __future__ import annotations
@@ -22,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .cyclotomic import Scalar, cyclotomic_polynomial
-from .exact_linalg import IntMatrix, coordinate_map
+from .exact_linalg import IntMatrix, coordinate_forms
 
 
 @dataclass(frozen=True)
@@ -41,16 +50,43 @@ class Truncation:
     dim: int      # the length of the basis vectors and of every offset
 
     @cached_property
-    def _coordinates(self):
-        return coordinate_map(self.basis, self.dim)
+    def _forms(self):
+        return coordinate_forms(self.basis, self.dim)
 
-    def word_coordinates(self, offset):
-        """Integer basis coordinates of an integer offset, or None."""
-        return self._coordinates(offset)
+    def coverage(self, sheets, shifts):
+        """The test of an integer offset z: True when, for every shift sh
+        and every sheet translate t, z + sh - t is off the lattice or
+        has word length at most ``bound``.
 
-    def word_length(self, offset):
-        k = self.word_coordinates(offset)
-        return None if k is None else sum(abs(x) for x in k)
+        With the ``coordinate_forms`` (C, P, d) of the basis, an integer
+        y lies on the lattice exactly when C y = 0 and d divides P y, and
+        its word length is then |P y|_1 / d.  Both forms are linear, so a
+        test computes C z and P z once and each (shift, sheet) pair adds
+        its constant: the pairs are keyed by -C (sh - t), and only those
+        whose key is C z can put z + sh - t on the lattice.
+        """
+        C, P, d = self._forms
+        limit = self.bound * d
+        pairs = {}
+        for sh in shifts:
+            for t in sheets:
+                w = tuple(map(sub, sh, t))
+                pairs.setdefault(tuple([-sum(map(mul, row, w)) for row in C]),
+                                 []).append([sum(map(mul, row, w))
+                                             for row in P])
+
+        def covered(z):
+            near = pairs.get(tuple([sum(map(mul, row, z)) for row in C]))
+            if near is None:
+                return True
+            pz = [sum(map(mul, row, z)) for row in P]
+            for pw in near:
+                k = list(map(add, pz, pw))
+                if sum(map(abs, k)) > limit and not any(x % d for x in k):
+                    return False
+            return True
+
+        return covered
 
 
 @dataclass(frozen=True)
@@ -364,15 +400,22 @@ def _binomial_action(base, vecs, order, u_plus, u_minus, lam):
     coordinates j with u_j > 0 of falling factorials of base_j + z_j.
     With base_j = p/q each factor is an integer numerator over q^u_j, so
     one table per coordinate maps z_j to that numerator, and a part has
-    the single denominator prod_j q_j^u_j.  lam acts through its integer
-    multiplication matrix on Z[zeta_N], over one more denominator; a
-    rational lam has a scalar matrix.
+    the single denominator prod_j q_j^u_j times an integer scale.  A
+    rational lam = a/b is one more factor of the second part: scale -a,
+    denominator b.  Any other lam acts through its integer
+    multiplication matrix on Z[zeta_N] (``_multiplication_matrix``),
+    with scale -1 and the matrix's denominator.
     """
-    parts = [(u_plus, 1, None)]
+    parts = [(u_plus, 1, 1, None)]
     if lam is not None:
-        parts.append((u_minus, *_multiplication_matrix(lam, order)))
+        if lam.is_rational():
+            frac = lam.as_rational()
+            parts.append((u_minus, frac.denominator, -frac.numerator, None))
+        else:
+            den, matrix = _multiplication_matrix(lam, order)
+            parts.append((u_minus, den, -1, matrix))
     prepared = []
-    for u, den, matrix in parts:
+    for u, den, factor, matrix in parts:
         tables = []
         for j, k in enumerate(u):
             if not k:
@@ -388,11 +431,11 @@ def _binomial_action(base, vecs, order, u_plus, u_minus, lam):
                     table[x] = num
             tables.append((j, table))
             den *= q ** k
-        prepared.append((u, tables, den, matrix))
-    common = lcm(*(den for _, _, den, _ in prepared))
+        prepared.append((u, tables, den, factor, matrix))
+    common = lcm(*(den for _, _, den, _, _ in prepared))
     acc = {}
-    for u, tables, den, matrix in prepared:
-        scale = common // den if matrix is None else -(common // den)
+    for u, tables, den, factor, matrix in prepared:
+        scale = factor * (common // den)
         for z, v in vecs.items():
             num = scale
             for j, table in tables:
@@ -412,7 +455,8 @@ def _binomial_action(base, vecs, order, u_plus, u_minus, lam):
 
 def _multiplication_matrix(lam, order):
     """(den, rows): lam times an element of Q(zeta_order) with integer
-    coordinates x has the coordinates rows x / den."""
+    coordinates x has the coordinates rows x / den.  Built only for an
+    irrational lam; a rational one is a scalar (see ``_binomial_action``)."""
     deg = len(cyclotomic_polynomial(order)) - 1
     cols = [(lam * Scalar.root_of_unity(order, i)).coeffs
             for i in range(deg)]

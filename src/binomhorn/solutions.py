@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from .cyclotomic import Scalar
-from .decomp import Decomposition
+from .decomp import Decomposition, WordTable
 from .errors import (
     BinomHornError,
     InfiniteRankError,
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
-    LatticeBasis,
     _ff,
     column_hnf,
     coordinate_map,
@@ -45,7 +44,6 @@ from .series import (
     PuiseuxSeries,
     Support,
     ThetaOp,
-    Truncation,
     _integer_form,
     apply_operator,
 )
@@ -106,26 +104,6 @@ def _point_ff(point, u):
 
 
 # -- truncated hypergeometric series --------------------------------------------
-
-def _l1_ball(r, T):
-    if r == 0:
-        yield ()
-        return
-    for first in range(-T, T + 1):
-        for rest in _l1_ball(r - 1, T - abs(first)):
-            yield (first,) + rest
-
-
-def _words(L: LatticeBasis, T: int):
-    """The lattice words of length at most T: (k, u) pairs sorted by the
-    word coordinates k, with u the lattice offset sum_i k_i L_i; and for
-    each coordinate the reach T max_i |L_i| of the offsets."""
-    rows = list(zip(*L.vectors)) or [()] * L.ambient_dim
-    words = [(k, tuple(sum(map(mul, k, row)) for row in rows))
-             for k in sorted(_l1_ball(L.rank, T))]
-    reach = [T * max((abs(x) for x in row), default=0) for row in rows]
-    return words, reach
-
 
 def _gamma_ratios(v, lo, hi):
     """Gamma(v + 1) / Gamma(v + t + 1) for lo <= t <= hi as integer
@@ -194,8 +172,8 @@ def _gamma_terms(words, ratios, starts):
 
 # -- assembling one solution -----------------------------------------------------
 
-def _assemble_via_gamma(dec: Decomposition, points, n, v_local, words,
-                        lifted, reach):
+def _assemble_via_gamma(dec: Decomposition, points, n, v_local,
+                        wt: WordTable):
     """Sum, over the points gamma + M v of the component polynomial G, the
     monomial x_Jbar^{gamma + M v} times partial_J^{-N v} of the inner
     series, tracking the sheet translates.  Every inverse-derivative
@@ -203,10 +181,10 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local, words,
     (Gamma-ratio coefficients against the unshifted base exponent).
 
     ``points`` lists (point of G, its rational coefficient, N v) once per
-    gamma; ``words`` and their offsets ``lifted`` to n coordinates come
-    from ``_words`` once per decomposition, with its ``reach``.  One
-    integer Gamma-ratio table per coordinate covers every point, and a
-    term's coefficient is reduced once.
+    gamma; the words, their offsets lifted to n coordinates and their
+    reach come from the decomposition's word table ``wt``.  One integer
+    Gamma-ratio table per coordinate covers every point, and a term's
+    coefficient is reduced once.
 
     Returns the support (base v_local on J, zero on Jbar) and the
     rational coefficient table, one (z, k, coefficient) row per term,
@@ -214,8 +192,9 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local, words,
     coordinates the term was generated from.  Distinct points of G
     differ on Jbar, so no two rows share a z.
     """
+    words, lifted = wt.words, wt.lifted
     ratios, starts = _ratio_tables(v_local, [nv for _, _, nv in points],
-                                   reach)
+                                   wt.reach)
     table, translates = [], []
     for (pt, c, nv), start in zip(points, starts):
         lift = [0] * n
@@ -247,13 +226,6 @@ def _component_points(dec: Decomposition, gamma, G: PuiseuxSeries, coords):
             raise BinomHornError("point is not on the component lattice")
         out.append((pt, c.as_rational(), dec.N.mul_vec(v)))
     return out
-
-
-def _embed_vec(vec, n, positions):
-    full = [0] * n
-    for pos, j in enumerate(positions):
-        full[j] = vec[pos]
-    return tuple(full)
 
 
 # -- characters ------------------------------------------------------------------
@@ -369,6 +341,12 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
     emitted (one per decomposition, gamma, and triangulation cell coset);
     a cyclotomic order materializes all lattice-index twists, bringing
     the count up to the generic rank.
+
+    The lattice words, their lifted offsets and the ``Truncation`` come
+    from ``dec.word_table(T)``, built once per decomposition and T, so
+    a caller that reuses ``hi`` across parameters builds them once and
+    every solution of a decomposition shares one ``Truncation``.  The
+    terms of each solution are fresh dicts.
     """
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != hi.d:
@@ -398,23 +376,18 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
         atlas = atlases[dec.rowset_Jbar]
         chars = component_characters(dec, field_root) if field_root > 1 \
             else [((), None)]
-        L = dec.L_basis
-        words, reach = _words(L, T)
-        lifted = [_embed_vec(u, hi.n, dec.J) for _, u in words]
-        coords = coordinate_map(dec.M.columns(), dec.M.nrows)
-        trunc = Truncation(
-            basis=tuple(_embed_vec(vec, hi.n, dec.J) for vec in L.vectors),
-            bound=T, dim=hi.n)
+        wt = dec.word_table(T)
         for gamma in atlas.representatives:
             comp = next(c for c in atlas.bounded_components
                         if gamma in c.points)
             points = _component_points(
-                dec, gamma, component_polynomial(dec.M, gamma, comp), coords)
+                dec, gamma, component_polynomial(dec.M, gamma, comp),
+                wt.coords)
             beta_shifted = _shift_beta(beta, dec, gamma)
             for sigma, cellvol in dec.cone.cells:
                 for v in _cell_exponents(dec, sigma, cellvol, beta_shifted):
                     support, table = _assemble_via_gamma(
-                        dec, points, hi.n, v, words, lifted, reach)
+                        dec, points, hi.n, v, wt)
                     shell = PuiseuxSeries(hi.n, field_order=field_root,
                                           support=support)
                     # one rational table per (gamma, v); a twist only
@@ -426,13 +399,14 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
                             terms = {z: Scalar.rational(q, field_root)
                                      for z, _, q in table}
                         out.append(Solution(
-                            series=shell._with_terms(terms, trunc, support),
+                            series=shell._with_terms(
+                                terms, wt.truncation, support),
                             decomposition=dec.label,
                             rowset=tuple(i + 1 for i in dec.rowset_Jbar),
                             gamma=gamma,
                             simplex=tuple(dec.J[t] + 1 for t in sigma),
                             character=tchar,
-                            support_rank=L.rank))
+                            support_rank=dec.L_basis.rank))
     out.sort(key=lambda srec: (srec.rowset, srec.gamma, srec.simplex,
                                srec.character))
     return out
@@ -469,7 +443,10 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
     and every binomial and Euler operator acts on that integer form, so
     a cancelled term costs integer arithmetic only and Scalars are built
     for the residual terms alone.  The form is not kept on ``s``: each
-    call reads ``s.terms`` afresh.
+    call reads ``s.terms`` afresh.  Coverage is decided by the integer
+    forms of the truncation's lattice (``Truncation.coverage``), built
+    once per truncation: a surviving term costs two small integer
+    matrix-vector products and one constant per (sheet, shift) pair.
     """
     checks = []
     sheets = s.support.translates if s.support is not None else ()
@@ -493,12 +470,10 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
                 shifts = [zero, tuple(ek)]
             else:
                 raise TypeError(f"unknown operator type {type(op)!r}")
+            covered = s.truncation.coverage(sheets, shifts)
             interior_list, boundary_list = [], []
             for z, c in applied.sorted_terms():
-                covered = all(
-                    _covered(s.truncation, sheets, tuple(map(add, z, sh)))
-                    for sh in shifts)
-                (interior_list if covered else boundary_list).append((z, c))
+                (interior_list if covered(z) else boundary_list).append((z, c))
             interior = tuple(interior_list)
             boundary = tuple(boundary_list)
         desc = op.describe() if hasattr(op, "describe") else repr(op)
@@ -507,14 +482,3 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
                                     boundary_residual=boundary))
     return VerificationReport(ok=all(c.ok for c in checks),
                               checks=tuple(checks))
-
-
-def _covered(trunc: Truncation, sheets, y):
-    """True when the full series value at integer offset y is known
-    exactly: either y is off every declared sheet (given by its integer
-    translate), or it lies within the word bound."""
-    for t in sheets:
-        word = trunc.word_length(tuple(map(sub, y, t)))
-        if word is not None and word > trunc.bound:
-            return False
-    return True

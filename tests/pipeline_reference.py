@@ -4,16 +4,23 @@
 word and Gamma-ratio tables, the inner series that solution assembly
 sums without building; ``component_of`` explores one component of the
 translation graph with the atlas's breadth-first core; ``sheet_bases``
-lists the base exponents of a support's sheets.  Tests read them
-as small, separately checkable pieces of the pipeline.
+lists the base exponents of a support's sheets.  ``word_coordinates``,
+``word_length`` and ``covered`` decide, one offset and one sheet at a
+time, whether a truncated series knows its full value at an offset:
+the per-term test that ``Truncation.coverage`` answers from integer
+forms.  They solve by the Fraction elimination of ``linalg_reference``,
+apart from those forms.  Tests read them as small, separately checkable
+pieces of the pipeline.
 """
 
 from fractions import Fraction
 
 from binomhorn import BinomHornError, IntMatrix, LatticeBasis, Scalar
 from binomhorn.series import PuiseuxSeries, Support, Truncation
-from binomhorn.solutions import _gamma_terms, _ratio_tables, _words
+from binomhorn.decomp import _words
+from binomhorn.solutions import _gamma_terms, _ratio_tables
 from binomhorn.subgraph import Component, _explore, _steps
+from linalg_reference import lattice_coordinates
 
 
 def _check_kernel(A_J: IntMatrix, L: LatticeBasis):
@@ -64,6 +71,34 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
     return PuiseuxSeries(
         nj, terms, truncation=Truncation(basis=L.vectors, bound=T, dim=nj),
         support=Support(alpha=base, translates=((0,) * nj,)))
+
+
+def word_coordinates(trunc: Truncation, offset):
+    """Integer coordinates of an integer or rational offset in the basis
+    of ``trunc``, or None when it is off the lattice."""
+    if len(offset) != trunc.dim:
+        raise ValueError(f"offset of length {len(offset)}, "
+                         f"expected {trunc.dim}")
+    if any(Fraction(x).denominator != 1 for x in offset):
+        return None
+    return lattice_coordinates(trunc.basis, offset)
+
+
+def word_length(trunc: Truncation, offset):
+    """The l1 norm of ``word_coordinates``, or None off the lattice."""
+    k = word_coordinates(trunc, offset)
+    return None if k is None else sum(abs(x) for x in k)
+
+
+def covered(trunc: Truncation, sheets, y):
+    """True when the full series value at integer offset y is known
+    exactly: either y is off every declared sheet (given by its integer
+    translate), or it lies within the word bound."""
+    for t in sheets:
+        word = word_length(trunc, tuple(a - b for a, b in zip(y, t)))
+        if word is not None and word > trunc.bound:
+            return False
+    return True
 
 
 def sheet_bases(support: Support):

@@ -36,11 +36,18 @@ from binomhorn import (
     verify_annihilation,
 )
 from binomhorn.cyclotomic import cyclotomic_polynomial
-from binomhorn.exact_linalg import coordinate_map, smith_normal_form
+from binomhorn.decomp import _l1_ball
+from binomhorn.exact_linalg import coordinate_map, saturation, smith_normal_form
 from binomhorn.series import PuiseuxSeries, Support, Truncation, apply_operator
-from binomhorn.solutions import _l1_ball, component_characters
+from binomhorn.solutions import component_characters
 from linalg_reference import frac_solve, lattice_coordinates
-from pipeline_reference import gamma_series, sheet_bases
+from pipeline_reference import (
+    covered,
+    gamma_series,
+    sheet_bases,
+    word_coordinates,
+    word_length,
+)
 
 
 # -- references ----------------------------------------------------------------------
@@ -226,14 +233,10 @@ def reference_verify(ops, terms, trunc, sheets):
                       tuple(int(i == op.k) for i in range(nvars))]
         interior, boundary = [], []
         for y, c in applied:
-            covered = True
-            for sh in shifts:
-                for b in sheets:
-                    word = trunc.word_length(
-                        tuple(a + s - bb for a, s, bb in zip(y, sh, b)))
-                    if word is not None and word > trunc.bound:
-                        covered = False
-            (interior if covered else boundary).append((y, c))
+            known = all(covered(trunc, sheets,
+                                tuple(a + s for a, s in zip(y, sh)))
+                        for sh in shifts)
+            (interior if known else boundary).append((y, c))
         out.append((interior, boundary))
     return out
 
@@ -466,6 +469,38 @@ def test_operators_match_reference_property():
     prop()
 
 
+@pytest.mark.parametrize("lam, N", [
+    (F(0), 1), (F(1), 1), (F(-1), 1), (F(2, 3), 1),
+    (F(0), 3), (F(1), 3), (F(-1), 3), (F(2, 3), 3),
+    ("zeta_3", 3)])
+def test_rational_lam_folds_into_the_scale(lam, N, monkeypatch):
+    # a rational lam scales the second part; only zeta_3 builds a
+    # multiplication matrix
+    from binomhorn import series
+    built = []
+    real = series._multiplication_matrix
+    monkeypatch.setattr(series, "_multiplication_matrix",
+                        lambda x, order: built.append(x) or real(x, order))
+    lam = Scalar.root_of_unity(3) if lam == "zeta_3" \
+        else Scalar.rational(lam, N)
+    rng = random.Random(31)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        base = tuple(F(rng.randint(-6, 6), rng.randint(1, 4))
+                     for _ in range(n))
+        terms = {tuple(rng.randint(-3, 3) for _ in range(n)):
+                 Scalar(N, [F(rng.randint(-5, 5), rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 2))])
+                 for _ in range(rng.randint(1, 10))}
+        s = PuiseuxSeries(n, terms, field_order=N, base=base)
+        up = tuple(rng.randint(0, 2) for _ in range(n))
+        um = tuple(0 if a else rng.randint(0, 2) for a in up)
+        op = BinomialOp(u_plus=up, u_minus=um, lam=lam)
+        assert sorted(by_exponent(apply_operator(op, s))) == sorted(
+            reference_apply(op, dict(by_exponent(s))).items())
+    assert built == ([lam] * 20 if not lam.is_rational() else [])
+
+
 # large primes: products of them make coefficient denominators that share
 # no factor, so a cancellation is exact only over their common multiple
 BIG_PRIMES = (10007, 65537, 999983, 1000003, 2147483647)
@@ -631,14 +666,103 @@ def test_coordinate_map_matches_elimination():
 
 
 def test_word_coordinates_are_reused_per_truncation():
+    # the reference word coordinates, and the coverage test that a
+    # truncation answers from integer forms built on its first use
     tr = Truncation(basis=((1, -2, 1, 0), (0, 1, -2, 1)), bound=3, dim=4)
-    assert tr.word_coordinates((F(2), F(-3), F(0), F(1))) == (2, 1)
-    assert tr.word_length((F(2), F(-3), F(0), F(1))) == 3
-    assert tr.word_coordinates((F(1, 2), 0, 0, 0)) is None
-    assert tr.word_coordinates((1, 0, 0, 0)) is None
-    assert Truncation(basis=(), bound=2, dim=2).word_coordinates((0, 0)) == ()
+    assert word_coordinates(tr, (F(2), F(-3), F(0), F(1))) == (2, 1)
+    assert word_length(tr, (F(2), F(-3), F(0), F(1))) == 3
+    assert word_coordinates(tr, (F(1, 2), 0, 0, 0)) is None
+    assert word_coordinates(tr, (1, 0, 0, 0)) is None
+    assert word_coordinates(Truncation(basis=(), bound=2, dim=2),
+                            (0, 0)) == ()
     with pytest.raises(ValueError):
-        Truncation(basis=(), bound=2, dim=3).word_coordinates((0, 0))
+        word_coordinates(Truncation(basis=(), bound=2, dim=3), (0, 0))
+    test = tr.coverage([(0, 0, 0, 0)], [(0, 0, 0, 0)])
+    forms = tr._forms
+    assert test((2, -3, 0, 1))              # word length 3 = bound
+    assert not test((3, -5, 1, 1))          # word length 4
+    assert test((4, 0, 0, 0))               # off the lattice
+    # a sheet translate t and a shift sh move the tested point to z + sh - t
+    assert not tr.coverage([(1, 0, 0, 0)], [(0, 0, 0, 0)])((4, -5, 1, 1))
+    assert not tr.coverage([(0, 0, 0, 0)], [(1, 0, 0, 0)])((2, -5, 1, 1))
+    assert tr.coverage([(1, 0, 0, 0)], [(1, 0, 0, 0)])((2, -3, 0, 1))
+    assert tr._forms is forms
+
+
+def random_coverage_case(rng):
+    """A truncation of rank 0 to n - 1 in Z^n, 1-3 sheets, 1-2 shifts
+    and one offset z; and w = z + sh - t for one of the sheets t and
+    shifts sh, with the kind it was drawn as: a lattice point of word
+    length bound or bound + 1 (the origin at rank 0), a point of the
+    rational span (often with coordinates that are not integers), or a
+    point off the span."""
+    n = rng.randint(1, 5)
+    r = rng.randint(0, n - 1)
+    while True:
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(n))
+                for _ in range(r)]
+        try:
+            L = LatticeBasis(n, vecs)
+        except ValueError:
+            continue
+        break
+    # the drawn vectors, not L's Hermite basis, so d has either sign
+    trunc = Truncation(basis=tuple(vecs), bound=rng.randint(0, 4), dim=n)
+    sheets = [tuple(rng.randint(-2, 2) for _ in range(n))
+              for _ in range(rng.randint(1, 3))]
+    shifts = [tuple(rng.randint(0, 2) for _ in range(n))
+              for _ in range(rng.randint(1, 2))]
+    t, sh = rng.choice(sheets), rng.choice(shifts)
+    kind = rng.choice(["bound", "bound + 1", "fraction", "off"])
+    if kind.startswith("bound") and r:
+        length = trunc.bound + (kind == "bound + 1")
+        k = [0] * r
+        for _ in range(length):
+            k[rng.randrange(r)] += rng.choice([-1, 1])
+        if sum(map(abs, k)) != length:      # a step cancelled: re-sign
+            k = [abs(x) for x in k]
+            k[0] += length - sum(k)
+        w = [sum(c * vec[i] for c, vec in zip(k, vecs)) for i in range(n)]
+    elif kind == "fraction" and r:
+        # the saturation holds every integer point of the rational span;
+        # its points outside L have non-integer coordinates in L
+        S = saturation(L)
+        w = [sum(rng.randint(-3, 3) * vec[i] for vec in S.vectors)
+             for i in range(n)]
+    elif kind != "off":
+        kind, w = "origin", [0] * n     # the only point of a rank-0 lattice
+    else:
+        w = [rng.randint(-6, 6) for _ in range(n)]
+    z = tuple(a + b - c for a, b, c in zip(w, t, sh))
+    return trunc, sheets, shifts, z, kind, tuple(w)
+
+
+def test_coverage_matches_reference():
+    # Truncation.coverage (integer forms, one constant per sheet and
+    # shift) against the per-offset, per-sheet Fraction elimination
+    rng = random.Random(4141)
+    seen = Counter()
+    for _ in range(1200):
+        trunc, sheets, shifts, z, kind, w = random_coverage_case(rng)
+        got = trunc.coverage(sheets, shifts)(z)
+        want = all(covered(trunc, sheets, tuple(a + b for a, b in zip(z, sh)))
+                   for sh in shifts)
+        assert got == want, (trunc, sheets, shifts, z)
+        seen[kind, want] += 1
+        seen["rank", len(trunc.basis), trunc.dim] += 1
+        seen["sheets", len(sheets)] += 1
+        if kind == "fraction" and word_coordinates(trunc, w) is None:
+            seen["non-integer coordinates"] += 1
+    # every kind of point and both verdicts, every rank 0..n-1 up to
+    # n = 5, and 1, 2 and 3 sheets; a lattice point past the bound is
+    # never covered
+    assert seen["bound", True] >= 100 and seen["bound + 1", False] >= 100
+    assert seen["bound + 1", True] == 0
+    assert seen["fraction", True] >= 100 and seen["off", True] >= 100
+    assert seen["origin", True] >= 100
+    assert seen["non-integer coordinates"] >= 100
+    assert all(seen["rank", r, n] for n in range(1, 6) for r in range(n))
+    assert all(seen["sheets", c] >= 100 for c in (1, 2, 3))
 
 
 # -- Scalar arithmetic ----------------------------------------------------------------

@@ -23,7 +23,12 @@ from binomhorn import (
 )
 from binomhorn.series import lattice_binomials
 from binomhorn.solutions import component_characters
-from pipeline_reference import component_of, gamma_series, sheet_bases
+from pipeline_reference import (
+    component_of,
+    gamma_series,
+    sheet_bases,
+    word_length,
+)
 
 
 # -- component polynomials -------------------------------------------------------
@@ -350,6 +355,52 @@ def test_ds_nine_twisted_solutions(B_ds, A_ds):
         assert verify_annihilation(ops_rho, s.series).ok
 
 
+def test_word_tables_are_shared_across_calls(B_ds, A_ds):
+    # one input reused across bounds, betas and field roots gives what a
+    # fresh input gives, and an edit of one result's terms reaches no
+    # later result
+    hi = make_horn_input(B_ds, A_ds)
+    calls = [(4, (F(1, 5), F(2, 7)), 1), (6, (F(3, 5), F(1, 7)), 3),
+             (4, (F(2, 7), F(4, 5)), 3), (4, (F(1, 5), F(2, 7)), 1)]
+    truncations = {}
+    for T, beta, root in calls:
+        got = solution_basis(hi, beta, T=T, field_root=root)
+        want = solution_basis(make_horn_input(B_ds, A_ds), beta, T=T,
+                              field_root=root)
+        assert len(got) == len(want) == (9 if root == 3 else 3)
+        for a, b in zip(got, want):
+            assert (a.decomposition, a.gamma, a.simplex, a.character) == \
+                (b.decomposition, b.gamma, b.simplex, b.character)
+            assert a.series.terms == b.series.terms
+            assert a.series.truncation == b.series.truncation
+            assert a.series.truncation.bound == T
+            assert a.series.support == b.series.support
+            # every solution of a decomposition at one T shares one
+            # Truncation, across calls too
+            tr = truncations.setdefault((a.decomposition, T),
+                                        a.series.truncation)
+            assert a.series.truncation is tr
+        for a in got:
+            key = min(a.series.terms)
+            a.series.terms[key] = a.series.terms[key] * 7
+            a.series.terms[(99,) * hi.n] = Scalar.one(root)
+
+
+def test_series_wall_at_T80(B_ds, A_ds):
+    # ds06 with its three characters at T = 80; a series layer that
+    # loses its integer paths or rebuilds per-term work fails here fast
+    # and by name
+    hi = make_horn_input(B_ds, A_ds)
+    beta = (F(1, 5), F(2, 7))
+    sols = solution_basis(hi, beta, T=80, field_root=3)
+    assert len(sols) == 9
+    ops = horn_system_operators(hi, beta, field_order=3)
+    for s in sols:
+        rep = verify_annihilation(ops, s.series)
+        assert len(rep.checks) == len(ops)
+        assert all(not c.interior_residual for c in rep.checks)
+
+
 def test_gauss_two_solutions(B_gauss):
     hi = make_horn_input(B_gauss)
     beta = (F(1, 2), F(1, 3), F(1, 5))
@@ -410,7 +461,7 @@ def test_supports_lie_on_declared_sheets(B_erd, A_erd):
         for e in map(s.series.exponent, s.series.terms):
             words = []
             for b in sheets:
-                w = tr.word_length(tuple(x - y for x, y in zip(e, b)))
+                w = word_length(tr, tuple(x - y for x, y in zip(e, b)))
                 if w is not None:
                     words.append(w)
             assert words and min(words) <= tr.bound
