@@ -17,12 +17,9 @@ from .exact_linalg import (
     LatticeBasis,
     column_hnf,
     int_rank,
-    invariant_factors,
     kernel_basis,
-    lattice_index,
     left_kernel_basis,
     row_hnf,
-    saturation,
     smith_normal_form,
 )
 from .geometry import Cone, SupportFunction, very_generic_check

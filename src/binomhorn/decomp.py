@@ -35,9 +35,7 @@ from .exact_linalg import (
     bareiss_det,
     coordinate_map,
     int_rank,
-    lattice_index,
     saturated_span,
-    saturation,
 )
 from .geometry import Cone
 from .model import HornInput
@@ -53,7 +51,8 @@ class Decomposition:
     Index sets are 0-based and sorted; ``label`` renders them 1-based for
     reports.  ``L_basis`` is the saturation of the column span of B_J
     inside Z^J (coordinates indexed by J in increasing order) and ``g`` is
-    its index over that span.  Both are computed from B_J when first read:
+    the index of the span in it, read off its Hermite pivots by
+    ``LatticeBasis.index``.  Both are computed from B_J when first read:
     the rank formula reads them only for toral decompositions.  ``cone``
     holds the cells, volume and support functions of A_J, likewise
     computed when first read, and ``word_table(T)`` builds the
@@ -74,11 +73,11 @@ class Decomposition:
 
     @cached_property
     def L_basis(self) -> LatticeBasis:
-        return saturation(LatticeBasis(len(self.J), self.B_J.columns()))
+        return saturated_span(self.B_J)
 
     @cached_property
     def g(self) -> int:
-        return lattice_index(LatticeBasis(len(self.J), self.B_J.columns()))
+        return self.L_basis.index(self.B_J.columns())
 
     @cached_property
     def cone(self) -> Cone:

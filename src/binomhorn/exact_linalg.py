@@ -5,9 +5,10 @@ are scaled to integers before any elimination.  Every rational solve
 and null space, pivot choice and lattice coordinate reads one
 fraction-free Gauss-Jordan routine, ``rref``; ranks come from its
 forward-only form, integer kernels from one echelon pass of gcd
-column operations.  No floating point anywhere.  Provides Smith and
-Hermite normal forms, integer kernels, lattice saturation and indices,
-and those solvers.
+column operations; the index of a sublattice is one determinant
+ratio on the Hermite pivots.  No floating point anywhere.  Provides
+Hermite normal forms, the Smith transform behind the characters,
+integer kernels, saturated spans and lattice indices, and those solvers.
 """
 
 from __future__ import annotations
@@ -115,14 +116,6 @@ class IntMatrix:
 
 # -- elementary exact helpers -------------------------------------------------
 
-def _ff(a, k):
-    """Falling factorial a (a-1) ... (a-k+1); k >= 0.  Works for Fractions."""
-    out = Fraction(1) if isinstance(a, Fraction) else 1
-    for i in range(k):
-        out *= a - i
-    return out
-
-
 def _bareiss_rank(rows):
     """Rank of integer rows by fraction-free elimination (Bareiss 1968):
     each entry becomes its 2x2 determinant with the pivot divided by the
@@ -223,15 +216,16 @@ def bareiss_det(m: IntMatrix):
 # -- Smith normal form ---------------------------------------------------------
 
 def smith_normal_form(m: IntMatrix):
-    """Smith normal form with transforms: returns (U, D, V), U m V = D.
+    """Smith normal form with its row transform: returns (U, diagonal).
 
-    U, V are unimodular; D is diagonal with nonnegative entries d_1 | d_2 | ...
-    Pivot choice: smallest absolute nonzero entry of the remaining block.
+    U is unimodular and U m V = D for some unimodular V, which is not
+    kept; D is diagonal with nonnegative entries d_1 | d_2 | ..., and
+    the diagonal lists its min(nrows, ncols) entries.  Pivot choice:
+    smallest absolute nonzero entry of the remaining block.
     """
     a = [list(row) for row in m.data]
     nr, nc = m.nrows, m.ncols
     U = [list(row) for row in IntMatrix.identity(nr).data]
-    V = [list(row) for row in IntMatrix.identity(nc).data]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -239,8 +233,6 @@ def smith_normal_form(m: IntMatrix):
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):
@@ -250,8 +242,6 @@ def smith_normal_form(m: IntMatrix):
 
     def add_col(dst, src, q):
         for row in a:
-            row[dst] += q * row[src]
-        for row in V:
             row[dst] += q * row[src]
 
     def negate_row(i):
@@ -302,17 +292,7 @@ def smith_normal_form(m: IntMatrix):
         if a[t][t] < 0:
             negate_row(t)
         t += 1
-    return IntMatrix(U), IntMatrix(a), IntMatrix(V)
-
-
-def invariant_factors(m: IntMatrix):
-    """Nonzero diagonal entries of the Smith form of m."""
-    _, d, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(d.nrows, d.ncols)):
-        if d.data[i][i] != 0:
-            out.append(d.data[i][i])
-    return tuple(out)
+    return IntMatrix(U), tuple(a[i][i] for i in range(min(nr, nc)))
 
 
 def int_rank(m: IntMatrix):
@@ -397,18 +377,37 @@ class LatticeBasis:
     def rank(self):
         return len(self.vectors)
 
-    def matrix(self):
-        return IntMatrix.from_columns(self.vectors, nrows=self.ambient_dim)
-
-    def contains(self, v):
-        """Exact membership test for an integer (or rational) vector."""
-        return self.coordinates(v) is not None
-
     def coordinates(self, v):
         """Integer coordinates of v in this basis, or None if v is outside."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
         return coordinate_map(self.vectors, self.ambient_dim)(v)
+
+    def index(self, vectors):
+        """Index in this lattice of the span of the given vectors.
+
+        The vectors must lie in the lattice and number its rank.  They
+        are then the basis times an integer matrix T, whose determinant
+        is the index up to sign.  On the Hermite pivot coordinates P the
+        basis is triangular with the pivots on its diagonal, so
+        |det T| is |det of the vectors on P| over the product of the
+        pivots (Cohen, GTM 138, 2.4).  Raises ValueError when the count
+        or a length is wrong, the determinant is 0, or the pivot product
+        does not divide it.
+        """
+        vectors = [tuple(v) for v in vectors]
+        if (len(vectors) != self.rank
+                or any(len(v) != self.ambient_dim for v in vectors)):
+            raise ValueError(f"index needs {self.rank} vectors of length "
+                             f"{self.ambient_dim}")
+        pivots = [next(i for i, x in enumerate(v) if x) for v in self.vectors]
+        det = bareiss_det(IntMatrix._of(
+            tuple(tuple(v[p] for v in vectors) for p in pivots), self.rank))
+        index, rem = divmod(abs(det), prod(v[p] for v, p in
+                                           zip(self.vectors, pivots)))
+        if det == 0 or rem:
+            raise ValueError("vectors are dependent or outside the lattice")
+        return index
 
     def __eq__(self, other):
         return (isinstance(other, LatticeBasis)
@@ -453,11 +452,6 @@ def left_kernel_basis(m: IntMatrix):
     return kernel_basis(m.transpose())
 
 
-def saturation(l: LatticeBasis):
-    """Saturation sat(L) = (Q L) intersect Z^n, as a LatticeBasis."""
-    return saturated_span(l.matrix())
-
-
 def saturated_span(m: IntMatrix):
     """(Q colspan m) intersect Z^nrows as a LatticeBasis, for any columns.
 
@@ -481,12 +475,6 @@ def _null_rows(pivots, red, d, n):
         for p, row in zip(pivots, red):
             y[p] = -row[f]
     return ys
-
-
-def lattice_index(l: LatticeBasis):
-    """Index |sat(L)/L|: the product of the invariant factors of the basis
-    matrix."""
-    return prod(invariant_factors(l.matrix())) if l.vectors else 1
 
 
 def coordinate_forms(vectors, n):

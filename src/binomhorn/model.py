@@ -19,15 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from .errors import ConventionError
 from .exact_linalg import (
     IntMatrix,
+    LatticeBasis,
     frac_solve,
     int_rank,
-    invariant_factors,
     left_kernel_basis,
     row_hnf,
 )
@@ -184,9 +184,9 @@ def compute_A(B: IntMatrix) -> IntMatrix:
     """Canonical A for a validated B: the row Hermite basis of the left
     kernel {y : y B = 0}.
 
-    The rows span the full (saturated) left kernel, so the Smith form of
-    the result has all invariant factors 1, and the output is a
-    deterministic function of B.
+    The rows span the full (saturated) left kernel, so the columns of the
+    result have column index 1 in Z^d, and the output is a deterministic
+    function of B.
     """
     return _accepted(validate_B(B)).A
 
@@ -201,8 +201,11 @@ class HornInput:
     m: int
     d: int
     pointed_functional: tuple
-    a_spans_standard_lattice: bool
     a_column_index: int  # index of ZA inside Z^d (1 when spanning)
+
+    @property
+    def a_spans_standard_lattice(self) -> bool:
+        return self.a_column_index == 1
 
     @cached_property
     def decompositions(self) -> tuple:
@@ -251,8 +254,9 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
         # it takes the canonical functional's values on the columns
         values = [sum(map(mul, vr.functional, col)) for col in vr.A.columns()]
         functional = frac_solve(A.columns(), values)
-        idx = prod(invariant_factors(A))  # d of them: A has rank d
+        # the rows of vr.A are a Hermite basis of the saturated left
+        # kernel, which holds the rows of A: A = T vr.A, and the columns
+        # of vr.A span Z^d, so [Z^d : ZA] = |det T|
+        idx = LatticeBasis(n, vr.A.data).index(A.data)
     return HornInput(B=B, A=A, n=n, m=m, d=d,
-                     pointed_functional=functional,
-                     a_spans_standard_lattice=idx == 1,
-                     a_column_index=idx)
+                     pointed_functional=functional, a_column_index=idx)

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
-    _ff,
     column_hnf,
     coordinate_map,
     frac_solve,
@@ -96,10 +95,12 @@ def component_polynomial(M: IntMatrix, gamma, component: Component) -> PuiseuxSe
 
 
 def _point_ff(point, u):
+    """The product over coordinates of the falling factorials
+    x (x - 1) ... (x - k + 1), x from the integer point and k from u."""
     out = 1
     for x, k in zip(point, u):
-        if k:
-            out *= _ff(x, k)
+        for i in range(k):
+            out *= x - i
     return out
 
 
@@ -231,7 +232,8 @@ def _component_points(dec: Decomposition, gamma, G: PuiseuxSeries, coords):
 # -- characters ------------------------------------------------------------------
 
 def component_characters(dec: Decomposition, field_order: int):
-    """The lattice_index(B_J) characters of sat(Z B_J) trivial on Z B_J.
+    """The g = [sat(Z B_J) : Z B_J] characters of sat(Z B_J) trivial on
+    Z B_J.
 
     Returns a list of (index tuple, callable) pairs; the callable maps
     the coordinates k of a lattice vector in ``dec.L_basis`` to a Scalar
@@ -248,8 +250,7 @@ def component_characters(dec: Decomposition, field_order: int):
     if None in coords:
         raise AssertionError("B_J column outside its saturation")
     C = IntMatrix.from_columns(coords, nrows=r)
-    U, D, _ = smith_normal_form(C)
-    ds = [D.data[i][i] for i in range(r)]
+    U, ds = smith_normal_form(C)
     if any(x == 0 for x in ds):
         raise AssertionError("sublattice has full rank inside its saturation")
     nontrivial = [i for i, x in enumerate(ds) if x > 1]

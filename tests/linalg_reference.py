@@ -4,21 +4,21 @@ Plain Gauss-Jordan elimination over fractions.Fraction, kept apart from
 the library's fraction-free ``rref`` so that no oracle reads the code it
 checks: ``frac_solve`` sets free variables to zero and gives None for an
 inconsistent system, ``frac_nullspace`` has one basis vector per free
-column, and ``frac_rank`` counts the pivots.  Integer kernels and
-saturated spans come from the Smith form, apart from the library's
-echelon kernel: ``smith_kernel_basis`` and ``smith_saturated_span``.
-Linear feasibility is decided by Fourier-Motzkin elimination,
-``fm_feasible``, apart from the library's simplex.
+column, and ``frac_rank`` counts the pivots.  ``smith_normal_form`` is
+the full Smith form with both transforms, apart from the library's,
+which keeps only the row transform and the diagonal; the invariant
+factors, integer kernels and saturated spans come from it, apart from
+the library's Hermite-pivot index and echelon kernel:
+``invariant_factors``, ``smith_index``, ``smith_kernel_basis`` and
+``smith_saturated_span``.  Linear feasibility is decided by
+Fourier-Motzkin elimination, ``fm_feasible``, apart from the library's
+simplex.
 """
 
 from fractions import Fraction
+from math import prod
 
-from binomhorn.exact_linalg import (
-    IntMatrix,
-    LatticeBasis,
-    row_hnf,
-    smith_normal_form,
-)
+from binomhorn.exact_linalg import IntMatrix, LatticeBasis, row_hnf
 
 
 def gauss_jordan(rows, ncols):
@@ -80,6 +80,103 @@ def lattice_coordinates(vectors, y):
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
     return tuple(int(x) for x in sol)
+
+
+def smith_normal_form(m: IntMatrix):
+    """Smith normal form with transforms: returns (U, D, V), U m V = D.
+
+    U, V are unimodular; D is diagonal with nonnegative entries d_1 | d_2 | ...
+    Pivot choice: smallest absolute nonzero entry of the remaining block.
+    """
+    a = [list(row) for row in m.data]
+    nr, nc = m.nrows, m.ncols
+    U = [list(row) for row in IntMatrix.identity(nr).data]
+    V = [list(row) for row in IntMatrix.identity(nc).data]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        # row_dst += q * row_src
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+
+    def add_col(dst, src, q):
+        for row in a:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        U[i] = [-x for x in U[i]]
+
+    t = 0
+    while t < min(nr, nc):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot now alone in its row and column; enforce divisibility
+            offender = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % a[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+    return IntMatrix(U), IntMatrix(a), IntMatrix(V)
+
+
+def invariant_factors(m):
+    """Nonzero diagonal entries of the Smith form of m."""
+    _, d, _ = smith_normal_form(m)
+    return tuple(x for x in (d.data[i][i] for i in range(min(d.shape)))
+                 if x)
+
+
+def smith_index(m):
+    """[sat(Z colspan m) : Z colspan m] for independent columns m: the
+    product of the invariant factors of the row Hermite form of m^T,
+    which are those of m; on a tall m itself the transforms explode."""
+    return prod(invariant_factors(row_hnf(m.transpose())))
 
 
 def smith_kernel_basis(m):

@@ -10,12 +10,9 @@ from binomhorn import (
     IntMatrix,
     LatticeBasis,
     int_rank,
-    invariant_factors,
     kernel_basis,
-    lattice_index,
     left_kernel_basis,
     row_hnf,
-    saturation,
     smith_normal_form,
 )
 from binomhorn.exact_linalg import (
@@ -30,8 +27,11 @@ from linalg_reference import (
     frac_rank,
     frac_solve as reference_solve,
     gauss_jordan,
+    invariant_factors,
     lattice_coordinates,
+    smith_index,
     smith_kernel_basis,
+    smith_normal_form as reference_smith,
     smith_saturated_span,
 )
 
@@ -39,7 +39,7 @@ from linalg_reference import (
 def solve_integer(m, b):
     """One integer solution x of m x = b through the Smith form, or None
     if none exists."""
-    u, d, v = smith_normal_form(m)
+    u, d, v = reference_smith(m)
     ub = u.mul_vec(tuple(b))
     rdim = min(d.nrows, d.ncols)
     y = [0] * m.ncols
@@ -60,7 +60,7 @@ def index_via_minor_gcd(l):
     basis matrix, independent of the Smith form."""
     if not l.vectors:
         return 1
-    m = l.matrix()
+    m = IntMatrix.from_columns(l.vectors, nrows=l.ambient_dim)
     k = len(l.vectors)
     g = 0
     for rows in combinations(range(m.nrows), k):
@@ -69,8 +69,15 @@ def index_via_minor_gcd(l):
     return g
 
 
+def sat_index(m):
+    """[sat(Z colspan m) : Z colspan m] for independent columns m."""
+    return saturated_span(m).index(m.columns())
+
+
 def check_snf(m):
-    u, d, v = smith_normal_form(m)
+    """The reference Smith form of m is one, and the library's keeps its
+    row transform and diagonal."""
+    u, d, v = reference_smith(m)
     assert u.mul(m).mul(v) == d
     assert abs(bareiss_det(u)) == 1
     assert abs(bareiss_det(v)) == 1
@@ -85,13 +92,15 @@ def check_snf(m):
             assert b % a == 0 or b == 0
         else:
             assert b == 0
+    assert smith_normal_form(m) == (u, tuple(diag))
     return diag
 
 
 def test_snf_identity():
-    u, d, v = smith_normal_form(IntMatrix.identity(2))
+    u, d, v = reference_smith(IntMatrix.identity(2))
     assert d == IntMatrix.identity(2)
     assert u.mul(IntMatrix.identity(2)).mul(v) == d
+    assert smith_normal_form(IntMatrix.identity(2)) == (u, (1, 1))
 
 
 def test_snf_diag_2_3():
@@ -103,7 +112,7 @@ def test_snf_diag_2_3():
 def test_snf_b_erd(B_erd):
     # gcd of 1x1 minors is 1; rows 1,2 give a 2x2 minor equal to 1
     assert invariant_factors(B_erd) == (1, 1)
-    check_snf(B_erd)
+    assert check_snf(B_erd) == [1, 1]
 
 
 def test_snf_random():
@@ -133,9 +142,9 @@ def test_kernel_matches_b_columns(B_erd, A_erd):
     assert kb.rank == 2
     bcols = LatticeBasis(4, B_erd.columns())
     for v in kb.vectors:
-        assert bcols.contains(v)
+        assert bcols.coordinates(v) is not None
     for c in B_erd.columns():
-        assert kb.contains(c)
+        assert kb.coordinates(c) is not None
 
 
 def test_kernel_rank_sum():
@@ -195,8 +204,7 @@ def check_against_smith(m):
     span = smith_saturated_span(m)
     assert saturated_span(m) == span
     # the nonzero columns of the column Hermite form generate Z colspan m
-    lattice = LatticeBasis(m.nrows, column_hnf(m).columns())
-    assert saturation(lattice) == span
+    assert saturated_span(column_hnf(m)) == span
 
 
 def test_echelon_kernels_match_the_smith_reference():
@@ -245,18 +253,17 @@ def test_kernel_past_the_smith_wall(shape):
 
 
 def test_saturation_primitive_vector():
-    l = LatticeBasis(2, [(2, 4)])
-    s = saturation(l)
+    s = saturated_span(IntMatrix([[2], [4]]))
     assert s.vectors == ((1, 2),)
+    assert s.index([(2, 4)]) == 2
 
 
 def test_saturation_b_ds(B_ds):
-    l = LatticeBasis(4, B_ds.columns())
-    s = saturation(l)
-    assert lattice_index(l) == 3
-    assert lattice_index(s) == 1
+    s = saturated_span(B_ds)
+    assert s.index(B_ds.columns()) == 3
+    assert sat_index(IntMatrix.from_columns(s.vectors)) == 1
     for c in B_ds.columns():
-        assert s.contains(c)
+        assert s.coordinates(c) is not None
 
 
 def test_saturation_idempotent():
@@ -270,18 +277,28 @@ def test_saturation_idempotent():
             if int_rank(IntMatrix.from_columns(vecs, nrows=n)) == k:
                 break
         l = LatticeBasis(n, vecs)
-        s = saturation(l)
-        assert saturation(s) == s
-        assert lattice_index(s) == 1
+        s = saturated_span(IntMatrix.from_columns(vecs, nrows=n))
+        assert saturated_span(IntMatrix.from_columns(s.vectors)) == s
+        assert sat_index(IntMatrix.from_columns(s.vectors)) == 1
+        assert s.index(l.vectors) == index_via_minor_gcd(l)
         assert s.rank == l.rank
         for v in l.vectors:
-            assert s.contains(v)
+            assert s.coordinates(v) is not None
 
 
 def test_lattice_index_examples(B_erd, B_ds):
-    assert lattice_index(LatticeBasis(4, B_erd.columns())) == 1
-    assert lattice_index(LatticeBasis(4, B_ds.columns())) == 3
-    assert lattice_index(LatticeBasis(2, [(2, 4)])) == 2
+    assert sat_index(B_erd) == 1
+    assert sat_index(B_ds) == 3
+    assert sat_index(IntMatrix([[2], [4]])) == 2
+    assert sat_index(IntMatrix.zero(3, 0)) == 1
+    # dependent vectors, a wrong count or length, and a determinant the
+    # pivot product does not divide
+    s = saturated_span(B_ds)
+    for bad in ([B_ds.column(0)] * 2, [B_ds.column(0)], [(3, -6, 0)] * 2):
+        with pytest.raises(ValueError):
+            s.index(bad)
+    with pytest.raises(ValueError):
+        LatticeBasis(2, [(2, 0)]).index([(1, 0)])
 
 
 def test_lattice_index_minor_gcd_oracle(B_ds):
@@ -299,7 +316,7 @@ def test_lattice_index_minor_gcd_oracle(B_ds):
 
 
 def test_index_dual_oracle_random():
-    # lattice_index (invariant factors) vs gcd of maximal minors on 100 matrices
+    # the Hermite-pivot index vs gcd of maximal minors on 100 matrices
     rng = random.Random(19)
     count = 0
     while count < 100:
@@ -309,8 +326,74 @@ def test_index_dual_oracle_random():
         if int_rank(IntMatrix.from_columns(cols, nrows=n)) != k:
             continue
         l = LatticeBasis(n, cols)
-        assert lattice_index(l) == index_via_minor_gcd(l)
+        assert sat_index(IntMatrix.from_columns(cols)) == index_via_minor_gcd(l)
         count += 1
+
+
+# -- the Hermite-pivot index against the Smith reference ----------------------
+
+def full_column_rank(rng, count):
+    """count seeded n x k matrices of rank k, with n <= 10, k <= 8 and
+    entries in [-3, 3]."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 10)
+        k = rng.randint(0, min(n, 8))
+        m = IntMatrix([[rng.randint(-3, 3) for _ in range(k)]
+                       for _ in range(n)], ncols=k)
+        if int_rank(m) == k:
+            out.append(m)
+    return out
+
+
+def test_index_matches_the_smith_reference():
+    seen = Counter()
+    for m in full_column_rank(random.Random(1501), 1000):
+        want = smith_index(m)
+        assert sat_index(m) == want, m
+        assert want == index_via_minor_gcd(LatticeBasis(m.nrows, m.columns()))
+        seen[m.ncols, want > 1] += 1
+    assert len(seen) == 17, seen  # every k = 0..8, and index > 1 for k > 0
+
+
+def test_trimmed_smith_matches_the_reference():
+    # on the same seeds: the Smith form of the row Hermite form of the
+    # transpose, and of the square coordinates of the columns in their
+    # saturation, the matrix component_characters reads; on some 8 x 8
+    # coordinate matrices both Smith forms run for seconds
+    for m in full_column_rank(random.Random(1501), 1000):
+        pins = [row_hnf(m.transpose())]
+        if m.ncols < 8:
+            coords = coordinate_map(saturated_span(m).vectors, m.nrows)
+            pins.append(IntMatrix.from_columns(map(coords, m.columns()),
+                                               nrows=m.ncols))
+        for x in pins:
+            u, d, _ = reference_smith(x)
+            assert smith_normal_form(x) == (
+                u, tuple(d.data[i][i] for i in range(min(d.shape)))), x
+
+
+@pytest.mark.parametrize("shape", [(20, 10), (24, 12), (30, 15)])
+def test_index_past_the_smith_wall(shape):
+    # a Smith form of the raw matrix runs for over 30 s on the first
+    # 20 x 10 B here; tripling one column triples the index, which
+    # divides every maximal minor
+    n, k = shape
+    rng = random.Random(n * 100 + k)
+    for bound in (2, 3):
+        while True:
+            m = IntMatrix([[rng.randint(-bound, bound) for _ in range(k)]
+                           for _ in range(n)])
+            if int_rank(m) == k:
+                break
+        index = sat_index(m)
+        for _ in range(5):
+            rows = sorted(rng.sample(range(n), k))
+            assert bareiss_det(m.submatrix(rows, range(k))) % index == 0
+        cols = m.columns()
+        j = rng.randrange(k)
+        cols[j] = tuple(3 * x for x in cols[j])
+        assert sat_index(IntMatrix.from_columns(cols)) == 3 * index
 
 
 def test_int_rank(A_erd):
@@ -455,7 +538,6 @@ def test_coordinates_match_fraction_elimination():
                 y = [Fraction(x, rng.choice((1, 2))) for x in y]
             want = lattice_coordinates(L.vectors, y)
             assert coords(y) == want == L.coordinates(y), (L, y)
-            assert L.contains(y) == (want is not None)
             seen["inside" if want is not None else "outside"] += 1
     assert min(seen.values()) >= 50 and len(seen) == 3, seen
 
@@ -465,8 +547,6 @@ def test_coordinates_reject_wrong_lengths():
     for bad in ((3, 0, 7), (3,)):
         with pytest.raises(ValueError):
             L.coordinates(bad)
-        with pytest.raises(ValueError):
-            L.contains(bad)
         with pytest.raises(ValueError):
             coordinate_map(L.vectors, 2)(bad)
     with pytest.raises(ValueError):
@@ -546,10 +626,10 @@ def test_index_three_five_row_lattice():
     # the five-row companion lattice has the same index-3 saturation
     B = IntMatrix([[-2, -1, 0], [3, 0, 1], [0, 3, 0], [-1, -2, 0],
                    [0, 0, -1]])
-    l = LatticeBasis(5, B.columns())
-    assert lattice_index(l) == 3
-    s = saturation(l)
-    assert lattice_index(s) == 1 and s.rank == 3
+    assert sat_index(B) == 3
+    s = saturated_span(B)
+    assert sat_index(IntMatrix.from_columns(s.vectors)) == 1
+    assert s.rank == 3
 
 
 def test_snf_arbitrary_precision():

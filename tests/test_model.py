@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -18,8 +18,8 @@ from binomhorn import (
 )
 from binomhorn import model
 from binomhorn.cli import main
-from binomhorn.exact_linalg import LatticeBasis, int_rank, invariant_factors
-from linalg_reference import fm_feasible, frac_rank, frac_solve
+from binomhorn.exact_linalg import LatticeBasis, bareiss_det, int_rank, row_hnf
+from linalg_reference import fm_feasible, frac_rank, frac_solve, invariant_factors
 
 
 def test_validate_accepts_fixtures(B_erd, B_gauss, B_ds, B_nh, B_him):
@@ -70,8 +70,8 @@ def test_compute_a_defining_property(B_erd, B_nh, B_ds, B_gauss):
     # the fixtures and seeded random valid B
     for B in (B_erd, B_nh, B_ds, B_gauss, *seeded_valid_B()):
         A = compute_A(B)
-        # make_horn_input records the spanning without a Smith form; the
-        # same A supplied explicitly goes through invariant_factors
+        # make_horn_input records the spanning without computing it; the
+        # same A supplied explicitly has its index computed
         for hi in (make_horn_input(B), make_horn_input(B, A)):
             assert hi.a_column_index == 1 and hi.a_spans_standard_lattice
         assert A.mul(B).is_zero()
@@ -81,7 +81,7 @@ def test_compute_a_defining_property(B_erd, B_nh, B_ds, B_gauss):
         # and the kernel of A contains every column of B
         ker = kernel_basis(A)
         for k in range(B.ncols):
-            assert ker.contains(B.column(k))
+            assert ker.coordinates(B.column(k)) is not None
 
 
 def test_compute_a_b_nh_is_row_equivalent_to_published(B_nh, A_nh):
@@ -97,9 +97,9 @@ def test_compute_a_b_erd_vs_published(B_erd, A_erd):
     A = compute_A(B_erd)
     mine = LatticeBasis(4, [tuple(r) for r in A.data])
     for r in A_erd.data:
-        assert mine.contains(tuple(r))
+        assert mine.coordinates(tuple(r)) is not None
     published = LatticeBasis(4, [tuple(r) for r in A_erd.data])
-    assert not all(published.contains(v) for v in mine.vectors)
+    assert None in map(published.coordinates, mine.vectors)
     assert int_rank(A_erd) == int_rank(A) == 2
 
 
@@ -157,7 +157,32 @@ def test_make_horn_input_accepts_published_pairs(B_erd, A_erd, B_ds, A_ds,
         assert hi.A == A
     # the published Erdelyi A spans an index 3 column lattice
     assert make_horn_input(B_erd, A_erd).a_column_index == 3
+    assert not make_horn_input(B_erd, A_erd).a_spans_standard_lattice
     assert make_horn_input(B_ds, A_ds).a_column_index == 1
+
+
+def test_supplied_a_index_matches_the_smith_reference():
+    # A = T A_c for the canonical A_c and a random nonsingular T: its
+    # column index in Z^d is |det T|, and the product of the invariant
+    # factors of A, read here from its row Hermite form
+    rng = random.Random(1502)
+    indices = Counter()
+    for B in seeded_valid_B():
+        A_c = compute_A(B)
+        d = A_c.nrows
+        for _ in range(5):
+            while True:
+                T = IntMatrix([[rng.randint(-3, 3) for _ in range(d)]
+                               for _ in range(d)])
+                if bareiss_det(T):
+                    break
+            A = T.mul(A_c)
+            hi = make_horn_input(B, A)
+            assert hi.a_column_index == abs(bareiss_det(T)), (B, T)
+            assert hi.a_column_index == prod(invariant_factors(row_hnf(A)))
+            assert hi.a_spans_standard_lattice == (hi.a_column_index == 1)
+            indices[hi.a_column_index > 1] += 1
+    assert sum(indices.values()) == 200 and indices[True] >= 100, indices
 
 
 def test_make_horn_input_rejects_bad_a(B_erd):

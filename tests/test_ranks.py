@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from binomhorn import (
     IntMatrix,
@@ -125,7 +126,8 @@ def test_rank_five_row_mellin_variant():
 
 
 def test_andean_report_is_computed_once_per_input(monkeypatch):
-    # two rank evaluations of one input saturate each Andean A_J once
+    # two rank evaluations of one input saturate each Andean A_J once, and
+    # each toral B_J once, for the g its L_basis gives
     from binomhorn import decomp
     from test_combinatorics_oracles import chain_rows
     spans = []
@@ -140,4 +142,6 @@ def test_andean_report_is_computed_once_per_input(monkeypatch):
     first, second = generic_rank(hi), generic_rank(hi)
     assert first == second
     andean = [dec.A_J for dec in hi.decompositions if not dec.is_toral]
-    assert len(andean) == 10 and spans == andean
+    toral = [dec.B_J for dec in hi.decompositions if dec.is_toral]
+    assert len(andean) == 10 and len(toral) == 1
+    assert Counter(spans) == Counter(andean) + Counter(toral)

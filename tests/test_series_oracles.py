@@ -37,10 +37,15 @@ from binomhorn import (
 )
 from binomhorn.cyclotomic import cyclotomic_polynomial
 from binomhorn.decomp import _l1_ball
-from binomhorn.exact_linalg import coordinate_map, saturation, smith_normal_form
+from binomhorn.exact_linalg import coordinate_map
 from binomhorn.series import PuiseuxSeries, Support, Truncation, apply_operator
 from binomhorn.solutions import component_characters
-from linalg_reference import frac_solve, lattice_coordinates
+from linalg_reference import (
+    frac_solve,
+    lattice_coordinates,
+    smith_normal_form,
+    smith_saturated_span,
+)
 from pipeline_reference import (
     covered,
     gamma_series,
@@ -726,7 +731,7 @@ def random_coverage_case(rng):
     elif kind == "fraction" and r:
         # the saturation holds every integer point of the rational span;
         # its points outside L have non-integer coordinates in L
-        S = saturation(L)
+        S = smith_saturated_span(IntMatrix.from_columns(L.vectors, nrows=n))
         w = [sum(rng.randint(-3, 3) * vec[i] for vec in S.vectors)
              for i in range(n)]
     elif kind != "off":
