@@ -2,15 +2,20 @@
 
 Elements are rational-coefficient polynomials in the primitive N-th root
 of unity, reduced modulo the N-th cyclotomic polynomial.  N = 1 gives
-plain rationals.  Division is supported through the extended Euclidean
-algorithm; the modulus is irreducible, so every nonzero element is a
-unit.
+plain rationals.  An element is stored as one integer form: deg Phi_N
+integer numerators over one positive denominator, coprime to all of
+them.  The form is canonical, so equal elements have equal forms, and
+sums, negations and rational scalings are integer work reduced by one
+gcd.  Division goes through the extended Euclidean algorithm on
+Fraction polynomials; the modulus is irreducible, so every nonzero
+element is a unit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 
@@ -76,47 +81,78 @@ def cyclotomic_polynomial(N: int):
 class Scalar:
     """An element of Q(zeta_N) in reduced polynomial form.
 
-    ``coeffs`` always holds exactly deg Phi_N Fractions.  The arithmetic
-    below builds its results directly whenever they are reduced by
-    construction (sums, negations, and products with a rational factor);
-    only a product of two irrational elements goes through the general
-    reducing constructor.
+    ``nums`` holds exactly deg Phi_N integers and ``den`` one positive
+    integer with gcd(den, *nums) = 1, so zero is all zeros over 1; the
+    coefficients are nums[i] / den, and ``coeffs`` yields them as
+    Fractions.  Sums, negations and products with a rational factor
+    work on the integers and reduce with one gcd; only a product of two
+    irrational elements and the inverse of an irrational element go
+    through the general constructor, which reduces a Fraction
+    polynomial modulo Phi_N.
     """
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ("N", "nums", "den")
 
     def __init__(self, N, coeffs):
         N = int(N)
         phi = cyclotomic_polynomial(N)
-        deg = len(phi) - 1
         cs = [Fraction(c) for c in coeffs]
         if len(cs) >= len(phi):
             _, cs = _poly_divmod(cs, list(phi))
-        cs = cs + [Fraction(0)] * (deg - len(cs))
+        cs += [_ZERO] * (len(phi) - 1 - len(cs))
+        # the lcm of reduced denominators is coprime to the numerators
+        # it scales: a prime power it takes from one denominator does
+        # not divide that coefficient's scaled numerator
+        den = lcm(*[c.denominator for c in cs])
         self.N = N
-        self.coeffs = tuple(cs[:deg])
+        self.nums = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self.den = den
 
     @staticmethod
-    def _reduced(N, coeffs):
-        """An element from an already reduced, full-length Fraction tuple."""
+    def _canonical(N, nums, den):
+        """An element from a form that is canonical as it stands: a tuple
+        of deg Phi_N integers over a positive den coprime to them all."""
         out = object.__new__(Scalar)
         out.N = N
-        out.coeffs = coeffs
+        out.nums = nums
+        out.den = den
         return out
+
+    @staticmethod
+    def _reduced(N, nums, den):
+        """An element from deg Phi_N integers over a positive den,
+        divided by their one gcd; built in place, as verification runs
+        it once per residual term."""
+        g = gcd(den, *nums)
+        out = object.__new__(Scalar)
+        out.N = N
+        if g == 1:
+            out.nums = tuple(nums)
+            out.den = den
+        else:
+            out.nums = tuple([x // g for x in nums])
+            out.den = den // g
+        return out
+
+    @property
+    def coeffs(self):
+        """The deg Phi_N coefficients as Fractions."""
+        return tuple([Fraction(x, self.den) for x in self.nums])
 
     @staticmethod
     def rational(q, N=1):
         q = q if type(q) is Fraction else Fraction(q)
-        deg = len(cyclotomic_polynomial(int(N))) - 1
-        return Scalar._reduced(int(N), (q,) + (_ZERO,) * (deg - 1))
+        N = int(N)
+        pad = (0,) * (len(cyclotomic_polynomial(N)) - 2)
+        return Scalar._canonical(N, (q.numerator,) + pad, q.denominator)
 
     @staticmethod
     def zero(N=1):
-        return Scalar(N, [])
+        return Scalar.rational(0, N)
 
     @staticmethod
     def one(N=1):
-        return Scalar(N, [Fraction(1)])
+        return Scalar.rational(1, N)
 
     @staticmethod
     def root_of_unity(N, k=1):
@@ -125,81 +161,79 @@ class Scalar:
         mono = [Fraction(0)] * k + [Fraction(1)]
         return Scalar(N, mono)
 
+    def _times_coprime(self, a, d):
+        """self * a/d for coprime integers a and d > 0, where self has
+        den 1 and numerators of gcd 1.  Every root of unity qualifies (it
+        is a unit of Z[zeta_N]), and the product's form is then canonical
+        as it stands: no gcd is taken.  Built in place, as it runs once
+        per term of every solution."""
+        out = object.__new__(Scalar)
+        out.N = self.N
+        out.nums = tuple([a * x for x in self.nums])
+        out.den = d
+        return out
+
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
             if other.N == self.N:
                 return self, other
             if other.N == 1:
-                return self, Scalar(self.N, other.coeffs)
+                return self, Scalar.rational(other.as_rational(), self.N)
             if self.N == 1:
-                return Scalar(other.N, self.coeffs), other
+                return Scalar.rational(self.as_rational(), other.N), other
             raise ValueError(f"mixed cyclotomic orders {self.N} and {other.N}")
-        return self, Scalar(self.N, [Fraction(other)])
+        return self, Scalar.rational(other, self.N)
 
-    def _scaled(self, q):
-        """self * q for a rational q.  A coefficient of 1 or -1 (the only
-        nonzero coefficients of zeta_N^e for N < 105) gives q or -q
-        without a Fraction multiply."""
-        q = q if type(q) is Fraction else Fraction(q)
-        return Scalar._reduced(self.N, tuple([
-            c if not c else q if c == 1 else -q if c == -1 else c * q
-            for c in self.coeffs]))
+    def _plus(self, nums, den):
+        """self + nums / den for a form of the same order."""
+        a = self.den
+        if a == den:
+            out = [x + y for x, y in zip(self.nums, nums)]
+        else:
+            g = gcd(a, den)
+            ma, mb = den // g, a // g
+            out = [x * ma + y * mb for x, y in zip(self.nums, nums)]
+            a *= ma
+        return Scalar._reduced(self.N, out, a)
 
-    def _shifted(self, q):
-        """self + q for a rational q: only the constant coefficient moves."""
-        cs = self.coeffs
-        return Scalar._reduced(self.N, (cs[0] + q,) + cs[1:])
+    def _scaled(self, n, d):
+        """self * n/d for integers n and d > 0."""
+        return Scalar._reduced(self.N, [x * n for x in self.nums], self.den * d)
 
     def __add__(self, other):
-        if isinstance(other, Scalar):
-            if other.N == self.N:
-                return Scalar._reduced(self.N, tuple([
-                    x + y for x, y in zip(self.coeffs, other.coeffs)]))
-            if other.N == 1:
-                return self._shifted(other.coeffs[0])
-            if self.N == 1:
-                return other._shifted(self.coeffs[0])
-        elif type(other) is Fraction or type(other) is int:
-            return self._shifted(other)
         a, b = self._coerce(other)
-        return Scalar(a.N, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return a._plus(b.nums, b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._reduced(self.N, tuple(-x for x in self.coeffs))
+        return Scalar._canonical(self.N, tuple([-x for x in self.nums]),
+                                 self.den)
 
     def __sub__(self, other):
-        if isinstance(other, Scalar):
-            return self + (-other)
-        if type(other) is Fraction or type(other) is int:
-            return self._shifted(-other)
         a, b = self._coerce(other)
-        return Scalar(a.N, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return a._plus([-x for x in b.nums], b.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if other.N == 1 or (other.N == self.N and other.is_rational()):
-                return self._scaled(other.coeffs[0])
-            if self.N == 1 or (self.N == other.N and self.is_rational()):
-                return other._scaled(self.coeffs[0])
-        elif type(other) is Fraction or type(other) is int:
-            return self._scaled(other)
         a, b = self._coerce(other)
+        if b.is_rational():
+            return a._scaled(b.nums[0], b.den)
+        if a.is_rational():
+            return b._scaled(a.nums[0], a.den)
         return Scalar(a.N, _poly_mul(list(a.coeffs), list(b.coeffs)))
 
     __rmul__ = __mul__
@@ -207,8 +241,10 @@ class Scalar:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.N == 1:
-            return Scalar(1, [1 / self.coeffs[0]])
+        if self.is_rational():
+            n = self.nums[0]
+            return Scalar._canonical(self.N, (self.den if n > 0 else -self.den,)
+                                     + self.nums[1:], abs(n))
         # extended Euclid: s * self + t * Phi_N = 1
         phi = list(cyclotomic_polynomial(self.N))
         r0, r1 = phi, _poly_trim(list(self.coeffs))
@@ -223,34 +259,26 @@ class Scalar:
         return Scalar(self.N, [c / lead for c in s0])
 
     def __truediv__(self, other):
-        if type(other) is Fraction or type(other) is int:
-            a, q = self, Fraction(other)
-        else:
-            a, b = self._coerce(other)
-            if not b.is_rational():
-                return a * b.inverse()
-            q = b.coeffs[0]
-        if q == 0:
-            raise ZeroDivisionError("division by zero")
-        return a._scaled(1 / q)
+        a, b = self._coerce(other)
+        return a * b.inverse()
 
     def __rtruediv__(self, other):
-        return Scalar(self.N, [Fraction(other)]) / self
+        return Scalar.rational(other, self.N) * self.inverse()
 
     def __eq__(self, other):
-        """Equality of reduced forms.  Elements of two different orders,
-        neither of them 1, are equal only when both are rational with one
-        value, as ``__hash__`` assumes: zeta_4 and zeta_8^2 compare unequal
+        """Equality of canonical forms.  Elements of two different orders
+        are equal only when both are rational with one value, as
+        ``__hash__`` assumes: zeta_4 and zeta_8^2 compare unequal
         although Q(zeta_8) contains Q(zeta_4)."""
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.as_rational() == Fraction(other)
+            return self.is_rational() and self.as_rational() == other
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.N != other.N and self.N != 1 and other.N != 1:
+        if self.N != other.N:
             return (self.is_rational() and other.is_rational()
-                    and self.as_rational() == other.as_rational())
-        a, b = self._coerce(other)
-        return a.coeffs == b.coeffs
+                    and self.nums[0] == other.nums[0]
+                    and self.den == other.den)
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
         if self.is_rational():

@@ -377,12 +377,6 @@ class LatticeBasis:
     def rank(self):
         return len(self.vectors)
 
-    def coordinates(self, v):
-        """Integer coordinates of v in this basis, or None if v is outside."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return coordinate_map(self.vectors, self.ambient_dim)(v)
-
     def index(self, vectors):
         """Index in this lattice of the span of the given vectors.
 

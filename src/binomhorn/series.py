@@ -10,13 +10,16 @@ negative exponents are handled uniformly, while keys stay integer.
 
 The stored terms are the only representation of a series.  Binomial and
 Euler operators work on its integer form instead (``_integer_form``):
-one positive common denominator D and, per offset, the deg Phi_N
-integers whose quotients by D are the coefficients.  The form is built
-where an operator is applied, once per ``verify_annihilation`` call, and
-is never cached on the series, so edits of ``terms`` are always seen.
-A rational lambda of a binomial operator is one more integer factor of
-its second part; only an irrational one acts through a multiplication
-matrix on Z[zeta_N].
+one positive common denominator D, the lcm of the Scalars' integer
+denominators, and, per offset, the deg Phi_N integers whose quotients
+by D are the coefficients, each a Scalar's numerators times one integer
+quotient.  The form is built where an operator is applied, once per
+``verify_annihilation`` call, and is never cached on the series, so
+edits of ``terms`` are always seen.  The residual terms become Scalars
+straight from their integer vectors, reduced by one gcd each; no
+``Fraction`` is built per term on either side.  A rational lambda of a
+binomial operator is one more integer factor of its second part; only
+an irrational one acts through a multiplication matrix on Z[zeta_N].
 
 A ``Truncation`` is shared by every solution of one decomposition at one
 bound (see ``Decomposition.word_table``).  It builds the integer forms
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from operator import add, mul, sub
 
 from .cyclotomic import Scalar, cyclotomic_polynomial
@@ -318,15 +321,11 @@ def apply_operator(op, s: PuiseuxSeries, *, form=None) -> PuiseuxSeries:
         # a dot product with the integer offset, over one denominator
         order, den, vecs = form or _integer_form(s)
         const = sum(r * b for r, b in zip(op.row, s.base)) - op.value
-        row = [(j, r) for j, r in enumerate(op.row) if r]
-        e = lcm(const.denominator, *(r.denominator for _, r in row))
+        e = lcm(const.denominator, *(r.denominator for r in op.row))
         const = const.numerator * (e // const.denominator)
-        row = [(j, r.numerator * (e // r.denominator)) for j, r in row]
-        out = {}
-        for z, v in vecs.items():
-            f = const + sum([r * z[j] for j, r in row])
-            if f:
-                out[z] = [f * x for x in v]
+        row = [r.numerator * (e // r.denominator) for r in op.row]
+        out = {z: [f * x for x in v] for z, v in vecs.items()
+               if (f := const + sum(map(mul, row, z)))}
         return s._with_terms(_scalars(order, den * e, out),
                              truncation=s.truncation, support=s.support)
     if isinstance(op, ThetaOp):
@@ -348,37 +347,37 @@ def _integer_form(s):
     """The terms of ``s`` over one common denominator.
 
     Returns (N, D, vectors): the cyclotomic order N of the coefficients,
-    a positive integer D, and for every offset z the list of deg Phi_N
-    integers whose quotients by D are the coefficients of the term at z.
-    A rational coefficient of order 1 in a series of order N > 1 is
-    padded with zeros, as in Q(zeta_N).  The form is rebuilt from
-    ``s.terms`` on every call, so edits of the terms are always seen.
+    the positive lcm D of the Scalars' denominators, and for every
+    offset z the tuple of deg Phi_N integers whose quotients by D are
+    the coefficients of the term at z: the Scalar's numerators times one
+    integer quotient of D by its denominator.  A rational coefficient of
+    order 1 in a series of order N > 1 is padded with zeros, as in
+    Q(zeta_N).  The form is rebuilt from ``s.terms`` on every call, so
+    edits of the terms are always seen.
     """
-    orders = {c.N for c in s.terms.values()} - {1}
-    if len(orders) > 1:
-        raise ValueError(f"mixed cyclotomic orders {sorted(orders)}")
-    order = orders.pop() if orders else 1
-    deg = len(cyclotomic_polynomial(order)) - 1
-    den = lcm(*{x.denominator for c in s.terms.values() for x in c.coeffs})
-    vecs = {}
-    for z, c in s.terms.items():
-        v = [x.numerator * (den // x.denominator) if x else 0
-             for x in c.coeffs]
-        vecs[z] = v + [0] * (deg - len(v)) if len(v) < deg else v
+    orders = {c.N for c in s.terms.values()}
+    if len(orders - {1}) > 1:
+        raise ValueError(f"mixed cyclotomic orders {sorted(orders - {1})}")
+    order = max(orders, default=1)
+    den = lcm(*{c.den for c in s.terms.values()})
+    vecs = {z: c.nums if (m := den // c.den) == 1 else
+            tuple([m * x for x in c.nums]) for z, c in s.terms.items()}
+    if order > 1 and 1 in orders:
+        deg = len(cyclotomic_polynomial(order)) - 1
+        vecs = {z: v + (0,) * (deg - len(v)) for z, v in vecs.items()}
     return order, den, vecs
 
 
 def _lift_form(order, vecs):
     """Integer vectors of order 1 as vectors of Q(zeta_order)."""
-    pad = [0] * (len(cyclotomic_polynomial(order)) - 2)
+    pad = (0,) * (len(cyclotomic_polynomial(order)) - 2)
     return order, {z: v + pad for z, v in vecs.items()}
 
 
 def _scalars(order, den, vecs):
-    """Scalars of order ``order`` from integer vectors over ``den``,
-    skipping the all-zero vectors of cancelled terms."""
-    return {z: Scalar._reduced(order, tuple([Fraction(x, den) for x in v]))
-            for z, v in vecs.items() if any(v)}
+    """Scalars of order ``order`` from nonzero integer vectors over
+    ``den``, each reduced by one gcd."""
+    return {z: Scalar._reduced(order, v, den) for z, v in vecs.items()}
 
 
 def _acc(d, key, val):
@@ -393,8 +392,8 @@ def _acc(d, key, val):
 def _binomial_action(base, vecs, order, u_plus, u_minus, lam):
     """partial^u_plus - lam partial^u_minus (lam None: the first part
     alone) applied to the integer vectors ``vecs`` on ``base``; returns
-    the common denominator of the two parts and the integer vectors over
-    it, keyed by offset.
+    the common denominator of the two parts and the nonzero integer
+    vectors over it, keyed by offset.
 
     The coefficient of partial^u x^(base + z) is a product over the
     coordinates j with u_j > 0 of falling factorials of base_j + z_j.
@@ -405,52 +404,57 @@ def _binomial_action(base, vecs, order, u_plus, u_minus, lam):
     denominator b.  Any other lam acts through its integer
     multiplication matrix on Z[zeta_N] (``_multiplication_matrix``),
     with scale -1 and the matrix's denominator.
+
+    The first part's term from z and the second part's term from
+    z - (u_plus - u_minus) land on one offset, z - u_plus.  So the sum
+    is keyed by the first part's source z, and only the vectors that do
+    not cancel are moved to their offsets.
     """
     parts = [(u_plus, 1, 1, None)]
     if lam is not None:
         if lam.is_rational():
-            frac = lam.as_rational()
-            parts.append((u_minus, frac.denominator, -frac.numerator, None))
+            parts.append((u_minus, lam.den, -lam.nums[0], None))
         else:
             den, matrix = _multiplication_matrix(lam, order)
             parts.append((u_minus, den, -1, matrix))
-    prepared = []
+    parts = [(u, den * prod([b.denominator ** k for b, k in zip(base, u)]),
+              factor, matrix) for u, den, factor, matrix in parts]
+    common = lcm(*(den for _, den, _, _ in parts))
+    zs = list(vecs)
+    scaled = []
     for u, den, factor, matrix in parts:
-        tables = []
+        # one column of products per part: the scale times each
+        # coordinate's falling factorial numerator, tabled per value
+        nums = [factor * (common // den)] * len(zs)
         for j, k in enumerate(u):
             if not k:
                 continue
             p, q = base[j].numerator, base[j].denominator
             table = {}
-            for z in vecs:
-                x = z[j]
-                if x not in table:
-                    num, top = 1, p + x * q
-                    for i in range(k):
-                        num *= top - i * q
-                    table[x] = num
-            tables.append((j, table))
-            den *= q ** k
-        prepared.append((u, tables, den, factor, matrix))
-    common = lcm(*(den for _, _, den, _, _ in prepared))
-    acc = {}
-    for u, tables, den, factor, matrix in prepared:
-        scale = factor * (common // den)
-        for z, v in vecs.items():
-            num = scale
-            for j, table in tables:
-                num *= table[z[j]]
-                if not num:
-                    break
-            if not num:
+            for x in {z[j] for z in zs}:
+                num, top = 1, p + x * q
+                for i in range(k):
+                    num *= top - i * q
+                table[x] = num
+            nums = [n * table[z[j]] for n, z in zip(nums, zs)]
+        scaled.append((nums, matrix))
+    vs = vecs.values()
+    (nums, _), *second = scaled
+    acc = {z: [n * x for x in v] for z, n, v in zip(zs, nums, vs) if n}
+    if second:
+        (nums, matrix), = second
+        shift = tuple(map(sub, u_plus, u_minus))
+        for z, n, v in zip(zs, nums, vs):
+            if not n:
                 continue
             if matrix is not None:
                 v = [sum(map(mul, row, v)) for row in matrix]
-            key = tuple(map(sub, z, u))
+            key = tuple(map(add, z, shift))
             cur = acc.get(key)
-            acc[key] = [num * x for x in v] if cur is None else \
-                [a + num * x for a, x in zip(cur, v)]
-    return common, acc
+            acc[key] = [n * x for x in v] if cur is None else \
+                [a + n * x for a, x in zip(cur, v)]
+    return common, {tuple(map(sub, z, u_plus)): v
+                    for z, v in acc.items() if any(v)}
 
 
 def _multiplication_matrix(lam, order):
@@ -458,10 +462,10 @@ def _multiplication_matrix(lam, order):
     coordinates x has the coordinates rows x / den.  Built only for an
     irrational lam; a rational one is a scalar (see ``_binomial_action``)."""
     deg = len(cyclotomic_polynomial(order)) - 1
-    cols = [(lam * Scalar.root_of_unity(order, i)).coeffs
-            for i in range(deg)]
-    den = lcm(*(x.denominator for col in cols for x in col))
-    return den, [[int(col[r] * den) for col in cols] for r in range(deg)]
+    cols = [lam * Scalar.root_of_unity(order, i) for i in range(deg)]
+    den = lcm(*(col.den for col in cols))
+    return den, [[col.nums[r] * (den // col.den) for col in cols]
+                 for r in range(deg)]
 
 
 def _tighten(trunc, order):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add, mul, sub
 
 from .cyclotomic import Scalar
@@ -188,10 +189,11 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local,
     coefficient is reduced once.
 
     Returns the support (base v_local on J, zero on Jbar) and the
-    rational coefficient table, one (z, k, coefficient) row per term,
-    where z is the integer offset from the base and k the word
-    coordinates the term was generated from.  Distinct points of G
-    differ on Jbar, so no two rows share a z.
+    rational coefficient table, one (z, k, a, d) row per term, where z
+    is the integer offset from the base, k the word coordinates the term
+    was generated from, and a/d the coefficient as coprime integers with
+    d > 0.  Distinct points of G differ on Jbar, so no two rows share a
+    z.
     """
     words, lifted = wt.words, wt.lifted
     ratios, starts = _ratio_tables(v_local, [nv for _, _, nv in points],
@@ -207,8 +209,11 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local,
         translates.append(lift)
         cn, cd = c.numerator, c.denominator
         for i, num, den in _gamma_terms(words, ratios, start):
+            num *= cn
+            den *= cd
+            g = gcd(num, den) if den > 0 else -gcd(num, den)
             table.append((tuple(map(add, lift, lifted[i])), words[i][0],
-                          Fraction(num * cn, den * cd)))
+                          num // g, den // g))
     base = [Fraction(0)] * n
     for pos, j in enumerate(dec.J):
         base[j] = Fraction(v_local[pos])
@@ -348,6 +353,12 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
     a caller that reuses ``hi`` across parameters builds them once and
     every solution of a decomposition shares one ``Truncation``.  The
     terms of each solution are fresh dicts.
+
+    Each (decomposition, gamma, cell exponent) builds one table of
+    coefficients as coprime integer pairs a/d.  A character twist
+    multiplies a row by a root of unity, whose integer coefficients
+    have gcd 1, so the twisted Scalar is the root's coefficients times
+    a over d, canonical with no gcd and no ``Fraction``.
     """
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != hi.d:
@@ -372,6 +383,7 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
         raise VeryGenericError(
             "parameter is not very generic; integral support-function "
             f"values at {violations}", violations=violations)
+    one = Scalar.one(field_root)
     out = []
     for dec in torals:
         atlas = atlases[dec.rowset_Jbar]
@@ -395,10 +407,11 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
                     # scales each row by its root of unity
                     for tchar, charfn in chars:
                         if tchar:
-                            terms = {z: charfn(k) * q for z, k, q in table}
+                            terms = {z: charfn(k)._times_coprime(a, d)
+                                     for z, k, a, d in table}
                         else:
-                            terms = {z: Scalar.rational(q, field_root)
-                                     for z, _, q in table}
+                            terms = {z: one._times_coprime(a, d)
+                                     for z, _, a, d in table}
                         out.append(Solution(
                             series=shell._with_terms(
                                 terms, wt.truncation, support),
@@ -441,10 +454,11 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
     Residual terms are (z, coefficient) pairs on the base of ``s``.
 
     The terms of ``s`` are put over one common denominator once per call,
-    and every binomial and Euler operator acts on that integer form, so
-    a cancelled term costs integer arithmetic only and Scalars are built
-    for the residual terms alone.  The form is not kept on ``s``: each
-    call reads ``s.terms`` afresh.  Coverage is decided by the integer
+    the lcm of their Scalars' denominators, with one integer division
+    per term, and every binomial and Euler operator acts on that integer
+    form, so a cancelled term costs integer arithmetic only and Scalars
+    are built, by one gcd each, for the residual terms alone.  The form
+    is not kept on ``s``: each call reads ``s.terms`` afresh.  Coverage is decided by the integer
     forms of the truncation's lattice (``Truncation.coverage``), built
     once per truncation: a surviving term costs two small integer
     matrix-vector products and one constant per (sheet, shift) pair.

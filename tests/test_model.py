@@ -18,7 +18,8 @@ from binomhorn import (
 )
 from binomhorn import model
 from binomhorn.cli import main
-from binomhorn.exact_linalg import LatticeBasis, bareiss_det, int_rank, row_hnf
+from binomhorn.exact_linalg import (LatticeBasis, bareiss_det, coordinate_map,
+                                    int_rank, row_hnf)
 from linalg_reference import fm_feasible, frac_rank, frac_solve, invariant_factors
 
 
@@ -81,7 +82,8 @@ def test_compute_a_defining_property(B_erd, B_nh, B_ds, B_gauss):
         # and the kernel of A contains every column of B
         ker = kernel_basis(A)
         for k in range(B.ncols):
-            assert ker.coordinates(B.column(k)) is not None
+            assert coordinate_map(ker.vectors, ker.ambient_dim)(
+                B.column(k)) is not None
 
 
 def test_compute_a_b_nh_is_row_equivalent_to_published(B_nh, A_nh):
@@ -97,9 +99,11 @@ def test_compute_a_b_erd_vs_published(B_erd, A_erd):
     A = compute_A(B_erd)
     mine = LatticeBasis(4, [tuple(r) for r in A.data])
     for r in A_erd.data:
-        assert mine.coordinates(tuple(r)) is not None
+        assert coordinate_map(mine.vectors, mine.ambient_dim)(
+            tuple(r)) is not None
     published = LatticeBasis(4, [tuple(r) for r in A_erd.data])
-    assert None in map(published.coordinates, mine.vectors)
+    assert None in map(coordinate_map(published.vectors,
+                                      published.ambient_dim), mine.vectors)
     assert int_rank(A_erd) == int_rank(A) == 2
 
 

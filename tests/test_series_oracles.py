@@ -12,6 +12,7 @@ character twists on lattice offsets).
 import random
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 from operator import mul
 
 import pytest
@@ -329,6 +330,7 @@ def test_gamma_series_ds06_characters_match_reference(B_ds, A_ds):
     refs = reference_characters(dec, 3)
     assert sorted(refs) == [t for t, _ in chars]
     L = dec.L_basis
+    coords = coordinate_map(L.vectors, L.ambient_dim)
     rng = random.Random(7)
     for t, fn in chars:
         for _ in range(3):
@@ -337,7 +339,7 @@ def test_gamma_series_ds06_characters_match_reference(B_ds, A_ds):
             got = gamma_outcome(gamma_series, dec.A_J, L, v, 5)
             if got[0] != "resonance":
                 s = gamma_series(dec.A_J, L, v, 5)
-                got = ([(s.exponent(u), c * fn(L.coordinates(u)))
+                got = ([(s.exponent(u), c * fn(coords(u)))
                         for u, c in s.terms.items()], s.truncation, s.support)
             want = gamma_outcome(reference_gamma_series, dec.A_J, L, v, 5,
                                  character=refs[t], field_order=3)
@@ -627,7 +629,8 @@ def test_characters_match_reference_and_reject_outside(B_ds, A_ds):
     refs = reference_characters(dec, 3)
     rng = random.Random(11)
     L = dec.L_basis
-    cols = [L.coordinates(col) for col in dec.B_J.columns()]
+    cols = [coordinate_map(L.vectors, L.ambient_dim)(col)
+            for col in dec.B_J.columns()]
     for t, fn in component_characters(dec, 3):
         for _ in range(20):
             k = tuple(rng.randint(-4, 4) for _ in range(L.rank))
@@ -802,6 +805,14 @@ def assert_reduced(s, N):
     assert s.N == N
     assert len(s.coeffs) == len(cyclotomic_polynomial(N)) - 1
     assert all(type(c) is F for c in s.coeffs)
+    # the canonical integer form: deg Phi_N numerators over a positive
+    # denominator coprime to them all, zero as zeros over 1
+    assert type(s.nums) is tuple and len(s.nums) == len(s.coeffs)
+    assert all(type(x) is int for x in s.nums) and type(s.den) is int
+    assert s.den > 0 and gcd(s.den, *s.nums) == 1
+    assert s.coeffs == tuple(F(x, s.den) for x in s.nums)
+    if s.is_zero():
+        assert s.nums == (0,) * len(s.nums) and s.den == 1
 
 
 @pytest.mark.parametrize("N", [1, 3, 4, 5, 6])
@@ -835,6 +846,51 @@ def test_scalar_arithmetic_matches_general_constructor(N):
             # a rational element of Q(zeta_N) equals its N = 1 copy
             r = others[1]
             assert lift(r, N) == r and hash(lift(r, N)) == hash(r)
+
+
+def test_twisted_ds06_terms_match_the_general_product(B_ds, A_ds):
+    # every term of every twisted ds06 solution (T = 6, field root 3) is
+    # zeta_3^e times the coefficient q of the character-trivial solution
+    # on the same support, with e the character at the term's word
+    # coordinates; the general reducing constructor is the reference
+    hi = make_horn_input(B_ds, A_ds)
+    rng = random.Random(16)
+    betas = [(F(1, 5), F(2, 7))] + [
+        (F(rng.randint(-20, 20), rng.choice((5, 7, 11))),
+         F(rng.randint(-20, 20), rng.choice((5, 7, 11)))) for _ in range(12)]
+    roots = [Scalar.root_of_unity(3, e) for e in range(3)]
+    solved = twisted = 0
+    for beta in betas:
+        try:
+            sols = solution_basis(hi, beta, T=6, field_root=3)
+        except BinomHornError:
+            continue  # resonant or not very generic
+        solved += 1
+        plain = {(s.rowset, s.gamma, s.series.support.alpha): s.series
+                 for s in solution_basis(hi, beta, T=6)}
+        decs = {tuple(i + 1 for i in d.rowset_Jbar): d
+                for d in enumerate_decompositions(hi)}
+        for sol in sols:
+            dec = decs[sol.rowset]
+            L = dec.L_basis
+            coords = coordinate_map(L.vectors, L.ambient_dim)
+            fn = dict(component_characters(dec, 3))[sol.character]
+            base = plain[sol.rowset, sol.gamma, sol.series.support.alpha]
+            assert set(sol.series.terms) == set(base.terms)
+            for z, got in sol.series.terms.items():
+                # the sheet translate of z agrees with it off J
+                t = next(t for t in sol.series.support.translates
+                         if all(z[j] == t[j] for j in dec.rowset_Jbar))
+                k = coords([z[j] - t[j] for j in dec.J])
+                e = roots.index(fn(k))
+                q = base.terms[z].as_rational()
+                want = Scalar(3, [c * q for c in roots[e].coeffs])
+                assert_reduced(got, 3)
+                assert (got.nums, got.den) == (want.nums, want.den)
+                assert got == roots[e] * Scalar.rational(q, 3) == want
+                twisted += e != 0
+    # 216 terms per basis, about 88 of them twisted by zeta_3 or zeta_3^2
+    assert solved >= 5 and twisted >= 64 * solved
 
 
 def test_scalar_mixed_orders_still_rejected():

@@ -21,6 +21,7 @@ from binomhorn import (
     solution_basis,
     verify_annihilation,
 )
+from binomhorn.exact_linalg import coordinate_map
 from binomhorn.series import lattice_binomials
 from binomhorn.solutions import component_characters
 from pipeline_reference import (
@@ -244,11 +245,12 @@ def test_component_characters_ds(B_ds, A_ds):
     assert len(chars) == 3
     # the callables take coordinates in dec.L_basis
     L = dec.L_basis
+    coords = coordinate_map(L.vectors, L.ambient_dim)
     units = [tuple(int(i == j) for j in range(L.rank)) for i in range(L.rank)]
     for k in range(2):
         col = B_ds.column(k)
         for _, fn in chars:
-            assert fn(L.coordinates(col)) == 1  # trivial on the column span
+            assert fn(coords(col)) == 1  # trivial on the column span
     values = {tuple(repr(fn(g)) for g in units) for _, fn in chars}
     assert len(values) == 3  # characters separate the saturation
     for _, fn in chars:
@@ -394,6 +396,35 @@ def test_series_wall_at_T80(B_ds, A_ds):
     beta = (F(1, 5), F(2, 7))
     sols = solution_basis(hi, beta, T=80, field_root=3)
     assert len(sols) == 9
+    ops = horn_system_operators(hi, beta, field_order=3)
+    for s in sols:
+        rep = verify_annihilation(ops, s.series)
+        assert len(rep.checks) == len(ops)
+        assert all(not c.interior_residual for c in rep.checks)
+
+
+def block_diagonal(*blocks):
+    rows = []
+    width = sum(m.ncols for m in blocks)
+    col = 0
+    for m in blocks:
+        for r in m.data:
+            rows.append([0] * col + list(r) + [0] * (width - col - m.ncols))
+        col += m.ncols
+    return IntMatrix(rows)
+
+
+def test_basis_wall_ds06_cubed(B_ds, A_ds):
+    # ds06 + ds06 + ds06 on the diagonal: rank 9^3 at field root 3, so
+    # 729 solutions of 27 character twists each to verify; a verify
+    # path that builds Fractions per term again fails here fast and by
+    # name
+    hi = make_horn_input(block_diagonal(B_ds, B_ds, B_ds),
+                         block_diagonal(A_ds, A_ds, A_ds))
+    beta = (F(1, 5), F(2, 7), F(3, 5), F(4, 7), F(6, 5), F(9, 7))
+    sols = solution_basis(hi, beta, T=4, field_root=3)
+    assert len(sols) == 729
+    assert len({frozenset(s.series.terms.items()) for s in sols}) == 729
     ops = horn_system_operators(hi, beta, field_order=3)
     for s in sols:
         rep = verify_annihilation(ops, s.series)
