@@ -14,18 +14,28 @@ one positive common denominator D, the lcm of the Scalars' integer
 denominators, and, per offset, the deg Phi_N integers whose quotients
 by D are the coefficients, each a Scalar's numerators times one integer
 quotient.  The form is built where an operator is applied, once per
-``verify_annihilation`` call, and is never cached on the series, so
-edits of ``terms`` are always seen.  The residual terms become Scalars
+``verify_annihilation`` call, and is never cached, so edits of the
+coefficients are always seen.  The residual terms become Scalars
 straight from their integer vectors, reduced by one gcd each; no
 ``Fraction`` is built per term on either side.  A rational lambda of a
 binomial operator is one more integer factor of its second part; only
 an irrational one acts through a multiplication matrix on Z[zeta_N].
 
+What an operator's action depends on besides the coefficients (the
+falling factorial columns of each binomial part, the offsets its terms
+land on and pair up at, the values of each Euler operator) depends only
+on the offsets, the base and the operator.  It is kept in a store on
+the ``Support`` (``_offset_store``), which the character twists of one
+solution share along with their offsets, so they compute it once.  The
+store serves only a series whose base is the support's alpha, and it is
+rebuilt whenever the offsets differ from the ones it was built for.
+
 A ``Truncation`` is shared by every solution of one decomposition at one
 bound (see ``Decomposition.word_table``).  It builds the integer forms
 of its lattice once, on first use, and answers which offsets the
 truncation determines (``Truncation.coverage``) from them, with no
-elimination per offset.
+elimination per offset; it keeps one test per (sheets, shifts), and
+each test remembers its answer for every offset.
 """
 
 from __future__ import annotations
@@ -56,10 +66,28 @@ class Truncation:
     def _forms(self):
         return coordinate_forms(self.basis, self.dim)
 
+    @cached_property
+    def _tests(self):
+        return {}
+
     def coverage(self, sheets, shifts):
         """The test of an integer offset z: True when, for every shift sh
         and every sheet translate t, z + sh - t is off the lattice or
         has word length at most ``bound``.
+
+        The test is built once per (sheets, shifts) and kept on the
+        truncation (see ``_coverage_test``); it remembers its answer for
+        every offset it has decided, so the solutions that share this
+        truncation decide each offset once.
+        """
+        key = (tuple(map(tuple, sheets)), tuple(map(tuple, shifts)))
+        test = self._tests.get(key)
+        if test is None:
+            test = self._tests[key] = self._coverage_test(*key)
+        return test
+
+    def _coverage_test(self, sheets, shifts):
+        """The coverage test of ``coverage``, built afresh.
 
         With the ``coordinate_forms`` (C, P, d) of the basis, an integer
         y lies on the lattice exactly when C y = 0 and d divides P y, and
@@ -77,8 +105,15 @@ class Truncation:
                 pairs.setdefault(tuple([-sum(map(mul, row, w)) for row in C]),
                                  []).append([sum(map(mul, row, w))
                                              for row in P])
+        known = {}
 
         def covered(z):
+            hit = known.get(z)
+            if hit is None:
+                hit = known[z] = decide(z)
+            return hit
+
+        def decide(z):
             near = pairs.get(tuple([sum(map(mul, row, z)) for row in C]))
             if near is None:
                 return True
@@ -95,10 +130,17 @@ class Truncation:
 @dataclass(frozen=True)
 class Support:
     """Declared support: base point alpha plus finitely many integer
-    translates (the sheet offsets) plus the lattice of the truncation."""
+    translates (the sheet offsets).  ``_shared`` is the store of
+    offset-only operator work of the series on this support (see
+    ``_offset_store``); it is not a field, so it takes no part in
+    equality."""
 
     alpha: tuple          # rational base exponent
     translates: tuple      # tuple of integer vectors, one per sheet
+
+    @cached_property
+    def _shared(self):
+        return {}
 
 
 class PuiseuxSeries:
@@ -218,6 +260,10 @@ class BinomialOp:
         return tuple(a - b for a, b in zip(self.u_plus, self.u_minus))
 
     def describe(self):
+        return self._description
+
+    @cached_property
+    def _description(self):
         def mono(u):
             return "".join(f"d{i + 1}^{e}" if e > 1 else f"d{i + 1}"
                            for i, e in enumerate(u) if e)
@@ -236,6 +282,10 @@ class EulerOp:
     value: Fraction
 
     def describe(self):
+        return self._description
+
+    @cached_property
+    def _description(self):
         body = " + ".join(f"({c})*x{j + 1}d{j + 1}"
                           for j, c in enumerate(self.row) if c != 0)
         return f"{body} - ({self.value})"
@@ -302,30 +352,27 @@ def apply_operator(op, s: PuiseuxSeries, *, form=None) -> PuiseuxSeries:
     ``_integer_form``): integer coefficient vectors over one common
     denominator, so a term costs integer products and a term that
     cancels is an all-zero vector.  Scalars are built only for the terms
-    that survive.  A caller applying several operators to one series
-    passes its integer form once as ``form``; without it the form is
-    built from ``s.terms`` here.  Theta operators act on the Scalars.
+    that survive.  What depends on the offsets alone (falling factorial
+    columns, partner offsets, Euler values) comes from the store that
+    the form carries (see ``_offset_store``).  A caller applying several
+    operators to one series passes its integer form once as ``form``;
+    without it the form is built from ``s.terms`` here.  Theta operators
+    act on the Scalars.
     """
     if isinstance(op, BinomialOp):
-        order, den, vecs = form or _integer_form(s)
+        order, den, vecs, shared = form or _integer_form(s)
         lam = None if op.lam.is_zero() else op.lam
         if lam is not None and lam.N != order and order == 1:
             order, vecs = _lift_form(lam.N, vecs)
-        common, acc = _binomial_action(s.base, vecs, order, op.u_plus,
-                                       op.u_minus, lam)
+        common, acc = _binomial_action(s.base, shared, vecs, order,
+                                       op.u_plus, op.u_minus, lam)
         trunc = _tighten(s.truncation, sum(op.u_plus) + sum(op.u_minus))
         return s._with_terms(_scalars(order, den * common, acc),
                              truncation=trunc)
     if isinstance(op, EulerOp):
-        # sum_j row_j (base_j + z_j) - value: one rational constant plus
-        # a dot product with the integer offset, over one denominator
-        order, den, vecs = form or _integer_form(s)
-        const = sum(r * b for r, b in zip(op.row, s.base)) - op.value
-        e = lcm(const.denominator, *(r.denominator for r in op.row))
-        const = const.numerator * (e // const.denominator)
-        row = [r.numerator * (e // r.denominator) for r in op.row]
-        out = {z: [f * x for x in v] for z, v in vecs.items()
-               if (f := const + sum(map(mul, row, z)))}
+        order, den, vecs, shared = form or _integer_form(s)
+        e, factors = _euler_factors(shared, s.base, op)
+        out = {z: [f * x for x in vecs[i]] for z, i, f in factors}
         return s._with_terms(_scalars(order, den * e, out),
                              truncation=s.truncation, support=s.support)
     if isinstance(op, ThetaOp):
@@ -346,32 +393,56 @@ def apply_operator(op, s: PuiseuxSeries, *, form=None) -> PuiseuxSeries:
 def _integer_form(s):
     """The terms of ``s`` over one common denominator.
 
-    Returns (N, D, vectors): the cyclotomic order N of the coefficients,
-    the positive lcm D of the Scalars' denominators, and for every
-    offset z the tuple of deg Phi_N integers whose quotients by D are
-    the coefficients of the term at z: the Scalar's numerators times one
-    integer quotient of D by its denominator.  A rational coefficient of
-    order 1 in a series of order N > 1 is padded with zeros, as in
-    Q(zeta_N).  The form is rebuilt from ``s.terms`` on every call, so
-    edits of the terms are always seen.
+    Returns (N, D, vectors, shared): the cyclotomic order N of the
+    coefficients, the positive lcm D of the Scalars' denominators, the
+    list, in the order of ``s.terms``, of the deg Phi_N integers whose
+    quotients by D are the coefficients of each term (the Scalar's
+    numerators times one integer quotient of D by its denominator), and
+    the offset store of ``s`` (``_offset_store``).  A rational
+    coefficient of order 1 in a series of order N > 1 is padded with
+    zeros, as in Q(zeta_N).  The vectors are rebuilt from ``s.terms`` on
+    every call and are never stored, so edits of the coefficients are
+    always seen.
     """
     orders = {c.N for c in s.terms.values()}
     if len(orders - {1}) > 1:
         raise ValueError(f"mixed cyclotomic orders {sorted(orders - {1})}")
     order = max(orders, default=1)
     den = lcm(*{c.den for c in s.terms.values()})
-    vecs = {z: c.nums if (m := den // c.den) == 1 else
-            tuple([m * x for x in c.nums]) for z, c in s.terms.items()}
+    vecs = [c.nums if (m := den // c.den) == 1 else
+            tuple([m * x for x in c.nums]) for c in s.terms.values()]
     if order > 1 and 1 in orders:
         deg = len(cyclotomic_polynomial(order)) - 1
-        vecs = {z: v + (0,) * (deg - len(v)) for z, v in vecs.items()}
-    return order, den, vecs
+        vecs = [v + (0,) * (deg - len(v)) for v in vecs]
+    return order, den, vecs, _offset_store(s)
+
+
+def _offset_store(s):
+    """The store of the work on ``s`` that depends only on its offsets,
+    its base and an operator, with the offsets under ``"offsets"``.
+
+    The store lives on the support (``Support._shared``), so the series
+    that share a support and its offsets, as the character twists of
+    one solution do, share it; it is used only when the base of ``s`` is
+    the support's alpha, and it is cleared whenever the offsets of
+    ``s``, in order, differ from the ones it was built for.  Any other
+    series gets a throwaway store.  Nothing in it depends on a
+    coefficient.
+    """
+    support = s.support
+    shared = support._shared if support is not None \
+        and support.alpha == s.base else {}
+    offsets = tuple(s.terms)
+    if shared.get("offsets") != offsets:
+        shared.clear()
+        shared["offsets"] = offsets
+    return shared
 
 
 def _lift_form(order, vecs):
     """Integer vectors of order 1 as vectors of Q(zeta_order)."""
     pad = (0,) * (len(cyclotomic_polynomial(order)) - 2)
-    return order, {z: v + pad for z, v in vecs.items()}
+    return order, [v + pad for v in vecs]
 
 
 def _scalars(order, den, vecs):
@@ -389,72 +460,148 @@ def _acc(d, key, val):
         d[key] = new
 
 
-def _binomial_action(base, vecs, order, u_plus, u_minus, lam):
+def _binomial_action(base, shared, vecs, order, u_plus, u_minus, lam):
     """partial^u_plus - lam partial^u_minus (lam None: the first part
-    alone) applied to the integer vectors ``vecs`` on ``base``; returns
-    the common denominator of the two parts and the nonzero integer
-    vectors over it, keyed by offset.
+    alone) applied to the integer vectors ``vecs`` on ``base``, listed
+    in the order of the offsets of the store ``shared``; returns the
+    common denominator of the two parts and the nonzero integer vectors
+    over it, keyed by offset.
 
     The coefficient of partial^u x^(base + z) is a product over the
     coordinates j with u_j > 0 of falling factorials of base_j + z_j.
     With base_j = p/q each factor is an integer numerator over q^u_j, so
-    one table per coordinate maps z_j to that numerator, and a part has
-    the single denominator prod_j q_j^u_j times an integer scale.  A
-    rational lam = a/b is one more factor of the second part: scale -a,
-    denominator b.  Any other lam acts through its integer
+    a part has the single denominator prod_j q_j^u_j times an integer
+    scale.  A rational lam = a/b is one more factor of the second part:
+    scale -a, denominator b.  Any other lam acts through its integer
     multiplication matrix on Z[zeta_N] (``_multiplication_matrix``),
-    with scale -1 and the matrix's denominator.
-
-    The first part's term from z and the second part's term from
-    z - (u_plus - u_minus) land on one offset, z - u_plus.  So the sum
-    is keyed by the first part's source z, and only the vectors that do
-    not cancel are moved to their offsets.
+    with scale -1 and the matrix's denominator.  The scaled numerators
+    and the offsets they land on come from ``_binomial_plan``; only the
+    vector products are done per series.
     """
-    parts = [(u_plus, 1, 1, None)]
+    parts, matrix = [(u_plus, 1, 1)], None
     if lam is not None:
         if lam.is_rational():
-            parts.append((u_minus, lam.den, -lam.nums[0], None))
+            parts.append((u_minus, lam.den, -lam.nums[0]))
         else:
             den, matrix = _multiplication_matrix(lam, order)
-            parts.append((u_minus, den, -1, matrix))
+            parts.append((u_minus, den, -1))
     parts = [(u, den * prod([b.denominator ** k for b, k in zip(base, u)]),
-              factor, matrix) for u, den, factor, matrix in parts]
-    common = lcm(*(den for _, den, _, _ in parts))
-    zs = list(vecs)
-    scaled = []
-    for u, den, factor, matrix in parts:
-        # one column of products per part: the scale times each
-        # coordinate's falling factorial numerator, tabled per value
-        nums = [factor * (common // den)] * len(zs)
-        for j, k in enumerate(u):
-            if not k:
-                continue
-            p, q = base[j].numerator, base[j].denominator
-            table = {}
-            for x in {z[j] for z in zs}:
-                num, top = 1, p + x * q
-                for i in range(k):
-                    num *= top - i * q
-                table[x] = num
-            nums = [n * table[z[j]] for n, z in zip(nums, zs)]
-        scaled.append((nums, matrix))
-    vs = vecs.values()
-    (nums, _), *second = scaled
-    acc = {z: [n * x for x in v] for z, n, v in zip(zs, nums, vs) if n}
-    if second:
-        (nums, matrix), = second
+              factor) for u, den, factor in parts]
+    common = lcm(*(den for _, den, _ in parts))
+    firsts, pairs, seconds = _binomial_plan(
+        shared, base, *[(u, factor * (common // den))
+                        for u, den, factor in parts])
+    ys = vecs if matrix is None else \
+        [[sum(map(mul, row, v)) for row in matrix] for v in vecs]
+    out = {}
+    for z, i, a in firsts:
+        if any(w := [a * x for x in vecs[i]]):
+            out[z] = w
+    for z, i, a, j, b in pairs:
+        if any(w := [a * x + b * y for x, y in zip(vecs[i], ys[j])]):
+            out[z] = w
+    for z, j, b in seconds:
+        if any(w := [b * y for y in ys[j]]):
+            out[z] = w
+    return common, out
+
+
+def _binomial_plan(shared, base, first, second=None):
+    """Where the terms of partial^u_plus - lam partial^u_minus land, for
+    the offsets of the store ``shared``, with ``first`` = (u_plus, a)
+    and ``second`` = (u_minus, b) (None: no second part) giving each
+    part's exponent and integer scale; built once per store.
+
+    The first part's term from z and the second part's term from
+    z - (u_plus - u_minus) land on one offset, z - u_plus.  So the
+    terms are paired by the first part's source z, and the plan is three
+    lists: (offset, i, a n_i) for a first-part term alone, (offset, i,
+    a n_i, j, b m_j) for a pair, and (offset, j, b m_j) for a
+    second-part term alone, where i and j index the offsets and n, m are
+    the falling factorial columns (``_falling_column``) of the two parts.
+    Terms whose falling factorial vanishes are left out.
+    """
+    key = ("plan", first, second)
+    plan = shared.get(key)
+    if plan is not None:
+        return plan
+    zs = shared["offsets"]
+    u_plus, a = first
+    rows = {z: [i, a * n, None, 0]
+            for i, (z, n) in enumerate(zip(zs, _column(shared, base, u_plus)))
+            if n}
+    if second is not None:
+        u_minus, b = second
         shift = tuple(map(sub, u_plus, u_minus))
-        for z, n, v in zip(zs, nums, vs):
-            if not n:
+        for j, (z, m) in enumerate(zip(zs, _column(shared, base, u_minus))):
+            if not m:
                 continue
-            if matrix is not None:
-                v = [sum(map(mul, row, v)) for row in matrix]
-            key = tuple(map(add, z, shift))
-            cur = acc.get(key)
-            acc[key] = [n * x for x in v] if cur is None else \
-                [a + n * x for a, x in zip(cur, v)]
-    return common, {tuple(map(sub, z, u_plus)): v
-                    for z, v in acc.items() if any(v)}
+            src = tuple(map(add, z, shift))
+            row = rows.get(src)
+            if row is None:
+                rows[src] = [None, 0, j, b * m]
+            else:
+                row[2], row[3] = j, b * m
+    firsts, pairs, seconds = [], [], []
+    for src, (i, n, j, m) in rows.items():
+        z = tuple(map(sub, src, u_plus))
+        if j is None:
+            firsts.append((z, i, n))
+        elif i is None:
+            seconds.append((z, j, m))
+        else:
+            pairs.append((z, i, n, j, m))
+    plan = shared[key] = (firsts, pairs, seconds)
+    return plan
+
+
+def _column(shared, base, u):
+    """The falling factorial column of u for the offsets of the store
+    ``shared``, built on first use (``_falling_column``)."""
+    key = ("column", u)
+    col = shared.get(key)
+    if col is None:
+        col = shared[key] = _falling_column(base, shared["offsets"], u)
+    return col
+
+
+def _falling_column(base, zs, u):
+    """For each offset z in ``zs``, the integer numerator of the
+    coefficient prod_j ff(base_j + z_j, u_j) of partial^u x^(base + z)
+    over prod_j q_j^u_j, q_j the denominator of base_j; one table per
+    coordinate maps z_j to its factor."""
+    nums = [1] * len(zs)
+    for j, k in enumerate(u):
+        if not k:
+            continue
+        p, q = base[j].numerator, base[j].denominator
+        table = {}
+        for x in {z[j] for z in zs}:
+            num, top = 1, p + x * q
+            for i in range(k):
+                num *= top - i * q
+            table[x] = num
+        nums = [n * table[z[j]] for n, z in zip(nums, zs)]
+    return nums
+
+
+def _euler_factors(shared, base, op):
+    """(e, factors) for the Euler operator ``op`` on the offsets of the
+    store ``shared``: sum_j row_j (base_j + z_j) - value is one rational
+    constant plus a dot product with the integer offset, an integer f
+    over e, and ``factors`` lists (z, i, f) for the offsets z, at index
+    i, where f is not zero.  Built once per store."""
+    key = ("euler", op.row, op.value)
+    got = shared.get(key)
+    if got is None:
+        const = sum(r * b for r, b in zip(op.row, base)) - op.value
+        e = lcm(const.denominator, *(r.denominator for r in op.row))
+        const = const.numerator * (e // const.denominator)
+        row = [r.numerator * (e // r.denominator) for r in op.row]
+        got = shared[key] = (e, [
+            (z, i, f) for i, z in enumerate(shared["offsets"])
+            if (f := const + sum(map(mul, row, z)))])
+    return got
 
 
 def _multiplication_matrix(lam, order):

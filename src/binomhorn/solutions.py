@@ -149,27 +149,48 @@ def _ratio_tables(v, offsets, reach):
 
 
 def _gamma_terms(words, ratios, starts):
-    """Yield (i, numerator, denominator) of the Gamma-ratio product of
-    the i-th word, for every word where it is nonzero, in word order.
+    """(i, numerator, denominator) of the Gamma-ratio product of the i-th
+    word, for every word where it is nonzero, in word order.
 
     ``ratios`` and ``starts`` come from ``_ratio_tables``: the table of
-    each coordinate j and its index of u_j = 0.  A vanishing rising factorial
-    raises ResonanceError naming the first such term and its coordinate.
+    each coordinate j and its index of u_j = 0.  A table's zeros are a
+    prefix (falling factorials past a nonnegative integer exponent) and
+    its None entries a suffix (past a vanishing rising factorial), so
+    the product is built one coordinate at a time.  A word reaching into
+    a None suffix raises ResonanceError naming the first such word, in
+    word order, and its first such coordinate; then the words that some
+    coordinate's zeros kill are dropped, and only the remaining words are
+    multiplied.
     """
-    cols = list(enumerate(zip(ratios, starts)))
-    for i, (_, u) in enumerate(words):
-        num = den = 1
-        for j, (table, start) in cols:
-            r = table[start + u[j]]
-            if r is None:
-                raise ResonanceError(
-                    "rising factorial vanished at coordinate "
-                    f"{j + 1} for offset {list(u)}",
-                    term=u, coordinate=j)
-            num *= r[0]
-            den *= r[1]
-        if num:
-            yield i, num, den
+    cols = [[u[j] for _, u in words] for j in range(len(ratios))]
+    first = None
+    for j, (table, start) in enumerate(zip(ratios, starts)):
+        if None in table:
+            pole = table.index(None) - start
+            i = next((i for i, x in enumerate(cols[j]) if x >= pole), None)
+            if i is not None and (first is None or i < first[0]):
+                first = (i, j)
+    if first is not None:
+        i, j = first
+        u = words[i][1]
+        raise ResonanceError(
+            "rising factorial vanished at coordinate "
+            f"{j + 1} for offset {list(u)}", term=u, coordinate=j)
+    live = range(len(words))
+    for col, table, start in zip(cols, ratios, starts):
+        cut = 0
+        while not table[cut][0]:
+            cut += 1
+        if cut:
+            cut -= start
+            live = [i for i in live if col[i] >= cut]
+    nums = [1] * len(live)
+    dens = [1] * len(live)
+    for col, table, start in zip(cols, ratios, starts):
+        rs = [table[start + col[i]] for i in live]
+        nums = [n * r[0] for n, r in zip(nums, rs)]
+        dens = [d * r[1] for d, r in zip(dens, rs)]
+    return zip(live, nums, dens)
 
 
 # -- assembling one solution -----------------------------------------------------
@@ -352,7 +373,9 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
     from ``dec.word_table(T)``, built once per decomposition and T, so
     a caller that reuses ``hi`` across parameters builds them once and
     every solution of a decomposition shares one ``Truncation``.  The
-    terms of each solution are fresh dicts.
+    terms of each solution are fresh dicts; the character twists of one
+    (decomposition, gamma, cell exponent) share one ``Support`` and the
+    same offsets, so verification does their offset-only work once.
 
     Each (decomposition, gamma, cell exponent) builds one table of
     coefficients as coprime integer pairs a/d.  A character twist
@@ -457,11 +480,17 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
     the lcm of their Scalars' denominators, with one integer division
     per term, and every binomial and Euler operator acts on that integer
     form, so a cancelled term costs integer arithmetic only and Scalars
-    are built, by one gcd each, for the residual terms alone.  The form
-    is not kept on ``s``: each call reads ``s.terms`` afresh.  Coverage is decided by the integer
-    forms of the truncation's lattice (``Truncation.coverage``), built
-    once per truncation: a surviving term costs two small integer
-    matrix-vector products and one constant per (sheet, shift) pair.
+    are built, by one gcd each, for the residual terms alone.  The
+    integer form is never cached: each call reads ``s.terms`` afresh.
+    What depends only on the offsets, the base and an operator (the
+    falling factorial columns and partner offsets of each binomial part,
+    the values of each Euler operator) is kept on the support and
+    shared by every series with that support and those offsets, so the
+    character twists of one solution compute it once (see
+    ``series._offset_store``).  Coverage is decided by the truncation
+    (``Truncation.coverage``), which keeps one test per (sheets, shifts)
+    and remembers the answer for every offset, so the solutions that
+    share a truncation decide each offset once.
     """
     checks = []
     sheets = s.support.translates if s.support is not None else ()
@@ -491,8 +520,7 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
                 (interior_list if covered(z) else boundary_list).append((z, c))
             interior = tuple(interior_list)
             boundary = tuple(boundary_list)
-        desc = op.describe() if hasattr(op, "describe") else repr(op)
-        checks.append(OperatorCheck(operator=desc, ok=not interior,
+        checks.append(OperatorCheck(operator=op.describe(), ok=not interior,
                                     interior_residual=interior,
                                     boundary_residual=boundary))
     return VerificationReport(ok=all(c.ok for c in checks),

@@ -2,9 +2,11 @@
 
 ``gamma_series`` builds one hypergeometric series from the library's
 word and Gamma-ratio tables, the inner series that solution assembly
-sums without building; ``component_of`` explores one component of the
-translation graph with the atlas's breadth-first core; ``sheet_bases``
-lists the base exponents of a support's sheets.  ``word_coordinates``,
+sums without building; ``gamma_terms`` multiplies out those tables one
+word at a time, where the library works one coordinate at a time;
+``component_of`` explores one component of the translation graph with
+the atlas's breadth-first core; ``sheet_bases`` lists the base
+exponents of a support's sheets.  ``word_coordinates``,
 ``word_length`` and ``covered`` decide, one offset and one sheet at a
 time, whether a truncated series knows its full value at an offset:
 the per-term test that ``Truncation.coverage`` answers from integer
@@ -15,7 +17,13 @@ pieces of the pipeline.
 
 from fractions import Fraction
 
-from binomhorn import BinomHornError, IntMatrix, LatticeBasis, Scalar
+from binomhorn import (
+    BinomHornError,
+    IntMatrix,
+    LatticeBasis,
+    ResonanceError,
+    Scalar,
+)
 from binomhorn.series import PuiseuxSeries, Support, Truncation
 from binomhorn.decomp import _words
 from binomhorn.solutions import _gamma_terms, _ratio_tables
@@ -71,6 +79,32 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
     return PuiseuxSeries(
         nj, terms, truncation=Truncation(basis=L.vectors, bound=T, dim=nj),
         support=Support(alpha=base, translates=((0,) * nj,)))
+
+
+def gamma_terms(words, ratios, starts):
+    """Yield (i, numerator, denominator) of the Gamma-ratio product of
+    the i-th word, for every word where it is nonzero, in word order:
+    one word at a time, one lookup per coordinate, the reference for
+    the column-wise ``_gamma_terms``.
+
+    ``ratios`` and ``starts`` come from ``_ratio_tables``.  A vanishing
+    rising factorial raises ResonanceError naming the first such term
+    and its coordinate.
+    """
+    cols = list(enumerate(zip(ratios, starts)))
+    for i, (_, u) in enumerate(words):
+        num = den = 1
+        for j, (table, start) in cols:
+            r = table[start + u[j]]
+            if r is None:
+                raise ResonanceError(
+                    "rising factorial vanished at coordinate "
+                    f"{j + 1} for offset {list(u)}",
+                    term=u, coordinate=j)
+            num *= r[0]
+            den *= r[1]
+        if num:
+            yield i, num, den
 
 
 def word_coordinates(trunc: Truncation, offset):

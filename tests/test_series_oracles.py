@@ -9,6 +9,7 @@ exponent (operator action, residual split, solution assembly and
 character twists on lattice offsets).
 """
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -40,7 +41,7 @@ from binomhorn.cyclotomic import cyclotomic_polynomial
 from binomhorn.decomp import _l1_ball
 from binomhorn.exact_linalg import coordinate_map
 from binomhorn.series import PuiseuxSeries, Support, Truncation, apply_operator
-from binomhorn.solutions import component_characters
+from binomhorn.solutions import _gamma_terms, _ratio_tables, component_characters
 from linalg_reference import (
     frac_solve,
     lattice_coordinates,
@@ -50,6 +51,7 @@ from linalg_reference import (
 from pipeline_reference import (
     covered,
     gamma_series,
+    gamma_terms,
     sheet_bases,
     word_coordinates,
     word_length,
@@ -307,6 +309,42 @@ def test_gamma_series_matches_factorial_reference():
     # the draws must exercise both outcomes
     assert resonant >= 5 and plain >= 20
 
+
+
+def terms_outcome(fn, words, ratios, starts):
+    """The (i, numerator, denominator) rows, or the resonance witness."""
+    try:
+        return list(fn(words, ratios, starts))
+    except ResonanceError as exc:
+        return ("resonance", str(exc), exc.term, exc.coordinate)
+
+
+def test_gamma_terms_match_the_word_by_word_reference():
+    # the column-wise products against the word-at-a-time generator on
+    # seeded tables: resonant ones (a negative integer exponent), ones
+    # with zeros (a nonnegative integer exponent) and plain ones, and
+    # words reaching either end of each table
+    rng = random.Random(1717)
+    seen = Counter()
+    for _ in range(400):
+        nj = rng.randint(1, 4)
+        v = random_v(rng, nj)
+        reach = tuple(rng.randint(0, 4) for _ in range(nj))
+        offsets = [tuple(rng.randint(-3, 3) for _ in range(nj))
+                   for _ in range(rng.randint(1, 3))]
+        ratios, starts = _ratio_tables(v, offsets, reach)
+        words = [((i,), tuple(rng.randint(-r, r) for r in reach))
+                 for i in range(rng.randint(0, 30))]
+        for start in starts:
+            got = terms_outcome(_gamma_terms, words, ratios, start)
+            want = terms_outcome(gamma_terms, words, ratios, start)
+            assert got == want, (v, reach, start, words)
+            if got and got[0] == "resonance":
+                seen["resonance"] += 1
+            else:
+                seen["dropped" if len(got) < len(words) else "full"] += 1
+    assert seen["resonance"] >= 50 and seen["dropped"] >= 50 \
+        and seen["full"] >= 50, seen
 
 def test_gamma_series_resonance_witness_matches_reference():
     A = IntMatrix([[1, 1, 1]])
@@ -920,6 +958,100 @@ def test_scalar_equality_across_orders():
     assert Scalar.rational(1, 3) != Scalar.rational(2, 4)
     assert Scalar.rational(1, 3) != Scalar.root_of_unity(4, 0) + 1
 
+
+
+# -- the offset store shared by the character twists of one support ---------------
+
+def check_verify_against_reference(ops, s):
+    """verify_annihilation of s against reference_verify on the terms of
+    s as they are now, every interior and boundary residual in order;
+    the sheets sit at base + t, as verify reads the translates."""
+    got = verify_annihilation(ops, s)
+    want = reference_verify(ops, dict(by_exponent(s)), s.truncation,
+                            [s.exponent(t) for t in s.support.translates])
+    assert len(got.checks) == len(want)
+    for check, (interior, boundary) in zip(got.checks, want):
+        assert [(s.exponent(z), c) for z, c in check.interior_residual] \
+            == interior
+        assert [(s.exponent(z), c) for z, c in check.boundary_residual] \
+            == boundary
+        assert check.ok == (not interior)
+    return got
+
+
+@pytest.mark.parametrize("T", [4, 6])
+def test_twists_sharing_a_support_match_reference(T, B_ds, A_ds):
+    # every ds06 twist, verified right after the twists before it that
+    # share its support and offsets, so all but the first read the store
+    hi = make_horn_input(B_ds, A_ds)
+    for beta in oracle_betas(3, 50 + T):
+        sols = solution_basis(hi, beta, T=T, field_root=3)
+        ops = horn_system_operators(hi, beta, field_order=3)
+        assert len({id(sol.series.support) for sol in sols}) * 3 == len(sols)
+        for sol in sols:
+            assert check_verify_against_reference(ops, sol.series).ok
+
+
+def test_ds06_cubed_twists_match_reference(B_ds, A_ds):
+    # the ds06 + ds06 + ds06 basis, where 27 twists share each support:
+    # every report equals that of the same terms on a fresh Support and
+    # a fresh Truncation, which share nothing, and on a seeded sample of
+    # supports the last twist, verified after its 26 siblings, equals
+    # the reference (the reference takes about 0.3 s per solution here)
+    from test_solutions import block_diagonal
+    hi = make_horn_input(block_diagonal(B_ds, B_ds, B_ds),
+                         block_diagonal(A_ds, A_ds, A_ds))
+    beta = (F(1, 5), F(2, 7), F(3, 5), F(4, 7), F(6, 5), F(9, 7))
+    sols = solution_basis(hi, beta, T=2, field_root=3)
+    ops = horn_system_operators(hi, beta, field_order=3)
+    assert len(sols) == 729
+    last = {}
+    for sol in sols:
+        s = sol.series
+        last[id(s.support)] = s
+        alone = PuiseuxSeries(s.nvars, field_order=3, base=s.base)._with_terms(
+            dict(s.terms), dataclasses.replace(s.truncation),
+            dataclasses.replace(s.support))
+        assert verify_annihilation(ops, s) == verify_annihilation(ops, alone)
+    assert len(last) * 27 == 729
+    for s in random.Random(27).sample(list(last.values()), 3):
+        assert check_verify_against_reference(ops, s).ok
+
+
+def test_offset_store_sees_every_edit(B_ds, A_ds):
+    # after one twist has filled its support's store, a second twist
+    # with an edited coefficient, an added key, a removed key, or a new
+    # base on the same Support object must each match a fresh reference
+    hi = make_horn_input(B_ds, A_ds)
+    beta = (F(1, 5), F(2, 7))
+    sols = solution_basis(hi, beta, T=6, field_root=3)
+    ops = horn_system_operators(hi, beta, field_order=3)
+    support = sols[0].series.support
+    first, twin = [sol.series for sol in sols
+                   if sol.series.support is support][:2]
+    assert first.terms is not twin.terms and set(first.terms) == set(twin.terms)
+    assert verify_annihilation(ops, first).ok
+    z = min(twin.terms, key=lambda y: min(
+        sum(abs(a - b) for a, b in zip(y, t)) for t in support.translates))
+
+    def edited(change, base=None):
+        shell = twin if base is None else PuiseuxSeries(
+            twin.nvars, field_order=3, base=base)
+        s = shell._with_terms(dict(twin.terms), twin.truncation, support)
+        change(s.terms)
+        return check_verify_against_reference(ops, s)
+
+    def times_seven(terms):
+        terms[z] = terms[z] * 7
+
+    assert not edited(times_seven).ok
+    far = tuple(x + 50 for x in z)
+    assert far not in twin.terms
+    assert not edited(lambda terms: terms.update({far: Scalar.one(3)})).ok
+    assert not edited(lambda terms: terms.pop(z)).ok
+    moved = twin.base[:1] + (twin.base[1] + F(1, 2),) + twin.base[2:]
+    assert not edited(lambda terms: None, base=moved).ok
+    assert check_verify_against_reference(ops, twin).ok
 
 # -- input checks ----------------------------------------------------------------------
 

@@ -22,7 +22,8 @@ from binomhorn import (
     verify_annihilation,
 )
 from binomhorn.exact_linalg import coordinate_map
-from binomhorn.series import lattice_binomials
+from binomhorn import series
+from binomhorn.series import Truncation, lattice_binomials
 from binomhorn.solutions import component_characters
 from pipeline_reference import (
     component_of,
@@ -431,6 +432,48 @@ def test_basis_wall_ds06_cubed(B_ds, A_ds):
         assert len(rep.checks) == len(ops)
         assert all(not c.interior_residual for c in rep.checks)
 
+
+
+def test_offset_work_once_per_support(monkeypatch, B_ds, A_ds):
+    # the g = 3 character twists of each ds06 support build its falling
+    # factorial columns once between them, and the truncation shared by
+    # every solution of a decomposition builds one coverage test per
+    # (sheets, shifts) across verify calls and betas; a verify path that
+    # rebuilds offset-only work per series fails here fast and by name
+    columns, tests = [], []
+    falling, coverage_test = series._falling_column, Truncation._coverage_test
+
+    def counting_column(base, zs, u):
+        columns.append(u)
+        return falling(base, zs, u)
+
+    def counting_test(trunc, sheets, shifts):
+        tests.append((id(trunc), sheets, shifts))
+        return coverage_test(trunc, sheets, shifts)
+
+    monkeypatch.setattr(series, "_falling_column", counting_column)
+    monkeypatch.setattr(Truncation, "_coverage_test", counting_test)
+    hi = make_horn_input(B_ds, A_ds)
+    want_columns, want_tests, checks = 0, set(), 0
+    for beta in ((F(1, 5), F(2, 7)), (F(2, 5), F(1, 7)), (F(3, 7), F(2, 11))):
+        sols = solution_basis(hi, beta, T=6, field_root=3)
+        ops = horn_system_operators(hi, beta, field_order=3)
+        exponents = {u for op in ops if isinstance(op, BinomialOp)
+                     for u in (op.u_plus, op.u_minus)}
+        supports = {id(sol.series.support) for sol in sols}
+        assert len(supports) * 3 == len(sols)
+        want_columns += len(supports) * len(exponents)
+        for sol in sols:
+            s = sol.series
+            assert verify_annihilation(ops, s).ok
+            for op in ops:
+                shifts = (op.u_plus, op.u_minus) \
+                    if isinstance(op, BinomialOp) else ((0,) * hi.n,)
+                want_tests.add((id(s.truncation), s.support.translates, shifts))
+                checks += 1
+    assert len(columns) == want_columns
+    assert sorted(tests) == sorted(want_tests)
+    assert len(tests) < checks / 10
 
 def test_gauss_two_solutions(B_gauss):
     hi = make_horn_input(B_gauss)
