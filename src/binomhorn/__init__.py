@@ -20,7 +20,6 @@ from .exact_linalg import (
     kernel_basis,
     left_kernel_basis,
     row_hnf,
-    smith_normal_form,
 )
 from .geometry import Cone, SupportFunction, very_generic_check
 from .model import (

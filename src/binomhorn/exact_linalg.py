@@ -7,8 +7,8 @@ fraction-free Gauss-Jordan routine, ``rref``; ranks come from its
 forward-only form, integer kernels from one echelon pass of gcd
 column operations; the index of a sublattice is one determinant
 ratio on the Hermite pivots.  No floating point anywhere.  Provides
-Hermite normal forms, the Smith transform behind the characters,
-integer kernels, saturated spans and lattice indices, and those solvers.
+Hermite normal forms, integer kernels, saturated spans and lattice
+indices, and those solvers.
 """
 
 from __future__ import annotations
@@ -211,88 +211,6 @@ def bareiss_det(m: IntMatrix):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-# -- Smith normal form ---------------------------------------------------------
-
-def smith_normal_form(m: IntMatrix):
-    """Smith normal form with its row transform: returns (U, diagonal).
-
-    U is unimodular and U m V = D for some unimodular V, which is not
-    kept; D is diagonal with nonnegative entries d_1 | d_2 | ..., and
-    the diagonal lists its min(nrows, ncols) entries.  Pivot choice:
-    smallest absolute nonzero entry of the remaining block.
-    """
-    a = [list(row) for row in m.data]
-    nr, nc = m.nrows, m.ncols
-    U = [list(row) for row in IntMatrix.identity(nr).data]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot now alone in its row and column; enforce divisibility
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return IntMatrix(U), tuple(a[i][i] for i in range(min(nr, nc)))
 
 
 def int_rank(m: IntMatrix):

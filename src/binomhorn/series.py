@@ -254,11 +254,6 @@ class BinomialOp:
         if self.lam is None:
             object.__setattr__(self, "lam", Scalar.one())
 
-    @property
-    def shift(self):
-        """u_plus - u_minus as a plain integer vector."""
-        return tuple(a - b for a, b in zip(self.u_plus, self.u_minus))
-
     def describe(self):
         return self._description
 
@@ -624,18 +619,13 @@ def _tighten(trunc, order):
 
 # -- operator factories --------------------------------------------------------
 
-def lattice_binomials(B: IntMatrix, field_order=1, character=None):
+def lattice_binomials(B: IntMatrix, field_order=1):
     """One binomial operator per column of B: the positive part minus the
-    (character-weighted) negative part."""
-    n = B.nrows
-    ops = []
-    for k in range(B.ncols):
-        col = B.column(k)
-        up = tuple(max(x, 0) for x in col)
-        um = tuple(max(-x, 0) for x in col)
-        lam = Scalar.one(field_order) if character is None else character(col)
-        ops.append(BinomialOp(u_plus=up, u_minus=um, lam=lam))
-    return ops
+    negative part, each lam = 1 in the cyclotomic field of that order."""
+    one = Scalar.one(field_order)
+    return [BinomialOp(u_plus=tuple(max(x, 0) for x in col),
+                       u_minus=tuple(max(-x, 0) for x in col), lam=one)
+            for col in B.columns()]
 
 
 def euler_operators(A: IntMatrix, beta):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from operator import add, mul, sub
 
@@ -34,7 +35,8 @@ from .exact_linalg import (
     column_hnf,
     coordinate_map,
     frac_solve,
-    smith_normal_form,
+    row_hnf,
+    rref,
 )
 from .geometry import very_generic_check, _shift_beta
 from .model import HornInput
@@ -264,8 +266,9 @@ def component_characters(dec: Decomposition, field_order: int):
     Returns a list of (index tuple, callable) pairs; the callable maps
     the coordinates k of a lattice vector in ``dec.L_basis`` to a Scalar
     root of unity, zeta_N^(w . k mod N) for one integer weight vector w
-    per character.  Requires every invariant factor of the inclusion to
-    divide the cyclotomic order.
+    per character (``_character_weights`` on the coordinates of the
+    columns of B_J).  Requires the exponent of the group to divide the
+    cyclotomic order.
     """
     L = dec.L_basis
     r = L.rank
@@ -275,28 +278,48 @@ def component_characters(dec: Decomposition, field_order: int):
                       dec.B_J.columns()))
     if None in coords:
         raise AssertionError("B_J column outside its saturation")
-    C = IntMatrix.from_columns(coords, nrows=r)
-    U, ds = smith_normal_form(C)
-    if any(x == 0 for x in ds):
-        raise AssertionError("sublattice has full rank inside its saturation")
-    nontrivial = [i for i, x in enumerate(ds) if x > 1]
-    for i in nontrivial:
-        if field_order % ds[i] != 0:
-            raise BinomHornError(
-                f"cyclotomic order {field_order} does not contain the "
-                f"required roots of unity (need order {ds[i]})")
-    indices = [()]
-    for i in nontrivial:
-        indices = [t + (k,) for t in indices for k in range(ds[i])]
     roots = [Scalar.root_of_unity(field_order, e) for e in range(field_order)]
 
-    def make(t):
-        weights = [sum(t[pos] * U.data[i][s] * (field_order // ds[i])
-                       for pos, i in enumerate(nontrivial))
-                   for s in range(r)]
-        return lambda k: roots[sum(map(mul, weights, k)) % field_order]
+    def make(w):
+        return lambda k: roots[sum(map(mul, w, k)) % field_order]
 
-    return [(t, make(t)) for t in indices]
+    return [(t, make(w)) for t, w in _character_weights(
+        IntMatrix.from_columns(coords, nrows=r), field_order)]
+
+
+def _character_weights(C: IntMatrix, field_order: int):
+    """(label, weight vector) for each character of Z^r / C Z^r, C square
+    and nonsingular: the character is k -> zeta_N^(w . k), N the order.
+
+    The characters are the rows y mod e with y C = 0 mod e, e the
+    exponent of the group, and these form the row lattice of e C^-1
+    (Cohen, GTM 138, 2.4).  One rref of [C | I] gives d C^-1, hence e,
+    the least positive e with e C^-1 integral.  The row Hermite form H
+    of e C^-1 stacked on e I is triangular with pivots h_i dividing e,
+    and the sums t . H with 0 <= t_i < e / h_i are the characters, once
+    each.  A label lists the t_i with h_i < e, in lexicographic order;
+    the weight is (N / e) t . H mod N.  Raises BinomHornError unless e
+    divides N.
+    """
+    r = C.nrows
+    pivots, red, d = rref([[*row, *(int(i == j) for j in range(r))]
+                           for i, row in enumerate(C.data)], 2 * r)
+    if pivots != list(range(r)):
+        raise AssertionError("coordinate matrix of B_J is singular")
+    content = gcd(d, *(x for row in red for x in row[r:]))
+    e = abs(d) // content
+    if field_order % e:
+        raise BinomHornError(
+            f"cyclotomic order {field_order} does not contain the "
+            f"required roots of unity (need order {e})")
+    H = row_hnf(IntMatrix([[x // content % e for x in row[r:]] for row in red]
+                          + [[e * (i == j) for j in range(r)]
+                             for i in range(r)])).data
+    rows = [i for i in range(r) if H[i][i] < e]
+    scale = field_order // e
+    return [(t, tuple(scale * sum(x * H[i][s] for x, i in zip(t, rows))
+                      % field_order for s in range(r)))
+            for t in product(*(range(e // H[i][i]) for i in rows))]
 
 
 # -- the solution basis ------------------------------------------------------------

@@ -5,17 +5,18 @@ the library's fraction-free ``rref`` so that no oracle reads the code it
 checks: ``frac_solve`` sets free variables to zero and gives None for an
 inconsistent system, ``frac_nullspace`` has one basis vector per free
 column, and ``frac_rank`` counts the pivots.  ``smith_normal_form`` is
-the full Smith form with both transforms, apart from the library's,
-which keeps only the row transform and the diagonal; the invariant
-factors, integer kernels and saturated spans come from it, apart from
-the library's Hermite-pivot index and echelon kernel:
-``invariant_factors``, ``smith_index``, ``smith_kernel_basis`` and
-``smith_saturated_span``.  Linear feasibility is decided by
+the full Smith form with both transforms; the invariant factors,
+integer kernels, saturated spans and characters come from it, apart
+from the library's Hermite-pivot index, echelon kernel and Hermite-form
+characters: ``invariant_factors``, ``smith_index``,
+``smith_kernel_basis``, ``smith_saturated_span`` and
+``smith_character_weights``.  Linear feasibility is decided by
 Fourier-Motzkin elimination, ``fm_feasible``, apart from the library's
 simplex.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 from binomhorn.exact_linalg import IntMatrix, LatticeBasis, row_hnf
@@ -204,6 +205,28 @@ def smith_saturated_span(m):
     if not t:
         return LatticeBasis(m.nrows, IntMatrix.identity(m.nrows).columns())
     return smith_kernel_basis(IntMatrix(t))
+
+
+def smith_character_weights(C, N):
+    """(label, weight vector) for each character of Z^r / C Z^r, C square
+    and nonsingular, through the row transform U of its Smith form
+    U C V = D: the label t runs over the d_i > 1 in lexicographic order,
+    and the weight is sum_i t_i (N / d_i) U_i mod N, so the character
+    is k -> zeta_N^(w . k).  Raises ValueError unless each d_i divides N.
+    """
+    U, D, _ = smith_normal_form(C)
+    ds = [D.data[i][i] for i in range(C.nrows)]
+    nontrivial = [i for i, x in enumerate(ds) if x > 1]
+    for i in nontrivial:
+        if N % ds[i]:
+            raise ValueError(f"need order {ds[i]}")
+    out = []
+    for t in product(*(range(ds[i]) for i in nontrivial)):
+        out.append((t, tuple(
+            sum(x * U.data[i][s] * (N // ds[i])
+                for x, i in zip(t, nontrivial)) % N
+            for s in range(C.ncols))))
+    return out
 
 
 def fm_feasible(rows, rhs):

@@ -3,17 +3,19 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 
 from binomhorn import (
+    BinomHornError,
     IntMatrix,
     LatticeBasis,
     int_rank,
     kernel_basis,
     left_kernel_basis,
     row_hnf,
-    smith_normal_form,
+    Scalar,
 )
 from binomhorn.exact_linalg import (
     bareiss_det,
@@ -23,12 +25,14 @@ from binomhorn.exact_linalg import (
     rref,
     saturated_span,
 )
+from binomhorn.solutions import _character_weights, component_characters
 from linalg_reference import (
     frac_rank,
     frac_solve as reference_solve,
     gauss_jordan,
     invariant_factors,
     lattice_coordinates,
+    smith_character_weights,
     smith_index,
     smith_kernel_basis,
     smith_normal_form as reference_smith,
@@ -75,8 +79,7 @@ def sat_index(m):
 
 
 def check_snf(m):
-    """The reference Smith form of m is one, and the library's keeps its
-    row transform and diagonal."""
+    """The reference Smith form of m is one; returns its diagonal."""
     u, d, v = reference_smith(m)
     assert u.mul(m).mul(v) == d
     assert abs(bareiss_det(u)) == 1
@@ -92,7 +95,6 @@ def check_snf(m):
             assert b % a == 0 or b == 0
         else:
             assert b == 0
-    assert smith_normal_form(m) == (u, tuple(diag))
     return diag
 
 
@@ -100,7 +102,6 @@ def test_snf_identity():
     u, d, v = reference_smith(IntMatrix.identity(2))
     assert d == IntMatrix.identity(2)
     assert u.mul(IntMatrix.identity(2)).mul(v) == d
-    assert smith_normal_form(IntMatrix.identity(2)) == (u, (1, 1))
 
 
 def test_snf_diag_2_3():
@@ -356,23 +357,6 @@ def test_index_matches_the_smith_reference():
     assert len(seen) == 17, seen  # every k = 0..8, and index > 1 for k > 0
 
 
-def test_trimmed_smith_matches_the_reference():
-    # on the same seeds: the Smith form of the row Hermite form of the
-    # transpose, and of the square coordinates of the columns in their
-    # saturation, the matrix component_characters reads; on some 8 x 8
-    # coordinate matrices both Smith forms run for seconds
-    for m in full_column_rank(random.Random(1501), 1000):
-        pins = [row_hnf(m.transpose())]
-        if m.ncols < 8:
-            coords = coordinate_map(saturated_span(m).vectors, m.nrows)
-            pins.append(IntMatrix.from_columns(map(coords, m.columns()),
-                                               nrows=m.ncols))
-        for x in pins:
-            u, d, _ = reference_smith(x)
-            assert smith_normal_form(x) == (
-                u, tuple(d.data[i][i] for i in range(min(d.shape)))), x
-
-
 @pytest.mark.parametrize("shape", [(20, 10), (24, 12), (30, 15)])
 def test_index_past_the_smith_wall(shape):
     # a Smith form of the raw matrix runs for over 30 s on the first
@@ -394,6 +378,107 @@ def test_index_past_the_smith_wall(shape):
         j = rng.randrange(k)
         cols[j] = tuple(3 * x for x in cols[j])
         assert sat_index(IntMatrix.from_columns(cols)) == 3 * index
+
+
+# -- characters of sat(L) / L against the Smith reference ----------------------
+
+def saturation_coordinates(m):
+    """The square coordinates of the independent columns of m in their
+    saturation, the matrix component_characters reads."""
+    coords = coordinate_map(saturated_span(m).vectors, m.nrows)
+    return IntMatrix.from_columns(map(coords, m.columns()), nrows=m.ncols)
+
+
+def unimodular(rng, r):
+    """A seeded product of elementary integer row operations on I_r."""
+    rows = [list(row) for row in IntMatrix.identity(r).data]
+    for _ in range(3 * r):
+        i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
+        if i != j:
+            q = rng.randint(-2, 2)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
+def character_inputs():
+    """Seeded square nonsingular C of |det| <= 64: the saturation
+    coordinates of the matrices of up to seven columns above, random
+    1 <= r <= 5, and diagonal groups mixed on both sides."""
+    out = [c for c in map(saturation_coordinates,
+                          full_column_rank(random.Random(1501), 1000))
+           if 0 < c.nrows < 8 and abs(bareiss_det(c)) <= 64]
+    rng = random.Random(2101)
+    while len(out) < 1400:
+        r = rng.randint(1, 5)
+        c = IntMatrix([[rng.randint(-3, 3) for _ in range(r)]
+                       for _ in range(r)])
+        if 0 < abs(bareiss_det(c)) <= 60:
+            out.append(c)
+    for diag in ([2, 2], [2, 4], [3, 3, 3], [1, 2, 6], [2, 2, 4], [5, 5],
+                 [2, 2, 2, 2], [1, 3, 9], [4, 4], [2, 6, 1]):
+        r = len(diag)
+        d = IntMatrix([[x * (i == j) for j in range(r)]
+                       for i, x in enumerate(diag)])
+        for _ in range(20):
+            out.append(unimodular(rng, r).mul(d).mul(unimodular(rng, r)))
+    return out
+
+
+def test_characters_match_the_smith_reference():
+    # the weight sets mod N agree with the Smith row transform's, and so
+    # does the set of orders N rejected; a group's exponent, not its
+    # order, decides N
+    seen = Counter()
+    for c in character_inputs():
+        g = abs(bareiss_det(c))
+        e = max(invariant_factors(c))
+        for N in sorted({1, 2, 3, 4, 6, e, 2 * e, g}):
+            try:
+                want = smith_character_weights(c, N)
+            except ValueError:
+                with pytest.raises(BinomHornError, match=f"need order {e}"):
+                    _character_weights(c, N)
+                seen["rejected"] += 1
+                continue
+            got = _character_weights(c, N)
+            assert len(got) == g
+            assert len({t for t, _ in got}) == g
+            # a label has no entry that one value fills
+            assert all(len(set(column)) > 1
+                       for column in zip(*(t for t, _ in got)))
+            assert {w for _, w in got} == {w for _, w in want}, (c, N)
+            seen["accepted", e < g] += 1
+    assert seen["rejected"] > 3000, seen
+    assert seen["accepted", True] > 600, seen   # non-cyclic groups
+    assert seen["accepted", False] > 4000, seen
+
+
+def test_eight_column_characters_are_exact():
+    # the eight-column matrices where the Smith form stalled: each of the
+    # g characters is exactly 1 on every column of B_J, and the g of
+    # them differ on the unit vectors
+    checked = 0
+    for m in full_column_rank(random.Random(1501), 1000):
+        if m.ncols != 8:
+            continue
+        L = saturated_span(m)
+        g = sat_index(m)
+        if not 1 < g <= 64:
+            continue
+        dec = SimpleNamespace(L_basis=L, B_J=m, g=g)
+        chars = component_characters(dec, g)
+        assert len(chars) == g
+        coords = coordinate_map(L.vectors, L.ambient_dim)
+        cols = [coords(col) for col in m.columns()]
+        one = Scalar.one(g)
+        units = IntMatrix.identity(8).data
+        values = set()
+        for _, fn in chars:
+            assert all(fn(k) == one for k in cols)
+            values.add(tuple((x.nums, x.den) for x in map(fn, units)))
+        assert len(values) == g
+        checked += 1
+    assert checked == 10
 
 
 def test_int_rank(A_erd):

@@ -45,7 +45,7 @@ from binomhorn.solutions import _gamma_terms, _ratio_tables, component_character
 from linalg_reference import (
     frac_solve,
     lattice_coordinates,
-    smith_normal_form,
+    smith_character_weights,
     smith_saturated_span,
 )
 from pipeline_reference import (
@@ -114,30 +114,21 @@ def reference_gamma_series(A_J, L, v, T, character=None, field_order=1,
 
 def reference_characters(dec, N):
     """Characters on lattice offsets u, through a fresh elimination and
-    Smith form per call."""
+    the Smith form's row transform per call."""
     L = dec.L_basis
-    r = L.rank
     C = IntMatrix.from_columns([lattice_coordinates(L.vectors, col)
-                                for col in dec.B_J.columns()], nrows=r)
-    U, D, _ = smith_normal_form(C)
-    ds = [D.data[i][i] for i in range(r)]
-    nontrivial = [i for i, x in enumerate(ds) if x > 1]
-    indices = [()]
-    for i in nontrivial:
-        indices = [t + (k,) for t in indices for k in range(ds[i])]
+                                for col in dec.B_J.columns()], nrows=L.rank)
 
-    def make(t):
+    def make(w):
         def char(u):
             y = lattice_coordinates(L.vectors, u)
             if y is None:
                 raise BinomHornError("outside")
-            z = U.mul_vec(y)
-            exp = sum(t[pos] * z[i] * (N // ds[i])
-                      for pos, i in enumerate(nontrivial))
+            exp = sum(map(mul, w, y))
             return Scalar(N, [F(0)] * (exp % N) + [F(1)])
         return char
 
-    return {t: make(t) for t in indices}
+    return {t: make(w) for t, w in smith_character_weights(C, N)}
 
 
 def reference_assembly(dec, gamma, n, v_local, T, character, N):

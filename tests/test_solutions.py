@@ -24,7 +24,7 @@ from binomhorn import (
 from binomhorn.exact_linalg import coordinate_map
 from binomhorn import series
 from binomhorn.series import Truncation, lattice_binomials
-from binomhorn.solutions import component_characters
+from binomhorn.solutions import _character_weights, component_characters
 from pipeline_reference import (
     component_of,
     gamma_series,
@@ -261,11 +261,17 @@ def test_component_characters_ds(B_ds, A_ds):
 
 
 def test_component_characters_need_enough_roots(B_ds, A_ds):
+    # the exponent of the group decides the order: ds06 (Z/3) needs 3,
+    # Z/4 needs 4, and Z/2 x Z/2, of order 4, needs only 2
     from binomhorn.errors import BinomHornError
     hi = make_horn_input(B_ds, A_ds)
     dec = enumerate_decompositions(hi)[0]
-    with pytest.raises(BinomHornError):
+    with pytest.raises(BinomHornError, match="need order 3"):
         component_characters(dec, 2)
+    with pytest.raises(BinomHornError, match="need order 4"):
+        _character_weights(IntMatrix([[4, 0], [0, 1]]), 2)
+    klein = _character_weights(IntMatrix([[2, 2], [0, 2]]), 2)
+    assert sorted(w for _, w in klein) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 # -- assembled solutions ------------------------------------------------------------
