@@ -319,13 +319,16 @@ def build_parser():
                     "binomial Horn systems.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_B=True, need_A=False, beta=False, m_matrix=False):
-        if need_B:
+    def common(p, B=True, A="optional", M=False, beta=False, cap=False):
+        # A is "optional" beside --B, "required" or None; --cap goes only
+        # where a subgraph atlas runs
+        if B:
             p.add_argument("--B", required=True, help="path to the B matrix")
-            p.add_argument("--A", help="optional path to a user-supplied A")
-        if need_A:
-            p.add_argument("--A", required=True, help="path to the matrix")
-        if m_matrix:
+        if A:
+            p.add_argument("--A", required=A == "required",
+                           help="path to the A matrix" if A == "required"
+                           else "optional path to a user-supplied A")
+        if M:
             p.add_argument("--M", required=True, help="path to the M matrix")
         if beta:
             p.add_argument("--beta", help="comma-separated rationals p/q")
@@ -333,32 +336,28 @@ def build_parser():
                            help="word-length truncation bound (default 6)")
             p.add_argument("--field-root", dest="field_root", type=int,
                            default=1, help="cyclotomic order N (default 1)")
-        p.add_argument("--cap", type=int, default=1000,
-                       help="subgraph level cap (default 1000)")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--json", action="store_true", default=True,
-                           help="compact JSON output (default)")
-        group.add_argument("--pretty", action="store_true",
-                           help="indented JSON output")
+        if cap:
+            p.add_argument("--cap", type=int, default=1000,
+                           help="subgraph level cap (default 1000)")
+        p.add_argument("--pretty", action="store_true",
+                       help="indented JSON output (default: compact)")
 
     common(sub.add_parser("validate", help="check the conventions on B (and A)"))
-    common(sub.add_parser("complement", help="compute a canonical A from B"))
+    common(sub.add_parser("complement", help="compute a canonical A from B"),
+           A=None)
     common(sub.add_parser("decompose", help="enumerate block decompositions"))
     common(sub.add_parser("subgraphs", help="bounded component atlas of M"),
-           need_B=False, m_matrix=True)
+           B=False, A=None, M=True, cap=True)
     common(sub.add_parser("volume", help="normalized volume of a column set"),
-           need_B=False, need_A=True)
-    common(sub.add_parser("rank", help="generic holonomic rank"))
+           B=False, A="required")
+    common(sub.add_parser("rank", help="generic holonomic rank"), cap=True)
     p = sub.add_parser("horn-ops", help="classical Horn operators from B")
-    p.add_argument("--B", required=True)
+    common(p, A=None)
     p.add_argument("--c", help="comma-separated rationals, one per row of B")
-    p.add_argument("--cap", type=int, default=1000)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--json", action="store_true", default=True)
-    g.add_argument("--pretty", action="store_true")
-    common(sub.add_parser("solve", help="truncated solution basis"), beta=True)
+    common(sub.add_parser("solve", help="truncated solution basis"),
+           beta=True, cap=True)
     common(sub.add_parser("verify", help="solve, then check annihilation"),
-           beta=True)
+           beta=True, cap=True)
     return ap
 
 
@@ -378,7 +377,7 @@ HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cap < 0:
+        if getattr(args, "cap", 0) < 0:
             raise ConventionError(f"--cap must be >= 0, got {args.cap}")
         return HANDLERS[args.command](args)
     except (ConventionError, SizeLimitError) as exc:

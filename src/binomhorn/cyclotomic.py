@@ -1,14 +1,14 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-Elements are rational-coefficient polynomials in the primitive N-th root
-of unity, reduced modulo the N-th cyclotomic polynomial.  N = 1 gives
-plain rationals.  An element is stored as one integer form: deg Phi_N
-integer numerators over one positive denominator, coprime to all of
-them.  The form is canonical, so equal elements have equal forms, and
-sums, negations and rational scalings are integer work reduced by one
-gcd.  Division goes through the extended Euclidean algorithm on
-Fraction polynomials; the modulus is irreducible, so every nonzero
-element is a unit.
+Elements are polynomials in the primitive N-th root of unity, reduced
+modulo the N-th cyclotomic polynomial Phi_N; N = 1 gives the rationals.
+An element is one canonical integer form: deg Phi_N integer numerators
+over one positive denominator coprime to them all.  Phi_N is monic with
+integer coefficients, so the arithmetic is integer work: reduction is
+long division by Phi_N (``_divmod_monic``), and multiplication by an
+element is one integer matrix (``_mul_matrix``), which products,
+inverses and the series operators all read.  Phi_N is irreducible, so
+every nonzero element is a unit; an inverse solves that matrix.
 """
 
 from __future__ import annotations
@@ -16,66 +16,55 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
-_ZERO = Fraction(0)
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+from .exact_linalg import frac_solve
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _poly_trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_divmod(num, den):
-    num = [Fraction(x) for x in num]
-    den = _poly_trim([Fraction(x) for x in den])
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    r = list(num)
-    inv = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        if len(r) >= i + len(den) and r[i + len(den) - 1] != 0:
-            c = r[i + len(den) - 1] * inv
-            q[i] = c
-            for j, y in enumerate(den):
-                r[i + j] -= c * y
-    return _poly_trim(q), _poly_trim(r)
+def _divmod_monic(p, phi):
+    """(q, r) with p = q phi + r, for integer coefficient lists in
+    ascending order and a monic phi; r has exactly deg phi entries."""
+    d = len(phi) - 1
+    r = list(p) + [0] * (d - len(p))
+    q = [0] * max(0, len(r) - d)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i]
+        if c:
+            q[i - d] = c
+            for j in range(d):
+                r[i - d + j] -= c * phi[j]
+    return q, r[:d]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(N: int):
-    """Coefficients of the N-th cyclotomic polynomial, ascending, monic."""
+    """Integer coefficients of the N-th cyclotomic polynomial, ascending,
+    monic: x^N - 1 divided by Phi_d for every proper divisor d of N."""
     if N < 1:
         raise ValueError("N must be positive")
-    poly = [Fraction(-1)] + [Fraction(0)] * (N - 1) + [Fraction(1)]  # x^N - 1
+    poly = [-1] + [0] * (N - 1) + [1]
     for d in range(1, N):
         if N % d == 0:
-            q, r = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if r:
+            poly, r = _divmod_monic(poly, cyclotomic_polynomial(d))
+            if any(r):
                 raise AssertionError("cyclotomic division must be exact")
-            poly = q
     return tuple(poly)
+
+
+def _mul_matrix(nums, N):
+    """The integer columns nums * zeta_N^i, i < deg Phi_N, on the power
+    basis: column i + 1 is column i shifted up one degree, with the top
+    coefficient folded back through Phi_N."""
+    phi = cyclotomic_polynomial(N)
+    col = list(nums)
+    cols = [col]
+    for _ in range(len(col) - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [x - top * f for x, f in zip(col, phi)]
+        cols.append(col)
+    return cols
 
 
 class Scalar:
@@ -83,30 +72,23 @@ class Scalar:
 
     ``nums`` holds exactly deg Phi_N integers and ``den`` one positive
     integer with gcd(den, *nums) = 1, so zero is all zeros over 1; the
-    coefficients are nums[i] / den, and ``coeffs`` yields them as
-    Fractions.  Sums, negations and products with a rational factor
-    work on the integers and reduce with one gcd; only a product of two
-    irrational elements and the inverse of an irrational element go
-    through the general constructor, which reduces a Fraction
-    polynomial modulo Phi_N.
+    coefficients are nums[i] / den (``coeffs`` makes them Fractions).
+    The constructor scales ints or Fractions to integers over their lcm,
+    reduces those mod Phi_N and divides by one gcd, as every operation
+    does; irrational products and inverses read ``_mul_matrix``.
     """
 
     __slots__ = ("N", "nums", "den")
 
     def __init__(self, N, coeffs):
         N = int(N)
-        phi = cyclotomic_polynomial(N)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) >= len(phi):
-            _, cs = _poly_divmod(cs, list(phi))
-        cs += [_ZERO] * (len(phi) - 1 - len(cs))
-        # the lcm of reduced denominators is coprime to the numerators
-        # it scales: a prime power it takes from one denominator does
-        # not divide that coefficient's scaled numerator
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs]
         den = lcm(*[c.denominator for c in cs])
-        self.N = N
-        self.nums = tuple([c.numerator * (den // c.denominator) for c in cs])
-        self.den = den
+        _, nums = _divmod_monic([c.numerator * (den // c.denominator)
+                                 for c in cs], cyclotomic_polynomial(N))
+        form = Scalar._reduced(N, nums, den)
+        self.N, self.nums, self.den = N, form.nums, form.den
 
     @staticmethod
     def _canonical(N, nums, den):
@@ -157,9 +139,7 @@ class Scalar:
     @staticmethod
     def root_of_unity(N, k=1):
         """zeta_N^k as an element of Q(zeta_N)."""
-        k %= N
-        mono = [Fraction(0)] * k + [Fraction(1)]
-        return Scalar(N, mono)
+        return Scalar(N, [0] * (k % N) + [1])
 
     def _times_coprime(self, a, d):
         """self * a/d for coprime integers a and d > 0, where self has
@@ -234,7 +214,9 @@ class Scalar:
             return a._scaled(b.nums[0], b.den)
         if a.is_rational():
             return b._scaled(a.nums[0], a.den)
-        return Scalar(a.N, _poly_mul(list(a.coeffs), list(b.coeffs)))
+        rows = zip(*_mul_matrix(a.nums, a.N))
+        return Scalar._reduced(
+            a.N, [sum(map(mul, row, b.nums)) for row in rows], a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -245,18 +227,9 @@ class Scalar:
             n = self.nums[0]
             return Scalar._canonical(self.N, (self.den if n > 0 else -self.den,)
                                      + self.nums[1:], abs(n))
-        # extended Euclid: s * self + t * Phi_N = 1
-        phi = list(cyclotomic_polynomial(self.N))
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r2 = _poly_divmod(r0, r1)
-            r0, r1 = r1, r2
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if len(r0) != 1:
-            raise AssertionError("cyclotomic polynomial must be irreducible over Q")
-        lead = r0[0]
-        return Scalar(self.N, [c / lead for c in s0])
+        rows = list(zip(*_mul_matrix(self.nums, self.N)))
+        unit = [self.den] + [0] * (len(rows) - 1)
+        return Scalar(self.N, frac_solve(rows, unit))
 
     def __truediv__(self, other):
         a, b = self._coerce(other)
@@ -283,7 +256,7 @@ class Scalar:
     def __hash__(self):
         if self.is_rational():
             return hash(self.as_rational())
-        return hash((self.N, self.coeffs))
+        return hash((self.N, self.nums, self.den))
 
     def __repr__(self):
         if self.is_rational():

@@ -1,6 +1,7 @@
 """Exceptions shared across the library.
 
-Each maps to one CLI exit code; see cli.EXIT_CODES.
+Each maps to one CLI exit code, one of the ``EXIT_*`` constants of
+``cli`` (EXIT_INPUT, EXIT_INFINITE, EXIT_RESONANCE, EXIT_CAP).
 """
 
 

@@ -8,8 +8,8 @@ the full solution lives on.  Operators act term by term and exactly;
 partial derivatives use falling factorials of base + z, so rational and
 negative exponents are handled uniformly, while keys stay integer.
 
-The stored terms are the only representation of a series.  Binomial and
-Euler operators work on its integer form instead (``_integer_form``):
+The stored terms are the only representation of a series.  Every
+operator works on its integer form instead (``_integer_form``):
 one positive common denominator D, the lcm of the Scalars' integer
 denominators, and, per offset, the deg Phi_N integers whose quotients
 by D are the coefficients, each a Scalar's numerators times one integer
@@ -19,7 +19,9 @@ coefficients are always seen.  The residual terms become Scalars
 straight from their integer vectors, reduced by one gcd each; no
 ``Fraction`` is built per term on either side.  A rational lambda of a
 binomial operator is one more integer factor of its second part; only
-an irrational one acts through a multiplication matrix on Z[zeta_N].
+an irrational one acts through its multiplication matrix on Z[zeta_N],
+the one that ``Scalar`` products and inverses read
+(``cyclotomic._mul_matrix``).
 
 What an operator's action depends on besides the coefficients (the
 falling factorial columns of each binomial part, the offsets its terms
@@ -46,7 +48,7 @@ from functools import cached_property
 from math import lcm, prod
 from operator import add, mul, sub
 
-from .cyclotomic import Scalar, cyclotomic_polynomial
+from .cyclotomic import Scalar, _mul_matrix, cyclotomic_polynomial
 from .exact_linalg import IntMatrix, coordinate_forms
 
 
@@ -341,48 +343,36 @@ def _expand_factors(factors, nvars):
 
 def apply_operator(op, s: PuiseuxSeries, *, form=None) -> PuiseuxSeries:
     """Exact term-by-term action of a differential operator; the result
-    keeps the base of ``s``, so every operator only moves integer keys.
+    keeps the base of ``s``, so every operator only moves integer keys,
+    and carries no truncation or support.
 
-    Binomial and Euler operators act on the integer form of ``s`` (see
+    Every operator acts on the integer form of ``s`` (see
     ``_integer_form``): integer coefficient vectors over one common
     denominator, so a term costs integer products and a term that
-    cancels is an all-zero vector.  Scalars are built only for the terms
-    that survive.  What depends on the offsets alone (falling factorial
-    columns, partner offsets, Euler values) comes from the store that
-    the form carries (see ``_offset_store``).  A caller applying several
-    operators to one series passes its integer form once as ``form``;
-    without it the form is built from ``s.terms`` here.  Theta operators
-    act on the Scalars.
+    cancels is an all-zero vector.  Only the terms that survive become
+    Scalars, each reduced by one gcd.  What depends on the offsets alone
+    (falling factorial columns, partner offsets, Euler values) comes
+    from the store that the form carries (see ``_offset_store``).  A
+    caller applying several operators to one series passes its integer
+    form once as ``form``; without it the form is built here.
     """
+    order, den, vecs, shared = form or _integer_form(s)
     if isinstance(op, BinomialOp):
-        order, den, vecs, shared = form or _integer_form(s)
         lam = None if op.lam.is_zero() else op.lam
         if lam is not None and lam.N != order and order == 1:
-            order, vecs = _lift_form(lam.N, vecs)
-        common, acc = _binomial_action(s.base, shared, vecs, order,
+            order, vecs = lam.N, _lift(vecs, lam.N)
+        common, out = _binomial_action(s.base, shared, vecs, order,
                                        op.u_plus, op.u_minus, lam)
-        trunc = _tighten(s.truncation, sum(op.u_plus) + sum(op.u_minus))
-        return s._with_terms(_scalars(order, den * common, acc),
-                             truncation=trunc)
-    if isinstance(op, EulerOp):
-        order, den, vecs, shared = form or _integer_form(s)
-        e, factors = _euler_factors(shared, s.base, op)
+    elif isinstance(op, EulerOp):
+        common, factors = _euler_factors(shared, s.base, op)
         out = {z: [f * x for x in vecs[i]] for z, i, f in factors}
-        return s._with_terms(_scalars(order, den * e, out),
-                             truncation=s.truncation, support=s.support)
-    if isinstance(op, ThetaOp):
-        out = {}
-        k = op.k
-        for z, c in s.terms.items():
-            e = s.exponent(z)
-            qv = op.q_at(e)
-            if qv != 0:
-                _acc(out, z, c * qv)
-            pv = op.p_at(e)
-            if pv != 0:
-                _acc(out, z[:k] + (z[k] + 1,) + z[k + 1:], -(c * pv))
-        return s._with_terms(out, truncation=_tighten(s.truncation, 1))
-    raise TypeError(f"unknown operator type {type(op)!r}")
+    elif isinstance(op, ThetaOp):
+        common, out = _theta_action(s, vecs, op)
+    else:
+        raise TypeError(f"unknown operator type {type(op)!r}")
+    den *= common
+    return s._with_terms({z: Scalar._reduced(order, v, den)
+                          for z, v in out.items()})
 
 
 def _integer_form(s):
@@ -407,8 +397,7 @@ def _integer_form(s):
     vecs = [c.nums if (m := den // c.den) == 1 else
             tuple([m * x for x in c.nums]) for c in s.terms.values()]
     if order > 1 and 1 in orders:
-        deg = len(cyclotomic_polynomial(order)) - 1
-        vecs = [v + (0,) * (deg - len(v)) for v in vecs]
+        vecs = _lift(vecs, order)
     return order, den, vecs, _offset_store(s)
 
 
@@ -434,25 +423,11 @@ def _offset_store(s):
     return shared
 
 
-def _lift_form(order, vecs):
-    """Integer vectors of order 1 as vectors of Q(zeta_order)."""
-    pad = (0,) * (len(cyclotomic_polynomial(order)) - 2)
-    return order, [v + pad for v in vecs]
-
-
-def _scalars(order, den, vecs):
-    """Scalars of order ``order`` from nonzero integer vectors over
-    ``den``, each reduced by one gcd."""
-    return {z: Scalar._reduced(order, v, den) for z, v in vecs.items()}
-
-
-def _acc(d, key, val):
-    cur = d.get(key)
-    new = val if cur is None else cur + val
-    if new.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = new
+def _lift(vecs, order):
+    """Integer vectors, those of order 1 among them, as vectors of
+    Q(zeta_order)."""
+    deg = len(cyclotomic_polynomial(order)) - 1
+    return [v + (0,) * (deg - len(v)) for v in vecs]
 
 
 def _binomial_action(base, shared, vecs, order, u_plus, u_minus, lam):
@@ -601,20 +576,32 @@ def _euler_factors(shared, base, op):
 
 def _multiplication_matrix(lam, order):
     """(den, rows): lam times an element of Q(zeta_order) with integer
-    coordinates x has the coordinates rows x / den.  Built only for an
-    irrational lam; a rational one is a scalar (see ``_binomial_action``)."""
-    deg = len(cyclotomic_polynomial(order)) - 1
-    cols = [lam * Scalar.root_of_unity(order, i) for i in range(deg)]
-    den = lcm(*(col.den for col in cols))
-    return den, [[col.nums[r] * (den // col.den) for col in cols]
-                 for r in range(deg)]
+    coordinates x has the coordinates rows x / den, where den = lam.den
+    and the rows are those of ``cyclotomic._mul_matrix``.  Built only for
+    an irrational lam; a rational one is a scalar (``_binomial_action``)."""
+    if lam.N != order:
+        raise ValueError(f"mixed cyclotomic orders {lam.N} and {order}")
+    return lam.den, list(zip(*_mul_matrix(lam.nums, order)))
 
 
-def _tighten(trunc, order):
-    if trunc is None:
-        return None
-    return Truncation(basis=trunc.basis, bound=trunc.bound - order,
-                      dim=trunc.dim)
+def _theta_action(s, vecs, op):
+    """q(theta) - z_k p(theta) on the integer vectors ``vecs`` of the terms
+    of ``s``: (e, the nonzero vectors over e by offset), e the lcm of the
+    denominators of the q and p values at base + z.  The q part of the
+    term at z lands at z, its p part at z + e_k."""
+    k = op.k
+    values = [(z, op.q_at(s.exponent(z)), -op.p_at(s.exponent(z)))
+              for z in s.terms]
+    e = lcm(*(v.denominator for _, q, p in values for v in (q, p)))
+    out = {}
+    for (z, q, p), vec in zip(values, vecs):
+        for key, f in ((z, q), (z[:k] + (z[k] + 1,) + z[k + 1:], p)):
+            if f:
+                f = f.numerator * (e // f.denominator)
+                w = [f * x for x in vec]
+                cur = out.get(key)
+                out[key] = w if cur is None else list(map(add, cur, w))
+    return e, {z: w for z, w in out.items() if any(w)}
 
 
 # -- operator factories --------------------------------------------------------

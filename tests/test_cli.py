@@ -235,6 +235,19 @@ def test_main_calls_in_one_process_match_fresh_processes(paths):
     assert got == [call_fresh(argv) for argv in calls]
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--B", "erd", "--json"],
+    ["validate", "--B", "erd", "--cap", "5"],
+    ["complement", "--B", "erd", "--A", "erd_A"]])
+def test_options_a_command_never_reads_exit_2(paths, argv):
+    # --json was never read, --cap only where an atlas runs, and
+    # complement computes its own A
+    code, out, err = call_in_process([paths.get(a, a) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_horn_ops_bad_c_length(paths, capsys):
     code, _ = run(capsys, ["horn-ops", "--B", paths["gauss"], "--c", "1,2"])
     assert code == 2

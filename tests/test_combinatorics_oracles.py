@@ -394,6 +394,9 @@ def test_toral_blocks_are_square_invertible_with_the_full_kernel():
     torals = andean = 0
     for hi in inputs:
         for dec in enumerate_decompositions(hi):
+            # the columns outside colset_M are zero on Jbar, so B_J keeps
+            # the full column rank of B on them
+            assert int_rank(dec.B_J) == hi.B.ncols - dec.p, dec.label
             rank_formula = (int_rank(dec.A_J)
                             == len(dec.J) - int_rank(dec.B_J))
             assert dec.is_toral == rank_formula, (hi.B.tolist(), dec.label)
