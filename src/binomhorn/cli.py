@@ -17,15 +17,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .errors import (
-    BinomHornError,
-    CapExceededError,
-    ConventionError,
-    InfiniteRankError,
-    ResonanceError,
-    SizeLimitError,
-    VeryGenericError,
-)
+from .errors import BinomHornError, ConventionError, InfiniteRankError
 from .exact_linalg import IntMatrix
 from .geometry import Cone
 from .model import compute_A, make_horn_input, validate_B
@@ -37,23 +29,25 @@ from .subgraph import bounded_atlas
 SCHEMA = "1"
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_INFINITE = 3
-EXIT_RESONANCE = 4
-EXIT_CAP = 5
+EXIT_INPUT = BinomHornError.exit_code
+EXIT_INFINITE = InfiniteRankError.exit_code
 
 
 def read_matrix(path: str) -> IntMatrix:
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                rows.append([int(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise ConventionError(f"{path}: bad matrix line {line!r}") from exc
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConventionError(f"{path}: not UTF-8 text ({exc})") from exc
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            rows.append([int(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise ConventionError(f"{path}: bad matrix line {line!r}") from exc
     if not rows:
         raise ConventionError(f"{path}: empty matrix")
     try:
@@ -380,26 +374,13 @@ def main(argv=None) -> int:
         if getattr(args, "cap", 0) < 0:
             raise ConventionError(f"--cap must be >= 0, got {args.cap}")
         return HANDLERS[args.command](args)
-    except (ConventionError, SizeLimitError) as exc:
+    except (BinomHornError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InfiniteRankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit({"schema": SCHEMA, "command": args.command, "infinite": True,
-               "error": str(exc)}, getattr(args, "pretty", False))
-        return EXIT_INFINITE
-    except (ResonanceError, VeryGenericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESONANCE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except BinomHornError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, InfiniteRankError):
+            _emit({"schema": SCHEMA, "command": args.command,
+                   "infinite": True, "error": str(exc)},
+                  getattr(args, "pretty", False))
+        return getattr(exc, "exit_code", EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 """Exceptions shared across the library.
 
-Each maps to one CLI exit code, one of the ``EXIT_*`` constants of
-``cli`` (EXIT_INPUT, EXIT_INFINITE, EXIT_RESONANCE, EXIT_CAP).
+Each maps to one CLI exit code, its class attribute ``exit_code``: 2 for
+input and convention errors, 3 infinite rank, 4 resonance or a
+parameter that is not very generic, 5 the subgraph level cap hit or mu
+certified infinite.
 """
 
 
 class BinomHornError(Exception):
     """Base class for all library errors."""
+
+    exit_code = 2
 
 
 class ConventionError(BinomHornError):
@@ -28,6 +32,8 @@ class CapExceededError(BinomHornError):
     """Level cap hit before the subgraph atlas could be certified complete,
     or mu certified infinite by y > 0 with yM = 0, held in ``certificate``."""
 
+    exit_code = 5
+
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate
@@ -35,6 +41,8 @@ class CapExceededError(BinomHornError):
 
 class ResonanceError(BinomHornError):
     """A series coefficient denominator vanished (integration of x^-1)."""
+
+    exit_code = 4
 
     def __init__(self, message, term=None, coordinate=None):
         super().__init__(message)
@@ -46,6 +54,8 @@ class VeryGenericError(BinomHornError):
     """The parameter hit an integral support-function value; carries the
     violation list as (gamma, facet) pairs per decomposition."""
 
+    exit_code = 4
+
     def __init__(self, message, violations=None):
         super().__init__(message)
         self.violations = violations or []
@@ -53,3 +63,5 @@ class VeryGenericError(BinomHornError):
 
 class InfiniteRankError(BinomHornError):
     """The system is generically non-holonomic; no finite solution basis."""
+
+    exit_code = 3

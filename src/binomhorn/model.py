@@ -29,7 +29,6 @@ from .exact_linalg import (
     frac_solve,
     int_rank,
     left_kernel_basis,
-    row_hnf,
 )
 
 
@@ -158,7 +157,8 @@ def validate_B(B: IntMatrix) -> ValidationReport:
     n, m = B.nrows, B.ncols
     if int_rank(B) != m:
         return ValidationReport(ok=False, reason=f"rank(B) < {m}")
-    A = row_hnf(IntMatrix([list(v) for v in left_kernel_basis(B).vectors]))
+    # LatticeBasis vectors are already the rows of a row Hermite form
+    A = IntMatrix(left_kernel_basis(B).vectors)
     if m == n > 0:
         # a square B spans all of Q^n, and A has no rows to test
         cert = (1,) + (0,) * (n - 1)

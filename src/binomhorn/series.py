@@ -4,9 +4,10 @@ A series has one rational base exponent and a finite map from integer
 offsets z to nonzero scalars in Q(zeta_N): the term at z sits at
 exponent base + z.  Optional truncation metadata gives the support
 lattice, a word-length bound, and the finitely many sheet translates
-the full solution lives on.  Operators act term by term and exactly;
-partial derivatives use falling factorials of base + z, so rational and
-negative exponents are handled uniformly, while keys stay integer.
+the full solution lives on.  The binomial and Euler operators act term
+by term and exactly; partial derivatives use falling factorials of
+base + z, so rational and negative exponents are handled uniformly,
+while keys stay integer.
 
 The stored terms are the only representation of a series.  Every
 operator works on its integer form instead (``_integer_form``):
@@ -293,6 +294,7 @@ class ThetaOp:
     """q(theta) - z_k p(theta) in m z-variables, stored factored + expanded.
 
     Factors are linear forms (coeffs, constant) in theta = (z_j d/dz_j).
+    A record for ``horn-ops`` to print: it does not act on a series.
     """
 
     q_factors: tuple
@@ -300,28 +302,11 @@ class ThetaOp:
     k: int  # index of the multiplying variable, 0-based
     nvars: int
 
-    def q_at(self, alpha):
-        return _eval_factors(self.q_factors, alpha)
-
-    def p_at(self, alpha):
-        return _eval_factors(self.p_factors, alpha)
-
     def expanded_q(self):
         return _expand_factors(self.q_factors, self.nvars)
 
     def expanded_p(self):
         return _expand_factors(self.p_factors, self.nvars)
-
-    def describe(self):
-        return (f"q(theta) - z{self.k + 1} p(theta), "
-                f"deg q = {len(self.q_factors)}, deg p = {len(self.p_factors)}")
-
-
-def _eval_factors(factors, alpha):
-    out = Fraction(1)
-    for coeffs, const in factors:
-        out *= sum(c * Fraction(a) for c, a in zip(coeffs, alpha)) + const
-    return out
 
 
 def _expand_factors(factors, nvars):
@@ -342,9 +327,9 @@ def _expand_factors(factors, nvars):
 
 
 def apply_operator(op, s: PuiseuxSeries, *, form=None) -> PuiseuxSeries:
-    """Exact term-by-term action of a differential operator; the result
-    keeps the base of ``s``, so every operator only moves integer keys,
-    and carries no truncation or support.
+    """Exact term-by-term action of a binomial or Euler operator; the
+    result keeps the base of ``s``, so every operator only moves integer
+    keys, and carries no truncation or support.
 
     Every operator acts on the integer form of ``s`` (see
     ``_integer_form``): integer coefficient vectors over one common
@@ -366,8 +351,6 @@ def apply_operator(op, s: PuiseuxSeries, *, form=None) -> PuiseuxSeries:
     elif isinstance(op, EulerOp):
         common, factors = _euler_factors(shared, s.base, op)
         out = {z: [f * x for x in vecs[i]] for z, i, f in factors}
-    elif isinstance(op, ThetaOp):
-        common, out = _theta_action(s, vecs, op)
     else:
         raise TypeError(f"unknown operator type {type(op)!r}")
     den *= common
@@ -582,26 +565,6 @@ def _multiplication_matrix(lam, order):
     if lam.N != order:
         raise ValueError(f"mixed cyclotomic orders {lam.N} and {order}")
     return lam.den, list(zip(*_mul_matrix(lam.nums, order)))
-
-
-def _theta_action(s, vecs, op):
-    """q(theta) - z_k p(theta) on the integer vectors ``vecs`` of the terms
-    of ``s``: (e, the nonzero vectors over e by offset), e the lcm of the
-    denominators of the q and p values at base + z.  The q part of the
-    term at z lands at z, its p part at z + e_k."""
-    k = op.k
-    values = [(z, op.q_at(s.exponent(z)), -op.p_at(s.exponent(z)))
-              for z in s.terms]
-    e = lcm(*(v.denominator for _, q, p in values for v in (q, p)))
-    out = {}
-    for (z, q, p), vec in zip(values, vecs):
-        for key, f in ((z, q), (z[:k] + (z[k] + 1,) + z[k + 1:], p)):
-            if f:
-                f = f.numerator * (e // f.denominator)
-                w = [f * x for x in vec]
-                cur = out.get(key)
-                out[key] = w if cur is None else list(map(add, cur, w))
-    return e, {z: w for z, w in out.items() if any(w)}
 
 
 # -- operator factories --------------------------------------------------------

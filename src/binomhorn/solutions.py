@@ -42,10 +42,8 @@ from .geometry import very_generic_check, _shift_beta
 from .model import HornInput
 from .series import (
     BinomialOp,
-    EulerOp,
     PuiseuxSeries,
     Support,
-    ThetaOp,
     _integer_form,
     apply_operator,
 )
@@ -436,9 +434,8 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
         chars = component_characters(dec, field_root) if field_root > 1 \
             else [((), None)]
         wt = dec.word_table(T)
-        for gamma in atlas.representatives:
-            comp = next(c for c in atlas.bounded_components
-                        if gamma in c.points)
+        for gamma, comp in zip(atlas.representatives,
+                               atlas.bounded_components):
             points = _component_points(
                 dec, gamma, component_polynomial(dec.M, gamma, comp),
                 wt.coords)
@@ -489,8 +486,9 @@ class VerificationReport:
 
 
 def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
-    """Apply each operator; exact inputs must map to the zero series, and
-    truncated inputs must have an empty interior residual.
+    """Apply each binomial or Euler operator; exact inputs must map to
+    the zero series, and truncated inputs must have an empty interior
+    residual.
 
     A result term is interior when every preimage offset the operator
     could have pulled it from is either outside the declared support (so
@@ -529,14 +527,8 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
                 shifts = [op.u_plus]
                 if not op.lam.is_zero():
                     shifts.append(op.u_minus)
-            elif isinstance(op, EulerOp):
+            else:  # an EulerOp: apply_operator rejects any other type
                 shifts = [zero]
-            elif isinstance(op, ThetaOp):
-                ek = [0] * s.nvars
-                ek[op.k] = 1
-                shifts = [zero, tuple(ek)]
-            else:
-                raise TypeError(f"unknown operator type {type(op)!r}")
             covered = s.truncation.coverage(sheets, shifts)
             interior_list, boundary_list = [], []
             for z, c in applied.sorted_terms():

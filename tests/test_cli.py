@@ -178,6 +178,19 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_undecodable_file_exit_2(tmp_path, capsys):
+    # a file that is not UTF-8 is an input error: one error line, no
+    # traceback, and not exit 1, which verify keeps for a failing solution
+    p = tmp_path / "binary.mat"
+    p.write_bytes(b"\xff1 -1\n-1 1\n")
+    code = main(["validate", "--B", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {p}: not UTF-8 text")
+    assert captured.err.count("\n") == 1
+
+
 def test_subgraphs_cap_exit_5(tmp_path, capsys):
     p = tmp_path / "inf.mat"
     p.write_text("1 -1\n-1 1\n")  # every antidiagonal is bounded: infinite mu

@@ -666,6 +666,19 @@ def test_row_hnf_canonical():
         assert row_hnf(IntMatrix(rows)) == h0
 
 
+def test_lattice_basis_vectors_are_a_row_hermite_form():
+    # validate_B takes the left kernel basis of B as its A with no second
+    # row_hnf pass, since LatticeBasis canonicalizes through column_hnf
+    rng = random.Random(2401)
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        m = rng.randint(0, min(n, 8))
+        B = IntMatrix([[rng.randint(-3, 3) for _ in range(m)]
+                       for _ in range(n)], ncols=m)
+        A = IntMatrix(left_kernel_basis(B).vectors, ncols=n)
+        assert row_hnf(A) == A
+
+
 def test_lattice_basis_rejects_dependent():
     with pytest.raises(ValueError):
         LatticeBasis(2, [(1, 2), (2, 4)])

@@ -11,8 +11,10 @@ from binomhorn import (
     Scalar,
     apply_operator,
     horn_classical_operators,
+    verify_annihilation,
 )
 from binomhorn.cyclotomic import cyclotomic_polynomial
+from binomhorn.series import Support, Truncation
 
 
 # -- cyclotomic scalars ----------------------------------------------------------
@@ -110,23 +112,6 @@ def test_binomial_rejects_overlapping_supports():
         BinomialOp(u_plus=(1, 0), u_minus=(1, 1))
 
 
-def test_gauss_theta_recursion():
-    # the operator theta(theta+c-1) - z(theta+a)(theta+b) from the classical
-    # construction at c = (0, -a, -b, c-1) kills the hypergeometric series
-    a, b, c = F(1, 3), F(1, 5), F(2, 7)
-    B = IntMatrix([[1], [-1], [-1], [1]])
-    op = horn_classical_operators(B, [F(0), -a, -b, c - 1])[0]
-    terms = {}
-    coeff = F(1)
-    for k in range(4):
-        terms[(F(k),)] = coeff
-        coeff *= (k + a) * (k + b) / ((k + 1) * (k + c))
-    s = PuiseuxSeries(1, terms)
-    out = apply_operator(op, s)
-    # every interior degree cancels; only the boundary term at z^4 survives
-    assert sorted(out.terms) == [(F(4),)]
-
-
 def test_horn_ops_gauss_expansion(B_gauss):
     c1, c2, c3, c4 = F(1, 3), F(1, 5), F(2, 5), F(3, 7)
     op = horn_classical_operators(B_gauss, [c1, c2, c3, c4])[0]
@@ -150,3 +135,19 @@ def test_horn_ops_single_column_paper_formula():
     op = horn_classical_operators(IntMatrix([[1], [-1]]), [F(0), F(0)])[0]
     assert op.expanded_q() == {(1,): F(1)}
     assert op.expanded_p() == {(1,): F(-1)}
+
+
+def test_classical_horn_operators_do_not_act_on_a_series(B_gauss):
+    # horn-ops prints them; apply and verify take only the binomial and
+    # Euler operators of the Horn system, here on a truncated series so
+    # that verify would otherwise reach its coverage split
+    op = horn_classical_operators(B_gauss, [F(1, 3)] * 4)[0]
+    s = PuiseuxSeries(4, {(0, 0, 0, 0): 1},
+                      truncation=Truncation(basis=((1, -1, -1, 1),), bound=1,
+                                            dim=4),
+                      support=Support(alpha=(F(1, 2),) * 4,
+                                      translates=((0, 0, 0, 0),)))
+    with pytest.raises(TypeError, match="unknown operator type"):
+        apply_operator(op, s)
+    with pytest.raises(TypeError, match="unknown operator type"):
+        verify_annihilation([op], s)

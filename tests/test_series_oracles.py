@@ -26,11 +26,9 @@ from binomhorn import (
     LatticeBasis,
     ResonanceError,
     Scalar,
-    ThetaOp,
     bounded_atlas,
     component_polynomial,
     enumerate_decompositions,
-    horn_classical_operators,
     horn_system_operators,
     kernel_basis,
     make_horn_input,
@@ -199,20 +197,11 @@ def reference_apply(op, terms):
                 if fm:
                     _acc(out, tuple(a - b for a, b in zip(e, op.u_minus)),
                          c * (-op.lam * fm))
-    elif isinstance(op, EulerOp):
+    else:
         for e, c in terms.items():
             f = sum(r * x for r, x in zip(op.row, e)) - op.value
             if f != 0:
                 out[e] = c * f
-    else:
-        for e, c in terms.items():
-            qv = op.q_at(e)
-            if qv != 0:
-                _acc(out, e, c * qv)
-            pv = op.p_at(e)
-            if pv != 0:
-                ek = e[:op.k] + (e[op.k] + 1,) + e[op.k + 1:]
-                _acc(out, ek, -(c * pv))
     return out
 
 
@@ -225,11 +214,8 @@ def reference_verify(ops, terms, trunc, sheets):
         nvars = len(sheets[0])
         if isinstance(op, BinomialOp):
             shifts = [op.u_plus] + ([] if op.lam.is_zero() else [op.u_minus])
-        elif isinstance(op, EulerOp):
-            shifts = [(0,) * nvars]
         else:
-            shifts = [(0,) * nvars,
-                      tuple(int(i == op.k) for i in range(nvars))]
+            shifts = [(0,) * nvars]
         interior, boundary = [], []
         for y, c in applied:
             known = all(covered(trunc, sheets,
@@ -436,7 +422,7 @@ def test_operators_match_exponent_keyed_reference():
 
 def random_operator_case(pick):
     """A random series on a rational base, with a truncation and sheets,
-    and random Binomial, Euler and Theta operators; ``pick(lo, hi)``
+    and random Binomial and Euler operators; ``pick(lo, hi)``
     draws an integer in [lo, hi]."""
     n = pick(1, 3)
     N = (1, 3, 4)[pick(0, 2)]
@@ -455,21 +441,15 @@ def random_operator_case(pick):
                       support=Support(alpha=base, translates=translates))
     ops = []
     for _ in range(pick(1, 3)):
-        kind = pick(0, 2)
-        if kind == 0:
+        if pick(0, 1) == 0:
             up = tuple(pick(0, 2) for _ in range(n))
             um = tuple(0 if a else pick(0, 2) for a in up)
             lam = Scalar(N, [F(pick(-2, 2)), F(pick(-1, 1))])
             ops.append(BinomialOp(u_plus=up, u_minus=um, lam=lam))
-        elif kind == 1:
+        else:
             ops.append(EulerOp(row=tuple(F(pick(-3, 3), pick(1, 2))
                                          for _ in range(n)),
                                value=F(pick(-4, 4), pick(1, 3))))
-        else:
-            B = IntMatrix([[pick(-2, 2)] for _ in range(n)])
-            c = [F(pick(-3, 3), pick(1, 3)) for _ in range(n)]
-            op = horn_classical_operators(B, c)[0]
-            ops.append(ThetaOp(op.q_factors, op.p_factors, 0, n))
     return s, ops
 
 
