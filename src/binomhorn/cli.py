@@ -61,7 +61,7 @@ def parse_rationals(text: str):
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
-            continue
+            raise ConventionError(f"empty entry in {text!r}")
         try:
             out.append(Fraction(tok))
         except (ValueError, ZeroDivisionError) as exc:
@@ -186,7 +186,8 @@ def cmd_rank(args):
         "B": _matrix_json(hi.B), "A": _matrix_json(hi.A),
         "infinite": rep.infinite,
         "generically_holonomic": rep.generically_holonomic,
-        "andean_directions": [[list(v) for v in d] for d in rep.andean_directions],
+        "andean_directions": [[list(v) for v in d.vectors]
+                              for d in hi.andean.directions],
         "note": rep.note,
     }
     if rep.infinite:

@@ -8,14 +8,18 @@ whose saturation, for a toral block, is the kernel of A_J.  The rows of A
 span the left kernel of B, and a vector of it vanishing on J is a left
 kernel vector of M, so rank(A_J) = d - q + rank(M).  The rank criterion
 rank(A_J) = |J| - rank(B_J) = d - q + p is therefore rank(M) = p: a
-decomposition is toral exactly when q = p and det(M) != 0.
+decomposition is toral exactly when q = p = rank(M).  Likewise A_J spans
+Q^d exactly when rank(M) = q, so the generic-holonomicity verdict reads
+the one stored rank of M, on a matrix of at most m rows, and the
+saturated column spans of A_J (the Andean directions) are computed only
+when read.
 
 Row sets are found by a branching walk on bitmasks: while an included
 column is one-signed, only rows of the other sign in it are tried next,
 so each admissible set is reached once and dead branches end early.
-Submatrices are built only for admissible sets; the lattice data
-(``L_basis``, ``g``), the cone over A_J and the word table of each
-truncation bound T are computed only when read.
+Only M and its rank are built per admissible set; the other submatrices,
+the lattice data (``L_basis``, ``g``), the cone over A_J and the word
+table of each truncation bound T are computed only when read.
 ``HornInput.decompositions`` keeps the enumeration, so one input is
 enumerated once, each of its cones is built once, and each word table
 once per T.
@@ -23,7 +27,7 @@ once per T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import Callable
@@ -32,8 +36,8 @@ from .errors import SizeLimitError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
-    bareiss_det,
     coordinate_map,
+    int_rank,
     saturated_span,
 )
 from .geometry import Cone
@@ -48,27 +52,46 @@ class Decomposition:
     """One admissible block decomposition of B.
 
     Index sets are 0-based and sorted; ``label`` renders them 1-based for
-    reports.  ``L_basis`` is the saturation of the column span of B_J
-    inside Z^J (coordinates indexed by J in increasing order) and ``g`` is
-    the index of the span in it, read off its Hermite pivots by
+    reports.  Only M and its rank ``rank_M`` are built by the enumeration;
+    ``B_J``, ``N``, ``A_J`` and ``A_Jbar`` are cut from the input's B and
+    A when first read.  ``L_basis`` is the saturation of the column span
+    of B_J inside Z^J (coordinates indexed by J in increasing order) and
+    ``g`` is the index of the span in it, read off its Hermite pivots by
     ``LatticeBasis.index``.  Both are computed from B_J when first read:
     the rank formula reads them only for toral decompositions.  ``cone``
     holds the cells, volume and support functions of A_J, likewise
     computed when first read, and ``word_table(T)`` builds the
-    ``WordTable`` of each bound T once.
+    ``WordTable`` of each bound T once.  B and A are compared too, so
+    decompositions of different inputs differ.
     """
 
     rowset_Jbar: tuple
     colset_M: tuple
     J: tuple
     M: IntMatrix
-    N: IntMatrix
-    B_J: IntMatrix
-    A_J: IntMatrix
-    A_Jbar: IntMatrix
     q: int
     p: int
+    rank_M: int
     klass: str  # "toral" | "andean"
+    B: IntMatrix = field(repr=False)
+    A: IntMatrix = field(repr=False)
+
+    @cached_property
+    def B_J(self) -> IntMatrix:
+        return self.B.submatrix(self.J, [k for k in range(self.B.ncols)
+                                         if k not in self.colset_M])
+
+    @cached_property
+    def N(self) -> IntMatrix:
+        return self.B.submatrix(self.J, self.colset_M)
+
+    @cached_property
+    def A_J(self) -> IntMatrix:
+        return self.A.submatrix(range(self.A.nrows), self.J)
+
+    @cached_property
+    def A_Jbar(self) -> IntMatrix:
+        return self.A.submatrix(range(self.A.nrows), self.rowset_Jbar)
 
     @cached_property
     def L_basis(self) -> LatticeBasis:
@@ -228,55 +251,62 @@ def enumerate_decompositions(hi: HornInput) -> tuple[Decomposition, ...]:
 
     The empty row set is always admissible (M empty, B_J = B) and always
     toral.  The walk of ``_admissible_rowsets`` yields each row set whose
-    block is mixed with q <= p once; submatrices are built only for
-    those.  A decomposition is toral exactly when M is square with
-    det(M) != 0, which is the rank criterion rank(A_J) = |J| - rank(B_J)
-    (see the module docstring).
+    block is mixed with q <= p once; only M and its rank are built for
+    those.  A decomposition is toral exactly when q = p = rank(M), which
+    is the rank criterion rank(A_J) = |J| - rank(B_J) (see the module
+    docstring).
     """
     B, A = hi.B, hi.A
-    n, m, d = hi.n, hi.m, hi.d
+    n, m = hi.n, hi.m
     if n > MAX_ROWS:
         raise SizeLimitError(f"B has {n} > {MAX_ROWS} rows")
     out = []
     for jmask, cmask in _admissible_rowsets(B):
-        jbar, J = _bits(jmask, n), _bits(~jmask, n)
-        colset, other_cols = _bits(cmask, m), _bits(~cmask, m)
+        jbar, colset = _bits(jmask, n), _bits(cmask, m)
         q, p = len(jbar), len(colset)
         M = B.submatrix(jbar, colset)
-        B_J = B.submatrix(J, other_cols)
-        N = B.submatrix(J, colset)
-        A_J = A.submatrix(range(d), J)
-        A_Jbar = A.submatrix(range(d), jbar)
-        klass = "toral" if q == p and bareiss_det(M) != 0 else "andean"
-        dec = Decomposition(
-            rowset_Jbar=jbar, colset_M=colset, J=J, M=M, N=N, B_J=B_J,
-            A_J=A_J, A_Jbar=A_Jbar, q=q, p=p, klass=klass)
-        out.append(dec)
+        rank_M = int_rank(M)
+        out.append(Decomposition(
+            rowset_Jbar=jbar, colset_M=colset, J=_bits(~jmask, n), M=M,
+            q=q, p=p, rank_M=rank_M,
+            klass="toral" if q == p == rank_M else "andean", B=B, A=A))
     return tuple(sorted(out, key=lambda dec: (len(dec.rowset_Jbar),
                                               dec.rowset_Jbar)))
 
 
 @dataclass(frozen=True)
 class AndeanReport:
-    """Directions (saturated column spans of A_J over Andean
-    decompositions) and the generic-holonomicity verdict.
+    """The generic-holonomicity verdict and, when read, the Andean
+    directions.
 
-    Directions are canonical saturated lattice bases of the rational
-    column spans; integer translates are not computed, so the set is a
+    ``andean`` holds the Andean decompositions.  The verdict needs no
+    lattice work: A_J spans Q^d exactly when rank(M) = q (see the module
+    docstring), so the input is generically holonomic exactly when every
+    Andean block has rank(M) < q.  ``directions`` are canonical saturated
+    lattice bases of the rational column spans of the Andean A_J,
+    deduplicated and sorted, computed on first read: Z^d once when some
+    block has rank(M) = q, and ``saturated_span(A_J)`` of each block with
+    rank(M) < q.  Integer translates are not computed, so the set is a
     superset description of where holonomicity can fail.
     """
 
-    directions: tuple  # tuple of LatticeBasis, deduplicated, sorted
+    andean: tuple = field(repr=False)
+    d: int
     generically_holonomic: bool
+
+    @cached_property
+    def directions(self) -> tuple:
+        spans = [saturated_span(dec.A_J) for dec in self.andean
+                 if dec.rank_M < dec.q]
+        if not self.generically_holonomic:
+            spans.append(LatticeBasis(self.d,
+                                      IntMatrix.identity(self.d).columns()))
+        dirs = {span.vectors: span for span in spans}
+        return tuple(dirs[k] for k in sorted(dirs))
 
 
 def andean_report(decomps, d: int) -> AndeanReport:
-    dirs = {}
-    for dec in decomps:
-        if dec.is_toral:
-            continue
-        span = saturated_span(dec.A_J)
-        dirs[span.vectors] = span
-    directions = tuple(dirs[k] for k in sorted(dirs))
-    holonomic = all(len(b.vectors) < d for b in directions)
-    return AndeanReport(directions=directions, generically_holonomic=holonomic)
+    andean = tuple(dec for dec in decomps if not dec.is_toral)
+    return AndeanReport(
+        andean=andean, d=d,
+        generically_holonomic=all(dec.rank_M < dec.q for dec in andean))

@@ -215,7 +215,8 @@ class HornInput:
 
     @cached_property
     def andean(self):
-        """The Andean report of the decompositions, computed once per input."""
+        """The Andean report of the decompositions, built once per input:
+        its verdict from the ranks of M, its directions when read."""
         from .decomp import andean_report
         return andean_report(self.decompositions, self.d)
 

@@ -6,7 +6,9 @@ of its bounded-component count, its lattice index, and the normalized
 volume of its column configuration.  A full-dimensional Andean direction
 means the system is non-holonomic for every parameter, reported as an
 infinite verdict instead of a number.  Both functions here read the
-decompositions the input caches, so together they enumerate once.
+decompositions the input caches, so together they enumerate once, and
+neither computes a direction: the verdict comes from the stored ranks of
+the mixed blocks.
 """
 
 from __future__ import annotations
@@ -36,27 +38,25 @@ class RankReport:
     infinite: bool
     summands: tuple
     generically_holonomic: bool
-    andean_directions: tuple  # canonical direction bases (vector tuples)
     note: str = ""
 
 
 def generic_rank(hi: HornInput, cap: int = 1000) -> RankReport:
     """Evaluate the rank formula, or report the infinite verdict.
 
-    The verdict is based on directions only; translates of lower
-    dimensional Andean directions (which pick out the special parameters
-    with infinite rank inside a generically finite family) are not
-    computed.
+    The verdict is ``hi.andean.generically_holonomic``: some Andean
+    block with rank(M) = q gives a full-dimensional direction.  The
+    directions themselves are not computed here (``hi.andean.directions``
+    computes them when read), nor are the translates of lower dimensional
+    ones, which pick out the special parameters with infinite rank inside
+    a generically finite family.
     """
     decomps = hi.decompositions
-    report = hi.andean
-    directions = tuple(b.vectors for b in report.directions)
     note = ("translates of Andean directions not computed; verdicts are "
             "for generic parameters")
-    if not report.generically_holonomic:
+    if not hi.andean.generically_holonomic:
         return RankReport(total=None, infinite=True, summands=(),
-                          generically_holonomic=False,
-                          andean_directions=directions, note=note)
+                          generically_holonomic=False, note=note)
     summands = []
     for dec in decomps:
         if not dec.is_toral:
@@ -68,8 +68,7 @@ def generic_rank(hi: HornInput, cap: int = 1000) -> RankReport:
             mu=atlas.mu, g=dec.g, vol=dec.cone.volume))
     total = sum(s.product for s in summands)
     return RankReport(total=total, infinite=False, summands=tuple(summands),
-                      generically_holonomic=True,
-                      andean_directions=directions, note=note)
+                      generically_holonomic=True, note=note)
 
 
 def degree_cross_check(hi: HornInput) -> int | None:

@@ -276,13 +276,19 @@ def component_characters(dec: Decomposition, field_order: int):
                       dec.B_J.columns()))
     if None in coords:
         raise AssertionError("B_J column outside its saturation")
-    roots = [Scalar.root_of_unity(field_order, e) for e in range(field_order)]
+    weights = _character_weights(IntMatrix.from_columns(coords, nrows=r),
+                                 field_order)
+    # every weight is a multiple of step, so only the field_order / step
+    # powers of zeta_N^step are read (at most the exponent of the group)
+    step = gcd(field_order, *(x for _, w in weights for x in w))
+    order = field_order // step
+    roots = [Scalar.root_of_unity(field_order, step * e) for e in range(order)]
 
     def make(w):
-        return lambda k: roots[sum(map(mul, w, k)) % field_order]
+        w = [x // step for x in w]
+        return lambda k: roots[sum(map(mul, w, k)) % order]
 
-    return [(t, make(w)) for t, w in _character_weights(
-        IntMatrix.from_columns(coords, nrows=r), field_order)]
+    return [(t, make(w)) for t, w in weights]
 
 
 def _character_weights(C: IntMatrix, field_order: int):

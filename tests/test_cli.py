@@ -165,6 +165,20 @@ def test_negative_cap_exit_2(paths, capsys, argv):
     assert "--cap must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--B", "erd", "--beta", "1/2,,1/3"],
+    ["verify", "--B", "erd", "--beta", "1/2,1/3,"],
+    ["horn-ops", "--B", "gauss", "--c", ",1,2,3,4"]])
+def test_empty_rational_entry_exit_2(paths, capsys, argv):
+    # a dropped entry is an input error, not a shorter vector
+    code = main([paths.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: empty entry in ")
+    assert captured.err.count("\n") == 1
+
+
 def test_byte_identical_output(paths, capsys):
     main(["rank", "--B", paths["erd"]])
     first = capsys.readouterr().out

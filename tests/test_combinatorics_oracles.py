@@ -45,6 +45,7 @@ from binomhorn.exact_linalg import (
 )
 from binomhorn.subgraph import Component, _dominates, _steps
 from linalg_reference import smith_index, smith_saturated_span
+from test_model import other_A, random_pointed_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -376,8 +377,27 @@ def test_decomposition_walk_past_the_mask_wall(n, count):
         assert generic_rank(hi).total == 2
 
 
+@pytest.mark.parametrize("seed, ranks", [(0, [8, 7, 7, 7]), (1, [8])])
+def test_rank_past_the_andean_wall(tmp_path, seed, ranks):
+    # B of 16 x 8, the kernel of a random pointed 8 x 16 A: over 21k Andean
+    # blocks, nearly all with rank M = q, on which saturating every A_J
+    # took about 10 s; no clock assertion here: CI runs this test as its
+    # own step with a time limit
+    A = random_pointed_rows(random.Random(seed), 8, 16, (1, 3), (-3, 3))
+    B = IntMatrix.from_columns(kernel_basis(A).vectors, nrows=16)
+    path = tmp_path / "B.mat"
+    path.write_text("".join(" ".join(map(str, r)) + "\n" for r in B.tolist()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["rank", "--B", str(path)])
+    rep = json.loads(out.getvalue())
+    assert (code, err.getvalue()) == (3, "")
+    assert rep["generically_holonomic"] is False
+    assert [len(b) for b in rep["andean_directions"]] == ranks
+
+
 def test_toral_blocks_are_square_invertible_with_the_full_kernel():
-    # enumerate_decompositions classifies by q = p and det(M) != 0; each
+    # enumerate_decompositions classifies by q = p = rank(M); each
     # class must match the rank criterion rank(A_J) = |J| - rank(B_J), and
     # the toral ones must have the consequences the rank formula and the
     # solution basis rely on
@@ -476,6 +496,56 @@ def test_andean_directions_match_reference():
                 for dec in andean)
         dependent += sum(dec.A_J.ncols > int_rank(dec.A_J) for dec in andean)
     assert dependent > 0  # directions from dependent columns are compared
+
+
+def test_rank_of_M_gives_the_rank_of_A_J():
+    # the verdict rests on rank(A_J) = d - q + rank(M), with rank(M) stored
+    # once per decomposition; checked on the Andean inputs, each also with
+    # a sheared supplied A = T A_c (same rational row space), on which the
+    # directions must match the reference too
+    rng = random.Random(47)
+    full = partial = 0
+    for hi in andean_inputs():
+        for hi2 in (hi, make_horn_input(hi.B, other_A(hi.A, rng))):
+            decs = enumerate_decompositions(hi2)
+            for dec in decs:
+                assert dec.rank_M == int_rank(dec.M), dec.label
+                assert int_rank(dec.A_J) == hi2.d - dec.q + dec.rank_M
+                if not dec.is_toral:
+                    full += dec.rank_M == dec.q
+                    partial += dec.rank_M < dec.q
+            rep = andean_report(decs, hi2.d)
+            want = reference_andean_report(decs, hi2.d)
+            assert (rep.directions, rep.generically_holonomic) == want
+    assert full > 0 and partial > 0  # both kinds of Andean block occur
+
+
+def test_andean_report_matches_reference_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        # a valid B: an integer kernel basis of a pointed A (first row
+        # positive), n <= 8
+        n = data.draw(st.integers(2, 8))
+        d = data.draw(st.integers(1, n - 1))
+        first = st.lists(st.integers(1, 2), min_size=n, max_size=n)
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        A = IntMatrix([data.draw(first)]
+                      + data.draw(st.lists(row, min_size=d - 1,
+                                           max_size=d - 1)))
+        hypothesis.assume(int_rank(A) == d)
+        hi = make_horn_input(IntMatrix.from_columns(kernel_basis(A).vectors,
+                                                    nrows=n))
+        decs = enumerate_decompositions(hi)
+        rep = andean_report(decs, hi.d)
+        want = reference_andean_report(decs, hi.d)
+        assert (rep.directions, rep.generically_holonomic) == want, \
+            hi.B.tolist()
+
+    prop()
 
 
 # -- atlases -------------------------------------------------------------------------

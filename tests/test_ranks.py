@@ -40,7 +40,7 @@ def test_rank_nh(B_nh, A_nh):
     rep = generic_rank(hi)
     assert rep.total == 2
     assert rep.generically_holonomic
-    assert len(rep.andean_directions) == 1
+    assert len(hi.andean.directions) == 1
     # not standard Z-graded (column sums are 1), so no cross-check
     assert degree_cross_check(hi) is None
 
@@ -125,9 +125,11 @@ def test_rank_five_row_mellin_variant():
     assert degree_cross_check(hi) == 9  # degrees 3, 3, 1
 
 
-def test_andean_report_is_computed_once_per_input(monkeypatch):
-    # two rank evaluations of one input saturate each Andean A_J once, and
-    # each toral B_J once, for the g its L_basis gives
+def test_andean_report_is_computed_once_per_input(monkeypatch, B_him):
+    # two rank evaluations of one input saturate each toral B_J once, for
+    # the g its L_basis gives, and no Andean A_J: the verdict reads rank M;
+    # reading the directions then saturates each Andean A_J once, and a
+    # second read saturates nothing
     from binomhorn import decomp
     from test_combinatorics_oracles import chain_rows
     spans = []
@@ -144,4 +146,21 @@ def test_andean_report_is_computed_once_per_input(monkeypatch):
     andean = [dec.A_J for dec in hi.decompositions if not dec.is_toral]
     toral = [dec.B_J for dec in hi.decompositions if dec.is_toral]
     assert len(andean) == 10 and len(toral) == 1
-    assert Counter(spans) == Counter(andean) + Counter(toral)
+    assert Counter(spans) == Counter(toral)
+    spans.clear()
+    directions = hi.andean.directions
+    assert Counter(spans) == Counter(andean)
+    spans.clear()
+    assert hi.andean.directions is directions
+    assert spans == []
+    # himalayan is generically non-holonomic through blocks with
+    # rank M = q, whose direction is Z^d without a saturation
+    hi = make_horn_input(B_him)
+    spans.clear()
+    assert generic_rank(hi).infinite
+    assert spans == []
+    andean = [dec for dec in hi.decompositions if not dec.is_toral]
+    assert any(dec.rank_M == dec.q for dec in andean)
+    assert any(b.rank == hi.d for b in hi.andean.directions)
+    assert Counter(spans) == Counter(dec.A_J for dec in andean
+                                     if dec.rank_M < dec.q)

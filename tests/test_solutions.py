@@ -274,6 +274,36 @@ def test_component_characters_need_enough_roots(B_ds, A_ds):
     assert sorted(w for _, w in klein) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_characters_build_only_the_roots_they_read(B_ds, A_ds, monkeypatch):
+    # every weight is a multiple of N / e, so the characters of ds06
+    # (exponent e = 3) read three powers of zeta_2403, and only those are
+    # built; each character still maps k to zeta_N^(w . k)
+    from itertools import product
+    calls = []
+    inner = Scalar.root_of_unity
+
+    def counting(N, k=1):
+        calls.append((N, k))
+        return inner(N, k)
+
+    monkeypatch.setattr(Scalar, "root_of_unity", staticmethod(counting))
+    hi = make_horn_input(B_ds, A_ds)
+    dec = next(dec for dec in hi.decompositions if dec.is_toral)
+    chars = component_characters(dec, 2403)
+    assert 0 < len(calls) <= 3
+    weights = dict(_character_weights(IntMatrix.from_columns(
+        map(coordinate_map(dec.L_basis.vectors, dec.L_basis.ambient_dim),
+            dec.B_J.columns())), 2403))
+    assert len(chars) == len(weights) == 3
+    for t, fn in chars:
+        w = weights[t]
+        for k in product(range(-3, 4), repeat=dec.L_basis.rank):
+            assert fn(k) == inner(2403, sum(a * b for a, b in zip(w, k)))
+    calls.clear()
+    sols = solution_basis(hi, (F(1, 5), F(2, 7)), T=2, field_root=2403)
+    assert len(sols) == 9 and 0 < len(calls) <= 3
+
+
 # -- assembled solutions ------------------------------------------------------------
 
 def test_erdelyi_monomial_solution(B_erd, A_erd):
