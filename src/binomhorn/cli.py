@@ -291,7 +291,7 @@ def cmd_verify(args):
                  "interior_residual": [
                      [_frac_str(x) for x in s.series.exponent(z)]
                      for z, _ in c.interior_residual],
-                 "boundary_terms": len(c.boundary_residual)}
+                 "boundary_terms": c.boundary_terms}
                 for c in rep.checks],
         })
     report = {

@@ -58,8 +58,10 @@ class Decomposition:
     of B_J inside Z^J (coordinates indexed by J in increasing order) and
     ``g`` is the index of the span in it, read off its Hermite pivots by
     ``LatticeBasis.index``.  Both are computed from B_J when first read:
-    the rank formula reads them only for toral decompositions.  ``cone``
-    holds the cells, volume and support functions of A_J, likewise
+    the rank formula reads them only for toral decompositions.  When M
+    takes every column (p = m), B_J has none, so ``L_basis`` is the zero
+    lattice of Z^J and ``g`` is 1, with no saturation and no index.
+    ``cone`` holds the cells, volume and support functions of A_J, likewise
     computed when first read, and ``word_table(T)`` builds the
     ``WordTable`` of each bound T once.  B and A are compared too, so
     decompositions of different inputs differ.
@@ -95,10 +97,14 @@ class Decomposition:
 
     @cached_property
     def L_basis(self) -> LatticeBasis:
+        if self.p == self.B.ncols:  # B_J has no column
+            return LatticeBasis(len(self.J), ())
         return saturated_span(self.B_J)
 
     @cached_property
     def g(self) -> int:
+        if self.p == self.B.ncols:
+            return 1
         return self.L_basis.index(self.B_J.columns())
 
     @cached_property
@@ -139,7 +145,9 @@ class WordTable:
     embedded in the n coordinates of B (zero on Jbar).  ``truncation``
     is the one ``Truncation`` of those solutions, and ``coords`` maps an
     integer vector of length q to its coordinates against the columns
-    of M (see ``coordinate_map``).
+    of M (see ``coordinate_map``).  ``classes(w, order)`` gives each
+    word's class under the character of weight w, built once per weight
+    and order.
     """
 
     words: tuple
@@ -147,6 +155,21 @@ class WordTable:
     lifted: tuple
     truncation: Truncation
     coords: Callable
+
+    @cached_property
+    def _classes(self):
+        return {}
+
+    def classes(self, w, order):
+        """w . k mod order for the coordinates k of each word, in word
+        order: the exponent of the root of unity a character of weight w
+        assigns the word (see ``solutions._twists``)."""
+        key = (w, order)
+        got = self._classes.get(key)
+        if got is None:
+            got = self._classes[key] = tuple([
+                sum(map(mul, w, k)) % order for k, _ in self.words])
+        return got
 
 
 def _l1_ball(r, T):

@@ -16,29 +16,35 @@ denominators, and, per offset, the deg Phi_N integers whose quotients
 by D are the coefficients, each a Scalar's numerators times one integer
 quotient.  The form is built where an operator is applied, once per
 ``verify_annihilation`` call, and is never cached, so edits of the
-coefficients are always seen.  The residual terms become Scalars
-straight from their integer vectors, reduced by one gcd each; no
-``Fraction`` is built per term on either side.  A rational lambda of a
-binomial operator is one more integer factor of its second part; only
-an irrational one acts through its multiplication matrix on Z[zeta_N],
-the one that ``Scalar`` products and inverses read
-(``cyclotomic._mul_matrix``).
+coefficients are always seen.  An operator's result is integer vectors
+over one denominator (``_integer_action``); they become Scalars, reduced
+by one gcd each, only where they are read, so no ``Fraction`` is built
+per term on either side.  A rational lambda of a binomial operator is
+one more integer factor of its second part; only an irrational one acts
+through its multiplication matrix on Z[zeta_N], the one that ``Scalar``
+products and inverses read (``cyclotomic._mul_matrix``).
 
-What an operator's action depends on besides the coefficients (the
-falling factorial columns of each binomial part, the offsets its terms
-land on and pair up at, the values of each Euler operator) depends only
-on the offsets, the base and the operator.  It is kept in a store on
-the ``Support`` (``_offset_store``), which the character twists of one
-solution share along with their offsets, so they compute it once.  The
-store serves only a series whose base is the support's alpha, and it is
-rebuilt whenever the offsets differ from the ones it was built for.
+What an operator's action depends on besides the coefficients is kept
+in two stores (``_offset_store``).  The offsets its binomial terms land
+on and pair up at, and the dot products of each Euler row with the
+offsets, depend on the offsets alone.  They are kept on the
+``Truncation``, keyed by the offsets, so the solutions on it share them
+across parameters: the offsets of a truncated solution are its lattice
+words plus its sheet translates, whatever the parameter.  The falling
+factorial columns of each binomial part and the constant of each Euler
+operator also depend on the base.  They are kept on the ``Support``,
+which the character twists of one solution share along with their
+offsets, so they compute them once.  That store serves only a series
+whose base is the support's alpha, and it is rebuilt whenever the
+offsets differ from the ones it was built for.
 
 A ``Truncation`` is shared by every solution of one decomposition at one
 bound (see ``Decomposition.word_table``).  It builds the integer forms
 of its lattice once, on first use, and answers which offsets the
 truncation determines (``Truncation.coverage``) from them, with no
 elimination per offset; it keeps one test per (sheets, shifts), and
-each test remembers its answer for every offset.
+each test remembers its answer for every offset.  Nothing it keeps
+depends on a base or a coefficient.
 """
 
 from __future__ import annotations
@@ -72,6 +78,20 @@ class Truncation:
     @cached_property
     def _tests(self):
         return {}
+
+    @cached_property
+    def _offset_work(self):
+        return {}
+
+    def offset_work(self, offsets):
+        """The store of the operator work that depends on the offsets
+        ``offsets`` alone (see ``series._offset_store``), one per tuple of
+        offsets: the pairings of the binomial operators, keyed by
+        (u_plus, u_minus or None), and the dot products of the Euler
+        rows, keyed by ("euler", row).  Nothing in it depends on a base
+        or a coefficient, so every solution on this truncation whose
+        offsets are ``offsets``, at any parameter, shares it."""
+        return self._offset_work.setdefault(offsets, {})
 
     def coverage(self, sheets, shifts):
         """The test of an integer offset z: True when, for every shift sh
@@ -133,9 +153,9 @@ class Truncation:
 @dataclass(frozen=True)
 class Support:
     """Declared support: base point alpha plus finitely many integer
-    translates (the sheet offsets).  ``_shared`` is the store of
-    offset-only operator work of the series on this support (see
-    ``_offset_store``); it is not a field, so it takes no part in
+    translates (the sheet offsets).  ``_shared`` is the store of the
+    operator work on the offsets and base of the series on this support
+    (see ``_offset_store``); it is not a field, so it takes no part in
     equality."""
 
     alpha: tuple          # rational base exponent
@@ -326,36 +346,43 @@ def _expand_factors(factors, nvars):
     return poly
 
 
-def apply_operator(op, s: PuiseuxSeries, *, form=None) -> PuiseuxSeries:
+def apply_operator(op, s: PuiseuxSeries) -> PuiseuxSeries:
     """Exact term-by-term action of a binomial or Euler operator; the
     result keeps the base of ``s``, so every operator only moves integer
     keys, and carries no truncation or support.
 
-    Every operator acts on the integer form of ``s`` (see
-    ``_integer_form``): integer coefficient vectors over one common
-    denominator, so a term costs integer products and a term that
-    cancels is an all-zero vector.  Only the terms that survive become
-    Scalars, each reduced by one gcd.  What depends on the offsets alone
-    (falling factorial columns, partner offsets, Euler values) comes
-    from the store that the form carries (see ``_offset_store``).  A
-    caller applying several operators to one series passes its integer
-    form once as ``form``; without it the form is built here.
+    The operator acts on the integer form of ``s`` (``_integer_action``),
+    and the terms that survive become Scalars, each reduced by one gcd.
     """
-    order, den, vecs, shared = form or _integer_form(s)
+    order, den, out = _integer_action(op, _integer_form(s), s.base)
+    return s._with_terms({z: Scalar._reduced(order, v, den)
+                          for z, v in out.items()})
+
+
+def _integer_action(op, form, base):
+    """(N, D, vectors): a binomial or Euler operator applied to the
+    integer form ``form`` (``_integer_form``) of a series on ``base``,
+    as the nonzero integer vectors of the result keyed by offset, whose
+    quotients by D are the coefficients in Q(zeta_N).
+
+    A term costs integer products, and a term that cancels is an
+    all-zero vector and is left out.  What depends on the offsets alone
+    (partner offsets, Euler dot products) and what depends on them and
+    the base (falling factorial columns, Euler constants) comes from the
+    store that the form carries (see ``_offset_store``).
+    """
+    order, den, vecs, shared = form
     if isinstance(op, BinomialOp):
         lam = None if op.lam.is_zero() else op.lam
         if lam is not None and lam.N != order and order == 1:
             order, vecs = lam.N, _lift(vecs, lam.N)
-        common, out = _binomial_action(s.base, shared, vecs, order,
+        common, out = _binomial_action(base, shared, vecs, order,
                                        op.u_plus, op.u_minus, lam)
     elif isinstance(op, EulerOp):
-        common, factors = _euler_factors(shared, s.base, op)
-        out = {z: [f * x for x in vecs[i]] for z, i, f in factors}
+        common, out = _euler_action(base, shared, vecs, op)
     else:
         raise TypeError(f"unknown operator type {type(op)!r}")
-    den *= common
-    return s._with_terms({z: Scalar._reduced(order, v, den)
-                          for z, v in out.items()})
+    return order, den * common, out
 
 
 def _integer_form(s):
@@ -385,16 +412,22 @@ def _integer_form(s):
 
 
 def _offset_store(s):
-    """The store of the work on ``s`` that depends only on its offsets,
-    its base and an operator, with the offsets under ``"offsets"``.
+    """The store of the work on ``s`` that depends on its offsets and
+    its base but on no coefficient, with the offsets under
+    ``"offsets"`` and, under ``"work"``, the store of the work that
+    depends on the offsets alone.
 
-    The store lives on the support (``Support._shared``), so the series
-    that share a support and its offsets, as the character twists of
-    one solution do, share it; it is used only when the base of ``s`` is
-    the support's alpha, and it is cleared whenever the offsets of
-    ``s``, in order, differ from the ones it was built for.  Any other
-    series gets a throwaway store.  Nothing in it depends on a
-    coefficient.
+    The first store lives on the support (``Support._shared``), so the
+    series that share a support and its offsets, as the character twists
+    of one solution do, share its falling factorial columns and Euler
+    constants; it is used only when the base of ``s`` is the support's
+    alpha, and it is cleared whenever the offsets of ``s``, in order,
+    differ from the ones it was built for.  Any other series gets a
+    throwaway store.  The second store lives on the truncation
+    (``Truncation.offset_work``), keyed by the offsets, so the solutions
+    on one truncation whose offsets agree share their pairings and Euler
+    dot products across supports and bases; a series with no truncation
+    gets a throwaway one.
     """
     support = s.support
     shared = support._shared if support is not None \
@@ -403,6 +436,8 @@ def _offset_store(s):
     if shared.get("offsets") != offsets:
         shared.clear()
         shared["offsets"] = offsets
+        shared["work"] = {} if s.truncation is None \
+            else s.truncation.offset_work(offsets)
     return shared
 
 
@@ -427,9 +462,11 @@ def _binomial_action(base, shared, vecs, order, u_plus, u_minus, lam):
     scale.  A rational lam = a/b is one more factor of the second part:
     scale -a, denominator b.  Any other lam acts through its integer
     multiplication matrix on Z[zeta_N] (``_multiplication_matrix``),
-    with scale -1 and the matrix's denominator.  The scaled numerators
-    and the offsets they land on come from ``_binomial_plan``; only the
-    vector products are done per series.
+    with scale -1 and the matrix's denominator.  The offsets the terms
+    land on and pair up at come from ``_pairing``, once per offsets and
+    operator on the truncation; the scaled falling factorial columns
+    (``_scaled_column``), once per support.  A term whose column entry
+    is zero contributes nothing.
     """
     parts, matrix = [(u_plus, 1, 1)], None
     if lam is not None:
@@ -441,80 +478,80 @@ def _binomial_action(base, shared, vecs, order, u_plus, u_minus, lam):
     parts = [(u, den * prod([b.denominator ** k for b, k in zip(base, u)]),
               factor) for u, den, factor in parts]
     common = lcm(*(den for _, den, _ in parts))
-    firsts, pairs, seconds = _binomial_plan(
-        shared, base, *[(u, factor * (common // den))
-                        for u, den, factor in parts])
+    key = (u_plus, None if lam is None else u_minus)
+    work = shared["work"]
+    pairing = work.get(key)
+    if pairing is None:
+        pairing = work[key] = _pairing(shared["offsets"], *key)
+    firsts, pairs, seconds = pairing
+    cols = [_scaled_column(shared, base, u, factor * (common // den))
+            for u, den, factor in parts]
+    ns, ms = cols[0], cols[-1]
     ys = vecs if matrix is None else \
         [[sum(map(mul, row, v)) for row in matrix] for v in vecs]
     out = {}
-    for z, i, a in firsts:
-        if any(w := [a * x for x in vecs[i]]):
-            out[z] = w
-    for z, i, a, j, b in pairs:
-        if any(w := [a * x + b * y for x, y in zip(vecs[i], ys[j])]):
-            out[z] = w
-    for z, j, b in seconds:
-        if any(w := [b * y for y in ys[j]]):
-            out[z] = w
+    for z, i in firsts:
+        if a := ns[i]:
+            out[z] = [a * x for x in vecs[i]]
+    for z, i, j in pairs:
+        a, b = ns[i], ms[j]
+        if a and b:
+            if any(w := [a * x + b * y for x, y in zip(vecs[i], ys[j])]):
+                out[z] = w
+        elif a:
+            out[z] = [a * x for x in vecs[i]]
+        elif b:
+            out[z] = [b * y for y in ys[j]]
+    for z, j in seconds:
+        if b := ms[j]:
+            out[z] = [b * y for y in ys[j]]
     return common, out
 
 
-def _binomial_plan(shared, base, first, second=None):
+def _pairing(zs, u_plus, u_minus=None):
     """Where the terms of partial^u_plus - lam partial^u_minus land, for
-    the offsets of the store ``shared``, with ``first`` = (u_plus, a)
-    and ``second`` = (u_minus, b) (None: no second part) giving each
-    part's exponent and integer scale; built once per store.
+    the offsets ``zs`` (u_minus None: the first part alone); it depends
+    on nothing else.
 
     The first part's term from z and the second part's term from
     z - (u_plus - u_minus) land on one offset, z - u_plus.  So the
-    terms are paired by the first part's source z, and the plan is three
-    lists: (offset, i, a n_i) for a first-part term alone, (offset, i,
-    a n_i, j, b m_j) for a pair, and (offset, j, b m_j) for a
-    second-part term alone, where i and j index the offsets and n, m are
-    the falling factorial columns (``_falling_column``) of the two parts.
-    Terms whose falling factorial vanishes are left out.
+    pairing is three lists of indices into ``zs``: (offset, i) for a
+    first-part term alone, (offset, i, j) for a pair and (offset, j) for
+    a second-part term alone.
     """
-    key = ("plan", first, second)
-    plan = shared.get(key)
-    if plan is not None:
-        return plan
-    zs = shared["offsets"]
-    u_plus, a = first
-    rows = {z: [i, a * n, None, 0]
-            for i, (z, n) in enumerate(zip(zs, _column(shared, base, u_plus)))
-            if n}
-    if second is not None:
-        u_minus, b = second
-        shift = tuple(map(sub, u_plus, u_minus))
-        for j, (z, m) in enumerate(zip(zs, _column(shared, base, u_minus))):
-            if not m:
-                continue
-            src = tuple(map(add, z, shift))
-            row = rows.get(src)
-            if row is None:
-                rows[src] = [None, 0, j, b * m]
-            else:
-                row[2], row[3] = j, b * m
-    firsts, pairs, seconds = [], [], []
-    for src, (i, n, j, m) in rows.items():
-        z = tuple(map(sub, src, u_plus))
-        if j is None:
-            firsts.append((z, i, n))
-        elif i is None:
-            seconds.append((z, j, m))
+    if u_minus is None:
+        return [(tuple(map(sub, z, u_plus)), i)
+                for i, z in enumerate(zs)], (), ()
+    index = {z: i for i, z in enumerate(zs)}
+    shift = tuple(map(sub, u_plus, u_minus))
+    paired = [False] * len(zs)
+    pairs, seconds = [], []
+    for j, z in enumerate(zs):
+        y = tuple(map(sub, z, u_minus))
+        i = index.get(tuple(map(add, z, shift)))
+        if i is None:
+            seconds.append((y, j))
         else:
-            pairs.append((z, i, n, j, m))
-    plan = shared[key] = (firsts, pairs, seconds)
-    return plan
+            pairs.append((y, i, j))
+            paired[i] = True
+    return [(tuple(map(sub, z, u_plus)), i) for i, z in enumerate(zs)
+            if not paired[i]], pairs, seconds
 
 
-def _column(shared, base, u):
-    """The falling factorial column of u for the offsets of the store
-    ``shared``, built on first use (``_falling_column``)."""
-    key = ("column", u)
+def _scaled_column(shared, base, u, factor):
+    """``factor`` times the falling factorial column of u for the
+    offsets of the store ``shared``; the column is built once per store
+    (``_falling_column``), and each scaled copy once."""
+    key = ("column", u, factor)
     col = shared.get(key)
     if col is None:
-        col = shared[key] = _falling_column(base, shared["offsets"], u)
+        col = shared.get(("column", u))
+        if col is None:
+            col = shared[("column", u)] = _falling_column(
+                base, shared["offsets"], u)
+        if factor != 1:
+            col = [factor * n for n in col]
+        shared[key] = col
     return col
 
 
@@ -538,23 +575,44 @@ def _falling_column(base, zs, u):
     return nums
 
 
-def _euler_factors(shared, base, op):
-    """(e, factors) for the Euler operator ``op`` on the offsets of the
-    store ``shared``: sum_j row_j (base_j + z_j) - value is one rational
-    constant plus a dot product with the integer offset, an integer f
-    over e, and ``factors`` lists (z, i, f) for the offsets z, at index
-    i, where f is not zero.  Built once per store."""
+def _euler_action(base, shared, vecs, op):
+    """(e, vectors) for the Euler operator ``op`` on the integer vectors
+    ``vecs`` on ``base``, listed in the order of the offsets of the store
+    ``shared``.
+
+    sum_j row_j (base_j + z_j) - value is one rational constant plus the
+    dot product of the row with the integer offset z.  The dot products,
+    integers over the lcm of the row's own denominators, depend on the
+    offsets alone and are built once per offsets and row on the
+    truncation (``_euler_products``); the constant, once per support.
+    Over their common denominator e each term's factor is one integer,
+    and the terms where it is zero are left out.
+    """
     key = ("euler", op.row, op.value)
     got = shared.get(key)
     if got is None:
+        work, row_key = shared["work"], ("euler", op.row)
+        products = work.get(row_key)
+        if products is None:
+            products = work[row_key] = _euler_products(shared["offsets"],
+                                                       op.row)
+        e_row, dots = products
         const = sum(r * b for r, b in zip(op.row, base)) - op.value
-        e = lcm(const.denominator, *(r.denominator for r in op.row))
-        const = const.numerator * (e // const.denominator)
-        row = [r.numerator * (e // r.denominator) for r in op.row]
-        got = shared[key] = (e, [
-            (z, i, f) for i, z in enumerate(shared["offsets"])
-            if (f := const + sum(map(mul, row, z)))])
-    return got
+        e = lcm(e_row, const.denominator)
+        got = shared[key] = (e, e // e_row, dots,
+                             const.numerator * (e // const.denominator))
+    e, k, dots, c = got
+    return e, {z: [f * x for x in v]
+               for z, v, d in zip(shared["offsets"], vecs, dots)
+               if (f := k * d + c)}
+
+
+def _euler_products(zs, row):
+    """(e, dots): the lcm e of the denominators of the rational ``row``
+    and, for each offset z in ``zs``, the integer e (row . z)."""
+    e = lcm(*(r.denominator for r in row))
+    ints = [r.numerator * (e // r.denominator) for r in row]
+    return e, [sum(map(mul, ints, z)) for z in zs]
 
 
 def _multiplication_matrix(lam, order):

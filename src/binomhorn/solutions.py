@@ -16,8 +16,9 @@ order is supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import add, mul, sub
@@ -44,8 +45,8 @@ from .series import (
     BinomialOp,
     PuiseuxSeries,
     Support,
+    _integer_action,
     _integer_form,
-    apply_operator,
 )
 from .subgraph import Component, bounded_atlas
 
@@ -210,11 +211,11 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local,
     coefficient is reduced once.
 
     Returns the support (base v_local on J, zero on Jbar) and the
-    rational coefficient table, one (z, k, a, d) row per term, where z
-    is the integer offset from the base, k the word coordinates the term
-    was generated from, and a/d the coefficient as coprime integers with
-    d > 0.  Distinct points of G differ on Jbar, so no two rows share a
-    z.
+    rational coefficient table, one (z, i, a, d) row per term, where z
+    is the integer offset from the base, i the index in ``wt.words`` of
+    the word the term was generated from, and a/d the coefficient as
+    coprime integers with d > 0.  Distinct points of G differ on Jbar,
+    so no two rows share a z.
     """
     words, lifted = wt.words, wt.lifted
     ratios, starts = _ratio_tables(v_local, [nv for _, _, nv in points],
@@ -233,7 +234,7 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local,
             num *= cn
             den *= cd
             g = gcd(num, den) if den > 0 else -gcd(num, den)
-            table.append((tuple(map(add, lift, lifted[i])), words[i][0],
+            table.append((tuple(map(add, lift, lifted[i])), i,
                           num // g, den // g))
     base = [Fraction(0)] * n
     for pos, j in enumerate(dec.J):
@@ -263,32 +264,43 @@ def component_characters(dec: Decomposition, field_order: int):
 
     Returns a list of (index tuple, callable) pairs; the callable maps
     the coordinates k of a lattice vector in ``dec.L_basis`` to a Scalar
-    root of unity, zeta_N^(w . k mod N) for one integer weight vector w
-    per character (``_character_weights`` on the coordinates of the
-    columns of B_J).  Requires the exponent of the group to divide the
-    cyclotomic order.
+    root of unity, roots[w . k mod len(roots)] for the roots and the
+    weight vector w of the character in ``_twists``.  Requires the
+    exponent of the group to divide the cyclotomic order.
+    """
+    roots, twists = _twists(dec, field_order)
+
+    def make(w):
+        return lambda k: roots[sum(map(mul, w, k)) % len(roots)]
+
+    return [(t, make(w)) for t, w in twists]
+
+
+def _twists(dec: Decomposition, field_order: int):
+    """(roots, [(index tuple, weight vector)]) for the characters of
+    ``component_characters``: the character with weight w maps the
+    coordinates k of a lattice vector to roots[w . k mod len(roots)].
+
+    The weights are those of ``_character_weights`` on the coordinates
+    of the columns of B_J, divided by step, the gcd of the order and
+    every weight, so the roots are the order / step powers of
+    zeta_N^step (at most the exponent of the group).  With g = 1 there
+    is one character, of weight () and root 1.
     """
     L = dec.L_basis
     r = L.rank
     if r == 0 or dec.g == 1:
-        return [((), lambda k: Scalar.one(field_order))]
+        return [Scalar.one(field_order)], [((), ())]
     coords = list(map(coordinate_map(L.vectors, L.ambient_dim),
                       dec.B_J.columns()))
     if None in coords:
         raise AssertionError("B_J column outside its saturation")
     weights = _character_weights(IntMatrix.from_columns(coords, nrows=r),
                                  field_order)
-    # every weight is a multiple of step, so only the field_order / step
-    # powers of zeta_N^step are read (at most the exponent of the group)
     step = gcd(field_order, *(x for _, w in weights for x in w))
-    order = field_order // step
-    roots = [Scalar.root_of_unity(field_order, step * e) for e in range(order)]
-
-    def make(w):
-        w = [x // step for x in w]
-        return lambda k: roots[sum(map(mul, w, k)) % order]
-
-    return [(t, make(w)) for t, w in weights]
+    roots = [Scalar.root_of_unity(field_order, step * e)
+             for e in range(field_order // step)]
+    return roots, [(t, tuple(x // step for x in w)) for t, w in weights]
 
 
 def _character_weights(C: IntMatrix, field_order: int):
@@ -408,7 +420,10 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
     coefficients as coprime integer pairs a/d.  A character twist
     multiplies a row by a root of unity, whose integer coefficients
     have gcd 1, so the twisted Scalar is the root's coefficients times
-    a over d, canonical with no gcd and no ``Fraction``.
+    a over d, canonical with no gcd and no ``Fraction``.  Which root
+    multiplies a row is the class of its word under the character, read
+    from the word table (``WordTable.classes``), and each root multiple
+    of a row is built once and shared by the twists that pick it.
     """
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != hi.d:
@@ -433,13 +448,16 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
         raise VeryGenericError(
             "parameter is not very generic; integral support-function "
             f"values at {violations}", violations=violations)
-    one = Scalar.one(field_root)
     out = []
     for dec in torals:
         atlas = atlases[dec.rowset_Jbar]
-        chars = component_characters(dec, field_root) if field_root > 1 \
-            else [((), None)]
         wt = dec.word_table(T)
+        roots, twists = _twists(dec, field_root) if field_root > 1 \
+            else ([Scalar.one(field_root)], [((), ())])
+        # the class of each word under each character, from the word
+        # table; None for the trivial character alone
+        twists = [(t, wt.classes(w, len(roots)) if w else None)
+                  for t, w in twists]
         for gamma, comp in zip(atlas.representatives,
                                atlas.bounded_components):
             points = _component_points(
@@ -453,14 +471,17 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
                     shell = PuiseuxSeries(hi.n, field_order=field_root,
                                           support=support)
                     # one rational table per (gamma, v); a twist only
-                    # scales each row by its root of unity
-                    for tchar, charfn in chars:
-                        if tchar:
-                            terms = {z: charfn(k)._times_coprime(a, d)
-                                     for z, k, a, d in table}
+                    # scales each row by the root of its word's class,
+                    # and each root multiple of a row is one Scalar
+                    multiples = [[root._times_coprime(a, d)
+                                  for _, _, a, d in table] for root in roots]
+                    for tchar, classes in twists:
+                        if classes is None:
+                            terms = dict(zip([row[0] for row in table],
+                                             multiples[0]))
                         else:
-                            terms = {z: one._times_coprime(a, d)
-                                     for z, _, a, d in table}
+                            terms = {z: multiples[classes[i]][r]
+                                     for r, (z, i, _, _) in enumerate(table)}
                         out.append(Solution(
                             series=shell._with_terms(
                                 terms, wt.truncation, support),
@@ -477,12 +498,45 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
 
 # -- verification ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorCheck:
+    """The residual of one operator on one series.
+
+    ``interior_residual`` and ``boundary_residual`` are sorted tuples of
+    (offset, Scalar) pairs.  The boundary terms are kept as the integer
+    vectors of ``_boundary``, (N, D, {offset: vector}) as in
+    ``series._integer_action``, and ``boundary_residual`` reduces them
+    to Scalars when it is first read; ``boundary_terms`` counts them
+    without reducing.  Two checks compare equal when their operator,
+    verdict and both residuals are equal.
+    """
+
     operator: str
     ok: bool
     interior_residual: tuple
-    boundary_residual: tuple
+    _boundary: tuple = field(repr=False)
+
+    @cached_property
+    def boundary_residual(self):
+        order, den, vecs = self._boundary
+        return tuple([(z, Scalar._reduced(order, vecs[z], den))
+                      for z in sorted(vecs)])
+
+    @property
+    def boundary_terms(self):
+        return len(self._boundary[2])
+
+    def _key(self):
+        return (self.operator, self.ok, self.interior_residual,
+                self.boundary_residual)
+
+    def __eq__(self, other):
+        if not isinstance(other, OperatorCheck):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -506,43 +560,46 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
     The terms of ``s`` are put over one common denominator once per call,
     the lcm of their Scalars' denominators, with one integer division
     per term, and every binomial and Euler operator acts on that integer
-    form, so a cancelled term costs integer arithmetic only and Scalars
-    are built, by one gcd each, for the residual terms alone.  The
-    integer form is never cached: each call reads ``s.terms`` afresh.
-    What depends only on the offsets, the base and an operator (the
-    falling factorial columns and partner offsets of each binomial part,
-    the values of each Euler operator) is kept on the support and
-    shared by every series with that support and those offsets, so the
-    character twists of one solution compute it once (see
-    ``series._offset_store``).  Coverage is decided by the truncation
-    (``Truncation.coverage``), which keeps one test per (sheets, shifts)
-    and remembers the answer for every offset, so the solutions that
-    share a truncation decide each offset once.
+    form (``series._integer_action``), so a cancelled term costs integer
+    arithmetic only.  The integer result is split by coverage first;
+    only the interior terms are reduced to Scalars and sorted here, and
+    the boundary terms when ``OperatorCheck.boundary_residual`` is first
+    read.  The integer form is never cached: each call reads ``s.terms``
+    afresh.  What depends on no coefficient is kept in two stores (see
+    ``series._offset_store``): the pairings of each binomial operator
+    and the dot products of each Euler row depend on the offsets alone
+    and are kept on the truncation, so they are built once per offsets
+    across parameters; the falling factorial columns and the Euler
+    constants also depend on the base and are kept on the support, so
+    the character twists of one solution build them once.  Coverage is
+    decided by the truncation (``Truncation.coverage``), which keeps one
+    test per (sheets, shifts) and remembers the answer for every offset,
+    so the solutions that share a truncation decide each offset once.
     """
     checks = []
     sheets = s.support.translates if s.support is not None else ()
     zero = (0,) * s.nvars
     form = _integer_form(s)
     for op in ops:
-        applied = apply_operator(op, s, form=form)
+        order, den, out = _integer_action(op, form, s.base)
         if s.truncation is None:
-            interior = tuple(applied.sorted_terms())
-            boundary = ()
+            interior, boundary = out, {}
         else:
             if isinstance(op, BinomialOp):
                 shifts = [op.u_plus]
                 if not op.lam.is_zero():
                     shifts.append(op.u_minus)
-            else:  # an EulerOp: apply_operator rejects any other type
+            else:  # an EulerOp: _integer_action rejects any other type
                 shifts = [zero]
             covered = s.truncation.coverage(sheets, shifts)
-            interior_list, boundary_list = [], []
-            for z, c in applied.sorted_terms():
-                (interior_list if covered(z) else boundary_list).append((z, c))
-            interior = tuple(interior_list)
-            boundary = tuple(boundary_list)
-        checks.append(OperatorCheck(operator=op.describe(), ok=not interior,
-                                    interior_residual=interior,
-                                    boundary_residual=boundary))
+            interior, boundary = {}, {}
+            for z, v in out.items():
+                (interior if covered(z) else boundary)[z] = v
+        checks.append(OperatorCheck(
+            operator=op.describe(), ok=not interior,
+            interior_residual=tuple([
+                (z, Scalar._reduced(order, interior[z], den))
+                for z in sorted(interior)]),
+            _boundary=(order, den, boundary)))
     return VerificationReport(ok=all(c.ok for c in checks),
                               checks=tuple(checks))

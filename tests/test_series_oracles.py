@@ -863,20 +863,42 @@ def test_twisted_ds06_terms_match_the_general_product(B_ds, A_ds):
     # on the same support, with e the character at the term's word
     # coordinates; the general reducing constructor is the reference
     hi = make_horn_input(B_ds, A_ds)
+    solved, twisted = check_twisted_terms(hi, 6, 12)
+    # 216 terms per basis, about 88 of them twisted by zeta_3 or zeta_3^2
+    assert solved >= 5 and twisted >= 64 * solved
+
+
+def test_twisted_ds06_sum_terms_match_the_general_product(B_ds, A_ds):
+    # the same on ds06 + ds06 at T = 4, where each support has nine
+    # twists and each row's three root multiples are shared among them
+    from test_solutions import block_diagonal
+    hi = make_horn_input(block_diagonal(B_ds, B_ds),
+                         block_diagonal(A_ds, A_ds))
+    solved, twisted = check_twisted_terms(hi, 4, 3)
+    # about 1200 twisted terms per basis
+    assert solved >= 2 and twisted >= 1000 * solved
+
+
+def check_twisted_terms(hi, T, draws):
+    """(bases solved, terms twisted by a nontrivial root): every term of
+    every solution at field root 3, for (1/5, 2/7, ...) and ``draws``
+    seeded parameters, against the character-trivial solution on the
+    same support times the root of the character at the term's word
+    coordinates."""
     rng = random.Random(16)
-    betas = [(F(1, 5), F(2, 7))] + [
-        (F(rng.randint(-20, 20), rng.choice((5, 7, 11))),
-         F(rng.randint(-20, 20), rng.choice((5, 7, 11)))) for _ in range(12)]
+    betas = [(F(1, 5), F(2, 7)) * (hi.d // 2)] + [
+        tuple(F(rng.randint(-20, 20), rng.choice((5, 7, 11)))
+              for _ in range(hi.d)) for _ in range(draws)]
     roots = [Scalar.root_of_unity(3, e) for e in range(3)]
     solved = twisted = 0
     for beta in betas:
         try:
-            sols = solution_basis(hi, beta, T=6, field_root=3)
+            sols = solution_basis(hi, beta, T=T, field_root=3)
         except BinomHornError:
             continue  # resonant or not very generic
         solved += 1
         plain = {(s.rowset, s.gamma, s.series.support.alpha): s.series
-                 for s in solution_basis(hi, beta, T=6)}
+                 for s in solution_basis(hi, beta, T=T)}
         decs = {tuple(i + 1 for i in d.rowset_Jbar): d
                 for d in enumerate_decompositions(hi)}
         for sol in sols:
@@ -898,8 +920,7 @@ def test_twisted_ds06_terms_match_the_general_product(B_ds, A_ds):
                 assert (got.nums, got.den) == (want.nums, want.den)
                 assert got == roots[e] * Scalar.rational(q, 3) == want
                 twisted += e != 0
-    # 216 terms per basis, about 88 of them twisted by zeta_3 or zeta_3^2
-    assert solved >= 5 and twisted >= 64 * solved
+    return solved, twisted
 
 
 def test_scalar_mixed_orders_still_rejected():
@@ -989,10 +1010,45 @@ def test_ds06_cubed_twists_match_reference(B_ds, A_ds):
         assert check_verify_against_reference(ops, s).ok
 
 
+@pytest.mark.parametrize("case", ["ds06+ds06", "erdelyi"])
+def test_lazy_boundary_matches_reference(case, B_ds, A_ds, B_erd, A_erd):
+    # verify keeps each boundary residual as integer vectors, counts it
+    # without reducing and reduces it when first read: ds06 + ds06 at
+    # field root 3 and T = 4, erdelyi at T = 20, three betas each.  Read,
+    # every residual equals the reference term for term, on every
+    # erdelyi solution and on a seeded sample of nine ds06 + ds06 twists
+    # per beta (the reference takes about 60 ms per twist there)
+    from test_solutions import block_diagonal
+    if case == "erdelyi":
+        hi, T, N = make_horn_input(B_erd, A_erd), 20, 1
+    else:
+        hi, T, N = make_horn_input(block_diagonal(B_ds, B_ds),
+                                   block_diagonal(A_ds, A_ds)), 4, 3
+    rng = random.Random(61)
+    seen = 0
+    for draw in zip(*(oracle_betas(3, 60 + i) for i in range(hi.d // 2))):
+        beta = sum(draw, ())
+        sols = solution_basis(hi, beta, T=T, field_root=N)
+        ops = horn_system_operators(hi, beta, field_order=N)
+        reports = [verify_annihilation(ops, sol.series) for sol in sols]
+        for rep in reports:
+            for check in rep.checks:
+                assert "boundary_residual" not in vars(check)
+                assert check.boundary_terms == len(check.boundary_residual)
+                seen += check.boundary_terms
+        pick = range(len(sols)) if N == 1 else rng.sample(range(len(sols)), 9)
+        for i in pick:
+            assert check_verify_against_reference(ops, sols[i].series) \
+                == reports[i]
+    assert seen > 0
+
+
 def test_offset_store_sees_every_edit(B_ds, A_ds):
     # after one twist has filled its support's store, a second twist
     # with an edited coefficient, an added key, a removed key, or a new
-    # base on the same Support object must each match a fresh reference
+    # base on the same Support object must each match a fresh reference;
+    # a fresh Support on the same truncation with a key added or removed
+    # misses the truncation's pairings and matches a fresh reference too
     hi = make_horn_input(B_ds, A_ds)
     beta = (F(1, 5), F(2, 7))
     sols = solution_basis(hi, beta, T=6, field_root=3)
@@ -1023,6 +1079,19 @@ def test_offset_store_sees_every_edit(B_ds, A_ds):
     moved = twin.base[:1] + (twin.base[1] + F(1, 2),) + twin.base[2:]
     assert not edited(lambda terms: None, base=moved).ok
     assert check_verify_against_reference(ops, twin).ok
+    stores = twin.truncation._offset_work
+    assert tuple(twin.terms) in stores
+    farther = tuple(x + 70 for x in z)
+    other = max(y for y in twin.terms if y != z)
+    for change in (lambda terms: terms.update({farther: Scalar.one(3)}),
+                   lambda terms: terms.pop(other)):
+        s = twin._with_terms(dict(twin.terms), twin.truncation,
+                             dataclasses.replace(support))
+        change(s.terms)
+        before = len(stores)
+        assert tuple(s.terms) not in stores
+        check_verify_against_reference(ops, s)
+        assert len(stores) == before + 1 and tuple(s.terms) in stores
 
 # -- input checks ----------------------------------------------------------------------
 

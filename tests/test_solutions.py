@@ -511,6 +511,52 @@ def test_offset_work_once_per_support(monkeypatch, B_ds, A_ds):
     assert sorted(tests) == sorted(want_tests)
     assert len(tests) < checks / 10
 
+
+@pytest.mark.parametrize("fixture, root", [("erdelyi", 1), ("ds06", 3)])
+def test_offset_pairings_once_across_betas(monkeypatch, fixture, root, B_erd,
+                                           A_erd, B_ds, A_ds):
+    # the pairing of each binomial operator and the dot products of each
+    # Euler row depend on the offsets alone, and the offsets of a
+    # truncation's solutions do not change with beta: on one input over
+    # three betas at T = 20, each is built once per truncation and
+    # offsets, all of them at the first beta; a verify path that
+    # re-pairs every support at every beta fails here fast and by name
+    pairings, products = [], []
+    pairing, euler_products = series._pairing, series._euler_products
+
+    def counting_pairing(zs, u_plus, u_minus=None):
+        pairings.append((zs, u_plus, u_minus))
+        return pairing(zs, u_plus, u_minus)
+
+    def counting_products(zs, row):
+        products.append((zs, row))
+        return euler_products(zs, row)
+
+    monkeypatch.setattr(series, "_pairing", counting_pairing)
+    monkeypatch.setattr(series, "_euler_products", counting_products)
+    B, A = (B_erd, A_erd) if fixture == "erdelyi" else (B_ds, A_ds)
+    hi = make_horn_input(B, A)
+    want_pairings, want_products, built = set(), set(), []
+    for beta in ((F(1, 5), F(2, 7)), (F(3, 7), F(4, 5)), (F(9, 5), F(6, 7))):
+        sols = solution_basis(hi, beta, T=20, field_root=root)
+        ops = horn_system_operators(hi, beta, field_order=root)
+        for sol in sols:
+            s = sol.series
+            assert verify_annihilation(ops, s).ok
+            key = (id(s.truncation), tuple(s.terms))
+            for op in ops:
+                if isinstance(op, BinomialOp):
+                    want_pairings.add(key + (op.u_plus, op.u_minus))
+                else:
+                    want_products.add(key + (op.row,))
+        built.append((len(pairings), len(products)))
+    assert len(pairings) == len(want_pairings)
+    assert set(pairings) == {key[1:] for key in want_pairings}
+    assert len(products) == len(want_products)
+    assert set(products) == {key[1:] for key in want_products}
+    assert built[0] == built[-1] == (len(pairings), len(products))
+    assert len(pairings) == len(sols) // root * hi.m
+
 def test_gauss_two_solutions(B_gauss):
     hi = make_horn_input(B_gauss)
     beta = (F(1, 2), F(1, 3), F(1, 5))
