@@ -22,7 +22,11 @@ the lattice data (``L_basis``, ``g``), the cone over A_J and the word
 table of each truncation bound T are computed only when read.
 ``HornInput.decompositions`` keeps the enumeration, so one input is
 enumerated once, each of its cones is built once, and each word table
-once per T.
+once per T.  B_J always has full column rank, since a vector of its
+kernel, padded with zeros on the columns of M, lies in the kernel of
+B.  So the index g of its column span in the saturation is the product
+of the pivots of its row Hermite form (``saturation_index``), and the
+rank formula reads g without saturating B_J.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .exact_linalg import (
     coordinate_map,
     int_rank,
     saturated_span,
+    saturation_index,
 )
 from .geometry import Cone
 from .model import HornInput
@@ -55,12 +60,14 @@ class Decomposition:
     reports.  Only M and its rank ``rank_M`` are built by the enumeration;
     ``B_J``, ``N``, ``A_J`` and ``A_Jbar`` are cut from the input's B and
     A when first read.  ``L_basis`` is the saturation of the column span
-    of B_J inside Z^J (coordinates indexed by J in increasing order) and
-    ``g`` is the index of the span in it, read off its Hermite pivots by
-    ``LatticeBasis.index``.  Both are computed from B_J when first read:
-    the rank formula reads them only for toral decompositions.  When M
-    takes every column (p = m), B_J has none, so ``L_basis`` is the zero
-    lattice of Z^J and ``g`` is 1, with no saturation and no index.
+    of B_J inside Z^J (coordinates indexed by J in increasing order),
+    computed from B_J when first read by the series code; when M takes
+    every column (p = m), B_J has none and ``L_basis`` is the zero
+    lattice of Z^J, with no saturation.  ``g`` is the index of the span
+    in its saturation, the product of the diagonal of ``row_hnf(B_J)``
+    (``saturation_index``, see the module docstring), also computed when
+    first read: the rank formula reads it only for toral decompositions,
+    and the empty product makes it 1 when p = m.
     ``cone`` holds the cells, volume and support functions of A_J, likewise
     computed when first read, and ``word_table(T)`` builds the
     ``WordTable`` of each bound T once.  B and A are compared too, so
@@ -103,9 +110,7 @@ class Decomposition:
 
     @cached_property
     def g(self) -> int:
-        if self.p == self.B.ncols:
-            return 1
-        return self.L_basis.index(self.B_J.columns())
+        return saturation_index(self.B_J)
 
     @cached_property
     def cone(self) -> Cone:
@@ -145,9 +150,11 @@ class WordTable:
     embedded in the n coordinates of B (zero on Jbar).  ``truncation``
     is the one ``Truncation`` of those solutions, and ``coords`` maps an
     integer vector of length q to its coordinates against the columns
-    of M (see ``coordinate_map``).  ``classes(w, order)`` gives each
-    word's class under the character of weight w, built once per weight
-    and order.
+    of M (see ``coordinate_map``).  ``columns`` lists the offsets u by
+    coordinate of J, once per table, for the Gamma-ratio products of
+    every (gamma, cell exponent) and parameter (``solutions._gamma_terms``).
+    ``classes(w, order)`` gives each word's class under the character of
+    weight w, built once per weight and order.
     """
 
     words: tuple
@@ -155,6 +162,10 @@ class WordTable:
     lifted: tuple
     truncation: Truncation
     coords: Callable
+
+    @cached_property
+    def columns(self):
+        return tuple(zip(*[u for _, u in self.words]))
 
     @cached_property
     def _classes(self):
@@ -322,8 +333,8 @@ class AndeanReport:
         spans = [saturated_span(dec.A_J) for dec in self.andean
                  if dec.rank_M < dec.q]
         if not self.generically_holonomic:
-            spans.append(LatticeBasis(self.d,
-                                      IntMatrix.identity(self.d).columns()))
+            spans.append(LatticeBasis._of_hermite(
+                self.d, IntMatrix.identity(self.d).columns()))
         dirs = {span.vectors: span for span in spans}
         return tuple(dirs[k] for k in sorted(dirs))
 

@@ -2,13 +2,15 @@
 
 Everything here is exact: matrices hold Python ints, and rational rows
 are scaled to integers before any elimination.  Every rational solve
-and null space, pivot choice and lattice coordinate reads one
-fraction-free Gauss-Jordan routine, ``rref``; ranks come from its
-forward-only form, integer kernels from one echelon pass of gcd
-column operations; the index of a sublattice is one determinant
-ratio on the Hermite pivots.  No floating point anywhere.  Provides
-Hermite normal forms, integer kernels, saturated spans and lattice
-indices, and those solvers.
+and null space, and every pivot choice, reads one fraction-free
+Gauss-Jordan routine, ``rref``; ranks come from its forward-only form,
+integer kernels from one echelon pass of gcd column operations.  A
+lattice held in Hermite form reads its facts off its pivots: the
+coordinates of a vector by forward substitution, and the index of a
+sublattice as one determinant ratio; coordinates against any other
+independent vectors come from ``coordinate_map``.  No floating point
+anywhere.  Provides Hermite normal forms, integer kernels, saturated
+spans and lattice indices, and those solvers.
 """
 
 from __future__ import annotations
@@ -264,6 +266,23 @@ def column_hnf(m: IntMatrix):
     return row_hnf(m.transpose()).transpose()
 
 
+def saturation_index(m: IntMatrix):
+    """Index of the integer column span of m in its saturation
+    (Q colspan m) intersect Z^nrows, for m of full column rank.
+
+    Both that index and the index of the row lattice of m in Z^ncols
+    are the product of the Smith invariants of m, so it is the product
+    of the pivots of the row Hermite form, which is square and upper
+    triangular (Cohen, GTM 138, 2.4; Kannan-Bachem 1979): one Hermite
+    form and no saturation.  It is 1 when m has no column; dependent
+    columns raise ValueError.
+    """
+    h = row_hnf(m)
+    if h.nrows != m.ncols:
+        raise ValueError("columns are dependent")
+    return prod(row[i] for i, row in enumerate(h.data))
+
+
 # -- lattices ------------------------------------------------------------------
 
 class LatticeBasis:
@@ -271,10 +290,11 @@ class LatticeBasis:
 
     The basis is canonicalized to column-style Hermite normal form on
     construction, so two LatticeBasis objects describe the same lattice
-    exactly when they compare equal.
+    exactly when they compare equal.  ``pivots`` holds the coordinate of
+    the first nonzero entry of each basis vector, strictly increasing.
     """
 
-    __slots__ = ("ambient_dim", "vectors")
+    __slots__ = ("ambient_dim", "vectors", "pivots")
 
     def __init__(self, ambient_dim, vectors):
         ambient_dim = int(ambient_dim)
@@ -288,12 +308,51 @@ class LatticeBasis:
             if len(cols) != len(vecs):
                 raise ValueError("vectors are linearly dependent")
             vecs = cols
+        self._set(ambient_dim, vecs)
+
+    @classmethod
+    def _of_hermite(cls, ambient_dim, vectors):
+        """The lattice of vectors that already are the columns of a
+        column Hermite form, such as ``column_hnf`` returns, unchecked
+        and not reduced again."""
+        basis = object.__new__(cls)
+        basis._set(ambient_dim, vectors)
+        return basis
+
+    def _set(self, ambient_dim, vectors):
         self.ambient_dim = ambient_dim
-        self.vectors = tuple(vecs)
+        self.vectors = tuple(vectors)
+        self.pivots = tuple(next(i for i, x in enumerate(v) if x)
+                            for v in self.vectors)
 
     @property
     def rank(self):
         return len(self.vectors)
+
+    def coordinates(self, y):
+        """The integer coordinates of the integer vector y in this
+        basis, or None when y lies off the lattice.
+
+        Each basis vector vanishes above its pivot, and the later ones
+        vanish on it too, so the coordinates follow one at a time by
+        forward substitution on the pivots: the next coordinate is what
+        is left of y on the next pivot over that pivot, which must
+        divide it exactly, and y lies in the lattice when nothing is
+        left after the last one.  Raises ValueError on a wrong length.
+        """
+        if len(y) != self.ambient_dim:
+            raise ValueError(f"vector of length {len(y)}, expected "
+                             f"{self.ambient_dim}")
+        rest = list(y)
+        k = []
+        for v, p in zip(self.vectors, self.pivots):
+            q, rem = divmod(rest[p], v[p])
+            if rem:
+                return None
+            if q:
+                rest = [a - q * b for a, b in zip(rest, v)]
+            k.append(q)
+        return None if any(rest) else tuple(k)
 
     def index(self, vectors):
         """Index in this lattice of the span of the given vectors.
@@ -312,11 +371,11 @@ class LatticeBasis:
                 or any(len(v) != self.ambient_dim for v in vectors)):
             raise ValueError(f"index needs {self.rank} vectors of length "
                              f"{self.ambient_dim}")
-        pivots = [next(i for i, x in enumerate(v) if x) for v in self.vectors]
         det = bareiss_det(IntMatrix._of(
-            tuple(tuple(v[p] for v in vectors) for p in pivots), self.rank))
+            tuple(tuple(v[p] for v in vectors) for p in self.pivots),
+            self.rank))
         index, rem = divmod(abs(det), prod(v[p] for v, p in
-                                           zip(self.vectors, pivots)))
+                                           zip(self.vectors, self.pivots)))
         if det == 0 or rem:
             raise ValueError("vectors are dependent or outside the lattice")
         return index

@@ -1,8 +1,10 @@
 """Exact polyhedral data of the column configurations A_J, one cone each.
 
 A ``Cone`` rewrites the columns of A_J in a basis of their own integer
-column span, once, and reads everything else lazily from one scan for
-the facets of conv(0, columns) in those coordinates:
+column span, once: the basis is the one column Hermite form of A_J, and
+the coordinates follow from its pivots by forward substitution.  It
+reads everything else lazily from one scan for the facets of
+conv(0, columns) in those coordinates:
 
 - the cells: 0 coned over a triangulation of each facet not containing
   it, each with its integer volume in the column lattice;
@@ -34,7 +36,6 @@ from .exact_linalg import (
     LatticeBasis,
     bareiss_det,
     column_hnf,
-    coordinate_map,
     frac_solve,
     rref,
 )
@@ -135,13 +136,12 @@ def own_lattice_coordinates(A_J: IntMatrix):
     """Columns of A_J rewritten in a canonical basis of their own span.
 
     Returns (lattice, coords) where coords[j] is an integer vector of
-    length rank(A_J).
+    length rank(A_J).  The one column Hermite form of A_J is the basis,
+    and the coordinates come from it by forward substitution on its
+    pivots (``LatticeBasis.coordinates``), with no further elimination.
     """
-    h = column_hnf(A_J)
-    basis_cols = [c for c in h.columns() if any(x != 0 for x in c)]
-    lattice = LatticeBasis(A_J.nrows, basis_cols)
-    coords = list(map(coordinate_map(lattice.vectors, A_J.nrows),
-                      A_J.columns()))
+    lattice = LatticeBasis._of_hermite(A_J.nrows, column_hnf(A_J).columns())
+    coords = list(map(lattice.coordinates, A_J.columns()))
     if None in coords:
         raise BinomHornError("column outside its own lattice")
     return lattice, coords

@@ -110,8 +110,14 @@ def is_pointed(A: IntMatrix) -> PointedReport:
             rows = [i for i in range(d) if t[i][c] > 0]
             if not rows:
                 return c
-            pivot(min(rows, key=lambda i: (Fraction(t[i][-1], t[i][c]),
-                                           basis[i])), c)
+            # the least ratio t_i / t_ic: the denominators are positive,
+            # so a / b < a' / b' exactly when a b' < a' b
+            best = rows[0]
+            for i in rows[1:]:
+                lhs, rhs = t[i][-1] * t[best][c], t[best][-1] * t[i][c]
+                if lhs < rhs or lhs == rhs and basis[i] < basis[best]:
+                    best = i
+            pivot(best, c)
 
     # only the lam_j enter, so an artificial that leaves stays out
     simplex(d)  # lam = 1 is feasible, so the artificials end at 0
@@ -147,18 +153,22 @@ def validate_B(B: IntMatrix) -> ValidationReport:
     """Accept B iff rank(B) equals its column count and the rational column
     span meets the nonnegative orthant only in 0.
 
-    The column span is the kernel of the canonical A (see compute_A), so
-    by Gordan's alternative B is mixed exactly when the columns of A are
-    pointed: one ``is_pointed`` program decides it.  On acceptance the
-    report carries A and its functional.  On rejection it carries a
-    primitive integer certificate: a nonzero vector v >= 0 in the column
-    span, namely the unbounded ray of that program.
+    The rank is read off the left kernel {y : y B = 0}, computed once
+    for the canonical A: it has rank n - rank(B), so rank(B) < m exactly
+    when it has more than n - m vectors.  The column span is the kernel
+    of the canonical A (see compute_A), so by Gordan's alternative B is
+    mixed exactly when the columns of A are pointed: one ``is_pointed``
+    program decides it.  On acceptance the report carries A and its
+    functional.  On rejection it carries a primitive integer
+    certificate: a nonzero vector v >= 0 in the column span, namely the
+    unbounded ray of that program.
     """
     n, m = B.nrows, B.ncols
-    if int_rank(B) != m:
+    kernel = left_kernel_basis(B)
+    if kernel.rank != n - m:
         return ValidationReport(ok=False, reason=f"rank(B) < {m}")
     # LatticeBasis vectors are already the rows of a row Hermite form
-    A = IntMatrix(left_kernel_basis(B).vectors)
+    A = IntMatrix(kernel.vectors)
     if m == n > 0:
         # a square B spans all of Q^n, and A has no rows to test
         cert = (1,) + (0,) * (n - 1)
@@ -258,6 +268,6 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
         # the rows of vr.A are a Hermite basis of the saturated left
         # kernel, which holds the rows of A: A = T vr.A, and the columns
         # of vr.A span Z^d, so [Z^d : ZA] = |det T|
-        idx = LatticeBasis(n, vr.A.data).index(A.data)
+        idx = LatticeBasis._of_hermite(n, vr.A.data).index(A.data)
     return HornInput(B=B, A=A, n=n, m=m, d=d,
                      pointed_functional=functional, a_column_index=idx)

@@ -88,9 +88,10 @@ class Truncation:
         ``offsets`` alone (see ``series._offset_store``), one per tuple of
         offsets: the pairings of the binomial operators, keyed by
         (u_plus, u_minus or None), and the dot products of the Euler
-        rows, keyed by ("euler", row).  Nothing in it depends on a base
-        or a coefficient, so every solution on this truncation whose
-        offsets are ``offsets``, at any parameter, shares it."""
+        rows, keyed by their integer rows (``EulerOp._keys``).  Nothing in
+        it depends on a base or a coefficient, so every solution on this
+        truncation whose offsets are ``offsets``, at any parameter,
+        shares it."""
         return self._offset_work.setdefault(offsets, {})
 
     def coverage(self, sheets, shifts):
@@ -301,6 +302,20 @@ class EulerOp:
 
     def describe(self):
         return self._description
+
+    @cached_property
+    def _keys(self):
+        """(row key, operator key) of the stores ``_euler_action`` reads,
+        built once per operator: the row as the integer row e row over
+        the lcm e of its denominators, and that with the value as a
+        coprime integer pair.  Equal rows give equal row keys whatever
+        the parameter, so operators built for different parameters share
+        the truncation's dot products, and no lookup hashes a Fraction.
+        """
+        e = lcm(*(r.denominator for r in self.row))
+        row = ("euler", e,
+               tuple([r.numerator * (e // r.denominator) for r in self.row]))
+        return row, (*row, self.value.numerator, self.value.denominator)
 
     @cached_property
     def _description(self):
@@ -586,12 +601,13 @@ def _euler_action(base, shared, vecs, op):
     offsets alone and are built once per offsets and row on the
     truncation (``_euler_products``); the constant, once per support.
     Over their common denominator e each term's factor is one integer,
-    and the terms where it is zero are left out.
+    and the terms where it is zero are left out.  Both stores are keyed
+    by the integer forms of ``EulerOp._keys``.
     """
-    key = ("euler", op.row, op.value)
+    row_key, key = op._keys
     got = shared.get(key)
     if got is None:
-        work, row_key = shared["work"], ("euler", op.row)
+        work = shared["work"]
         products = work.get(row_key)
         if products is None:
             products = work[row_key] = _euler_products(shared["offsets"],

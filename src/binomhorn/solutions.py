@@ -34,7 +34,6 @@ from .errors import (
 from .exact_linalg import (
     IntMatrix,
     column_hnf,
-    coordinate_map,
     frac_solve,
     row_hnf,
     rref,
@@ -149,10 +148,12 @@ def _ratio_tables(v, offsets, reach):
     return ratios, [list(map(sub, w, los)) for w in offsets]
 
 
-def _gamma_terms(words, ratios, starts):
+def _gamma_terms(words, cols, ratios, starts):
     """(i, numerator, denominator) of the Gamma-ratio product of the i-th
     word, for every word where it is nonzero, in word order.
 
+    ``cols`` holds the offsets u of the words by coordinate: column j
+    lists u_j for every word, in word order (``WordTable.columns``).
     ``ratios`` and ``starts`` come from ``_ratio_tables``: the table of
     each coordinate j and its index of u_j = 0.  A table's zeros are a
     prefix (falling factorials past a nonnegative integer exponent) and
@@ -163,7 +164,6 @@ def _gamma_terms(words, ratios, starts):
     coordinate's zeros kill are dropped, and only the remaining words are
     multiplied.
     """
-    cols = [[u[j] for _, u in words] for j in range(len(ratios))]
     first = None
     for j, (table, start) in enumerate(zip(ratios, starts)):
         if None in table:
@@ -205,10 +205,10 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local,
     (Gamma-ratio coefficients against the unshifted base exponent).
 
     ``points`` lists (point of G, its rational coefficient, N v) once per
-    gamma; the words, their offsets lifted to n coordinates and their
-    reach come from the decomposition's word table ``wt``.  One integer
-    Gamma-ratio table per coordinate covers every point, and a term's
-    coefficient is reduced once.
+    gamma; the words, their offsets lifted to n coordinates and by
+    coordinate, and their reach come from the decomposition's word table
+    ``wt``.  One integer Gamma-ratio table per coordinate covers every
+    point, and a term's coefficient is reduced once.
 
     Returns the support (base v_local on J, zero on Jbar) and the
     rational coefficient table, one (z, i, a, d) row per term, where z
@@ -230,7 +230,7 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local,
         lift = tuple(lift)
         translates.append(lift)
         cn, cd = c.numerator, c.denominator
-        for i, num, den in _gamma_terms(words, ratios, start):
+        for i, num, den in _gamma_terms(words, wt.columns, ratios, start):
             num *= cn
             den *= cd
             g = gcd(num, den) if den > 0 else -gcd(num, den)
@@ -291,8 +291,7 @@ def _twists(dec: Decomposition, field_order: int):
     r = L.rank
     if r == 0 or dec.g == 1:
         return [Scalar.one(field_order)], [((), ())]
-    coords = list(map(coordinate_map(L.vectors, L.ambient_dim),
-                      dec.B_J.columns()))
+    coords = list(map(L.coordinates, dec.B_J.columns()))
     if None in coords:
         raise AssertionError("B_J column outside its saturation")
     weights = _character_weights(IntMatrix.from_columns(coords, nrows=r),

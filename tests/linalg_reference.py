@@ -12,7 +12,9 @@ characters: ``invariant_factors``, ``smith_index``,
 ``smith_kernel_basis``, ``smith_saturated_span`` and
 ``smith_character_weights``.  Linear feasibility is decided by
 Fourier-Motzkin elimination, ``fm_feasible``, apart from the library's
-simplex.
+simplex, and ``is_pointed_by_fraction_ratios`` is that simplex as it was
+when its ratio test built one ``Fraction`` per row, the reference for
+the cross-multiplied test.
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ from itertools import product
 from math import prod
 
 from binomhorn.exact_linalg import IntMatrix, LatticeBasis, row_hnf
+from binomhorn.model import PointedReport, _clear_denominators
 
 
 def gauss_jordan(rows, ncols):
@@ -303,3 +306,61 @@ def fm_feasible(rows, rhs):
         else:
             x[var] = (lo + hi) / 2
     return True, tuple(x)
+
+
+def is_pointed_by_fraction_ratios(A, ties=None):
+    """``model.is_pointed`` with its ratio test keyed by
+    (Fraction(t_i, t_ic), basis index), as the library had it.  When
+    ``ties`` is a list, each ratio test whose least ratio is reached on
+    more than one row appends the number of those rows."""
+    d, n = A.shape
+    signs = [-1 if sum(a) < 0 else 1 for a in A.data]
+    t = [[s * x for x in a] + [int(k == i) for k in range(d)] + [s * sum(a)]
+         for i, (a, s) in enumerate(zip(A.data, signs))]
+    t.append([0 if n <= k < n + d else -sum(row[k] for row in t)
+              for k in range(n + d + 1)])
+    t.append([-1] * n + [0] * (d + 1))
+    basis = list(range(n, n + d))
+    D = 1
+
+    def pivot(r, c):
+        nonlocal t, D
+        prow = t[r]
+        p = prow[c]
+        t = [row if i == r else [(p * x - row[c] * y) // D
+                                 for x, y in zip(row, prow)]
+             for i, row in enumerate(t)]
+        basis[r], D = c, p
+
+    def simplex(z):
+        while True:
+            c = next((j for j in range(n) if t[z][j] < 0), None)
+            if c is None:
+                return None
+            rows = [i for i in range(d) if t[i][c] > 0]
+            if not rows:
+                return c
+            ratios = [Fraction(t[i][-1], t[i][c]) for i in rows]
+            if ties is not None and ratios.count(min(ratios)) > 1:
+                ties.append(ratios.count(min(ratios)))
+            pivot(min(rows, key=lambda i: (Fraction(t[i][-1], t[i][c]),
+                                           basis[i])), c)
+
+    simplex(d)
+    for r in [r for r in range(d) if basis[r] >= n]:
+        c = next((j for j in range(n) if t[r][j]), None)
+        if c is not None:
+            if t[r][c] < 0:
+                t[r] = [-x for x in t[r]]
+            pivot(r, c)
+    ray = simplex(d + 1)
+    if ray is None:
+        z = t[d + 1]
+        return PointedReport(pointed=True, functional=tuple(
+            Fraction(s * z[n + i], D) for i, s in enumerate(signs)))
+    mu = [0] * n
+    mu[ray] = D
+    for i, j in enumerate(basis):
+        if j < n:
+            mu[j] = -t[i][ray]
+    return PointedReport(pointed=False, combination=_clear_denominators(mu))

@@ -74,7 +74,8 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
     words, reach = _words(L, T)
     ratios, (starts,) = _ratio_tables(v, [w], reach)
     terms = {words[i][1]: Scalar.rational(Fraction(num, den))
-             for i, num, den in _gamma_terms(words, ratios, starts)}
+             for i, num, den in _gamma_terms(words, tuple(zip(*[
+                 u for _, u in words])), ratios, starts)}
     base = tuple(a + b for a, b in zip(v, w))
     return PuiseuxSeries(
         nj, terms, truncation=Truncation(basis=L.vectors, bound=T, dim=nj),

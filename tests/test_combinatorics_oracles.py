@@ -28,6 +28,7 @@ from binomhorn import (
     BinomHornError,
     CapExceededError,
     IntMatrix,
+    Scalar,
     andean_report,
     bounded_atlas,
     enumerate_decompositions,
@@ -40,9 +41,14 @@ from binomhorn.decomp import _admissible_rowsets
 from binomhorn.exact_linalg import (
     LatticeBasis,
     bareiss_det,
+    column_hnf,
+    coordinate_map,
     kernel_basis,
     left_kernel_basis,
+    saturated_span,
 )
+from binomhorn.geometry import own_lattice_coordinates
+from binomhorn.solutions import _character_weights, _twists
 from binomhorn.subgraph import Component, _dominates, _steps
 from linalg_reference import smith_index, smith_saturated_span
 from test_model import other_A, random_pointed_rows
@@ -443,6 +449,134 @@ def test_lattice_fields_are_computed_when_read(B_him, B_nh, B_ds):
             assert dec.g is vars(dec)["g"]  # read once, then kept
             andean += not dec.is_toral
     assert andean > 0
+
+
+# -- lattice facts read off one Hermite form --------------------------------------
+
+def reference_own_lattice_coordinates(A_J):
+    """The cone's lattice and coordinates by the route the library
+    replaced: the nonzero columns of the column Hermite form reduced
+    again by ``LatticeBasis``, and the coordinates from
+    ``coordinate_map``."""
+    lattice = LatticeBasis(A_J.nrows, [c for c in column_hnf(A_J).columns()
+                                       if any(c)])
+    return lattice, list(map(coordinate_map(lattice.vectors, A_J.nrows),
+                             A_J.columns()))
+
+
+def reference_twists(dec, order):
+    """``solutions._twists`` with the coordinates of the columns of B_J
+    in ``L_basis`` from ``coordinate_map``."""
+    L = dec.L_basis
+    if L.rank == 0 or dec.g == 1:
+        return [Scalar.one(order)], [((), ())]
+    coords = list(map(coordinate_map(L.vectors, L.ambient_dim),
+                      dec.B_J.columns()))
+    weights = _character_weights(IntMatrix.from_columns(coords,
+                                                        nrows=L.rank), order)
+    step = gcd(order, *(x for _, w in weights for x in w))
+    return ([Scalar.root_of_unity(order, step * e)
+             for e in range(order // step)],
+            [(t, tuple(x // step for x in w)) for t, w in weights])
+
+
+def times_nonunimodular(rng, hi, diagonal):
+    """The input on B U for a seeded integer U with |det U| > 1, dense
+    or diagonal.  B U spans the same rational columns, so it is valid,
+    and the index of B_J in its saturation exceeds 1 far more often.  A
+    dense U changes the blocks; a diagonal one, with entries in
+    {1, 2, 3}, keeps them and scales their columns."""
+    m = hi.m
+    while True:
+        if diagonal:
+            U = IntMatrix([[rng.choice((1, 2, 3)) * (i == j)
+                            for j in range(m)] for i in range(m)])
+        else:
+            U = IntMatrix([[rng.randint(-2, 2) for _ in range(m)]
+                           for _ in range(m)])
+        if abs(bareiss_det(U)) > 1:
+            return make_horn_input(hi.B.mul(U))
+
+
+def lattice_oracle_inputs():
+    """Every fixture (with and without its published A), 30 seeded
+    random valid B and two permuted chains, and each of those times a
+    dense and a diagonal nonunimodular U."""
+    fixtures = ROOT / "fixtures"
+    inputs = []
+    for name in ("erdelyi", "ds06", "himalayan", "nonholonomic", "gauss"):
+        B = read_matrix(fixtures / f"{name}.mat")
+        inputs.append(make_horn_input(B))
+        if name != "gauss":
+            inputs.append(make_horn_input(
+                B, read_matrix(fixtures / f"{name}_A.mat")))
+    rng = random.Random(2027)
+    inputs += random_inputs(rng, 30)
+    inputs += [make_horn_input(IntMatrix(chain_rows(n, rng))) for n in (6, 10)]
+    return inputs + [times_nonunimodular(rng, hi, diagonal)
+                     for hi in inputs for diagonal in (False, True)]
+
+
+def check_lattice_facts(hi, seen):
+    """g, the cone's lattice and coordinates, and the twists' coordinates
+    of every decomposition of hi against the routes they replaced."""
+    for dec in hi.decompositions:
+        B_J = dec.B_J
+        want = saturated_span(B_J).index(B_J.columns())
+        assert dec.g == want, (hi.B.tolist(), dec.label)
+        assert own_lattice_coordinates(dec.A_J) == \
+            reference_own_lattice_coordinates(dec.A_J), (hi.B.tolist(),
+                                                         dec.label)
+        L = dec.L_basis
+        assert list(map(L.coordinates, B_J.columns())) == list(map(
+            coordinate_map(L.vectors, L.ambient_dim), B_J.columns()))
+        if dec.is_toral and want > 1:
+            assert _twists(dec, want) == reference_twists(dec, want)
+        seen[dec.klass, want > 1] += 1
+
+
+def test_lattice_facts_match_the_routes_they_replaced():
+    # g from the row Hermite form of B_J against the saturated span's
+    # index, the cone over A_J against its twice-reduced Hermite basis
+    # and coordinate_map, and the twists against coordinate_map, on
+    # every decomposition of the fixtures, of random valid B and of
+    # those times a nonunimodular U
+    seen = Counter()
+    for hi in lattice_oracle_inputs():
+        check_lattice_facts(hi, seen)
+    # g > 1 on Andean blocks is rarer: their M takes most columns
+    assert seen["andean", True] >= 5, seen
+    assert min(seen[k] for k in (("toral", True), ("toral", False),
+                                 ("andean", False))) >= 50, seen
+
+
+def test_lattice_facts_match_the_routes_they_replaced_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        # a valid B, n <= 8, as in the Andean report's property, times
+        # a drawn nonsingular U when one is drawn
+        n = data.draw(st.integers(2, 8))
+        d = data.draw(st.integers(1, n - 1))
+        first = st.lists(st.integers(1, 2), min_size=n, max_size=n)
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        A = IntMatrix([data.draw(first)]
+                      + data.draw(st.lists(row, min_size=d - 1,
+                                           max_size=d - 1)))
+        hypothesis.assume(int_rank(A) == d)
+        B = IntMatrix.from_columns(kernel_basis(A).vectors, nrows=n)
+        if data.draw(st.booleans()):
+            m = B.ncols
+            entry = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+            U = IntMatrix(data.draw(st.lists(entry, min_size=m, max_size=m)))
+            hypothesis.assume(bareiss_det(U) != 0)
+            B = B.mul(U)
+        check_lattice_facts(make_horn_input(B), Counter())
+
+    prop()
 
 
 def test_decompose_reports_match_goldens(monkeypatch):

@@ -24,6 +24,7 @@ from binomhorn.exact_linalg import (
     frac_solve,
     rref,
     saturated_span,
+    saturation_index,
 )
 from binomhorn.solutions import _character_weights, component_characters
 from linalg_reference import (
@@ -380,6 +381,56 @@ def test_index_past_the_smith_wall(shape):
         assert sat_index(IntMatrix.from_columns(cols)) == 3 * index
 
 
+@pytest.mark.parametrize("shape", [(20, 10), (24, 12), (30, 15), (20, 20),
+                                   (40, 20)])
+def test_hermite_pivot_index_at_the_wall_shapes(shape):
+    # the index read off the pivots of one row Hermite form, as g is,
+    # against the saturated span's index on the random B of the index
+    # wall (the same draws), and with one column tripled, which triples
+    # the index; a g that goes back to saturating each B_J, or a Hermite
+    # form whose entries blow up, fails here fast and by name
+    n, k = shape
+    rng = random.Random(n * 100 + k)
+    for bound in (2, 3):
+        while True:
+            m = IntMatrix([[rng.randint(-bound, bound) for _ in range(k)]
+                           for _ in range(n)])
+            if int_rank(m) == k:
+                break
+        index = saturation_index(m)
+        assert index == sat_index(m)
+        cols = m.columns()
+        j = rng.randrange(k)
+        cols[j] = tuple(3 * x for x in cols[j])
+        tripled = IntMatrix.from_columns(cols)
+        assert saturation_index(tripled) == sat_index(tripled) == 3 * index
+
+
+def test_saturation_index_matches_the_smith_index():
+    # small shapes, every column count 0..n, with dependent columns (one
+    # draw in five repeats a column, doubled) raising ValueError
+    rng = random.Random(1979)
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
+        if k > 1 and rng.random() < 0.2:
+            for row in rows:
+                row[-1] = 2 * row[0]
+        m = IntMatrix(rows, ncols=k)
+        if int_rank(m) < k:
+            with pytest.raises(ValueError):
+                saturation_index(m)
+            seen["dependent"] += 1
+            continue
+        want = smith_index(m)
+        assert saturation_index(m) == want, m.tolist()
+        seen["no column" if not k else "index > 1" if want > 1
+             else "index 1"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
 # -- characters of sat(L) / L against the Smith reference ----------------------
 
 def saturation_coordinates(m):
@@ -625,6 +676,85 @@ def test_coordinates_match_fraction_elimination():
             assert coords(y) == want, (L, y)
             seen["inside" if want is not None else "outside"] += 1
     assert min(seen.values()) >= 50 and len(seen) == 3, seen
+
+
+def in_span_vector(rng, vectors, n):
+    """An integer vector in the rational span of the vectors, often off
+    their lattice: a combination with denominator 1, 2 or 3, retried
+    until it is integral."""
+    while True:
+        den = rng.choice((1, 2, 3))
+        k = [Fraction(rng.randint(-6, 6), den) for _ in vectors]
+        y = [sum(c * vec[t] for c, vec in zip(k, vectors)) for t in range(n)]
+        if all(x.denominator == 1 for x in y):
+            return [int(x) for x in y]
+
+
+def check_hermite_coordinates(L, y, seen):
+    """L.coordinates(y) against coordinate_map on the same basis."""
+    want = coordinate_map(L.vectors, L.ambient_dim)(y)
+    assert L.coordinates(y) == want, (L, y)
+    if want is not None:
+        seen["inside"] += 1
+    elif frac_rank([*L.vectors, y]) == L.rank:
+        seen["span, off lattice"] += 1
+    else:
+        seen["off span"] += 1
+
+
+def test_hermite_coordinates_match_coordinate_map():
+    # forward substitution on the Hermite pivots against coordinate_map
+    # on the same basis, for lattices of every rank 0..n, n <= 8, and for
+    # vectors on the lattice, in its span but off it, and off its span
+    rng = random.Random(2027)
+    seen = Counter()
+    for _ in range(1500):
+        n = rng.randint(1, 8)
+        r = rng.randint(0, n)
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r)]
+        if r and frac_rank(vecs) < r:
+            continue
+        L = LatticeBasis(n, vecs)
+        for _ in range(3):
+            y = (in_span_vector(rng, L.vectors, n) if rng.random() < 0.7
+                 else [rng.randint(-5, 5) for _ in range(n)])
+            check_hermite_coordinates(L, y, seen)
+    assert min(seen.values()) >= 200 and len(seen) == 3, seen
+
+
+def test_hermite_coordinates_match_coordinate_map_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        n = data.draw(st.integers(1, 8))
+        r = data.draw(st.integers(0, n))
+        entry = st.integers(-3, 3)
+        vecs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=r, max_size=r))
+        hypothesis.assume(not r or frac_rank(vecs) == r)
+        L = LatticeBasis(n, vecs)
+        k = data.draw(st.lists(st.integers(-6, 6), min_size=r, max_size=r))
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=n,
+                                   max_size=n))
+        y = [sum(c * vec[t] for c, vec in zip(k, L.vectors)) + e
+             for t, e in enumerate(shift)]
+        check_hermite_coordinates(L, y, Counter())
+
+    prop()
+
+
+def test_hermite_coordinates_reject_wrong_lengths():
+    L = LatticeBasis(2, [(1, 0)])
+    for bad in ((3, 0, 7), (3,)):
+        with pytest.raises(ValueError):
+            L.coordinates(bad)
+    assert L.coordinates((3, 0)) == (3,) and L.coordinates((3, 1)) is None
+    empty = LatticeBasis(3, [])
+    assert empty.coordinates((0, 0, 0)) == ()
+    assert empty.coordinates((0, 1, 0)) is None
 
 
 def test_coordinates_reject_wrong_lengths():

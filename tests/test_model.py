@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -20,7 +21,8 @@ from binomhorn import model
 from binomhorn.cli import main
 from binomhorn.exact_linalg import (LatticeBasis, bareiss_det, coordinate_map,
                                     int_rank, row_hnf)
-from linalg_reference import fm_feasible, frac_rank, frac_solve, invariant_factors
+from linalg_reference import (fm_feasible, frac_rank, frac_solve,
+                              invariant_factors, is_pointed_by_fraction_ratios)
 
 
 def test_validate_accepts_fixtures(B_erd, B_gauss, B_ds, B_nh, B_him):
@@ -307,6 +309,23 @@ def test_is_pointed_matches_fourier_motzkin_hypothesis():
     prop()
 
 
+def test_is_pointed_matches_the_fraction_ratio_test():
+    # the cross-multiplied ratio test against the Fraction-keyed copy in
+    # linalg_reference: the same verdict, functional and combination on
+    # seeded draws of every kind, with and without ties in the least
+    # ratio, where Bland's rule picks the least basic index
+    rng = random.Random(2027)
+    ties, seen = [], Counter()
+    for t in range(1200):
+        A = random_A(rng, POINTED_KINDS[t % len(POINTED_KINDS)])
+        before = len(ties)
+        want = is_pointed_by_fraction_ratios(A, ties)
+        assert is_pointed(A) == want, A.tolist()
+        seen[want.pointed, len(ties) > before] += 1
+    assert min(seen[v, tie] for v in (True, False)
+               for tie in (True, False)) >= 20, seen
+
+
 def test_is_pointed_degenerate_shapes():
     # no columns: pointed by the zero functional; no rows: every column is
     # the zero vector
@@ -540,3 +559,30 @@ def test_cli_validate_rejection_ignores_supplied_A(tmp_path, capsys, B, A):
     rep = json.loads(alone)
     assert rep["ok"] is False
     check_certificate(IntMatrix(B), tuple(rep["certificate"]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [-1, -2], [1, 2]],             # dependent columns
+    [[1, 0], [-1, 0], [0, 0]],              # a zero column
+    [[1, -1, 0], [-1, 0, 1], [0, 1, -1]],   # square, columns summing to 0
+    [[1, -1, 2], [-1, 1, -2]],              # more columns than rows
+    [[0, 0]],                               # one zero row
+])
+def test_rank_deficient_B_is_rejected_with_its_reason_and_exit_2(
+        tmp_path, capsys, rows):
+    # the rank is read off the left kernel: rank(B) < m exactly when it
+    # has more than n - m vectors; the reason, the missing certificate
+    # and the exit code are those of the rank check it replaced
+    B = IntMatrix(rows)
+    reason = f"rank(B) < {B.ncols}"
+    assert int_rank(B) < B.ncols
+    vr = validate_B(B)
+    assert (vr.ok, vr.reason, vr.certificate, vr.A) == (False, reason,
+                                                         None, None)
+    with pytest.raises(ConventionError, match=re.escape(reason)):
+        make_horn_input(B)
+    paths = write_matrices(tmp_path, B=rows)
+    assert main(["validate", "--B", paths["B"]]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["ok"], rep["reason"], rep["certificate"]) == (False, reason,
+                                                              None)

@@ -288,10 +288,10 @@ def test_gamma_series_matches_factorial_reference():
 
 
 
-def terms_outcome(fn, words, ratios, starts):
+def terms_outcome(fn, *args):
     """The (i, numerator, denominator) rows, or the resonance witness."""
     try:
-        return list(fn(words, ratios, starts))
+        return list(fn(*args))
     except ResonanceError as exc:
         return ("resonance", str(exc), exc.term, exc.coordinate)
 
@@ -313,7 +313,8 @@ def test_gamma_terms_match_the_word_by_word_reference():
         words = [((i,), tuple(rng.randint(-r, r) for r in reach))
                  for i in range(rng.randint(0, 30))]
         for start in starts:
-            got = terms_outcome(_gamma_terms, words, ratios, start)
+            cols = [[u[j] for _, u in words] for j in range(nj)]
+            got = terms_outcome(_gamma_terms, words, cols, ratios, start)
             want = terms_outcome(gamma_terms, words, ratios, start)
             assert got == want, (v, reach, start, words)
             if got and got[0] == "resonance":
