@@ -30,7 +30,9 @@ class SizeLimitError(BinomHornError):
 
 class CapExceededError(BinomHornError):
     """Level cap hit before the subgraph atlas could be certified complete,
-    or mu certified infinite by y > 0 with yM = 0, held in ``certificate``."""
+    or mu certified infinite by a primitive y >= 0, held in ``certificate``:
+    y > 0 with yM = 0, or a face certificate zero on some rows (see
+    ``subgraph._face_certificate``)."""
 
     exit_code = 5
 

@@ -597,9 +597,10 @@ def _euler_action(base, shared, vecs, op):
 
     sum_j row_j (base_j + z_j) - value is one rational constant plus the
     dot product of the row with the integer offset z.  The dot products,
-    integers over the lcm of the row's own denominators, depend on the
-    offsets alone and are built once per offsets and row on the
-    truncation (``_euler_products``); the constant, once per support.
+    integers over the lcm of the row's own denominators, are read from
+    the integer row of ``EulerOp._keys``; they depend on the offsets
+    alone and are built once per offsets and row on the truncation
+    (``_euler_products``); the constant, once per support.
     Over their common denominator e each term's factor is one integer,
     and the terms where it is zero are left out.  Both stores are keyed
     by the integer forms of ``EulerOp._keys``.
@@ -608,11 +609,10 @@ def _euler_action(base, shared, vecs, op):
     got = shared.get(key)
     if got is None:
         work = shared["work"]
-        products = work.get(row_key)
-        if products is None:
-            products = work[row_key] = _euler_products(shared["offsets"],
-                                                       op.row)
-        e_row, dots = products
+        _, e_row, ints = row_key
+        dots = work.get(row_key)
+        if dots is None:
+            dots = work[row_key] = _euler_products(shared["offsets"], ints)
         const = sum(r * b for r, b in zip(op.row, base)) - op.value
         e = lcm(e_row, const.denominator)
         got = shared[key] = (e, e // e_row, dots,
@@ -623,12 +623,11 @@ def _euler_action(base, shared, vecs, op):
                if (f := k * d + c)}
 
 
-def _euler_products(zs, row):
-    """(e, dots): the lcm e of the denominators of the rational ``row``
-    and, for each offset z in ``zs``, the integer e (row . z)."""
-    e = lcm(*(r.denominator for r in row))
-    ints = [r.numerator * (e // r.denominator) for r in row]
-    return e, [sum(map(mul, ints, z)) for z in zs]
+def _euler_products(zs, ints):
+    """The dot product of the integer row ``ints`` (an Euler row over the
+    lcm of its denominators, from ``EulerOp._keys``) with each offset z
+    in ``zs``."""
+    return [sum(map(mul, ints, z)) for z in zs]
 
 
 def _multiplication_matrix(lam, order):

@@ -7,7 +7,9 @@ a terminating certificate of unboundedness (an infinite subset of N^q
 always contains one, and a component with one is closed under adding the
 difference, hence infinite).  That certificate is what makes the
 exploration of one component terminate on every input; the atlas walks
-N^q from the bounded frontier of one level to the next.
+N^q from the bounded frontier of one level to the next.  Before it walks,
+a face certificate y >= 0 may show that mu is infinite, in which case no
+level ever closes.
 """
 
 from __future__ import annotations
@@ -116,14 +118,80 @@ class SubgraphAtlas:
         return not any(_dominates(p, g) for g in self.unbounded_min_gens)
 
 
+def _positive_left_kernel_vector(M: IntMatrix):
+    """A primitive integer y > 0 with yM = 0, or None when there is none:
+    y = hK for h > 0 on the columns of the left kernel K, if pointed."""
+    if int_rank(M) == M.nrows:
+        return None
+    K = IntMatrix([list(v) for v in left_kernel_basis(M).vectors])
+    report = is_pointed(K)
+    if not report.pointed:
+        return None
+    return _clear_denominators(
+        [sum(h * x for h, x in zip(report.functional, col))
+         for col in K.columns()])
+
+
+def _face_certificate(M: IntMatrix):
+    """A primitive y in N^q that is zero on a nonempty row set S and
+    certifies mu = infinity, or None.
+
+    Every nonzero column meeting S is mixed on S, and every nonzero
+    column vanishing on S has y.c = 0.  From a point x with x_S = 0 no
+    step that meets S keeps x_S >= 0, so the component of x stays in
+    {x_S = 0, y.x = y.x0}, which is finite as y > 0 off S; there are
+    infinitely many such x.  The row sets S meeting the first condition
+    are closed under union.  The largest one avoiding a row r comes from
+    all other rows by removing the support of each column that meets S
+    but is one-signed there, a forced step, and a certificate positive
+    at r exists exactly when one exists on the complement of that S.
+    """
+    q = M.nrows
+    full = (1 << q) - 1
+    signs = []  # (positive rows, negative rows, column) of nonzero columns
+    for c in M.columns():
+        pos = sum(1 << i for i, x in enumerate(c) if x > 0)
+        neg = sum(1 << i for i, x in enumerate(c) if x < 0)
+        if pos | neg:
+            signs.append((pos, neg, c))
+    tried = set()
+    for r in range(q):
+        S = full & ~(1 << r)
+        changed = True
+        while changed:
+            changed = False
+            for pos, neg, _ in signs:
+                if bool(pos & S) != bool(neg & S):
+                    S &= ~(pos | neg)
+                    changed = True
+        if not S or S in tried:  # S empty is the y > 0 case, tried first
+            continue
+        tried.add(S)
+        R = [i for i in range(q) if not S >> i & 1]
+        inside = [[c[i] for i in R] for pos, neg, c in signs
+                  if not (pos | neg) & S]
+        y_R = (_positive_left_kernel_vector(
+            IntMatrix.from_columns(inside, nrows=len(R)))
+            if inside else (1,) * len(R))
+        if y_R is not None:
+            y = [0] * q
+            for i, x in zip(R, y_R):
+                y[i] = x
+            return tuple(y)
+    return None
+
+
 def bounded_atlas(M: IntMatrix, cap: int = 1000) -> SubgraphAtlas:
     """Enumerate all bounded components by walking N^q level by level.
 
     When some y > 0 has yM = 0, every component lies in a finite level set
     of y, so mu is infinite: CapExceededError is raised at once with y as
-    its ``certificate``.  Otherwise the union of the unbounded components
-    is an up-set (the component of p + e_i holds the translate by e_i of
-    that of p), so the candidates of level t + 1 are the upper neighbours
+    its ``certificate``.  The same holds, with a certificate y >= 0, when
+    ``_face_certificate`` finds a face of N^q holding infinitely many
+    bounded components; such a block never closes at any cap, so it is
+    not walked.  Otherwise the union of the unbounded components is an
+    up-set (the component of p + e_i holds the translate by e_i of that
+    of p), so the candidates of level t + 1 are the upper neighbours
     of the bounded points of level t whose lower neighbours are all
     bounded; the rest of the level is unbounded, and an unbounded candidate
     is a minimal generator of the union.  The first level t > 0 without a
@@ -142,17 +210,18 @@ def bounded_atlas(M: IntMatrix, cap: int = 1000) -> SubgraphAtlas:
                              unbounded_min_gens=(),
                              closure_level=0,
                              classification={(): True})
-    if int_rank(M) < q:
-        # y = hK for h > 0 on the columns of the left kernel K, if pointed
-        K = IntMatrix([list(v) for v in left_kernel_basis(M).vectors])
-        report = is_pointed(K)
-        if report.pointed:
-            y = _clear_denominators(
-                [sum(h * x for h, x in zip(report.functional, col))
-                 for col in K.columns()])
-            raise CapExceededError(
-                f"mu is infinite: y = {list(y)} > 0 has yM = 0, so every "
-                "component is bounded", certificate=y)
+    y = _positive_left_kernel_vector(M)
+    if y is not None:
+        raise CapExceededError(
+            f"mu is infinite: y = {list(y)} > 0 has yM = 0, so every "
+            "component is bounded", certificate=y)
+    y = _face_certificate(M)
+    if y is not None:
+        raise CapExceededError(
+            f"mu is infinite: y = {list(y)} >= 0 has yc = 0 on every "
+            "column that vanishes where y does, and every other column is "
+            "mixed there, so every point vanishing there lies in a bounded "
+            "component", certificate=y)
     steps = _steps(M)
     classification = {}  # explored point -> True (bounded) / False (unbounded)
     bounded, gens = [], []

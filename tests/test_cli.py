@@ -225,6 +225,17 @@ def test_subgraphs_zero_columns_certified_at_the_default_cap(tmp_path, capsys):
     assert "mu is infinite: y = [" in captured.err
 
 
+def test_subgraphs_face_certified_at_the_default_cap(tmp_path, capsys):
+    p = tmp_path / "him_M.mat"
+    p.write_text("1 1 1\n-1 -2 -3\n1 0 0\n")  # the himalayan block
+    code = main(["subgraphs", "--M", str(p)])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("error: mu is infinite: y = [0, 0, 1] >= 0")
+    assert captured.err.count("\n") == 1
+
+
 def test_subgraphs_walk_cap_exit_5(paths, capsys):
     code = main(["subgraphs", "--M", paths["m3"], "--cap", "2"])
     captured = capsys.readouterr()

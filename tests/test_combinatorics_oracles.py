@@ -6,7 +6,9 @@ the same loop on masks alone; each class is checked against the rank
 criterion rank(A_J) = |J| - rank(B_J), ``andean_report`` with the
 saturation of an independent column subset of A_J picked by growing rank,
 and ``bounded_atlas`` with the level-by-level search that explores every
-unclassified point of every level, all kept here as references.  The
+unclassified point of every level, all kept here as references; each
+certificate of infinite mu is checked exactly, and the reference walk
+must not close on its block.  The
 decompose reports on every fixture are compared byte for byte with
 goldens recorded from the eager enumeration.  The consequences of the
 toral class (a square invertible block, a full-rank A_J and the full
@@ -742,11 +744,27 @@ def certificate_of(M, cap):
     return None
 
 
+def assert_face_certificate(M, y):
+    """y is a primitive nonzero vector of N^q; with S its zero set, every
+    nonzero column of M that is nonzero on S has both signs on S, and
+    every other column c has y.c = 0."""
+    assert len(y) == M.nrows
+    assert all(type(x) is int and x >= 0 for x in y) and any(y)
+    assert gcd(*y) == 1
+    S = [i for i, x in enumerate(y) if x == 0]
+    for c in M.columns():
+        on_S = [c[i] for i in S]
+        if any(on_S):
+            assert min(on_S) < 0 < max(on_S), (M.tolist(), y)
+        else:
+            assert sum(a * b for a, b in zip(y, c)) == 0, (M.tolist(), y)
+
+
 def test_infinite_mu_certificate_matches_reference():
     # a certified M has infinitely many bounded components, so the
-    # reference walk never closes; a full-rank M is never certified
+    # reference walk never closes; full-rank M are certified by faces
     rng = random.Random(59)
-    certified = 0
+    certified = positive = 0
     for _ in range(150):
         M = rank_deficient_M(rng, rng.randint(1, 3))
         assert int_rank(M) < M.nrows
@@ -754,15 +772,88 @@ def test_infinite_mu_certificate_matches_reference():
         if y is None:
             continue
         certified += 1
-        assert all(type(x) is int and x > 0 for x in y) and gcd(*y) == 1
-        assert all(sum(a * b for a, b in zip(y, col)) == 0
-                   for col in M.columns())
+        positive += all(y)
+        assert_face_certificate(M, y)
         assert reference_atlas_outcome(M, 8) == "cap exceeded", M.tolist()
-    assert 0 < certified < 150  # both outcomes are drawn
-    full = 0
+    assert 0 < positive < certified < 150  # every outcome is drawn
+    full = faces = 0
     while full < 60:
         q = rng.randint(1, 3)
         M = random_M(rng, q)
         if int_rank(M) == q:
-            assert certificate_of(M, 8) is None, M.tolist()
+            y = certificate_of(M, 8)
+            if y is not None:
+                faces += 1
+                assert not all(y)
+                assert_face_certificate(M, y)
+                assert reference_atlas_outcome(M, 8) == "cap exceeded", \
+                    M.tolist()
             full += 1
+    assert 0 < faces < full
+
+
+ORACLE_KINDS = ("square", "non-square", "rank-deficient", "zero-column")
+
+
+def oracle_M(rng, q, kind):
+    """A random M with q rows: q columns, another number of them, a rank
+    below q, or one zero column."""
+    if kind == "rank-deficient":
+        return rank_deficient_M(rng, q)
+    ncols = q
+    if kind == "non-square":
+        ncols = rng.choice([k for k in range(q + 3) if k != q])
+    elif kind == "zero-column":
+        ncols = rng.randint(1, q + 1)
+    cols = [[rng.randint(-2, 2) for _ in range(q)] for _ in range(ncols)]
+    if kind == "zero-column":
+        cols[rng.randrange(ncols)] = [0] * q
+    return IntMatrix.from_columns(cols, nrows=q)
+
+
+def face_verdict(M, cap):
+    """'certified', 'closed' or 'open' (the walk hit the cap without a
+    certificate) for ``bounded_atlas`` at ``cap``.  A certificate must
+    be exact and the reference walk must not close within the cap; a
+    closed atlas must equal the reference."""
+    try:
+        bounded_atlas(M, cap=cap)
+    except CapExceededError as exc:
+        if exc.certificate is None:
+            return "open"
+        assert_face_certificate(M, exc.certificate)
+        assert reference_atlas_outcome(M, cap) == "cap exceeded", M.tolist()
+        return "certified"
+    assert atlas_outcome(M, cap) == reference_atlas_outcome(M, cap), \
+        M.tolist()
+    return "closed"
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_face_certificates_match_the_reference_walk(q):
+    # whether an uncertified block always closes is open, so "open" is
+    # counted and not asserted on
+    rng = random.Random(2800 + q)
+    seen = Counter()
+    for kind in ORACLE_KINDS:
+        for _ in range(20):
+            seen[kind, face_verdict(oracle_M(rng, q, kind), 6)] += 1
+    assert seen["square", "certified"] and seen["square", "closed"]
+    assert sum(n for (_, v), n in seen.items() if v == "certified") >= 10
+    assert sum(n for (_, v), n in seen.items() if v == "closed") >= 10
+
+
+def test_face_certificates_match_the_reference_walk_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        q = data.draw(st.integers(1, 4))
+        ncols = data.draw(st.integers(0, q + 2))
+        col = st.lists(st.integers(-2, 2), min_size=q, max_size=q)
+        cols = data.draw(st.lists(col, min_size=ncols, max_size=ncols))
+        face_verdict(IntMatrix.from_columns(cols, nrows=q), 6)
+
+    prop()

@@ -520,7 +520,8 @@ def test_offset_pairings_once_across_betas(monkeypatch, fixture, root, B_erd,
     # truncation's solutions do not change with beta: on one input over
     # three betas at T = 20, each is built once per truncation and
     # offsets, all of them at the first beta; a verify path that
-    # re-pairs every support at every beta fails here fast and by name
+    # re-pairs every support at every beta fails here fast and by name;
+    # the dot products are counted by the integer row of EulerOp._keys
     pairings, products = [], []
     pairing, euler_products = series._pairing, series._euler_products
 
@@ -528,9 +529,9 @@ def test_offset_pairings_once_across_betas(monkeypatch, fixture, root, B_erd,
         pairings.append((zs, u_plus, u_minus))
         return pairing(zs, u_plus, u_minus)
 
-    def counting_products(zs, row):
-        products.append((zs, row))
-        return euler_products(zs, row)
+    def counting_products(zs, ints):
+        products.append((zs, ints))
+        return euler_products(zs, ints)
 
     monkeypatch.setattr(series, "_pairing", counting_pairing)
     monkeypatch.setattr(series, "_euler_products", counting_products)
@@ -548,12 +549,12 @@ def test_offset_pairings_once_across_betas(monkeypatch, fixture, root, B_erd,
                 if isinstance(op, BinomialOp):
                     want_pairings.add(key + (op.u_plus, op.u_minus))
                 else:
-                    want_products.add(key + (op.row,))
+                    want_products.add(key + (op._keys[0],))
         built.append((len(pairings), len(products)))
     assert len(pairings) == len(want_pairings)
     assert set(pairings) == {key[1:] for key in want_pairings}
     assert len(products) == len(want_products)
-    assert set(products) == {key[1:] for key in want_products}
+    assert set(products) == {(key[1], key[2][2]) for key in want_products}
     assert built[0] == built[-1] == (len(pairings), len(products))
     assert len(pairings) == len(sols) // root * hi.m
 

@@ -10,7 +10,7 @@ import pytest
 from binomhorn import CapExceededError, IntMatrix, bounded_atlas
 from binomhorn.exact_linalg import bareiss_det
 from pipeline_reference import component_of
-from test_combinatorics_oracles import points_of_degree
+from test_combinatorics_oracles import assert_face_certificate, points_of_degree
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,26 +132,42 @@ def test_infinite_mu_certified_for_zero_columns(ncols):
 
 
 def test_cap_exceeded_by_the_walk_carries_no_certificate():
-    # the himalayan block has full rank, so no y > 0 has yM = 0
-    M = IntMatrix.from_columns([[1, -1, 1], [1, -2, 0], [1, -3, 0]])
-    with pytest.raises(CapExceededError, match="within 20 levels") as info:
-        bounded_atlas(M, cap=20)
+    # a pool block that closes at level 5 has no certificate, so at cap 3
+    # the walk gives up
+    M = IntMatrix.from_columns([[-1, 0, 2], [2, -2, -2], [1, -2, 1]])
+    assert bounded_atlas(M, cap=5).closure_level == 5
+    with pytest.raises(CapExceededError, match="within 3 levels") as info:
+        bounded_atlas(M, cap=3)
     assert info.value.certificate is None
+
+
+def test_himalayan_block_certified_by_a_face():
+    # full rank, so no y > 0 has yM = 0, but every column is mixed on the
+    # first two rows: each point (0, 0, k) is its own bounded component
+    M = IntMatrix.from_columns([[1, -1, 1], [1, -2, 0], [1, -3, 0]])
+    with pytest.raises(CapExceededError,
+                       match=r"mu is infinite: y = \[0, 0, 1\] >= 0") as info:
+        bounded_atlas(M, cap=10**9)
+    assert info.value.certificate == (0, 0, 1)
+    assert_face_certificate(M, info.value.certificate)
 
 
 def test_atlas_pool_verdicts_at_the_default_cap():
     # every block of the benchmark's atlas pool gets its recorded verdict
-    # (None: the cap is exceeded) at cap 1000, not just at the recorded cap
+    # (None: the cap is exceeded) at cap 1000, not just at the recorded
+    # cap, and every capped block is certified infinite without a walk
     goldens = json.loads((ROOT / "perfbench" / "goldens" / "atlas_blocks.json")
                          .read_text(encoding="utf-8"))["blocks"]
     assert len(goldens) == 257
+    certified = 0
     for golden in goldens:
         M = IntMatrix.from_columns([tuple(c) for c in golden["columns"]],
                                    nrows=3)
         try:
             atlas = bounded_atlas(M, cap=1000)
         except CapExceededError as exc:
-            assert exc.certificate is None
+            assert_face_certificate(M, exc.certificate)
+            certified += 1
             verdict = None
         else:
             verdict = {"mu": atlas.mu,
@@ -159,6 +175,7 @@ def test_atlas_pool_verdicts_at_the_default_cap():
                                            for r in atlas.representatives],
                        "sizes": [c.size for c in atlas.bounded_components]}
         assert verdict == golden["verdict"], golden["columns"]
+    assert certified == 112
 
 
 def test_dickson_equivalence_against_box_oracle():
@@ -254,7 +271,8 @@ def test_points_of_degree_match_brute_force():
 
 
 def test_atlases_leave_no_cyclic_garbage(M3, M_erd23):
-    # the himalayan block exceeds the cap; the others close below it
+    # the himalayan block is certified infinite; the others close below
+    # the cap
     blocks = [M3, M_erd23, IntMatrix.from_columns(
         [[1, -1, 1], [1, -2, 0], [1, -3, 0]])]
     gc.collect()
