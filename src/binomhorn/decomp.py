@@ -10,23 +10,41 @@ kernel vector of M, so rank(A_J) = d - q + rank(M).  The rank criterion
 rank(A_J) = |J| - rank(B_J) = d - q + p is therefore rank(M) = p: a
 decomposition is toral exactly when q = p = rank(M).  Likewise A_J spans
 Q^d exactly when rank(M) = q, so the generic-holonomicity verdict reads
-the one stored rank of M, on a matrix of at most m rows, and the
-saturated column spans of A_J (the Andean directions) are computed only
-when read.
+one flag per decomposition, ``full_rank``, and the saturated column
+spans of A_J (the Andean directions) are computed only when read.
 
 Row sets are found by a branching walk on bitmasks: while an included
 column is one-signed, only rows of the other sign in it are tried next,
 so each admissible set is reached once and dead branches end early.
-Only M and its rank are built per admissible set; the other submatrices,
-the lattice data (``L_basis``, ``g``), the cone over A_J and the word
-table of each truncation bound T are computed only when read.
-``HornInput.decompositions`` keeps the enumeration, so one input is
-enumerated once, each of its cones is built once, and each word table
-once per T.  B_J always has full column rank, since a vector of its
-kernel, padded with zeros on the columns of M, lies in the kernel of
-B.  So the index g of its column span in the saturation is the product
-of the pivots of its row Hermite form (``saturation_index``), and the
-rank formula reads g without saturating B_J.
+Two facts cut the walk further.
+
+- A branch that can never record a set ends at once.  Let C be the p
+  columns its q included rows meet, and c_r the columns of a row r
+  outside C.  A completion R of undecided rows needs a row of each sign
+  in R at every column new to it, so it adds at most
+  sum_{r in R} |c_r| / 2 columns, and q + |R| <= p + that fails for
+  every R whenever 2(q - p) > sum over undecided r of max(0, |c_r| - 2).
+- Independence is hereditary.  The rows of Jbar vanish off the columns
+  of M, so rank(M) is the rank of rows Jbar of B, and every set the
+  walk records below a recorded dependent set is dependent too: a rank
+  is computed only where no recorded ancestor is dependent, on those
+  rows of B, with no M built.
+
+The walk is a generator, and each input reads it through one memo
+(``HornInput``), so the verdict comes first: ``HornInput.andean`` reads
+it up to the first Andean set with rank(M) = q, the certificate of an
+infinite rank, and only ``enumerate_decompositions`` drains the rest.
+A decomposition holds its index sets and ``full_rank``; M, J, the
+other submatrices, the lattice data (``L_basis``, ``g``), the cone over
+A_J and the word table of each truncation bound T are computed only
+when read.  ``HornInput.decompositions`` keeps the sorted enumeration,
+so one input is enumerated once, each of its cones is built once, and
+each word table once per T.  B_J always has full column rank, since a
+vector of its kernel, padded with zeros on the columns of M, lies in
+the kernel of B.  So the index g of its column span in the saturation
+is the product of the pivots of its row Hermite form
+(``saturation_index``), and the rank formula reads g without
+saturating B_J.
 """
 
 from __future__ import annotations
@@ -34,14 +52,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import SizeLimitError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
+    _bareiss_rank,
     coordinate_map,
-    int_rank,
     saturated_span,
     saturation_index,
 )
@@ -57,33 +75,40 @@ class Decomposition:
     """One admissible block decomposition of B.
 
     Index sets are 0-based and sorted; ``label`` renders them 1-based for
-    reports.  Only M and its rank ``rank_M`` are built by the enumeration;
-    ``B_J``, ``N``, ``A_J`` and ``A_Jbar`` are cut from the input's B and
-    A when first read.  ``L_basis`` is the saturation of the column span
-    of B_J inside Z^J (coordinates indexed by J in increasing order),
-    computed from B_J when first read by the series code; when M takes
-    every column (p = m), B_J has none and ``L_basis`` is the zero
-    lattice of Z^J, with no saturation.  ``g`` is the index of the span
-    in its saturation, the product of the diagonal of ``row_hnf(B_J)``
-    (``saturation_index``, see the module docstring), also computed when
-    first read: the rank formula reads it only for toral decompositions,
-    and the empty product makes it 1 when p = m.
-    ``cone`` holds the cells, volume and support functions of A_J, likewise
-    computed when first read, and ``word_table(T)`` builds the
-    ``WordTable`` of each bound T once.  B and A are compared too, so
-    decompositions of different inputs differ.
+    reports.  The walk gives the index sets and ``full_rank``, whether
+    rank(M) = q; ``J``, ``M``, ``B_J``, ``N``, ``A_J`` and ``A_Jbar``
+    are cut from the input's B and A when first read.  ``L_basis`` is
+    the saturation of the column span of B_J inside Z^J (coordinates
+    indexed by J in increasing order), computed from B_J when first read
+    by the series code; when M takes every column (p = m), B_J has none
+    and ``L_basis`` is the zero lattice of Z^J, with no saturation.
+    ``g`` is the index of the span in its saturation, the product of the
+    diagonal of ``row_hnf(B_J)`` (``saturation_index``, see the module
+    docstring), also computed when first read: the rank formula reads it
+    only for toral decompositions, and the empty product makes it 1 when
+    p = m.  ``cone`` holds the cells, volume and support functions of
+    A_J, likewise computed when first read, and ``word_table(T)`` builds
+    the ``WordTable`` of each bound T once.  B and A are compared too,
+    so decompositions of different inputs differ.
     """
 
     rowset_Jbar: tuple
     colset_M: tuple
-    J: tuple
-    M: IntMatrix
     q: int
     p: int
-    rank_M: int
+    full_rank: bool  # rank(M) = q
     klass: str  # "toral" | "andean"
     B: IntMatrix = field(repr=False)
     A: IntMatrix = field(repr=False)
+
+    @cached_property
+    def J(self) -> tuple:
+        return tuple(i for i in range(self.B.nrows)
+                     if i not in self.rowset_Jbar)
+
+    @cached_property
+    def M(self) -> IntMatrix:
+        return self.B.submatrix(self.rowset_Jbar, self.colset_M)
 
     @cached_property
     def B_J(self) -> IntMatrix:
@@ -227,7 +252,8 @@ def _bits(mask, size):
 
 def _admissible_rowsets(B: IntMatrix):
     """Row masks Jbar of B whose block is mixed with no more rows than
-    columns, each with its column mask, each exactly once.
+    columns, each exactly once, as (row mask, column mask, full_rank)
+    with full_rank whether rank(M) = q: a generator, read lazily.
 
     Each row carries the mask of the columns where it is positive and the
     mask of those where it is negative; a row set's block meets the union
@@ -238,100 +264,166 @@ def _admissible_rowsets(B: IntMatrix):
     undecided row of the other sign, so the walk branches on those rows
     r_1, r_2, ... as (include r_1), (exclude r_1, include r_2), ...; with
     no such row the branch is dead.  Once every column is mixed, it
-    branches on the lowest undecided row: include it, or exclude it.  An
-    excluded row stays excluded, so each row set is made by exactly one
-    include step, which records it when it is mixed with q <= p (a single
-    row is mixed only when it is zero, and then q > p).  No branch includes more than m rows, since a
-    larger set has q > p.  The empty set is recorded once, at the root.
+    branches the same way on every undecided row.  An excluded row stays
+    excluded, so each row set is made by exactly one include step, which
+    records it when it is mixed with q <= p (a single row is mixed only
+    when it is zero, and then q > p).  The empty set is recorded once, at
+    the root.
+
+    A state is kept only while some completion can record a set: it has
+    fewer than m rows, and the bound of the module docstring holds.  The
+    bound needs a sum over undecided rows only when q > p and the same
+    sum over every row, fixed per B (0 when no row has three nonzero
+    entries), does not already rule the state out.  A state also carries
+    whether a recorded set among its rows is dependent, and a rank is
+    computed only for a set without one.
     """
-    n, m = B.nrows, B.ncols
-    pos = [sum(1 << k for k in range(m) if B.data[i][k] > 0) for i in range(n)]
-    neg = [sum(1 << k for k in range(m) if B.data[i][k] < 0) for i in range(n)]
+    n, m, data = B.nrows, B.ncols, B.data
+    pos = [sum(1 << k for k in range(m) if data[i][k] > 0) for i in range(n)]
+    neg = [sum(1 << k for k in range(m) if data[i][k] < 0) for i in range(n)]
     rows_pos = [sum(1 << i for i in range(n) if pos[i] >> k & 1)
                 for k in range(m)]
     rows_neg = [sum(1 << i for i in range(n) if neg[i] >> k & 1)
                 for k in range(m)]
-    out = [(0, 0)]
+    cols = [a | b for a, b in zip(pos, neg)]
+    slack = sum(max(0, c.bit_count() - 2) for c in cols)
+    wide = sum(1 << i for i in range(n) if cols[i].bit_count() > 2)
+
+    def viable(done, q, cmask):
+        excess = 2 * (q - cmask.bit_count())
+        if excess <= 0:
+            return True
+        if excess > slack:
+            return False
+        free = wide & ~done
+        while free:
+            low = free & -free
+            free ^= low
+            excess -= max(0, (cols[low.bit_length() - 1]
+                              & ~cmask).bit_count() - 2)
+            if excess <= 0:
+                return True
+        return False
+
+    yield 0, 0, True
     every_row = (1 << n) - 1
-    # (included rows, decided rows, q, positive cols, negative cols)
-    stack = [(0, 0, 0, 0, 0)]
+    # (included rows, decided rows, q, positive cols, negative cols,
+    #  whether a recorded set of the included rows is dependent)
+    stack = [(0, 0, 0, 0, 0, False)]
     while stack:
-        jmask, done, q, pcols, ncols = stack.pop()
+        jmask, done, q, pcols, ncols, dependent = stack.pop()
         odd = pcols ^ ncols
         if odd:
             k = (odd & -odd).bit_length() - 1
             partners = (rows_neg[k] if pcols >> k & 1 else rows_pos[k]) & ~done
         else:
-            free = every_row & ~done
-            if not free:
-                continue
-            partners = free & -free
-            stack.append((jmask, done | partners, q, pcols, ncols))
+            partners = every_row & ~done
         while partners:
             low = partners & -partners
             partners ^= low
             done |= low
             i = low.bit_length() - 1
-            pc, nc = pcols | pos[i], ncols | neg[i]
+            rows, pc, nc = jmask | low, pcols | pos[i], ncols | neg[i]
+            below = dependent
             if pc == nc and q + 1 <= pc.bit_count():
-                out.append((jmask | low, pc))
-            if q + 1 < m:
-                stack.append((jmask | low, done, q + 1, pc, nc))
-    return out
+                # rank(M) is the rank of rows Jbar of B
+                full = not dependent and _bareiss_rank(
+                    [data[j] for j in _bits(rows, n)]) == q + 1
+                below = not full
+                yield rows, pc, full
+            if q + 1 < m and viable(done, q + 1, pc | nc):
+                stack.append((rows, done, q + 1, pc, nc, below))
+
+
+def _decompositions(hi: HornInput):
+    """The decompositions of hi in walk order, a generator."""
+    B, A = hi.B, hi.A
+    for jmask, cmask, full_rank in _admissible_rowsets(B):
+        jbar, colset = _bits(jmask, hi.n), _bits(cmask, hi.m)
+        q, p = len(jbar), len(colset)
+        yield Decomposition(
+            rowset_Jbar=jbar, colset_M=colset, q=q, p=p, full_rank=full_rank,
+            klass="toral" if full_rank and q == p else "andean", B=B, A=A)
+
+
+class _Memo:
+    """An iterator of items other than None, read any number of times:
+    each item is drawn once, by the first read that reaches it, and kept
+    for the later ones."""
+
+    def __init__(self, items):
+        self._items, self._seen = iter(items), []
+
+    def __iter__(self):
+        seen = self._seen
+        i = 0
+        while True:
+            if i == len(seen):
+                item = next(self._items, None)
+                if item is None:
+                    return
+                seen.append(item)
+            yield seen[i]
+            i += 1
+
+
+def _walk(hi: HornInput) -> _Memo:
+    """The decompositions of hi in walk order, drawn when first read
+    (``HornInput`` keeps one per input)."""
+    if hi.n > MAX_ROWS:
+        raise SizeLimitError(f"B has {hi.n} > {MAX_ROWS} rows")
+    return _Memo(_decompositions(hi))
 
 
 def enumerate_decompositions(hi: HornInput) -> tuple[Decomposition, ...]:
     """All block decompositions of B, classified, sorted by (|Jbar|, Jbar).
 
     The empty row set is always admissible (M empty, B_J = B) and always
-    toral.  The walk of ``_admissible_rowsets`` yields each row set whose
-    block is mixed with q <= p once; only M and its rank are built for
-    those.  A decomposition is toral exactly when q = p = rank(M), which
-    is the rank criterion rank(A_J) = |J| - rank(B_J) (see the module
-    docstring).
+    toral.  This drains the input's lazy walk (``_admissible_rowsets``),
+    which yields each row set whose block is mixed with q <= p once,
+    with whether rank(M) = q.  A decomposition is toral exactly when
+    q = p = rank(M), which is the rank criterion
+    rank(A_J) = |J| - rank(B_J) (see the module docstring).
     """
-    B, A = hi.B, hi.A
-    n, m = hi.n, hi.m
-    if n > MAX_ROWS:
-        raise SizeLimitError(f"B has {n} > {MAX_ROWS} rows")
-    out = []
-    for jmask, cmask in _admissible_rowsets(B):
-        jbar, colset = _bits(jmask, n), _bits(cmask, m)
-        q, p = len(jbar), len(colset)
-        M = B.submatrix(jbar, colset)
-        rank_M = int_rank(M)
-        out.append(Decomposition(
-            rowset_Jbar=jbar, colset_M=colset, J=_bits(~jmask, n), M=M,
-            q=q, p=p, rank_M=rank_M,
-            klass="toral" if q == p == rank_M else "andean", B=B, A=A))
-    return tuple(sorted(out, key=lambda dec: (len(dec.rowset_Jbar),
-                                              dec.rowset_Jbar)))
+    return tuple(sorted(hi._walk, key=lambda dec: (len(dec.rowset_Jbar),
+                                                   dec.rowset_Jbar)))
 
 
 @dataclass(frozen=True)
 class AndeanReport:
-    """The generic-holonomicity verdict and, when read, the Andean
-    directions.
+    """The generic-holonomicity verdict, its certificate and, when read,
+    the Andean decompositions and directions.
 
-    ``andean`` holds the Andean decompositions.  The verdict needs no
-    lattice work: A_J spans Q^d exactly when rank(M) = q (see the module
-    docstring), so the input is generically holonomic exactly when every
-    Andean block has rank(M) < q.  ``directions`` are canonical saturated
-    lattice bases of the rational column spans of the Andean A_J,
-    deduplicated and sorted, computed on first read: Z^d once when some
-    block has rank(M) = q, and ``saturated_span(A_J)`` of each block with
-    rank(M) < q.  Integer translates are not computed, so the set is a
-    superset description of where holonomicity can fail.
+    A_J spans Q^d exactly when rank(M) = q (see the module docstring),
+    so the input is generically holonomic exactly when no Andean block
+    has rank(M) = q.  ``certificate`` is the first such block that
+    ``decompositions`` yields, or None, and the verdict reads them only
+    up to it.  ``andean`` (the Andean decompositions, in the order
+    read) and ``directions`` read all of them, on first read.
+    ``directions`` are canonical saturated lattice bases of the
+    rational column spans of the Andean A_J, deduplicated and sorted:
+    Z^d once when some block has rank(M) = q, and ``saturated_span(A_J)``
+    of each block with rank(M) < q.  Integer translates are not
+    computed, so the set is a superset description of where
+    holonomicity can fail.
     """
 
-    andean: tuple = field(repr=False)
+    decompositions: Iterable = field(repr=False, compare=False)
     d: int
-    generically_holonomic: bool
+    certificate: Decomposition | None
+
+    @property
+    def generically_holonomic(self) -> bool:
+        return self.certificate is None
+
+    @cached_property
+    def andean(self) -> tuple:
+        return tuple(dec for dec in self.decompositions if not dec.is_toral)
 
     @cached_property
     def directions(self) -> tuple:
         spans = [saturated_span(dec.A_J) for dec in self.andean
-                 if dec.rank_M < dec.q]
+                 if not dec.full_rank]
         if not self.generically_holonomic:
             spans.append(LatticeBasis._of_hermite(
                 self.d, IntMatrix.identity(self.d).columns()))
@@ -340,7 +432,8 @@ class AndeanReport:
 
 
 def andean_report(decomps, d: int) -> AndeanReport:
-    andean = tuple(dec for dec in decomps if not dec.is_toral)
-    return AndeanReport(
-        andean=andean, d=d,
-        generically_holonomic=all(dec.rank_M < dec.q for dec in andean))
+    """The Andean report of decompositions ``decomps``, a tuple or an
+    input's lazy walk, read only up to the certificate."""
+    return AndeanReport(decompositions=decomps, d=d, certificate=next(
+        (dec for dec in decomps if dec.full_rank and not dec.is_toral),
+        None))

@@ -64,6 +64,14 @@ class VeryGenericError(BinomHornError):
 
 
 class InfiniteRankError(BinomHornError):
-    """The system is generically non-holonomic; no finite solution basis."""
+    """The system is generically non-holonomic; no finite solution basis.
+
+    ``certificate`` holds the Andean decomposition with rank(M) = q that
+    proves it, as (Jbar, columns of M), both 1-based.
+    """
 
     exit_code = 3
+
+    def __init__(self, message, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate

@@ -354,32 +354,6 @@ class LatticeBasis:
             k.append(q)
         return None if any(rest) else tuple(k)
 
-    def index(self, vectors):
-        """Index in this lattice of the span of the given vectors.
-
-        The vectors must lie in the lattice and number its rank.  They
-        are then the basis times an integer matrix T, whose determinant
-        is the index up to sign.  On the Hermite pivot coordinates P the
-        basis is triangular with the pivots on its diagonal, so
-        |det T| is |det of the vectors on P| over the product of the
-        pivots (Cohen, GTM 138, 2.4).  Raises ValueError when the count
-        or a length is wrong, the determinant is 0, or the pivot product
-        does not divide it.
-        """
-        vectors = [tuple(v) for v in vectors]
-        if (len(vectors) != self.rank
-                or any(len(v) != self.ambient_dim for v in vectors)):
-            raise ValueError(f"index needs {self.rank} vectors of length "
-                             f"{self.ambient_dim}")
-        det = bareiss_det(IntMatrix._of(
-            tuple(tuple(v[p] for v in vectors) for p in self.pivots),
-            self.rank))
-        index, rem = divmod(abs(det), prod(v[p] for v, p in
-                                           zip(self.vectors, self.pivots)))
-        if det == 0 or rem:
-            raise ValueError("vectors are dependent or outside the lattice")
-        return index
-
     def __eq__(self, other):
         return (isinstance(other, LatticeBasis)
                 and self.ambient_dim == other.ambient_dim

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 
 from .errors import ConventionError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
+    bareiss_det,
     frac_solve,
-    int_rank,
     left_kernel_basis,
 )
 
@@ -218,17 +217,26 @@ class HornInput:
         return self.a_column_index == 1
 
     @cached_property
+    def _walk(self):
+        """The walk over the decompositions of B, drawn lazily and kept:
+        the one walk that the verdict and the enumeration share."""
+        from .decomp import _walk  # decomp imports model
+        return _walk(self)
+
+    @cached_property
     def decompositions(self) -> tuple:
         """The block decompositions of B, enumerated once per input."""
-        from .decomp import enumerate_decompositions  # decomp imports model
+        from .decomp import enumerate_decompositions
         return enumerate_decompositions(self)
 
     @cached_property
     def andean(self):
-        """The Andean report of the decompositions, built once per input:
-        its verdict from the ranks of M, its directions when read."""
+        """The Andean report, built once per input.  Its verdict reads
+        the walk only up to the first Andean block with rank(M) = q, the
+        certificate of an infinite rank, so a non-holonomic input gets
+        it without enumerating; its directions read every block."""
         from .decomp import andean_report
-        return andean_report(self.decompositions, self.d)
+        return andean_report(self._walk, self.d)
 
 
 def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
@@ -240,11 +248,15 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
     rank d = n - m; its columns are then pointed, because its kernel is the
     column span of the validated B, and its functional is the one h with
     h A equal to the canonical functional times the canonical A, so no
-    second program runs.  Whether its columns span all of Z^d
-    is recorded but not enforced: published systems are often written with
-    an A whose column lattice has finite index in Z^d, and every quantity
-    computed here is normalized against the relevant lattice rather than
-    Z^d.
+    second program runs.  The checks A B = 0 and rank(A) = d, h and the
+    index of ZA in Z^d all read the coordinates T of the rows of A in
+    the canonical A's Hermite basis, found by substitution: a row without
+    them is off the left kernel, det T = 0 means rank(A) < d, the index
+    is |det T|, and h solves h T = h_c, a d x d system.  Whether its
+    columns span all of Z^d is recorded but not enforced: published
+    systems are often written with an A whose column lattice has finite
+    index in Z^d, and every quantity computed here is normalized against
+    the relevant lattice rather than Z^d.
     """
     vr = _accepted(report if report is not None else validate_B(B))
     n, m = B.nrows, B.ncols
@@ -257,17 +269,20 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
         if A.shape != (d, n):
             raise ConventionError(
                 f"A has shape {A.shape}, expected {(d, n)}")
-        if not A.mul(B).is_zero():
-            raise ConventionError("A B != 0")
-        if int_rank(A) != d:
-            raise ConventionError(f"rank(A) != {d}")
-        # A and vr.A have the same row space, so one h has h A = h_c vr.A:
-        # it takes the canonical functional's values on the columns
-        values = [sum(map(mul, vr.functional, col)) for col in vr.A.columns()]
-        functional = frac_solve(A.columns(), values)
         # the rows of vr.A are a Hermite basis of the saturated left
-        # kernel, which holds the rows of A: A = T vr.A, and the columns
-        # of vr.A span Z^d, so [Z^d : ZA] = |det T|
-        idx = LatticeBasis._of_hermite(n, vr.A.data).index(A.data)
+        # kernel of B, so a row of A has coordinates in it exactly when
+        # it lies in the left kernel, and then A = T vr.A
+        kernel = LatticeBasis._of_hermite(n, vr.A.data)
+        T = [kernel.coordinates(row) for row in A.data]
+        if None in T:
+            raise ConventionError("A B != 0")
+        T = IntMatrix._of(tuple(T), d)
+        det = bareiss_det(T)
+        if det == 0:
+            raise ConventionError(f"rank(A) != {d}")
+        # the columns of vr.A span Z^d, so [Z^d : ZA] = |det T|; and
+        # h A = h_c vr.A for the one h with h T = h_c
+        idx = abs(det)
+        functional = frac_solve(T.columns(), vr.functional)
     return HornInput(B=B, A=A, n=n, m=m, d=d,
                      pointed_functional=functional, a_column_index=idx)

@@ -7,8 +7,9 @@ volume of its column configuration.  A full-dimensional Andean direction
 means the system is non-holonomic for every parameter, reported as an
 infinite verdict instead of a number.  Both functions here read the
 decompositions the input caches, so together they enumerate once, and
-neither computes a direction: the verdict comes from the stored ranks of
-the mixed blocks.
+neither computes a direction.  The verdict comes first, from the input's
+lazy walk, which stops at the first Andean block with rank(M) = q: a
+non-holonomic input gets it without being enumerated.
 """
 
 from __future__ import annotations
@@ -45,20 +46,21 @@ def generic_rank(hi: HornInput, cap: int = 1000) -> RankReport:
     """Evaluate the rank formula, or report the infinite verdict.
 
     The verdict is ``hi.andean.generically_holonomic``: some Andean
-    block with rank(M) = q gives a full-dimensional direction.  The
-    directions themselves are not computed here (``hi.andean.directions``
-    computes them when read), nor are the translates of lower dimensional
-    ones, which pick out the special parameters with infinite rank inside
-    a generically finite family.
+    block with rank(M) = q gives a full-dimensional direction, and the
+    walk stops at the first one, so an infinite rank is reported without
+    enumerating the decompositions; only a finite one reads them all.
+    The directions themselves are not computed here
+    (``hi.andean.directions`` computes them when read), nor are the
+    translates of lower dimensional ones, which pick out the special
+    parameters with infinite rank inside a generically finite family.
     """
-    decomps = hi.decompositions
     note = ("translates of Andean directions not computed; verdicts are "
             "for generic parameters")
     if not hi.andean.generically_holonomic:
         return RankReport(total=None, infinite=True, summands=(),
                           generically_holonomic=False, note=note)
     summands = []
-    for dec in decomps:
+    for dec in hi.decompositions:
         if not dec.is_toral:
             continue
         atlas = bounded_atlas(dec.M, cap=cap)

@@ -405,7 +405,10 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
     With field_root = 1 only the character-trivial representatives are
     emitted (one per decomposition, gamma, and triangulation cell coset);
     a cyclotomic order materializes all lattice-index twists, bringing
-    the count up to the generic rank.
+    the count up to the generic rank.  A generically non-holonomic input
+    raises ``InfiniteRankError`` carrying the certificate of
+    ``hi.andean``, the walk's first Andean block with rank(M) = q, so no
+    decomposition past it is enumerated.
 
     The lattice words, their lifted offsets and the ``Truncation`` come
     from ``dec.word_table(T)``, built once per decomposition and T, so
@@ -431,12 +434,14 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
         raise ValueError(f"truncation bound must be >= 0, got {T}")
     if field_root < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {field_root}")
-    decomps = hi.decompositions
-    if not hi.andean.generically_holonomic:
+    cert = hi.andean.certificate
+    if cert is not None:
         raise InfiniteRankError(
             "generically non-holonomic: a full-dimensional Andean "
-            "direction is present")
-    torals = [dec for dec in decomps if dec.is_toral]
+            "direction is present",
+            certificate=(tuple(i + 1 for i in cert.rowset_Jbar),
+                         tuple(k + 1 for k in cert.colset_M)))
+    torals = [dec for dec in hi.decompositions if dec.is_toral]
     atlases = {dec.rowset_Jbar: bounded_atlas(dec.M, cap=cap) for dec in torals}
     violations = []
     for dec in torals:

@@ -14,14 +14,16 @@ characters: ``invariant_factors``, ``smith_index``,
 Fourier-Motzkin elimination, ``fm_feasible``, apart from the library's
 simplex, and ``is_pointed_by_fraction_ratios`` is that simplex as it was
 when its ratio test built one ``Fraction`` per row, the reference for
-the cross-multiplied test.
+the cross-multiplied test.  ``lattice_index`` is the index of a span
+in a Hermite basis as one determinant ratio on its pivots, the route by
+which a supplied A once got its index.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import prod
 
-from binomhorn.exact_linalg import IntMatrix, LatticeBasis, row_hnf
+from binomhorn.exact_linalg import IntMatrix, LatticeBasis, bareiss_det, row_hnf
 from binomhorn.model import PointedReport, _clear_denominators
 
 
@@ -167,6 +169,32 @@ def smith_normal_form(m: IntMatrix):
             negate_row(t)
         t += 1
     return IntMatrix(U), IntMatrix(a), IntMatrix(V)
+
+
+def lattice_index(lattice, vectors):
+    """Index in a Hermite-form ``LatticeBasis`` of the span of the given
+    vectors, which must lie in it and number its rank.
+
+    They are then the basis times an integer matrix T, whose determinant
+    is the index up to sign.  On the Hermite pivot coordinates P the
+    basis is triangular with the pivots on its diagonal, so |det T| is
+    |det of the vectors on P| over the product of the pivots (Cohen,
+    GTM 138, 2.4).  Raises ValueError when the count or a length is
+    wrong, the determinant is 0, or the pivot product does not divide
+    it.
+    """
+    vectors = [tuple(v) for v in vectors]
+    if (len(vectors) != lattice.rank
+            or any(len(v) != lattice.ambient_dim for v in vectors)):
+        raise ValueError(f"index needs {lattice.rank} vectors of length "
+                         f"{lattice.ambient_dim}")
+    det = bareiss_det(IntMatrix([[v[p] for v in vectors]
+                                 for p in lattice.pivots], lattice.rank))
+    index, rem = divmod(abs(det), prod(v[p] for v, p in
+                                       zip(lattice.vectors, lattice.pivots)))
+    if det == 0 or rem:
+        raise ValueError("vectors are dependent or outside the lattice")
+    return index
 
 
 def invariant_factors(m):

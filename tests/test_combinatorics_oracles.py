@@ -2,7 +2,9 @@
 
 ``enumerate_decompositions`` is compared with the plain loop over all 2^n
 row masks that computes every field eagerly, and its row-set walk with
-the same loop on masks alone; each class is checked against the rank
+the same loop on masks alone and each of its full_rank flags with an
+echelon rank of the set's rows; each certificate of an infinite rank is
+checked exactly; each class is checked against the rank
 criterion rank(A_J) = |J| - rank(B_J), ``andean_report`` with the
 saturation of an independent column subset of A_J picked by growing rank,
 and ``bounded_atlas`` with the level-by-level search that explores every
@@ -21,6 +23,7 @@ import io
 import json
 import random
 from collections import Counter, deque
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -29,6 +32,7 @@ import pytest
 from binomhorn import (
     BinomHornError,
     CapExceededError,
+    InfiniteRankError,
     IntMatrix,
     Scalar,
     andean_report,
@@ -37,6 +41,7 @@ from binomhorn import (
     generic_rank,
     int_rank,
     make_horn_input,
+    solution_basis,
 )
 from binomhorn.cli import main, read_matrix
 from binomhorn.decomp import _admissible_rowsets
@@ -52,7 +57,7 @@ from binomhorn.exact_linalg import (
 from binomhorn.geometry import own_lattice_coordinates
 from binomhorn.solutions import _character_weights, _twists
 from binomhorn.subgraph import Component, _dominates, _steps
-from linalg_reference import smith_index, smith_saturated_span
+from linalg_reference import lattice_index, smith_index, smith_saturated_span
 from test_model import other_A, random_pointed_rows
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -274,13 +279,21 @@ def random_inputs(rng, count):
 
 
 WALK_KINDS = ("random", "zero-row", "zero-column", "duplicate-row",
-              "opposite-row")
+              "opposite-row", "sparse")
 
 
 def random_walk_B(rng, kind):
-    """An n x m matrix, m <= n <= 12, with entries in [-2, 2]."""
+    """An n x m matrix, m <= n <= 12, with entries in [-2, 2]; a sparse
+    one has 1 to 3 nonzero entries per row, where the walk's bound on
+    the columns a completion can add rules out most states."""
     n = rng.randint(0, 12) if kind == "random" else rng.randint(2, 12)
-    m = rng.randint(1 if kind == "zero-column" else 0, n)
+    m = rng.randint(1 if kind in ("zero-column", "sparse") else 0, n)
+    if kind == "sparse":
+        rows = [[0] * m for _ in range(n)]
+        for row in rows:
+            for k in rng.sample(range(m), rng.randint(1, min(3, m))):
+                row[k] = rng.choice((-2, -1, 1, 2))
+        return IntMatrix(rows)
     rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
     i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
     if kind == "zero-column":
@@ -296,11 +309,68 @@ def random_walk_B(rng, kind):
     return IntMatrix(rows) if n else IntMatrix.zero(0, m)
 
 
+def row_rank(B):
+    """The rank of the rows of B in a row mask, which is rank M for the
+    mask of a decomposition, as a memoized function of the mask: the
+    echelon rows of a mask are those of the mask without its highest
+    row, plus that row reduced against them when anything is left."""
+    memo = {0: ()}
+
+    def echelon(mask):
+        rows = memo.get(mask)
+        if rows is None:
+            top = mask.bit_length() - 1
+            rows = echelon(mask ^ 1 << top)
+            v = B.data[top]
+            for pivot, r in rows:
+                if v[pivot]:
+                    v = [r[pivot] * x - v[pivot] * y for x, y in zip(v, r)]
+            pivot = next((k for k, x in enumerate(v) if x), None)
+            if pivot is not None:
+                rows += ((pivot, v),)
+            memo[mask] = rows
+        return rows
+
+    return lambda mask: len(echelon(mask))
+
+
 def check_walk(B):
-    got = _admissible_rowsets(B)
-    assert len(got) == len(set(got)), B.tolist()
-    assert set(got) == reference_rowsets(B), B.tolist()
-    return got
+    """The walk's (row mask, column mask) pairs, checked against the mask
+    reference, each with its full_rank flag checked against the rank of
+    its M."""
+    got = list(_admissible_rowsets(B))
+    masks = [(jmask, cmask) for jmask, cmask, _ in got]
+    assert len(masks) == len(set(masks)), B.tolist()
+    assert set(masks) == reference_rowsets(B), B.tolist()
+    rank = row_rank(B)
+    for jmask, _, full_rank in got:
+        assert full_rank == (rank(jmask) == jmask.bit_count()), B.tolist()
+    return masks
+
+
+def check_infinite_certificate(hi, cert):
+    """An infinite-rank certificate, exactly: the 1-based (Jbar, columns
+    of M) of an admissible Andean block with rank M = q < p, whose A_J
+    has rank d.  Returns it 0-based."""
+    rows, cols = ([x - 1 for x in part] for part in cert)
+    assert rows == sorted(set(rows)) and min(rows) >= 0 and max(rows) < hi.n
+    assert cols == [k for k in range(hi.m)
+                    if any(hi.B.data[i][k] for i in rows)]
+    M = hi.B.submatrix(rows, cols)
+    assert all(max(c) > 0 > min(c) for c in M.columns())
+    assert int_rank(M) == len(rows) < len(cols)
+    J = [j for j in range(hi.n) if j not in rows]
+    A_J = hi.A.submatrix(range(hi.d), J)
+    B_J = hi.B.submatrix(J, [k for k in range(hi.m) if k not in cols])
+    assert int_rank(A_J) == hi.d != len(J) - int_rank(B_J)
+    return tuple(rows), tuple(cols)
+
+
+def infinite_certificate(hi):
+    """The certificate that ``solution_basis`` raises on hi."""
+    with pytest.raises(InfiniteRankError) as exc:
+        solution_basis(hi, [Fraction(1, 2)] * hi.d, T=2)
+    return exc.value.certificate
 
 
 def fields(dec):
@@ -336,7 +406,7 @@ def test_decompositions_match_reference_on_permuted_chains(n):
 def test_walk_matches_the_mask_reference():
     rng = random.Random(2010)
     seen = Counter()
-    for t in range(1250):
+    for t in range(1500):
         kind = WALK_KINDS[t % len(WALK_KINDS)]
         B = random_walk_B(rng, kind)
         got = check_walk(B)
@@ -350,12 +420,16 @@ def test_walk_matches_the_mask_reference():
             any(row) and [-x for x in row] in rows for row in rows)
         seen["m = 0 < n"] += B.ncols == 0 < B.nrows
         seen["n = 0"] += B.nrows == 0
+        seen["three-entry rows"] += any(
+            sum(1 for x in row if x) == 3 for row in rows)
     for shape in ((0, 0), (0, 3), (4, 0), (12, 0)):
         assert check_walk(IntMatrix.zero(*shape)) == [(0, 0)]
     assert seen["nonempty sets"] >= 100000
     assert min(seen[k] for k in ("zero row", "zero column", "repeated row",
                                  "opposite rows")) >= 250
     assert seen["m = 0 < n"] >= 10 and seen["n = 0"] >= 1
+    # a sparse B with a row of three entries takes the bound's exact sum
+    assert seen["sparse"] == 250 and seen["three-entry rows"] >= 250
 
 
 def test_walk_matches_the_mask_reference_hypothesis():
@@ -372,6 +446,38 @@ def test_walk_matches_the_mask_reference_hypothesis():
         check_walk(IntMatrix(rows) if n else IntMatrix.zero(0, m))
 
     prop()
+
+
+def test_zero_rows_past_the_mask_wall():
+    # 28 zero rows beside one mixed pair, m = 15: every set with a zero
+    # row has more rows than columns and every completion keeps it so,
+    # so the walk ends each such branch at once; kept, they are the
+    # C(30, <= 14) row sets of up to m - 1 rows, about 2^29 states
+    rows = [[0] * 15 for _ in range(30)]
+    rows[0][:2], rows[1][:2] = [1, -1], [-1, 1]
+    assert list(_admissible_rowsets(IntMatrix(rows))) == [
+        (0, 0, True), (0b11, 0b11, False)]
+
+
+def test_walk_inherits_dependence_on_chains(monkeypatch):
+    # every nonempty block of a chain lies above one of n/2 recorded row
+    # pairs, each of rank 1, so the walk computes one rank per pair and
+    # none above them; only the empty set has rank M = q
+    from binomhorn import decomp
+    ranked = []
+    inner = decomp._bareiss_rank
+
+    def counting(rows):
+        ranked.append(rows)
+        return inner(rows)
+
+    monkeypatch.setattr(decomp, "_bareiss_rank", counting)
+    for n, sets in ((10, 11), (14, 29), (26, 521)):
+        ranked.clear()
+        hi = make_horn_input(IntMatrix(chain_rows(n, random.Random(n))))
+        assert len(hi.decompositions) == sets
+        assert len(ranked) == n // 2 and all(len(r) == 2 for r in ranked)
+        assert [dec.q for dec in hi.decompositions if dec.full_rank] == [0]
 
 
 @pytest.mark.parametrize("n, count", [(26, 521), (30, 1364)])
@@ -402,6 +508,53 @@ def test_rank_past_the_andean_wall(tmp_path, seed, ranks):
     assert (code, err.getvalue()) == (3, "")
     assert rep["generically_holonomic"] is False
     assert [len(b) for b in rep["andean_directions"]] == ranks
+
+
+@pytest.mark.parametrize("d, n, seed", [(10, 24, 0), (10, 24, 1),
+                                        (15, 30, 0), (15, 30, 1)])
+def test_verdict_past_the_andean_wall(tmp_path, d, n, seed):
+    # B of 24 x 14 and 30 x 15, the kernel of a random pointed A: neither
+    # generic_rank nor solve gave a verdict within 60 s when they walked
+    # every set first; the walk's second set is the certificate.  No
+    # clock assertion here: CI runs this test as its own step with a
+    # time limit
+    A = random_pointed_rows(random.Random(seed), d, n, (1, 3), (-3, 3))
+    B = IntMatrix.from_columns(kernel_basis(A).vectors, nrows=n)
+    hi = make_horn_input(B)
+    assert generic_rank(hi).infinite
+    cert = infinite_certificate(hi)
+    assert check_infinite_certificate(hi, cert) == (
+        hi.andean.certificate.rowset_Jbar, hi.andean.certificate.colset_M)
+    assert "decompositions" not in vars(hi)  # nothing was enumerated
+    path = tmp_path / "B.mat"
+    path.write_text("".join(" ".join(map(str, r)) + "\n" for r in B.tolist()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["solve", "--B", str(path), "--beta", ",".join(
+            ["1/2"] * d)])
+    message = ("generically non-holonomic: a full-dimensional Andean "
+               "direction is present")
+    assert (code, err.getvalue()) == (3, f"error: {message}\n")
+    assert json.loads(out.getvalue()) == {
+        "command": "solve", "error": message, "infinite": True, "schema": "1"}
+
+
+def test_infinite_certificates_on_the_andean_inputs():
+    # every generically non-holonomic input of the Andean oracles, each
+    # also with a sheared supplied A, raises a certificate that checks
+    # out, and it is the first Andean block with rank M = q in walk order
+    rng = random.Random(53)
+    certified = 0
+    for hi in andean_inputs():
+        for hi2 in (hi, make_horn_input(hi.B, other_A(hi.A, rng))):
+            if hi2.andean.generically_holonomic:
+                continue
+            cert = check_infinite_certificate(hi2, infinite_certificate(hi2))
+            first = next(dec for dec in hi2._walk
+                         if not dec.is_toral and int_rank(dec.M) == dec.q)
+            assert cert == (first.rowset_Jbar, first.colset_M)
+            certified += 1
+    assert certified == 8
 
 
 def test_toral_blocks_are_square_invertible_with_the_full_kernel():
@@ -524,7 +677,7 @@ def check_lattice_facts(hi, seen):
     of every decomposition of hi against the routes they replaced."""
     for dec in hi.decompositions:
         B_J = dec.B_J
-        want = saturated_span(B_J).index(B_J.columns())
+        want = lattice_index(saturated_span(B_J), B_J.columns())
         assert dec.g == want, (hi.B.tolist(), dec.label)
         assert own_lattice_coordinates(dec.A_J) == \
             reference_own_lattice_coordinates(dec.A_J), (hi.B.tolist(),
@@ -645,11 +798,12 @@ def test_rank_of_M_gives_the_rank_of_A_J():
         for hi2 in (hi, make_horn_input(hi.B, other_A(hi.A, rng))):
             decs = enumerate_decompositions(hi2)
             for dec in decs:
-                assert dec.rank_M == int_rank(dec.M), dec.label
-                assert int_rank(dec.A_J) == hi2.d - dec.q + dec.rank_M
+                rank_M = int_rank(dec.M)
+                assert dec.full_rank == (rank_M == dec.q), dec.label
+                assert int_rank(dec.A_J) == hi2.d - dec.q + rank_M
                 if not dec.is_toral:
-                    full += dec.rank_M == dec.q
-                    partial += dec.rank_M < dec.q
+                    full += dec.full_rank
+                    partial += not dec.full_rank
             rep = andean_report(decs, hi2.d)
             want = reference_andean_report(decs, hi2.d)
             assert (rep.directions, rep.generically_holonomic) == want

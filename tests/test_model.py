@@ -22,7 +22,8 @@ from binomhorn.cli import main
 from binomhorn.exact_linalg import (LatticeBasis, bareiss_det, coordinate_map,
                                     int_rank, row_hnf)
 from linalg_reference import (fm_feasible, frac_rank, frac_solve,
-                              invariant_factors, is_pointed_by_fraction_ratios)
+                              invariant_factors, is_pointed_by_fraction_ratios,
+                              lattice_index)
 
 
 def test_validate_accepts_fixtures(B_erd, B_gauss, B_ds, B_nh, B_him):
@@ -497,6 +498,76 @@ def test_supplied_a_functional_has_the_canonical_values(
         assert all(isinstance(x, Fraction) for x in h)
         for j in range(B.nrows):
             assert dot(h, A.column(j)) == dot(vr.functional, vr.A.column(j))
+
+
+def reference_supplied_A(B, A):
+    """(functional, a_column_index) of a supplied A by the route that
+    ``make_horn_input`` took before it read both off the coordinates of
+    A's rows in the canonical A: A B = 0 and rank(A) = d checked on A
+    itself, h from the n equations h A = h_c A_c, and the index as a
+    determinant ratio on the Hermite pivots of the canonical A.  Raises
+    ConventionError with the library's texts, in the library's order."""
+    vr = validate_B(B)
+    n, m = B.shape
+    d = n - m
+    if A.shape != (d, n):
+        raise ConventionError(f"A has shape {A.shape}, expected {(d, n)}")
+    if not A.mul(B).is_zero():
+        raise ConventionError("A B != 0")
+    if frac_rank(A.data) != d:
+        raise ConventionError(f"rank(A) != {d}")
+    values = [dot(vr.functional, col) for col in vr.A.columns()]
+    return (frac_solve(A.columns(), values),
+            lattice_index(LatticeBasis._of_hermite(n, vr.A.data), A.data))
+
+
+def outcome(call):
+    try:
+        hi = call()
+    except ConventionError as exc:
+        return "error", str(exc)
+    if isinstance(hi, tuple):
+        return "ok", hi
+    return "ok", (hi.pointed_functional, hi.a_column_index)
+
+
+def test_supplied_a_matches_the_route_it_replaced(
+        B_erd, A_erd, B_ds, A_ds, B_nh, A_nh, B_him, A_him):
+    # on the fixtures and seeded valid B, each with its canonical A times
+    # a unimodular U and a U with |det U| > 1, and with three corrupted
+    # copies: a row off the left kernel, a dependent row, a wrong shape
+    rng = random.Random(2030)
+    cases = [(B_erd, A_erd), (B_ds, A_ds), (B_nh, A_nh), (B_him, A_him)]
+    for B in seeded_valid_B():
+        A = compute_A(B)
+        d, n = A.shape
+        while True:
+            U = IntMatrix([[rng.randint(-2, 2) for _ in range(d)]
+                           for _ in range(d)])
+            if abs(bareiss_det(U)) > 1:
+                break
+        shear = IntMatrix([[int(i == j) + (j == i + 1) * rng.randint(-3, 3)
+                            for j in range(d)] for i in range(d)])
+        rows = [list(r) for r in A.data]
+        off = [r[:] for r in rows]
+        off[-1][rng.choice([j for j in range(n) if any(B.data[j])])] += 1
+        dependent = [r[:] for r in rows]
+        dependent[-1] = [2 * x for x in rows[0]] if d > 1 else [0] * n
+        cases += [(B, A), (B, U.mul(A)), (B, shear.mul(A)),
+                  (B, other_A(A, rng)), (B, IntMatrix(off)),
+                  (B, IntMatrix(dependent)),
+                  (B, IntMatrix([r[:-1] for r in rows]))]
+    seen = Counter()
+    for B, A in cases:
+        got = outcome(lambda: make_horn_input(B, A))
+        assert got == outcome(lambda: reference_supplied_A(B, A)), \
+            (B.tolist(), A.tolist())
+        if got[0] == "ok":
+            seen["index > 1" if got[1][1] > 1 else "index 1"] += 1
+        else:
+            seen["shape" if "shape" in got[1] else got[1].split(" !=")[0]] += 1
+    assert min(seen.values()) >= 40, seen
+    assert set(seen) == {"index 1", "index > 1", "A B", "rank(A)", "shape"}
 
 
 def random_pointed_rows(rng, d, n, first, rest):
