@@ -141,18 +141,6 @@ class Scalar:
         """zeta_N^k as an element of Q(zeta_N)."""
         return Scalar(N, [0] * (k % N) + [1])
 
-    def _times_coprime(self, a, d):
-        """self * a/d for coprime integers a and d > 0, where self has
-        den 1 and numerators of gcd 1.  Every root of unity qualifies (it
-        is a unit of Z[zeta_N]), and the product's form is then canonical
-        as it stands: no gcd is taken.  Built in place, as it runs once
-        per term of every solution."""
-        out = object.__new__(Scalar)
-        out.N = self.N
-        out.nums = tuple([a * x for x in self.nums])
-        out.den = d
-        return out
-
     def is_zero(self):
         return not any(self.nums)
 

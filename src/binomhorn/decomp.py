@@ -36,10 +36,11 @@ it up to the first Andean set with rank(M) = q, the certificate of an
 infinite rank, and only ``enumerate_decompositions`` drains the rest.
 A decomposition holds its index sets and ``full_rank``; M, J, the
 other submatrices, the lattice data (``L_basis``, ``g``), the cone over
-A_J and the word table of each truncation bound T are computed only
-when read.  ``HornInput.decompositions`` keeps the sorted enumeration,
-so one input is enumerated once, each of its cones is built once, and
-each word table once per T.  B_J always has full column rank, since a
+A_J, the atlas of M at each cap and the word table of each truncation
+bound T are computed only when read.  ``HornInput.decompositions`` keeps
+the sorted enumeration, so one input is enumerated once, each of its
+cones is built once, each atlas once per cap and each word table once
+per T.  B_J always has full column rank, since a
 vector of its kernel, padded with zeros on the columns of M, lies in
 the kernel of B.  So the index g of its column span in the saturation
 is the product of the pivots of its row Hermite form
@@ -50,22 +51,26 @@ saturating B_J.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable
 
-from .errors import SizeLimitError
+from .errors import CapExceededError, SizeLimitError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
     _bareiss_rank,
+    column_hnf,
     coordinate_map,
+    rref,
     saturated_span,
     saturation_index,
 )
 from .geometry import Cone
 from .model import HornInput
 from .series import Truncation
+from .subgraph import SubgraphAtlas, bounded_atlas
 
 MAX_ROWS = 30
 
@@ -88,7 +93,10 @@ class Decomposition:
     only for toral decompositions, and the empty product makes it 1 when
     p = m.  ``cone`` holds the cells, volume and support functions of
     A_J, likewise computed when first read, and ``word_table(T)`` builds
-    the ``WordTable`` of each bound T once.  B and A are compared too,
+    the ``WordTable`` of each bound T once, as ``atlas(cap)`` builds the
+    atlas of M at each cap and ``cell_plans`` the parameter-free part of
+    each cell's exponents, so a caller that reuses one input across
+    parameters pays for none of them again.  B and A are compared too,
     so decompositions of different inputs differ.
     """
 
@@ -142,6 +150,34 @@ class Decomposition:
         return Cone(self.A_J)
 
     @cached_property
+    def cell_plans(self) -> tuple:
+        """What the exponents of each cell of ``cone`` need besides the
+        parameter, one ``_cell_plan`` per cell, in the order of
+        ``cone.cells``; computed when first read."""
+        return tuple(_cell_plan(self, sigma, volume)
+                     for sigma, volume in self.cone.cells)
+
+    @cached_property
+    def _atlases(self):
+        return {}
+
+    def atlas(self, cap: int = 1000) -> SubgraphAtlas:
+        """``bounded_atlas(M, cap)``, computed on the first call for each
+        cap and shared by later ones.  A CapExceededError is kept with its
+        certificate and raised again by every later call at that cap, so
+        no partial atlas is ever kept."""
+        got = self._atlases.get(cap)
+        if got is None:
+            try:
+                got = bounded_atlas(self.M, cap=cap)
+            except CapExceededError as exc:
+                got = exc
+            self._atlases[cap] = got
+        if isinstance(got, CapExceededError):
+            raise got.with_traceback(None)
+        return got
+
+    @cached_property
     def _word_tables(self):
         return {}
 
@@ -179,7 +215,8 @@ class WordTable:
     coordinate of J, once per table, for the Gamma-ratio products of
     every (gamma, cell exponent) and parameter (``solutions._gamma_terms``).
     ``classes(w, order)`` gives each word's class under the character of
-    weight w, built once per weight and order.
+    weight w, built once per weight and order, and ``row_plan`` the
+    words a point of a solution keeps and their offsets, once per point.
     """
 
     words: tuple
@@ -206,6 +243,86 @@ class WordTable:
             got = self._classes[key] = tuple([
                 sum(map(mul, w, k)) % order for k, _ in self.words])
         return got
+
+    @cached_property
+    def _plans(self):
+        return {}
+
+    def row_plan(self, translate, cut):
+        """(offsets, indices, columns) of the words kept from the sheet
+        translate t: the offsets z = t + u of the words (u from
+        ``lifted``) with z_k >= b for every pair (k, b) of ``cut``, in
+        word order, the indices of those words, and the offsets by
+        coordinate.
+
+        Neither the translate nor the cut depends on the parameter (see
+        ``solutions._zero_cut``), so the plan is built once per pair and
+        shared by every parameter; the solutions built from it share its
+        offset tuples as their keys.
+        """
+        key = (translate, cut)
+        plan = self._plans.get(key)
+        if plan is None:
+            lifted = self.lifted
+            live = range(len(lifted))
+            for k, b in cut:
+                b -= translate[k]
+                live = [i for i in live if lifted[i][k] >= b]
+            live = list(live)
+            offsets = tuple([tuple(map(add, translate, lifted[i]))
+                             for i in live])
+            plan = self._plans[key] = (
+                offsets, live,
+                tuple(zip(*offsets)) or ((),) * len(translate))
+        return plan
+
+
+def _cell_plan(dec: Decomposition, sigma, cell_volume):
+    """(sigma, inverse, det, reps) for the cell with column basis sigma
+    (positions within J) and the given normalized volume.
+
+    Its exponents v take nonnegative integer values a on the
+    complementary positions, one choice per coset of the projected
+    kernel lattice, listed in order, and solve A_sigma v_sigma =
+    beta' - A_comp a on sigma for the shifted parameter beta'.  None of
+    that but beta' depends on the parameter, so it is kept here: the
+    inverse of the square block A_sigma as integer rows over det, and
+    per coset representative a, the exponent template (a on the
+    complement as Fractions, None on sigma) with the integer vector
+    inverse A_comp a (see ``solutions._cell_exponents``).
+    """
+    nj = len(dec.J)
+    comp = [t for t in range(nj) if t not in set(sigma)]
+    L = dec.L_basis
+    if len(comp) != L.rank:
+        raise AssertionError("complement size must match the lattice rank")
+    reps = [()]
+    if comp:
+        proj = [tuple(vec[t] for t in comp) for vec in L.vectors]
+        H = column_hnf(IntMatrix.from_columns(proj))
+        if H.ncols != len(comp):
+            raise AssertionError("projected lattice must have full rank")
+        for dd in (H.data[i][i] for i in range(len(comp))):
+            reps = [t + (i,) for t in reps for i in range(dd)]
+    if len(reps) != cell_volume:
+        raise AssertionError(
+            f"coset count {len(reps)} != cell volume {cell_volume}")
+    A = dec.A_J.data
+    d = len(A)
+    pivots, red, det = rref([[A[i][t] for t in sigma]
+                             + [int(i == k) for k in range(d)]
+                             for i in range(d)], 2 * d)
+    if len(sigma) != d or pivots != list(range(d)):
+        raise AssertionError("simplex system must be solvable")
+    inverse = [row[d:] for row in red]
+    plans = []
+    for a in sorted(reps):
+        shift = [sum(A[i][t] * x for t, x in zip(comp, a)) for i in range(d)]
+        v = [None] * nj
+        for t, x in zip(comp, a):
+            v[t] = Fraction(x)
+        plans.append((v, [sum(map(mul, row, shift)) for row in inverse]))
+    return tuple(sigma), inverse, det, plans
 
 
 def _l1_ball(r, T):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import HornInput
-from .subgraph import bounded_atlas
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ def generic_rank(hi: HornInput, cap: int = 1000) -> RankReport:
     for dec in hi.decompositions:
         if not dec.is_toral:
             continue
-        atlas = bounded_atlas(dec.M, cap=cap)
+        atlas = dec.atlas(cap)
         summands.append(RankSummand(
             label=dec.label,
             rowset=tuple(i + 1 for i in dec.rowset_Jbar),

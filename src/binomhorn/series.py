@@ -10,33 +10,38 @@ base + z, so rational and negative exponents are handled uniformly,
 while keys stay integer.
 
 The stored terms are the only representation of a series.  Every
-operator works on its integer form instead (``_integer_form``):
-one positive common denominator D, the lcm of the Scalars' integer
-denominators, and, per offset, the deg Phi_N integers whose quotients
-by D are the coefficients, each a Scalar's numerators times one integer
-quotient.  The form is built where an operator is applied, once per
-``verify_annihilation`` call, and is never cached, so edits of the
-coefficients are always seen.  An operator's result is integer vectors
-over one denominator (``_integer_action``); they become Scalars, reduced
-by one gcd each, only where they are read, so no ``Fraction`` is built
-per term on either side.  A rational lambda of a binomial operator is
-one more integer factor of its second part; only an irrational one acts
-through its multiplication matrix on Z[zeta_N], the one that ``Scalar``
-products and inverses read (``cyclotomic._mul_matrix``).
+operator works on its integer form instead (``_integer_form``): deg
+Phi_N integer columns, column k listing the k-th numerator of every
+term, beside the column of each term's own positive denominator, read
+off the Scalars with no lcm and no division.  The form is built where
+an operator is applied, once per ``verify_annihilation`` call, and is
+never cached, so edits of the coefficients are always seen.  An operator
+acts on whole columns (``_integer_action``): it gathers them at the
+indices its terms come from (``operator.itemgetter``), multiplies them
+by columns of integer factors with ``map``, and keeps, through
+``itertools.compress``, the nonzero results, each an integer vector
+over its own denominator.  They become Scalars, reduced by one gcd
+each, only where they are read, so no ``Fraction`` is built and no
+Python step is taken per term on either side.  A rational lambda of a
+binomial operator is one more integer factor of its second part; only
+an irrational one acts through its multiplication matrix on
+Z[zeta_N], the one that ``Scalar`` products and inverses read
+(``cyclotomic._mul_matrix``).
 
 What an operator's action depends on besides the coefficients is kept
 in two stores (``_offset_store``).  The offsets its binomial terms land
-on and pair up at, and the dot products of each Euler row with the
-offsets, depend on the offsets alone.  They are kept on the
-``Truncation``, keyed by the offsets, so the solutions on it share them
-across parameters: the offsets of a truncated solution are its lattice
-words plus its sheet translates, whatever the parameter.  The falling
-factorial columns of each binomial part and the constant of each Euler
-operator also depend on the base.  They are kept on the ``Support``,
-which the character twists of one solution share along with their
-offsets, so they compute them once.  That store serves only a series
-whose base is the support's alpha, and it is rebuilt whenever the
-offsets differ from the ones it was built for.
+on, the gathers of the indices they come from, the level sets of each
+Euler row (the offsets grouped by their dot product with the row) and
+the offsets by coordinate depend on the offsets alone.  They are kept
+on the ``Truncation``, keyed by the offsets, so the solutions on it
+share them across parameters: the offsets of a truncated solution are
+its lattice words plus its sheet translates, whatever the parameter.
+The falling factorial columns of each binomial part and the factor of
+each level of an Euler operator also depend on the base.  They are kept
+on the ``Support``, which the character twists of one solution share
+along with their offsets, so they compute them once.  That store
+serves only a series whose base is the support's alpha, and it is
+rebuilt whenever the offsets differ from the ones it was built for.
 
 A ``Truncation`` is shared by every solution of one decomposition at one
 bound (see ``Decomposition.word_table``).  It builds the integer forms
@@ -52,8 +57,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, groupby
 from math import lcm, prod
-from operator import add, mul, sub
+from operator import add, attrgetter, itemgetter, mul, sub
 
 from .cyclotomic import Scalar, _mul_matrix, cyclotomic_polynomial
 from .exact_linalg import IntMatrix, coordinate_forms
@@ -87,11 +93,11 @@ class Truncation:
         """The store of the operator work that depends on the offsets
         ``offsets`` alone (see ``series._offset_store``), one per tuple of
         offsets: the pairings of the binomial operators, keyed by
-        (u_plus, u_minus or None), and the dot products of the Euler
-        rows, keyed by their integer rows (``EulerOp._keys``).  Nothing in
-        it depends on a base or a coefficient, so every solution on this
-        truncation whose offsets are ``offsets``, at any parameter,
-        shares it."""
+        (u_plus, u_minus or None), the level sets of the Euler rows,
+        keyed by their integer rows (``EulerOp._keys``), and the offsets
+        by coordinate.  Nothing in it depends on a base or a coefficient,
+        so every solution on this truncation whose offsets are
+        ``offsets``, at any parameter, shares it."""
         return self._offset_work.setdefault(offsets, {})
 
     def coverage(self, sheets, shifts):
@@ -310,7 +316,7 @@ class EulerOp:
         the lcm e of its denominators, and that with the value as a
         coprime integer pair.  Equal rows give equal row keys whatever
         the parameter, so operators built for different parameters share
-        the truncation's dot products, and no lookup hashes a Fraction.
+        the truncation's level sets, and no lookup hashes a Fraction.
         """
         e = lcm(*(r.denominator for r in self.row))
         row = ("euler", e,
@@ -369,61 +375,75 @@ def apply_operator(op, s: PuiseuxSeries) -> PuiseuxSeries:
     The operator acts on the integer form of ``s`` (``_integer_action``),
     and the terms that survive become Scalars, each reduced by one gcd.
     """
-    order, den, out = _integer_action(op, _integer_form(s), s.base)
-    return s._with_terms({z: Scalar._reduced(order, v, den)
-                          for z, v in out.items()})
+    order, common, out = _integer_action(op, _integer_form(s), s.base)
+    return s._with_terms({z: Scalar._reduced(order, v, common * d)
+                          for z, v, d in out})
 
 
 def _integer_action(op, form, base):
-    """(N, D, vectors): a binomial or Euler operator applied to the
-    integer form ``form`` (``_integer_form``) of a series on ``base``,
-    as the nonzero integer vectors of the result keyed by offset, whose
-    quotients by D are the coefficients in Q(zeta_N).
+    """(N, c, terms): a binomial or Euler operator applied to the integer
+    form ``form`` (``_integer_form``) of a series on ``base``, as the
+    list of its nonzero terms (z, vector, d), whose coefficient is the
+    vector of deg Phi_N integers over c d.
 
-    A term costs integer products, and a term that cancels is an
-    all-zero vector and is left out.  What depends on the offsets alone
-    (partner offsets, Euler dot products) and what depends on them and
-    the base (falling factorial columns, Euler constants) comes from the
-    store that the form carries (see ``_offset_store``).
+    The action works on whole columns: each part of an operator gathers
+    the coordinate columns of the form at the indices its terms come
+    from and multiplies them by columns of integer factors, so a term
+    costs integer products and no Python step.  A result whose vector is
+    all zero, a cancelled term or the image of a zero coefficient, is
+    left out.  What depends on the offsets alone (partner offsets, Euler
+    level sets) and what depends on them and the base (falling factorial
+    columns, Euler factors) comes from the store that the form carries
+    (see ``_offset_store``).
     """
-    order, den, vecs, shared = form
+    order, cols, dens, shared = form
     if isinstance(op, BinomialOp):
         lam = None if op.lam.is_zero() else op.lam
         if lam is not None and lam.N != order and order == 1:
-            order, vecs = lam.N, _lift(vecs, lam.N)
-        common, out = _binomial_action(base, shared, vecs, order,
-                                       op.u_plus, op.u_minus, lam)
+            order, cols = lam.N, _lift(cols, lam.N)
+        common, zs, cols, dens = _binomial_action(
+            base, shared, cols, dens, order, op.u_plus, op.u_minus, lam)
     elif isinstance(op, EulerOp):
-        common, out = _euler_action(base, shared, vecs, op)
+        common, zs, cols, dens = _euler_action(base, shared, cols, dens, op)
     else:
         raise TypeError(f"unknown operator type {type(op)!r}")
-    return order, den * common, out
+    vecs = list(zip(*cols))
+    return order, common, list(compress(zip(zs, vecs, dens), map(any, vecs)))
+
+
+_order, _nums, _den = attrgetter("N"), attrgetter("nums"), attrgetter("den")
 
 
 def _integer_form(s):
-    """The terms of ``s`` over one common denominator.
+    """The terms of ``s`` as integer columns.
 
-    Returns (N, D, vectors, shared): the cyclotomic order N of the
-    coefficients, the positive lcm D of the Scalars' denominators, the
-    list, in the order of ``s.terms``, of the deg Phi_N integers whose
-    quotients by D are the coefficients of each term (the Scalar's
-    numerators times one integer quotient of D by its denominator), and
-    the offset store of ``s`` (``_offset_store``).  A rational
-    coefficient of order 1 in a series of order N > 1 is padded with
-    zeros, as in Q(zeta_N).  The vectors are rebuilt from ``s.terms`` on
-    every call and are never stored, so edits of the coefficients are
-    always seen.
+    Returns (N, columns, denominators, shared): the cyclotomic order N of
+    the coefficients; deg Phi_N columns, column k listing the k-th
+    power-basis numerator of every term in the order of ``s.terms``;
+    each term's own positive denominator, in the same order; and the
+    offset store of ``s`` (``_offset_store``).  A coefficient is its
+    numerators over its denominator, as the Scalar holds it, so the form
+    takes no lcm and no division.  A rational coefficient of order 1 in
+    a series of order N > 1 is padded with zeros, as in Q(zeta_N).  The
+    columns are rebuilt from ``s.terms`` on every call and are never
+    stored, so edits of the coefficients are always seen.
     """
-    orders = {c.N for c in s.terms.values()}
+    values = s.terms.values()
+    orders = set(map(_order, values))
     if len(orders - {1}) > 1:
         raise ValueError(f"mixed cyclotomic orders {sorted(orders - {1})}")
     order = max(orders, default=1)
-    den = lcm(*{c.den for c in s.terms.values()})
-    vecs = [c.nums if (m := den // c.den) == 1 else
-            tuple([m * x for x in c.nums]) for c in s.terms.values()]
+    nums = map(_nums, values)
     if order > 1 and 1 in orders:
-        vecs = _lift(vecs, order)
-    return order, den, vecs, _offset_store(s)
+        pad = (0,) * (_degree(order) - 1)
+        nums = [v if len(v) > 1 else v + pad for v in nums]
+    cols = list(zip(*nums)) or [()] * _degree(order)
+    return order, cols, list(map(_den, values)), _offset_store(s)
+
+
+def _degree(order):
+    """deg Phi_N, the length of a Scalar's numerators in Q(zeta_N)."""
+    return len(cyclotomic_polynomial(order)) - 1
 
 
 def _offset_store(s):
@@ -435,14 +455,14 @@ def _offset_store(s):
     The first store lives on the support (``Support._shared``), so the
     series that share a support and its offsets, as the character twists
     of one solution do, share its falling factorial columns and Euler
-    constants; it is used only when the base of ``s`` is the support's
+    factors; it is used only when the base of ``s`` is the support's
     alpha, and it is cleared whenever the offsets of ``s``, in order,
     differ from the ones it was built for.  Any other series gets a
     throwaway store.  The second store lives on the truncation
     (``Truncation.offset_work``), keyed by the offsets, so the solutions
-    on one truncation whose offsets agree share their pairings and Euler
-    dot products across supports and bases; a series with no truncation
-    gets a throwaway one.
+    on one truncation whose offsets agree share their pairings, Euler
+    level sets and offset columns across supports and bases; a series
+    with no truncation gets a throwaway one.
     """
     support = s.support
     shared = support._shared if support is not None \
@@ -456,19 +476,43 @@ def _offset_store(s):
     return shared
 
 
-def _lift(vecs, order):
-    """Integer vectors, those of order 1 among them, as vectors of
-    Q(zeta_order)."""
-    deg = len(cyclotomic_polynomial(order)) - 1
-    return [v + (0,) * (deg - len(v)) for v in vecs]
+def _offset_columns(shared, nvars):
+    """The offsets of the store ``shared`` by coordinate: column j lists
+    z_j for every offset z, in order; built once per offsets on the
+    truncation's store."""
+    work = shared["work"]
+    cols = work.get("columns")
+    if cols is None:
+        cols = work["columns"] = tuple(zip(*shared["offsets"])) \
+            or ((),) * nvars
+    return cols
 
 
-def _binomial_action(base, shared, vecs, order, u_plus, u_minus, lam):
+def _lift(cols, order):
+    """Integer columns of order 1 as columns of Q(zeta_order): the
+    higher power-basis coordinates are zero."""
+    return cols + [(0,) * len(cols[0])] * (_degree(order) - len(cols))
+
+
+def _gather(indices):
+    """A callable picking the entries at ``indices`` of a sequence as a
+    tuple: ``operator.itemgetter``, which returns a bare entry for one
+    index and cannot take none, wrapped for those two cases."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        i, = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+def _binomial_action(base, shared, cols, dens, order, u_plus, u_minus, lam):
     """partial^u_plus - lam partial^u_minus (lam None: the first part
-    alone) applied to the integer vectors ``vecs`` on ``base``, listed
-    in the order of the offsets of the store ``shared``; returns the
-    common denominator of the two parts and the nonzero integer vectors
-    over it, keyed by offset.
+    alone) applied to the integer columns ``cols`` over the denominators
+    ``dens`` on ``base``, listed in the order of the offsets of the store
+    ``shared``; returns (c, offsets, columns, denominators) of the
+    result, each term's coefficient its column entries over c times its
+    denominator.
 
     The coefficient of partial^u x^(base + z) is a product over the
     coordinates j with u_j > 0 of falling factorials of base_j + z_j.
@@ -478,10 +522,13 @@ def _binomial_action(base, shared, vecs, order, u_plus, u_minus, lam):
     scale -a, denominator b.  Any other lam acts through its integer
     multiplication matrix on Z[zeta_N] (``_multiplication_matrix``),
     with scale -1 and the matrix's denominator.  The offsets the terms
-    land on and pair up at come from ``_pairing``, once per offsets and
-    operator on the truncation; the scaled falling factorial columns
-    (``_scaled_column``), once per support.  A term whose column entry
-    is zero contributes nothing.
+    land on and the indices they come from are gathers of ``_pairing``,
+    once per offsets and operator on the truncation; the scaled falling
+    factorial columns (``_scaled_column``), once per support.  A term
+    from index i alone is a_i x_i over d_i, and a pair (i, j) is
+    a_i d_j x_i + b_j d_i y_j over d_i d_j, with a and b the two parts'
+    columns and y the second part's coefficients, so no term is put
+    over a denominator shared with the others.
     """
     parts, matrix = [(u_plus, 1, 1)], None
     if lam is not None:
@@ -498,29 +545,28 @@ def _binomial_action(base, shared, vecs, order, u_plus, u_minus, lam):
     pairing = work.get(key)
     if pairing is None:
         pairing = work[key] = _pairing(shared["offsets"], *key)
-    firsts, pairs, seconds = pairing
-    cols = [_scaled_column(shared, base, u, factor * (common // den))
-            for u, den, factor in parts]
-    ns, ms = cols[0], cols[-1]
-    ys = vecs if matrix is None else \
-        [[sum(map(mul, row, v)) for row in matrix] for v in vecs]
-    out = {}
-    for z, i in firsts:
-        if a := ns[i]:
-            out[z] = [a * x for x in vecs[i]]
-    for z, i, j in pairs:
-        a, b = ns[i], ms[j]
-        if a and b:
-            if any(w := [a * x + b * y for x, y in zip(vecs[i], ys[j])]):
-                out[z] = w
-        elif a:
-            out[z] = [a * x for x in vecs[i]]
-        elif b:
-            out[z] = [b * y for y in ys[j]]
-    for z, j in seconds:
-        if b := ms[j]:
-            out[z] = [b * y for y in ys[j]]
-    return common, out
+    (firsts, f), (paired, i, j), (seconds, s) = pairing
+    scaled = [_scaled_column(shared, base, u, factor * (common // den))
+              for u, den, factor in parts]
+    a, b = scaled[0], scaled[-1]
+    ys = cols if matrix is None else [_combine(row, cols) for row in matrix]
+    d_i, d_j = i(dens), j(dens)
+    a_f, b_s = f(a), s(b)
+    a_i, b_j = list(map(mul, i(a), d_j)), list(map(mul, j(b), d_i))
+    out = [[*map(mul, a_f, f(x)),
+            *map(add, map(mul, a_i, i(x)), map(mul, b_j, j(y))),
+            *map(mul, b_s, s(y))] for x, y in zip(cols, ys)]
+    return (common, firsts + paired + seconds, out,
+            [*f(dens), *map(mul, d_i, d_j), *s(dens)])
+
+
+def _combine(row, cols):
+    """The column sum_l row_l cols_l of integer columns."""
+    out = [0] * len(cols[0])
+    for m, x in zip(row, cols):
+        if m:
+            out = list(map(add, out, map(m.__mul__, x)))
+    return out
 
 
 def _pairing(zs, u_plus, u_minus=None):
@@ -530,27 +576,35 @@ def _pairing(zs, u_plus, u_minus=None):
 
     The first part's term from z and the second part's term from
     z - (u_plus - u_minus) land on one offset, z - u_plus.  So the
-    pairing is three lists of indices into ``zs``: (offset, i) for a
-    first-part term alone, (offset, i, j) for a pair and (offset, j) for
-    a second-part term alone.
+    pairing is three groups: the offsets a first-part term alone lands
+    on with a gather of the indices into ``zs`` it comes from, the
+    offsets a pair lands on with gathers of its first and second
+    indices, and the offsets a second-part term alone lands on with a
+    gather of its indices (see ``_gather``).
     """
-    if u_minus is None:
-        return [(tuple(map(sub, z, u_plus)), i)
-                for i, z in enumerate(zs)], (), ()
-    index = {z: i for i, z in enumerate(zs)}
-    shift = tuple(map(sub, u_plus, u_minus))
     paired = [False] * len(zs)
     pairs, seconds = [], []
-    for j, z in enumerate(zs):
-        y = tuple(map(sub, z, u_minus))
-        i = index.get(tuple(map(add, z, shift)))
-        if i is None:
-            seconds.append((y, j))
-        else:
-            pairs.append((y, i, j))
-            paired[i] = True
-    return [(tuple(map(sub, z, u_plus)), i) for i, z in enumerate(zs)
-            if not paired[i]], pairs, seconds
+    if u_minus is not None:
+        index = {z: i for i, z in enumerate(zs)}
+        shift = tuple(map(sub, u_plus, u_minus))
+        for j, z in enumerate(zs):
+            y = tuple(map(sub, z, u_minus))
+            i = index.get(tuple(map(add, z, shift)))
+            if i is None:
+                seconds.append((y, j))
+            else:
+                pairs.append((y, i, j))
+                paired[i] = True
+    firsts = [(tuple(map(sub, z, u_plus)), i) for i, z in enumerate(zs)
+              if not paired[i]]
+    return _group(firsts, 2), _group(pairs, 3), _group(seconds, 2)
+
+
+def _group(rows, width):
+    """Rows (offset, index, ...) of ``width`` entries as the tuple of
+    their offsets followed by a gather of each index position."""
+    offsets, *indices = zip(*rows) if rows else [()] * width
+    return (offsets, *map(_gather, indices))
 
 
 def _scaled_column(shared, base, u, factor):
@@ -562,72 +616,82 @@ def _scaled_column(shared, base, u, factor):
     if col is None:
         col = shared.get(("column", u))
         if col is None:
-            col = shared[("column", u)] = _falling_column(
-                base, shared["offsets"], u)
+            col = shared[("column", u)] = _falling_column(base, shared, u)
         if factor != 1:
-            col = [factor * n for n in col]
+            col = list(map(factor.__mul__, col))
         shared[key] = col
     return col
 
 
-def _falling_column(base, zs, u):
-    """For each offset z in ``zs``, the integer numerator of the
-    coefficient prod_j ff(base_j + z_j, u_j) of partial^u x^(base + z)
-    over prod_j q_j^u_j, q_j the denominator of base_j; one table per
-    coordinate maps z_j to its factor."""
-    nums = [1] * len(zs)
+def _falling_column(base, shared, u):
+    """For each offset z of the store ``shared``, the integer numerator
+    of the coefficient prod_j ff(base_j + z_j, u_j) of partial^u
+    x^(base + z) over prod_j q_j^u_j, q_j the denominator of base_j.
+    One table per coordinate maps z_j to its factor; the lookups of the
+    offsets' column j (``_offset_columns``) are multiplied in."""
+    nums = None
     for j, k in enumerate(u):
         if not k:
             continue
+        col = _offset_columns(shared, len(base))[j]
         p, q = base[j].numerator, base[j].denominator
         table = {}
-        for x in {z[j] for z in zs}:
+        for x in set(col):
             num, top = 1, p + x * q
             for i in range(k):
                 num *= top - i * q
             table[x] = num
-        nums = [n * table[z[j]] for n, z in zip(nums, zs)]
-    return nums
+        looked = map(table.__getitem__, col)
+        nums = list(looked) if nums is None else list(map(mul, nums, looked))
+    return [1] * len(shared["offsets"]) if nums is None else nums
 
 
-def _euler_action(base, shared, vecs, op):
-    """(e, vectors) for the Euler operator ``op`` on the integer vectors
-    ``vecs`` on ``base``, listed in the order of the offsets of the store
-    ``shared``.
+def _euler_action(base, shared, cols, dens, op):
+    """(e, offsets, columns, denominators) for the Euler operator ``op``
+    on the integer columns ``cols`` over ``dens`` on ``base``, listed in
+    the order of the offsets of the store ``shared``.
 
     sum_j row_j (base_j + z_j) - value is one rational constant plus the
-    dot product of the row with the integer offset z.  The dot products,
-    integers over the lcm of the row's own denominators, are read from
-    the integer row of ``EulerOp._keys``; they depend on the offsets
-    alone and are built once per offsets and row on the truncation
-    (``_euler_products``); the constant, once per support.
-    Over their common denominator e each term's factor is one integer,
-    and the terms where it is zero are left out.  Both stores are keyed
-    by the integer forms of ``EulerOp._keys``.
+    dot product of the row with the integer offset z.  Over the common
+    denominator e of the row and the constant, the factor of every
+    offset in one level set of the row (the offsets of one dot product,
+    ``_euler_levels``) is one integer, and a level whose factor is zero
+    contributes nothing.  The level sets depend on the offsets alone and
+    are built once per offsets and row on the truncation; the factors,
+    and the gather of the offsets on levels that do not vanish, once per
+    support and operator.  On a solution every level vanishes, so the
+    check reads no column.  Both stores are keyed by the integer forms
+    of ``EulerOp._keys``.
     """
     row_key, key = op._keys
     got = shared.get(key)
     if got is None:
         work = shared["work"]
         _, e_row, ints = row_key
-        dots = work.get(row_key)
-        if dots is None:
-            dots = work[row_key] = _euler_products(shared["offsets"], ints)
+        levels = work.get(row_key)
+        if levels is None:
+            levels = work[row_key] = _euler_levels(shared["offsets"], ints)
         const = sum(r * b for r, b in zip(op.row, base)) - op.value
         e = lcm(e_row, const.denominator)
-        got = shared[key] = (e, e // e_row, dots,
-                             const.numerator * (e // const.denominator))
-    e, k, dots, c = got
-    return e, {z: [f * x for x in v]
-               for z, v, d in zip(shared["offsets"], vecs, dots)
-               if (f := k * d + c)}
+        k, c = e // e_row, const.numerator * (e // const.denominator)
+        live = sorted((i, f) for dot, idx in levels.items()
+                      if (f := k * dot + c) for i in idx)
+        pick = _gather([i for i, _ in live])
+        got = shared[key] = (e, pick(shared["offsets"]), pick,
+                             [f for _, f in live])
+    e, zs, pick, fs = got
+    return e, zs, [list(map(mul, fs, pick(x))) for x in cols], pick(dens)
 
 
-def _euler_products(zs, ints):
-    """The dot product of the integer row ``ints`` (an Euler row over the
-    lcm of its denominators, from ``EulerOp._keys``) with each offset z
-    in ``zs``."""
-    return [sum(map(mul, ints, z)) for z in zs]
+def _euler_levels(zs, ints):
+    """The level sets of the integer row ``ints`` (an Euler row over the
+    lcm of its denominators, from ``EulerOp._keys``) on the offsets
+    ``zs``: each dot product with the row, mapped to the indices of the
+    offsets that have it, in order."""
+    dots = [sum(map(mul, ints, z)) for z in zs]
+    at = dots.__getitem__
+    return {dot: list(idx)
+            for dot, idx in groupby(sorted(range(len(zs)), key=at), at)}
 
 
 def _multiplication_matrix(lam, order):

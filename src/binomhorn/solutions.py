@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import gcd
-from operator import add, mul, sub
+from itertools import accumulate, count, product, repeat
+from math import gcd, lcm
+from operator import floordiv, getitem, mul, sub
 
 from .cyclotomic import Scalar
 from .decomp import Decomposition, WordTable
@@ -31,13 +31,7 @@ from .errors import (
     ResonanceError,
     VeryGenericError,
 )
-from .exact_linalg import (
-    IntMatrix,
-    column_hnf,
-    frac_solve,
-    row_hnf,
-    rref,
-)
+from .exact_linalg import IntMatrix, row_hnf, rref
 from .geometry import very_generic_check, _shift_beta
 from .model import HornInput
 from .series import (
@@ -47,7 +41,7 @@ from .series import (
     _integer_action,
     _integer_form,
 )
-from .subgraph import Component, bounded_atlas
+from .subgraph import Component
 
 
 # -- polynomial solutions attached to bounded components ------------------------
@@ -108,90 +102,91 @@ def _point_ff(point, u):
 # -- truncated hypergeometric series --------------------------------------------
 
 def _gamma_ratios(v, lo, hi):
-    """Gamma(v + 1) / Gamma(v + t + 1) for lo <= t <= hi as integer
-    (numerator, denominator) pairs, listed from t = lo; requires
-    lo <= 0 <= hi.
+    """Gamma(v + 1) / Gamma(v + t + 1) for lo <= t <= hi, requiring
+    lo <= 0 <= hi, as (numerators, denominators, cut, pole).
 
-    With v = p/q, one step down multiplies by v + t + 1 = (p + (t+1) q)/q
-    (a falling factorial factor), one step up divides by v + t (a rising
-    factorial factor).  Past a vanishing rising factorial the entries
-    are None.
+    The two integer lists are indexed by t itself, a negative t from the
+    end as Python indexes, so a column of t values reads them with no
+    shift.  With v = p/q, one step down multiplies by v + t + 1 =
+    (p + (t+1) q)/q (a falling factorial factor), one step up divides by
+    v + t (a rising factorial factor); each step keeps the denominator
+    positive.  The numerators vanish exactly below ``cut`` (past a
+    nonnegative integer exponent), which is None when none vanishes in
+    range; from ``pole`` on (past a vanishing rising factorial) both
+    entries are None, and ``pole`` is None when there is none.
     """
     p, q = v.numerator, v.denominator
-    down = []
-    num = den = 1
-    for t in range(0, lo, -1):
-        num *= p + t * q
-        den *= q
-        down.append((num, den))
-    down.reverse()
-    up = [(1, 1)]
-    r = (1, 1)
-    for t in range(1, hi + 1):
-        if r is not None:
-            top = p + t * q
-            r = None if top == 0 else (r[0] * q, r[1] * top)
-        up.append(r)
-    return down + up
+    tops = [p + t * q for t in range(1, hi + 1)]
+    pole = None
+    if 0 in tops:
+        pole = tops.index(0) + 1
+        del tops[pole - 1:]
+    nums = list(accumulate([q if x > 0 else -q for x in tops], mul, initial=1))
+    dens = list(accumulate(map(abs, tops), mul, initial=1))
+    gap = [None] * (hi + 1 - len(nums))
+    downs = [p + t * q for t in range(0, lo, -1)]
+    cut = -downs.index(0) if 0 in downs else None
+    down_n = list(accumulate(downs, mul))
+    down_d = list(accumulate(repeat(q, len(downs)), mul))
+    return (nums + gap + down_n[::-1], dens + gap + down_d[::-1], cut, pole)
 
 
 def _ratio_tables(v, offsets, reach):
     """Per coordinate j, the ``_gamma_ratios`` table of v_j over every
-    shift w_j + u_j that the words reach from any of the integer
-    ``offsets`` w, and the table index of u_j = 0 for each offset."""
-    ratios, los = [], []
+    t = w_j + u_j that the words reach from any of the integer
+    ``offsets`` w."""
+    tables = []
     for j, r in enumerate(reach):
         lo = min(0, min(w[j] for w in offsets) - r)
         hi = max(0, max(w[j] for w in offsets) + r)
-        ratios.append(_gamma_ratios(v[j], lo, hi))
-        los.append(lo)
-    return ratios, [list(map(sub, w, los)) for w in offsets]
+        tables.append(_gamma_ratios(v[j], lo, hi))
+    return tables
 
 
-def _gamma_terms(words, cols, ratios, starts):
-    """(i, numerator, denominator) of the Gamma-ratio product of the i-th
-    word, for every word where it is nonzero, in word order.
+def _zero_cut(cols, tables, w):
+    """Which words from the offset w have a nonzero Gamma-ratio product,
+    as ((j, cut), ...): exactly those with w_j + u_j >= cut at every
+    coordinate j listed, the coordinates whose table has zeros.
 
-    ``cols`` holds the offsets u of the words by coordinate: column j
-    lists u_j for every word, in word order (``WordTable.columns``).
-    ``ratios`` and ``starts`` come from ``_ratio_tables``: the table of
-    each coordinate j and its index of u_j = 0.  A table's zeros are a
-    prefix (falling factorials past a nonnegative integer exponent) and
-    its None entries a suffix (past a vanishing rising factorial), so
-    the product is built one coordinate at a time.  A word reaching into
-    a None suffix raises ResonanceError naming the first such word, in
-    word order, and its first such coordinate; then the words that some
-    coordinate's zeros kill are dropped, and only the remaining words are
-    multiplied.
+    ``cols`` holds the offsets u of the words by coordinate, in word
+    order (``WordTable.columns``), and ``tables`` comes from
+    ``_ratio_tables``.  A word reaching a table's pole raises
+    ResonanceError naming the first such word, in word order, and its
+    first such coordinate.  The cut depends on the parameter only where
+    an exponent is a nonnegative integer, so it is the same at every
+    generic parameter.
     """
     first = None
-    for j, (table, start) in enumerate(zip(ratios, starts)):
-        if None in table:
-            pole = table.index(None) - start
-            i = next((i for i, x in enumerate(cols[j]) if x >= pole), None)
+    for j, (col, table, x) in enumerate(zip(cols, tables, w)):
+        pole = table[3]
+        if pole is not None:
+            i = next((i for i, u in enumerate(col) if u >= pole - x), None)
             if i is not None and (first is None or i < first[0]):
                 first = (i, j)
     if first is not None:
         i, j = first
-        u = words[i][1]
+        u = tuple(col[i] for col in cols)
         raise ResonanceError(
             "rising factorial vanished at coordinate "
             f"{j + 1} for offset {list(u)}", term=u, coordinate=j)
-    live = range(len(words))
-    for col, table, start in zip(cols, ratios, starts):
-        cut = 0
-        while not table[cut][0]:
-            cut += 1
-        if cut:
-            cut -= start
-            live = [i for i in live if col[i] >= cut]
-    nums = [1] * len(live)
-    dens = [1] * len(live)
-    for col, table, start in zip(cols, ratios, starts):
-        rs = [table[start + col[i]] for i in live]
-        nums = [n * r[0] for n, r in zip(nums, rs)]
-        dens = [d * r[1] for d, r in zip(dens, rs)]
-    return zip(live, nums, dens)
+    return tuple((j, table[2]) for j, table in enumerate(tables)
+                 if table[2] is not None)
+
+
+def _gamma_terms(tcols, tables, c=1):
+    """(numerators, denominators): the columns of c times the
+    Gamma-ratio products of the words whose t values are listed by
+    coordinate in ``tcols``, one column per table of ``tables``
+    (``_ratio_tables``), each product's denominator positive.  The
+    words must lie above the zero cut and below every pole
+    (``_zero_cut``), so no product vanishes; each coordinate's lookups
+    are multiplied in as a column."""
+    size = len(tcols[0]) if tcols else 1
+    nums, dens = [c.numerator] * size, [c.denominator] * size
+    for col, (tn, td, _, _) in zip(tcols, tables):
+        nums = list(map(mul, nums, map(tn.__getitem__, col)))
+        dens = list(map(mul, dens, map(td.__getitem__, col)))
+    return nums, dens
 
 
 # -- assembling one solution -----------------------------------------------------
@@ -205,42 +200,46 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local,
     (Gamma-ratio coefficients against the unshifted base exponent).
 
     ``points`` lists (point of G, its rational coefficient, N v) once per
-    gamma; the words, their offsets lifted to n coordinates and by
-    coordinate, and their reach come from the decomposition's word table
-    ``wt``.  One integer Gamma-ratio table per coordinate covers every
-    point, and a term's coefficient is reduced once.
+    gamma; the words and their reach come from the decomposition's word
+    table ``wt``.  One integer Gamma-ratio table per coordinate covers
+    every point.  The words a point keeps and their offsets are the row
+    plan of its translate and zero cut (``WordTable.row_plan``), shared
+    by every parameter; the products are integer columns, reduced by
+    one column of gcds.
 
     Returns the support (base v_local on J, zero on Jbar) and the
-    rational coefficient table, one (z, i, a, d) row per term, where z
-    is the integer offset from the base, i the index in ``wt.words`` of
-    the word the term was generated from, and a/d the coefficient as
-    coprime integers with d > 0.  Distinct points of G differ on Jbar,
-    so no two rows share a z.
+    coefficient table as columns, one entry per term: the integer
+    offsets z from the base, the indices in ``wt.words`` of the words
+    the terms were generated from, and the coefficients a/d as coprime
+    integers with d > 0.  Distinct points of G differ on Jbar, so no
+    two terms share a z.
     """
-    words, lifted = wt.words, wt.lifted
-    ratios, starts = _ratio_tables(v_local, [nv for _, _, nv in points],
-                                   wt.reach)
-    table, translates = [], []
-    for (pt, c, nv), start in zip(points, starts):
+    J = dec.J
+    tables = _ratio_tables(v_local, [nv for _, _, nv in points], wt.reach)
+    zs, words, nums, dens, translates = [], [], [], [], []
+    for pt, c, nv in points:
         lift = [0] * n
         for t, j in enumerate(dec.rowset_Jbar):
             lift[j] = pt[t]
-        for pos, j in enumerate(dec.J):
+        for pos, j in enumerate(J):
             lift[j] = nv[pos]
         lift = tuple(lift)
         translates.append(lift)
-        cn, cd = c.numerator, c.denominator
-        for i, num, den in _gamma_terms(words, wt.columns, ratios, start):
-            num *= cn
-            den *= cd
-            g = gcd(num, den) if den > 0 else -gcd(num, den)
-            table.append((tuple(map(add, lift, lifted[i])), i,
-                          num // g, den // g))
+        cut = _zero_cut(wt.columns, tables, nv)
+        offsets, live, zcols = wt.row_plan(
+            lift, tuple([(J[j], bound) for j, bound in cut]))
+        num, den = _gamma_terms([zcols[j] for j in J], tables, c)
+        zs += offsets
+        words += live
+        nums += num
+        dens += den
+    g = list(map(gcd, nums, dens))
     base = [Fraction(0)] * n
-    for pos, j in enumerate(dec.J):
+    for pos, j in enumerate(J):
         base[j] = Fraction(v_local[pos])
     return (Support(alpha=tuple(base), translates=tuple(sorted(translates))),
-            table)
+            (zs, words, list(map(floordiv, nums, g)),
+             list(map(floordiv, dens, g))))
 
 
 def _component_points(dec: Decomposition, gamma, G: PuiseuxSeries, coords):
@@ -352,48 +351,26 @@ class Solution:
     support_rank: int   # dimension of the support lattice
 
 
-def _cell_exponents(dec: Decomposition, sigma, cell_volume, beta_shifted):
-    """The cell_volume exponent choices attached to one triangulation cell.
+def _cell_exponents(plan, beta_shifted):
+    """The exponent choices of one triangulation cell at the shifted
+    parameter, one per coset representative of the cell's plan
+    (``decomp._cell_plan``), in order.
 
-    sigma lists positions (within J) of a column basis.  Exponents take
-    nonnegative integer values on the complementary positions, one choice
-    per coset of the projected kernel lattice, and solve the linear
-    system on sigma.
+    With beta' = b / D over the lcm D of its denominators, the exponents
+    on sigma are (inverse b - D inverse A_comp a) / (det D): one integer
+    matrix-vector product per parameter, and integer work per
+    representative.
     """
-    nj = len(dec.J)
-    comp = [t for t in range(nj) if t not in set(sigma)]
-    L = dec.L_basis
-    if len(comp) != L.rank:
-        raise AssertionError("complement size must match the lattice rank")
-    reps = [()]
-    if comp:
-        proj = [tuple(vec[t] for t in comp) for vec in L.vectors]
-        H = column_hnf(IntMatrix.from_columns(proj))
-        if H.ncols != len(comp):
-            raise AssertionError("projected lattice must have full rank")
-        diag = [H.data[i][i] for i in range(len(comp))]
-        reps = [()]
-        for dd in diag:
-            reps = [t + (i,) for t in reps for i in range(dd)]
-    if len(reps) != cell_volume:
-        raise AssertionError(
-            f"coset count {len(reps)} != cell volume {cell_volume}")
-    d = dec.A_J.nrows
-    sigma_rows = [[dec.A_J.data[i][t] for t in sigma] for i in range(d)]
+    sigma, inverse, det, reps = plan
+    D = lcm(*(b.denominator for b in beta_shifted))
+    b = [x.numerator * (D // x.denominator) for x in beta_shifted]
+    ib = [sum(map(mul, row, b)) for row in inverse]
+    den = det * D
     out = []
-    for a in sorted(reps):
-        rhs = list(beta_shifted)
-        for pos, t in enumerate(comp):
-            for i in range(d):
-                rhs[i] -= dec.A_J.data[i][t] * a[pos]
-        sol = frac_solve(sigma_rows, rhs)
-        if sol is None:
-            raise AssertionError("simplex system must be solvable")
-        v = [Fraction(0)] * nj
-        for pos, t in enumerate(sigma):
-            v[t] = sol[pos]
-        for pos, t in enumerate(comp):
-            v[t] = Fraction(a[pos])
+    for template, shift in reps:
+        v = list(template)
+        for t, x, y in zip(sigma, ib, shift):
+            v[t] = Fraction(x - D * y, den)
         out.append(tuple(v))
     return out
 
@@ -410,22 +387,28 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
     ``hi.andean``, the walk's first Andean block with rank(M) = q, so no
     decomposition past it is enumerated.
 
-    The lattice words, their lifted offsets and the ``Truncation`` come
-    from ``dec.word_table(T)``, built once per decomposition and T, so
-    a caller that reuses ``hi`` across parameters builds them once and
-    every solution of a decomposition shares one ``Truncation``.  The
-    terms of each solution are fresh dicts; the character twists of one
-    (decomposition, gamma, cell exponent) share one ``Support`` and the
-    same offsets, so verification does their offset-only work once.
+    What does not depend on the parameter is kept where a caller that
+    reuses ``hi`` across parameters finds it again: the atlas of each
+    decomposition and cap (``Decomposition.atlas``), the coset
+    representatives and the inverted block of each cell
+    (``Decomposition.cell_plans``), and the ``WordTable`` of each T
+    (``dec.word_table(T)``), with its ``Truncation``, which every
+    solution of a decomposition shares, and the row plan of each point
+    (``WordTable.row_plan``), whose offset tuples the solutions of every
+    parameter share as keys.  The terms of each solution are fresh
+    dicts; the character twists of one (decomposition, gamma, cell
+    exponent) share one ``Support`` and the same offsets, so
+    verification does their offset-only work once.
 
     Each (decomposition, gamma, cell exponent) builds one table of
-    coefficients as coprime integer pairs a/d.  A character twist
+    coefficients as columns of coprime integers a/d.  A character twist
     multiplies a row by a root of unity, whose integer coefficients
     have gcd 1, so the twisted Scalar is the root's coefficients times
-    a over d, canonical with no gcd and no ``Fraction``.  Which root
-    multiplies a row is the class of its word under the character, read
-    from the word table (``WordTable.classes``), and each root multiple
-    of a row is built once and shared by the twists that pick it.
+    a over d, canonical with no gcd and no ``Fraction``; the Scalars of
+    each root are built by one ``map``.  Which root multiplies a row is
+    the class of its word under the character, read from the word table
+    (``WordTable.classes``), and each root multiple of a row is built
+    once and shared by the twists that pick it.
     """
     beta = tuple(Fraction(b) for b in beta)
     if len(beta) != hi.d:
@@ -442,10 +425,9 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
             certificate=(tuple(i + 1 for i in cert.rowset_Jbar),
                          tuple(k + 1 for k in cert.colset_M)))
     torals = [dec for dec in hi.decompositions if dec.is_toral]
-    atlases = {dec.rowset_Jbar: bounded_atlas(dec.M, cap=cap) for dec in torals}
     violations = []
     for dec in torals:
-        vg = very_generic_check(beta, dec, atlases[dec.rowset_Jbar])
+        vg = very_generic_check(beta, dec, dec.atlas(cap))
         for gamma, facet in vg.violations:
             violations.append((dec.label, gamma, facet))
     if violations:
@@ -454,7 +436,7 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
             f"values at {violations}", violations=violations)
     out = []
     for dec in torals:
-        atlas = atlases[dec.rowset_Jbar]
+        atlas = dec.atlas(cap)
         wt = dec.word_table(T)
         roots, twists = _twists(dec, field_root) if field_root > 1 \
             else ([Scalar.one(field_root)], [((), ())])
@@ -468,24 +450,27 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
                 dec, gamma, component_polynomial(dec.M, gamma, comp),
                 wt.coords)
             beta_shifted = _shift_beta(beta, dec, gamma)
-            for sigma, cellvol in dec.cone.cells:
-                for v in _cell_exponents(dec, sigma, cellvol, beta_shifted):
-                    support, table = _assemble_via_gamma(
+            for plan in dec.cell_plans:
+                sigma = plan[0]
+                for v in _cell_exponents(plan, beta_shifted):
+                    support, (zs, words, a, d) = _assemble_via_gamma(
                         dec, points, hi.n, v, wt)
                     shell = PuiseuxSeries(hi.n, field_order=field_root,
                                           support=support)
                     # one rational table per (gamma, v); a twist only
                     # scales each row by the root of its word's class,
                     # and each root multiple of a row is one Scalar
-                    multiples = [[root._times_coprime(a, d)
-                                  for _, _, a, d in table] for root in roots]
+                    multiples = [list(map(
+                        Scalar._canonical, repeat(field_root),
+                        zip(*[map(x.__mul__, a) for x in root.nums]), d))
+                        for root in roots]
                     for tchar, classes in twists:
                         if classes is None:
-                            terms = dict(zip([row[0] for row in table],
-                                             multiples[0]))
+                            terms = dict(zip(zs, multiples[0]))
                         else:
-                            terms = {z: multiples[classes[i]][r]
-                                     for r, (z, i, _, _) in enumerate(table)}
+                            terms = dict(zip(zs, map(getitem, map(
+                                multiples.__getitem__,
+                                map(classes.__getitem__, words)), count())))
                         out.append(Solution(
                             series=shell._with_terms(
                                 terms, wt.truncation, support),
@@ -508,11 +493,12 @@ class OperatorCheck:
 
     ``interior_residual`` and ``boundary_residual`` are sorted tuples of
     (offset, Scalar) pairs.  The boundary terms are kept as the integer
-    vectors of ``_boundary``, (N, D, {offset: vector}) as in
-    ``series._integer_action``, and ``boundary_residual`` reduces them
-    to Scalars when it is first read; ``boundary_terms`` counts them
-    without reducing.  Two checks compare equal when their operator,
-    verdict and both residuals are equal.
+    terms of ``_boundary``, (N, c, [(offset, vector, d), ...]) as
+    ``series._integer_action`` returns them, each vector over its own
+    denominator c d, and ``boundary_residual`` reduces them to Scalars
+    when it is first read; ``boundary_terms`` counts them without
+    reducing.  Two checks compare equal when their operator, verdict and
+    both residuals are equal.
     """
 
     operator: str
@@ -522,9 +508,9 @@ class OperatorCheck:
 
     @cached_property
     def boundary_residual(self):
-        order, den, vecs = self._boundary
-        return tuple([(z, Scalar._reduced(order, vecs[z], den))
-                      for z in sorted(vecs)])
+        order, common, terms = self._boundary
+        return tuple([(z, Scalar._reduced(order, v, common * d))
+                      for z, v, d in sorted(terms)])
 
     @property
     def boundary_terms(self):
@@ -561,33 +547,37 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
     as boundary residual: they are expected casualties of truncation.
     Residual terms are (z, coefficient) pairs on the base of ``s``.
 
-    The terms of ``s`` are put over one common denominator once per call,
-    the lcm of their Scalars' denominators, with one integer division
-    per term, and every binomial and Euler operator acts on that integer
-    form (``series._integer_action``), so a cancelled term costs integer
-    arithmetic only.  The integer result is split by coverage first;
-    only the interior terms are reduced to Scalars and sorted here, and
-    the boundary terms when ``OperatorCheck.boundary_residual`` is first
-    read.  The integer form is never cached: each call reads ``s.terms``
-    afresh.  What depends on no coefficient is kept in two stores (see
-    ``series._offset_store``): the pairings of each binomial operator
-    and the dot products of each Euler row depend on the offsets alone
-    and are kept on the truncation, so they are built once per offsets
-    across parameters; the falling factorial columns and the Euler
-    constants also depend on the base and are kept on the support, so
-    the character twists of one solution build them once.  Coverage is
-    decided by the truncation (``Truncation.coverage``), which keeps one
-    test per (sheets, shifts) and remembers the answer for every offset,
-    so the solutions that share a truncation decide each offset once.
+    The terms of ``s`` are read as integer columns once per call, each
+    term over its own denominator (``series._integer_form``), and every
+    binomial and Euler operator acts on those columns
+    (``series._integer_action``), so a term costs integer arithmetic in
+    ``map`` and no Python step, and a cancelled term or the image of a
+    zero coefficient is dropped as an all-zero vector.  The integer
+    result is split by coverage first; only the interior terms are
+    reduced to Scalars and sorted here, and the boundary terms when
+    ``OperatorCheck.boundary_residual`` is first read.  The columns are
+    never cached: each call reads ``s.terms`` afresh.  What depends on
+    no coefficient is kept in two stores (see ``series._offset_store``):
+    the pairings of each binomial operator and the level sets of each
+    Euler row depend on the offsets alone and are kept on the
+    truncation, so they are built once per offsets across parameters;
+    the falling factorial columns and the factors of the Euler levels
+    also depend on the base and are kept on the support, so the
+    character twists of one solution build them once.  An Euler check
+    whose levels all vanish, as on a solution, reads no column.
+    Coverage is decided by the truncation (``Truncation.coverage``),
+    which keeps one test per (sheets, shifts) and remembers the answer
+    for every offset, so the solutions that share a truncation decide
+    each offset once.
     """
     checks = []
     sheets = s.support.translates if s.support is not None else ()
     zero = (0,) * s.nvars
     form = _integer_form(s)
     for op in ops:
-        order, den, out = _integer_action(op, form, s.base)
+        order, common, out = _integer_action(op, form, s.base)
         if s.truncation is None:
-            interior, boundary = out, {}
+            interior, boundary = out, []
         else:
             if isinstance(op, BinomialOp):
                 shifts = [op.u_plus]
@@ -596,14 +586,14 @@ def verify_annihilation(ops, s: PuiseuxSeries) -> VerificationReport:
             else:  # an EulerOp: _integer_action rejects any other type
                 shifts = [zero]
             covered = s.truncation.coverage(sheets, shifts)
-            interior, boundary = {}, {}
-            for z, v in out.items():
-                (interior if covered(z) else boundary)[z] = v
+            interior, boundary = [], []
+            for term in out:
+                (interior if covered(term[0]) else boundary).append(term)
         checks.append(OperatorCheck(
             operator=op.describe(), ok=not interior,
             interior_residual=tuple([
-                (z, Scalar._reduced(order, interior[z], den))
-                for z in sorted(interior)]),
-            _boundary=(order, den, boundary)))
+                (z, Scalar._reduced(order, v, common * d))
+                for z, v, d in sorted(interior)]),
+            _boundary=(order, common, boundary)))
     return VerificationReport(ok=all(c.ok for c in checks),
                               checks=tuple(checks))

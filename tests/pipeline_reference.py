@@ -2,8 +2,10 @@
 
 ``gamma_series`` builds one hypergeometric series from the library's
 word and Gamma-ratio tables, the inner series that solution assembly
-sums without building; ``gamma_terms`` multiplies out those tables one
-word at a time, where the library works one coordinate at a time;
+sums without building, through ``column_terms``, the library's route
+of a row plan and column products; ``gamma_terms`` multiplies out those
+tables one word at a time, where the library works one coordinate at a
+time;
 ``component_of`` explores one component of the translation graph with
 the atlas's breadth-first core; ``sheet_bases`` lists the base
 exponents of a support's sheets.  ``word_coordinates``,
@@ -16,6 +18,7 @@ pieces of the pipeline.
 """
 
 from fractions import Fraction
+from operator import add, sub
 
 from binomhorn import (
     BinomHornError,
@@ -25,8 +28,8 @@ from binomhorn import (
     Scalar,
 )
 from binomhorn.series import PuiseuxSeries, Support, Truncation
-from binomhorn.decomp import _words
-from binomhorn.solutions import _gamma_terms, _ratio_tables
+from binomhorn.decomp import WordTable, _words
+from binomhorn.solutions import _gamma_terms, _ratio_tables, _zero_cut
 from binomhorn.subgraph import Component, _explore, _steps
 from linalg_reference import lattice_coordinates
 
@@ -72,40 +75,53 @@ def gamma_series(A_J: IntMatrix, L: LatticeBasis, v, T: int,
         raise ValueError("offset length mismatch")
     _check_kernel(A_J, L)
     words, reach = _words(L, T)
-    ratios, (starts,) = _ratio_tables(v, [w], reach)
-    terms = {words[i][1]: Scalar.rational(Fraction(num, den))
-             for i, num, den in _gamma_terms(words, tuple(zip(*[
-                 u for _, u in words])), ratios, starts)}
+    trunc = Truncation(basis=L.vectors, bound=T, dim=nj)
+    terms = {z: Scalar.rational(Fraction(num, den))
+             for z, num, den in column_terms(words, reach, trunc,
+                                             _ratio_tables(v, [w], reach), w)}
     base = tuple(a + b for a, b in zip(v, w))
     return PuiseuxSeries(
-        nj, terms, truncation=Truncation(basis=L.vectors, bound=T, dim=nj),
-        support=Support(alpha=base, translates=((0,) * nj,)))
+        nj, {tuple(map(sub, z, w)): c for z, c in terms.items()},
+        truncation=trunc, support=Support(alpha=base, translates=((0,) * nj,)))
 
 
-def gamma_terms(words, ratios, starts):
-    """Yield (i, numerator, denominator) of the Gamma-ratio product of
-    the i-th word, for every word where it is nonzero, in word order:
-    one word at a time, one lookup per coordinate, the reference for
-    the column-wise ``_gamma_terms``.
+def column_terms(words, reach, trunc, tables, w):
+    """(z, numerator, denominator) of the Gamma-ratio product of every
+    word where it is nonzero, in word order, z = w + u the word's offset
+    from the unshifted base: the library's column-wise route through a
+    ``WordTable`` on every coordinate, whose row plan at the translate w
+    keeps the words above the zero cut."""
+    table = WordTable(words=tuple(words), reach=reach,
+                      lifted=tuple(u for _, u in words), truncation=trunc,
+                      coords=None)
+    cut = _zero_cut(table.columns or [()] * len(w), tables, w)
+    offsets, _, zcols = table.row_plan(tuple(w), cut)
+    return zip(offsets, *_gamma_terms(zcols, tables))
 
-    ``ratios`` and ``starts`` come from ``_ratio_tables``.  A vanishing
-    rising factorial raises ResonanceError naming the first such term
-    and its coordinate.
+
+def gamma_terms(words, tables, w):
+    """Yield (z, numerator, denominator) of the Gamma-ratio product of
+    every word where it is nonzero, in word order, z = w + u the word's
+    offset: one word at a time, one lookup per coordinate, the reference
+    for ``column_terms``.
+
+    ``tables`` come from ``_ratio_tables`` and are indexed by t = w_j +
+    u_j.  A vanishing rising factorial raises ResonanceError naming the
+    first such term and its coordinate.
     """
-    cols = list(enumerate(zip(ratios, starts)))
-    for i, (_, u) in enumerate(words):
+    for _, u in words:
         num = den = 1
-        for j, (table, start) in cols:
-            r = table[start + u[j]]
-            if r is None:
+        z = tuple(map(add, w, u))
+        for j, (nums, dens, _, _) in enumerate(tables):
+            if nums[z[j]] is None:
                 raise ResonanceError(
                     "rising factorial vanished at coordinate "
                     f"{j + 1} for offset {list(u)}",
                     term=u, coordinate=j)
-            num *= r[0]
-            den *= r[1]
+            num *= nums[z[j]]
+            den *= dens[z[j]]
         if num:
-            yield i, num, den
+            yield z, num, den
 
 
 def word_coordinates(trunc: Truncation, offset):

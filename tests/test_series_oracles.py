@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 import pytest
 
@@ -39,7 +39,7 @@ from binomhorn.cyclotomic import cyclotomic_polynomial
 from binomhorn.decomp import _l1_ball
 from binomhorn.exact_linalg import coordinate_map
 from binomhorn.series import PuiseuxSeries, Support, Truncation, apply_operator
-from binomhorn.solutions import _gamma_terms, _ratio_tables, component_characters
+from binomhorn.solutions import _ratio_tables, component_characters
 from linalg_reference import (
     frac_solve,
     lattice_coordinates,
@@ -47,6 +47,7 @@ from linalg_reference import (
     smith_saturated_span,
 )
 from pipeline_reference import (
+    column_terms,
     covered,
     gamma_series,
     gamma_terms,
@@ -54,6 +55,7 @@ from pipeline_reference import (
     word_coordinates,
     word_length,
 )
+from series_reference import per_term_apply
 
 
 # -- references ----------------------------------------------------------------------
@@ -200,7 +202,7 @@ def reference_apply(op, terms):
     else:
         for e, c in terms.items():
             f = sum(r * x for r, x in zip(op.row, e)) - op.value
-            if f != 0:
+            if f != 0 and not c.is_zero():
                 out[e] = c * f
     return out
 
@@ -289,7 +291,7 @@ def test_gamma_series_matches_factorial_reference():
 
 
 def terms_outcome(fn, *args):
-    """The (i, numerator, denominator) rows, or the resonance witness."""
+    """The (z, numerator, denominator) rows, or the resonance witness."""
     try:
         return list(fn(*args))
     except ResonanceError as exc:
@@ -309,14 +311,14 @@ def test_gamma_terms_match_the_word_by_word_reference():
         reach = tuple(rng.randint(0, 4) for _ in range(nj))
         offsets = [tuple(rng.randint(-3, 3) for _ in range(nj))
                    for _ in range(rng.randint(1, 3))]
-        ratios, starts = _ratio_tables(v, offsets, reach)
+        tables = _ratio_tables(v, offsets, reach)
         words = [((i,), tuple(rng.randint(-r, r) for r in reach))
                  for i in range(rng.randint(0, 30))]
-        for start in starts:
-            cols = [[u[j] for _, u in words] for j in range(nj)]
-            got = terms_outcome(_gamma_terms, words, cols, ratios, start)
-            want = terms_outcome(gamma_terms, words, ratios, start)
-            assert got == want, (v, reach, start, words)
+        trunc = Truncation(basis=(), bound=0, dim=nj)
+        for w in offsets:
+            got = terms_outcome(column_terms, words, reach, trunc, tables, w)
+            want = terms_outcome(gamma_terms, words, tables, w)
+            assert got == want, (v, reach, w, words)
             if got and got[0] == "resonance":
                 seen["resonance"] += 1
             else:
@@ -626,6 +628,199 @@ def test_cancelling_operators_match_reference_property():
         check_operator_against_reference(*case)
 
     prop()
+
+
+# -- column actions against the per-term loops ---------------------------------------
+
+def random_column_case(pick):
+    """A series and operators that reach every branch of the column-wise
+    actions, with the features each draw has; ``pick(lo, hi)`` draws an
+    integer in [lo, hi].
+
+    Half the draws are random series over Q(zeta_N), N in {1, 3, 4, 5}:
+    a base whose numerators are mostly negative, so falling factorial
+    columns go negative; none, one, two or up to ten terms, the second
+    often the partner of the first under the binomial operator, so the
+    pairing holds a single pair; order-1 coefficients among order-N ones;
+    now and then a zero coefficient, which no constructor keeps but an
+    edit of ``terms`` can put in; and a lam that is zero, rational or, for
+    N > 1, irrational.  The other half are Gamma-ratio series of a random
+    A_J at a v with negative numerators (``gamma_series``), so rising
+    factorials go negative in the tables, with the binomials of the
+    kernel lattice's basis and the Euler operators of A's rows.
+    """
+    if pick(0, 1):
+        return random_gamma_case(pick)
+    n = pick(1, 3)
+    N = (1, 3, 4, 5)[pick(0, 3)]
+    deg = len(cyclotomic_polynomial(N)) - 1
+    base = tuple(F(pick(-9, 3), pick(1, 4)) for _ in range(n))
+    up = tuple(pick(0, 2) for _ in range(n))
+    um = tuple(0 if a else pick(0, 2) for a in up)
+    kind = pick(0, 2) if N > 1 else pick(0, 1)
+    if kind == 0:
+        lam = Scalar.zero(N)
+    elif kind == 1:
+        lam = Scalar.rational(F(pick(-3, 3) or 1, pick(1, 3)), N)
+    else:
+        lam = Scalar(N, [F(pick(-2, 2), pick(1, 3)), F(pick(1, 2), pick(1, 3))])
+    ops = [BinomialOp(u_plus=up, u_minus=um, lam=lam)]
+
+    def coefficient():
+        if not pick(0, 9):
+            return Scalar.zero(N)
+        if N > 1 and not pick(0, 2):
+            return Scalar.rational(F(pick(-9, 9) or 1, pick(1, 50)))
+        return Scalar(N, [F(pick(-9, 9), pick(1, 50))
+                          for _ in range(pick(1, deg))])
+
+    size = (0, 1, 2, pick(3, 10))[pick(0, 3)]
+    terms = {}
+    for k in range(size):
+        z = tuple(pick(-3, 3) for _ in range(n))
+        if k == 1 and pick(0, 2):
+            # the partner whose second-part term meets the first term's
+            z = tuple(a - b + c for a, b, c in zip(next(iter(terms)), up, um))
+        terms[z] = coefficient()
+    z0 = next(iter(terms), (0,) * n)
+    row = tuple(F(pick(-3, 3), pick(1, 2)) for _ in range(n))
+    value = sum(r * (b + x) for r, b, x in zip(row, base, z0)) if pick(0, 1) \
+        else F(pick(-4, 4), pick(1, 3))
+    ops.append(EulerOp(row=row, value=value))
+    vec = tuple(pick(-2, 2) for _ in range(n))
+    trunc = Truncation(basis=(vec,) if any(vec) else (), bound=pick(0, 3),
+                       dim=n)
+    translates = tuple({tuple(pick(-1, 1) for _ in range(n))
+                        for _ in range(pick(1, 2))})
+    s = PuiseuxSeries(n, field_order=N, base=base)._with_terms(
+        terms, trunc, Support(alpha=base, translates=translates))
+    return s, ops, None
+
+
+def random_gamma_case(pick):
+    d, nj = ((1, 3), (2, 4), (1, 4))[pick(0, 2)]
+    A = IntMatrix([[pick(-2, 3) for _ in range(nj)] for _ in range(d)])
+    L = kernel_basis(A)
+    v = tuple(F(pick(-9, -1), pick(1, 4)) if pick(0, 2) else
+              F(pick(-9, 9), pick(2, 5)) for _ in range(nj))
+    w = tuple(pick(-2, 2) for _ in range(nj))
+    try:
+        s = gamma_series(A, L, v, pick(0, 3), offset=w)
+    except ResonanceError:
+        return random_gamma_case(pick)
+    lam = Scalar.rational(F(pick(-2, 2) or 1, pick(1, 2)))
+    ops = [BinomialOp(u_plus=tuple(max(x, 0) for x in vec),
+                      u_minus=tuple(max(-x, 0) for x in vec), lam=lam)
+           for vec in L.vectors]
+    ops += [EulerOp(row=tuple(F(x) for x in row),
+                    value=sum(x * (a + b) for x, a, b in zip(row, v, w))
+                    + F(pick(0, 1), pick(1, 3)))
+            for row in A.data]
+    return s, ops, (v, w)
+
+
+def column_features(s, ops, gamma):
+    """The branches of the column-wise actions that (s, ops) reaches;
+    ``gamma`` is (v, w) for a Gamma-ratio series, else None."""
+    out = set()
+    if not s.terms:
+        out.add("empty")
+    if len(s.terms) == 1:
+        out.add("one term")
+    if len({c.N for c in s.terms.values()}) == 2:
+        out.add("order 1 inside order N")
+    if any(c.is_zero() for c in s.terms.values()):
+        out.add("zero term")
+    for op in ops:
+        if not isinstance(op, BinomialOp):
+            continue
+        if not op.lam.is_rational():
+            out.add("irrational lam")
+        if any(b + x < 0 for z in s.terms for u in (op.u_plus, op.u_minus)
+               for b, x, k in zip(s.base, z, u) if k):
+            out.add("negative falling factor")
+        shift = tuple(map(sub, op.u_plus, op.u_minus))
+        partners = [z for z in s.terms if tuple(map(add, z, shift)) in s.terms]
+        if not op.lam.is_zero() and len(partners) == 1:
+            out.add("single pair")
+    if gamma is not None:
+        v, w = gamma
+        # a rising factorial factor v_j + t with t = w_j + u_j >= 1
+        if any(x + a + b < 0 for u in s.terms for x, a, b in zip(v, w, u)
+               if a + b >= 1):
+            out.add("negative rising factor")
+    return out
+
+
+def check_column_case(s, ops):
+    """apply_operator and verify_annihilation of s against the per-term
+    loops, key order included, and verify against the exponent-keyed
+    reference; no result is ever an all-zero term."""
+    applied = []
+    for op in ops:
+        got = apply_operator(op, s)
+        want = per_term_apply(op, s)
+        assert list(got.terms.items()) == list(want.items())
+        assert not any(c.is_zero() for c in got.terms.values())
+        applied.append(sorted(want.items()))
+    rep = check_verify_against_reference(ops, s)
+    for check, want in zip(rep.checks, applied):
+        assert sorted(check.interior_residual + check.boundary_residual) \
+            == want
+        assert check.boundary_terms == len(check.boundary_residual)
+
+
+def test_column_actions_match_per_term_loops():
+    # seeded twin of the property test below: every branch the draws
+    # must reach is counted, so a generator that stops reaching one
+    # fails here by name
+    rng = random.Random(4242)
+    seen = Counter()
+    for _ in range(300):
+        s, ops, gamma = random_column_case(rng.randint)
+        check_column_case(s, ops)
+        seen.update(column_features(s, ops, gamma))
+    for feature in ("empty", "one term", "order 1 inside order N",
+                    "zero term", "irrational lam", "negative falling factor",
+                    "single pair", "negative rising factor"):
+        assert seen[feature] >= 10, (feature, seen)
+
+
+def test_column_actions_match_per_term_loops_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        s, ops, _ = random_column_case(
+            lambda lo, hi: data.draw(st.integers(lo, hi)))
+        check_column_case(s, ops)
+
+    prop()
+
+
+def test_zero_term_is_no_residual(B_erd, A_erd):
+    # a zero Scalar put into the terms of a solution, by an edit of
+    # terms or through _with_terms, is no residual: erdelyi at T = 6,
+    # the second solution, with a zero 100 steps past its last key
+    hi = make_horn_input(B_erd, A_erd)
+    beta = (F(1, 2), F(1, 3))
+    s = solution_basis(hi, beta, T=6)[1].series
+    ops = horn_system_operators(hi, beta)
+    clean = verify_annihilation(ops, s)
+    assert clean.ok
+    far = tuple(x + 100 for x in max(s.terms))
+    padded = s._with_terms({**s.terms, far: Scalar.zero(1)}, s.truncation,
+                           s.support)
+    edited = s._with_terms(dict(s.terms), s.truncation, s.support)
+    edited.terms[far] = Scalar.zero(1)
+    for t in (padded, edited):
+        rep = check_verify_against_reference(ops, t)
+        assert rep == clean and len(rep.checks) == 4
+        for op in ops:
+            assert far not in apply_operator(op, t).terms
+            assert apply_operator(op, t) == apply_operator(op, s)
 
 
 # -- characters ------------------------------------------------------------------

@@ -6,25 +6,32 @@ import pytest
 
 from binomhorn import (
     BinomialOp,
+    CapExceededError,
     IntMatrix,
     LatticeBasis,
     PuiseuxSeries,
     ResonanceError,
     Scalar,
+    SubgraphAtlas,
     VeryGenericError,
     bounded_atlas,
     component_polynomial,
     enumerate_decompositions,
+    generic_rank,
     horn_system_operators,
     kernel_basis,
     make_horn_input,
     solution_basis,
     verify_annihilation,
 )
-from binomhorn.exact_linalg import coordinate_map
-from binomhorn import series
+from binomhorn.exact_linalg import column_hnf, coordinate_map, frac_solve
+from binomhorn import decomp, series
 from binomhorn.series import Truncation, lattice_binomials
-from binomhorn.solutions import _character_weights, component_characters
+from binomhorn.solutions import (
+    _cell_exponents,
+    _character_weights,
+    component_characters,
+)
 from pipeline_reference import (
     component_of,
     gamma_series,
@@ -425,6 +432,27 @@ def test_word_tables_are_shared_across_calls(B_ds, A_ds):
             a.series.terms[(99,) * hi.n] = Scalar.one(root)
 
 
+@pytest.mark.parametrize("fixture, root", [("erdelyi", 1), ("ds06", 3)])
+def test_row_plans_are_shared_across_betas(fixture, root, B_erd, A_erd,
+                                           B_ds, A_ds):
+    # the words a point of a component polynomial keeps, and their
+    # offsets, are one row plan per sheet translate and zero cut, built
+    # at the first beta: later betas add no plan, and their solutions
+    # key their terms by the same offset tuples
+    B, A = (B_erd, A_erd) if fixture == "erdelyi" else (B_ds, A_ds)
+    hi = make_horn_input(B, A)
+    keys, plans = {}, []
+    for beta in ((F(1, 5), F(2, 7)), (F(3, 7), F(4, 5)), (F(9, 5), F(6, 7))):
+        sols = solution_basis(hi, beta, T=8, field_root=root)
+        plans.append(sum(len(dec.word_table(8)._plans)
+                         for dec in hi.decompositions if dec.is_toral))
+        for i, sol in enumerate(sols):
+            for z in sol.series.terms:
+                assert keys.setdefault((i, z), z) is z
+    assert plans[0] == plans[-1] > 0
+    assert len(keys) > 100
+
+
 def test_series_wall_at_T80(B_ds, A_ds):
     # ds06 with its three characters at T = 80; a series layer that
     # loses its integer paths or rebuilds per-term work fails here fast
@@ -515,26 +543,26 @@ def test_offset_work_once_per_support(monkeypatch, B_ds, A_ds):
 @pytest.mark.parametrize("fixture, root", [("erdelyi", 1), ("ds06", 3)])
 def test_offset_pairings_once_across_betas(monkeypatch, fixture, root, B_erd,
                                            A_erd, B_ds, A_ds):
-    # the pairing of each binomial operator and the dot products of each
+    # the pairing of each binomial operator and the level sets of each
     # Euler row depend on the offsets alone, and the offsets of a
     # truncation's solutions do not change with beta: on one input over
     # three betas at T = 20, each is built once per truncation and
     # offsets, all of them at the first beta; a verify path that
     # re-pairs every support at every beta fails here fast and by name;
-    # the dot products are counted by the integer row of EulerOp._keys
+    # the level sets are counted by the integer row of EulerOp._keys
     pairings, products = [], []
-    pairing, euler_products = series._pairing, series._euler_products
+    pairing, euler_levels = series._pairing, series._euler_levels
 
     def counting_pairing(zs, u_plus, u_minus=None):
         pairings.append((zs, u_plus, u_minus))
         return pairing(zs, u_plus, u_minus)
 
-    def counting_products(zs, ints):
+    def counting_levels(zs, ints):
         products.append((zs, ints))
-        return euler_products(zs, ints)
+        return euler_levels(zs, ints)
 
     monkeypatch.setattr(series, "_pairing", counting_pairing)
-    monkeypatch.setattr(series, "_euler_products", counting_products)
+    monkeypatch.setattr(series, "_euler_levels", counting_levels)
     B, A = (B_erd, A_erd) if fixture == "erdelyi" else (B_ds, A_ds)
     hi = make_horn_input(B, A)
     want_pairings, want_products, built = set(), set(), []
@@ -557,6 +585,116 @@ def test_offset_pairings_once_across_betas(monkeypatch, fixture, root, B_erd,
     assert set(products) == {(key[1], key[2][2]) for key in want_products}
     assert built[0] == built[-1] == (len(pairings), len(products))
     assert len(pairings) == len(sols) // root * hi.m
+
+def test_one_atlas_per_decomposition_and_cap(monkeypatch, B_erd, A_erd):
+    # solution_basis and generic_rank read the atlas of a decomposition
+    # from the decomposition, computed once per cap across calls and
+    # betas; a cap that no level closes within keeps the error, which
+    # every later call raises again, and no partial atlas is kept
+    calls = []
+    real = decomp.bounded_atlas
+
+    def counting(M, cap=1000):
+        calls.append(cap)
+        return real(M, cap=cap)
+
+    monkeypatch.setattr(decomp, "bounded_atlas", counting)
+    hi = make_horn_input(B_erd, A_erd)
+    torals = [dec for dec in hi.decompositions if dec.is_toral]
+    for beta in ((F(1, 5), F(2, 7)), (F(3, 7), F(4, 5)), (F(9, 5), F(6, 7))):
+        assert len(solution_basis(hi, beta, T=4)) == 4
+        assert generic_rank(hi).total == 4
+    assert calls == [1000] * len(torals)
+    raised, counts = [], []
+    for _ in range(3):
+        with pytest.raises(CapExceededError) as exc:
+            generic_rank(hi, cap=0)
+        raised.append(exc.value)
+        counts.append(calls.count(0))
+    assert calls.count(1000) == len(torals)
+    assert counts == [counts[0]] * 3 and 1 <= counts[0] <= len(torals)
+    assert raised[0] is raised[1] is raised[2]
+    # the blocks that closed keep their atlas, the one that did not keeps
+    # its error, and no block after it was walked
+    kept = [dec._atlases[0] for dec in torals if 0 in dec._atlases]
+    assert len(kept) == counts[0] and kept[-1] is raised[0]
+    assert all(isinstance(atlas, SubgraphAtlas) for atlas in kept[:-1])
+    # a certified verdict keeps its certificate
+    certificate = (2, 1)
+
+    def certified(M, cap=1000):
+        calls.append(cap)
+        raise CapExceededError("mu is infinite", certificate=certificate)
+
+    monkeypatch.setattr(decomp, "bounded_atlas", certified)
+    for _ in range(2):
+        with pytest.raises(CapExceededError) as exc:
+            torals[0].atlas(7)
+        assert exc.value.certificate == certificate
+    assert calls.count(7) == 1
+
+
+def reference_cell_exponents(dec, sigma, cell_volume, beta_shifted):
+    """The exponents of one cell by a Hermite form of the projected
+    lattice and one Fraction solve per coset and parameter, the route
+    that ``Decomposition.cell_plans`` replaced."""
+    nj = len(dec.J)
+    comp = [t for t in range(nj) if t not in set(sigma)]
+    reps = [()]
+    if comp:
+        proj = [tuple(vec[t] for t in comp) for vec in dec.L_basis.vectors]
+        H = column_hnf(IntMatrix.from_columns(proj))
+        for dd in (H.data[i][i] for i in range(len(comp))):
+            reps = [t + (i,) for t in reps for i in range(dd)]
+    assert len(reps) == cell_volume
+    d = dec.A_J.nrows
+    rows = [[dec.A_J.data[i][t] for t in sigma] for i in range(d)]
+    out = []
+    for a in sorted(reps):
+        rhs = [b - sum(dec.A_J.data[i][t] * x for t, x in zip(comp, a))
+               for i, b in enumerate(beta_shifted)]
+        sol = frac_solve(rows, rhs)
+        v = [F(0)] * nj
+        for t, x in zip(sigma, sol):
+            v[t] = x
+        for t, x in zip(comp, a):
+            v[t] = F(x)
+        out.append(tuple(v))
+    return out
+
+
+def test_cell_plans_match_the_per_beta_solve(monkeypatch, B_erd, A_erd,
+                                             B_ds, A_ds, B_five, A_five):
+    # the coset representatives and the inverted block of each cell are
+    # built once per decomposition, by the first of three solves, and
+    # each beta costs one integer product: the exponents equal a fresh
+    # Fraction solve per coset, on every toral cell of three fixtures and
+    # 20 seeded shifted betas
+    built = []
+    real = decomp._cell_plan
+    monkeypatch.setattr(decomp, "_cell_plan", lambda dec, sigma, vol: (
+        built.append(sigma) or real(dec, sigma, vol)))
+    rng = random.Random(73)
+    cells = 0
+    for B, A in ((B_erd, A_erd), (B_ds, A_ds), (B_five, A_five)):
+        hi = make_horn_input(B, A)
+        torals = [dec for dec in hi.decompositions if dec.is_toral]
+        before = len(built)
+        for beta in ((F(1, 5), F(2, 7)), (F(3, 7), F(4, 5)), (F(9, 5), F(6, 7))):
+            solution_basis(hi, beta, T=2)
+        assert len(built) - before == sum(len(dec.cone.cells)
+                                          for dec in torals)
+        for _ in range(20):
+            beta = tuple(F(rng.randint(-30, 30), rng.randint(1, 12))
+                         for _ in range(hi.d))
+            for dec in torals:
+                for plan, (sigma, vol) in zip(dec.cell_plans, dec.cone.cells):
+                    assert plan[0] == tuple(sigma)
+                    assert _cell_exponents(plan, beta) == \
+                        reference_cell_exponents(dec, sigma, vol, beta)
+                    cells += 1
+    assert len(built) * 20 == cells and cells >= 200
+
 
 def test_gauss_two_solutions(B_gauss):
     hi = make_horn_input(B_gauss)
