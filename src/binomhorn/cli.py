@@ -35,7 +35,8 @@ EXIT_INFINITE = InfiniteRankError.exit_code
 
 def read_matrix(path: str) -> IntMatrix:
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, as some editors write
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

@@ -13,12 +13,15 @@ every nonzero element is a unit; an inverse solves that matrix.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
 from .exact_linalg import frac_solve
+
+_HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 def _divmod_monic(p, phi):
@@ -242,9 +245,23 @@ class Scalar:
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_rational())
-        return hash((self.N, self.nums, self.den))
+        """Python's hash of the rational value, so a rational element
+        hashes as the equal int or Fraction does, read off (nums[0], den)
+        as the standard library documents it for rationals: num times
+        den^-1 modulo the prime P = sys.hash_info.modulus, ``inf`` when
+        P divides den, with num's sign; ``hash()`` itself takes -1 to
+        -2.  No Fraction is built, and den = 1 costs no inverse.  An
+        irrational element hashes its form."""
+        if not self.is_rational():
+            return hash((self.N, self.nums, self.den))
+        num, den = self.nums[0], self.den
+        if den == 1:
+            return hash(num)
+        if den % _HASH_P:
+            h = abs(num) % _HASH_P * pow(den, -1, _HASH_P) % _HASH_P
+        else:
+            h = _HASH_INF
+        return -h if num < 0 else h
 
     def __repr__(self):
         if self.is_rational():

@@ -34,18 +34,27 @@ The walk is a generator, and each input reads it through one memo
 (``HornInput``), so the verdict comes first: ``HornInput.andean`` reads
 it up to the first Andean set with rank(M) = q, the certificate of an
 infinite rank, and only ``enumerate_decompositions`` drains the rest.
-A decomposition holds its index sets and ``full_rank``; M, J, the
-other submatrices, the lattice data (``L_basis``, ``g``), the cone over
-A_J, the atlas of M at each cap and the word table of each truncation
-bound T are computed only when read.  ``HornInput.decompositions`` keeps
-the sorted enumeration, so one input is enumerated once, each of its
-cones is built once, each atlas once per cap and each word table once
-per T.  B_J always has full column rank, since a
-vector of its kernel, padded with zeros on the columns of M, lies in
-the kernel of B.  So the index g of its column span in the saturation
-is the product of the pivots of its row Hermite form
+The walk builds each set directly (``Decomposition._of``), without the
+dataclass ``__init__``.  A decomposition holds its index sets and
+``full_rank``; M, J, the other submatrices, the lattice data
+(``L_basis``, ``g``), the cone over A_J, the atlas of M at each cap and
+the word table of each truncation bound T are computed only when read.
+``HornInput.decompositions`` keeps the sorted enumeration, so one input
+is enumerated once, each of its cones is built once, each atlas once per
+cap and each word table once per T.  B_J always has full column rank,
+since a vector of its kernel, padded with zeros on the columns of M,
+lies in the kernel of B.  So the index g of its column span in the
+saturation is the product of the pivots of its row Hermite form
 (``saturation_index``), and the rank formula reads g without
 saturating B_J.
+
+The empty set, which every B has and which is always toral, computes
+neither: its B_J is B and its A_J is A, so it takes g from the pivots
+of validation's kernel elimination (``HornInput.g``) and builds its
+cone on the column Hermite basis of ZA that validation knows
+(``HornInput.a_lattice``), with no Hermite form.  A rank whose only
+toral block is the empty one, as on the permuted chains, runs no
+lattice routine after validation.
 """
 
 from __future__ import annotations
@@ -92,7 +101,11 @@ class Decomposition:
     docstring), also computed when first read: the rank formula reads it
     only for toral decompositions, and the empty product makes it 1 when
     p = m.  ``cone`` holds the cells, volume and support functions of
-    A_J, likewise computed when first read, and ``word_table(T)`` builds
+    A_J, likewise computed when first read; the empty set has its g and
+    the lattice of its cone from the input instead.
+    ``component_points`` keeps the points of each component polynomial
+    by (gamma, cap) once ``solutions.solution_basis`` has built them,
+    and ``word_table(T)`` builds
     the ``WordTable`` of each bound T once, as ``atlas(cap)`` builds the
     atlas of M at each cap and ``cell_plans`` the parameter-free part of
     each cell's exponents, so a caller that reuses one input across
@@ -108,6 +121,22 @@ class Decomposition:
     klass: str  # "toral" | "andean"
     B: IntMatrix = field(repr=False)
     A: IntMatrix = field(repr=False)
+
+    # the column Hermite basis of the span of A_J when it is known
+    # beforehand (the empty decomposition's, from the input); else None
+    _lattice = None
+
+    @classmethod
+    def _of(cls, jbar, colset, full_rank, B, A):
+        """The decomposition on index sets jbar and colset, built
+        directly, without the dataclass ``__init__``: the walk makes one
+        per admissible set."""
+        dec = object.__new__(cls)
+        q, p = len(jbar), len(colset)
+        vars(dec).update(
+            rowset_Jbar=jbar, colset_M=colset, q=q, p=p, full_rank=full_rank,
+            klass="toral" if full_rank and q == p else "andean", B=B, A=A)
+        return dec
 
     @cached_property
     def J(self) -> tuple:
@@ -147,7 +176,7 @@ class Decomposition:
 
     @cached_property
     def cone(self) -> Cone:
-        return Cone(self.A_J)
+        return Cone(self.A_J, self._lattice)
 
     @cached_property
     def cell_plans(self) -> tuple:
@@ -156,6 +185,15 @@ class Decomposition:
         ``cone.cells``; computed when first read."""
         return tuple(_cell_plan(self, sigma, volume)
                      for sigma, volume in self.cone.cells)
+
+    @cached_property
+    def component_points(self) -> dict:
+        """The points of the component polynomial at each representative
+        gamma of ``atlas(cap)``, keyed by (gamma, cap): what
+        ``solutions.solution_basis`` builds for them on first use (see
+        ``solutions._component_points``) and reads again for every later
+        parameter."""
+        return {}
 
     @cached_property
     def _atlases(self):
@@ -362,9 +400,14 @@ def _word_table(dec: Decomposition, T: int) -> WordTable:
         coords=coordinate_map(dec.M.columns(), dec.M.nrows))
 
 
-def _bits(mask, size):
-    """Indices below size of the set bits of mask, increasing."""
-    return tuple(i for i in range(size) if mask >> i & 1)
+def _bits(mask):
+    """Indices of the set bits of mask, increasing, visiting only those."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _admissible_rowsets(B: IntMatrix):
@@ -445,7 +488,7 @@ def _admissible_rowsets(B: IntMatrix):
             if pc == nc and q + 1 <= pc.bit_count():
                 # rank(M) is the rank of rows Jbar of B
                 full = not dependent and _bareiss_rank(
-                    [data[j] for j in _bits(rows, n)]) == q + 1
+                    [data[j] for j in _bits(rows)]) == q + 1
                 below = not full
                 yield rows, pc, full
             if q + 1 < m and viable(done, q + 1, pc | nc):
@@ -453,14 +496,21 @@ def _admissible_rowsets(B: IntMatrix):
 
 
 def _decompositions(hi: HornInput):
-    """The decompositions of hi in walk order, a generator."""
+    """The decompositions of hi in walk order, a generator.
+
+    The first is the empty set, whose B_J is B and whose A_J is A: it
+    takes g and the lattice of its cone from the input, which has them
+    from validation (``HornInput.g``, ``HornInput.a_lattice``).
+    """
     B, A = hi.B, hi.A
-    for jmask, cmask, full_rank in _admissible_rowsets(B):
-        jbar, colset = _bits(jmask, hi.n), _bits(cmask, hi.m)
-        q, p = len(jbar), len(colset)
-        yield Decomposition(
-            rowset_Jbar=jbar, colset_M=colset, q=q, p=p, full_rank=full_rank,
-            klass="toral" if full_rank and q == p else "andean", B=B, A=A)
+    walk = _admissible_rowsets(B)
+    next(walk)  # the empty set, recorded at the root
+    empty = Decomposition._of((), (), True, B, A)
+    vars(empty).update(J=tuple(range(hi.n)), B_J=B, A_J=A, g=hi.g,
+                       _lattice=hi.a_lattice)
+    yield empty
+    for jmask, cmask, full_rank in walk:
+        yield Decomposition._of(_bits(jmask), _bits(cmask), full_rank, B, A)
 
 
 class _Memo:

@@ -72,7 +72,7 @@ class IntMatrix:
         return tuple(self.data[i][j] for i in range(self.nrows))
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.data)) if self.nrows else [()] * self.ncols
 
     @property
     def shape(self):
@@ -376,9 +376,26 @@ def kernel_basis(m: IntMatrix):
     the I-parts of the columns left live span ker_Z(m).  Returns a
     LatticeBasis in Z^(ncols), with no vectors if the kernel is trivial.
     """
+    return LatticeBasis(m.ncols, echelon_kernel(m)[0])
+
+
+def echelon_kernel(m: IntMatrix):
+    """(kernel columns, pivot product) of the elimination that
+    ``kernel_basis`` describes: the I-parts of the live columns, not yet
+    in Hermite form, and the product of the absolute values of the
+    pivots, one per row of m, with 0 for a row that has none.
+
+    The pivots are the diagonal of a lower triangular L with
+    m U = [L | 0], U unimodular, so for m of full row rank their
+    product is [Z^nrows : column span of m], which is the gcd of the
+    maximal minors of m and so the index of the row lattice of m in
+    its saturation (``saturation_index`` of the transpose; Cohen,
+    GTM 138, 2.4).  It is 0 exactly when the rows are dependent.
+    """
     n = m.ncols
     cols = [[*col, *(int(i == j) for i in range(n))]
             for j, col in enumerate(m.columns())]
+    index = 1
     for _ in range(m.nrows):
         nz = [c for c in cols if c[0]]
         while len(nz) > 1:
@@ -388,8 +405,9 @@ def kernel_basis(m: IntMatrix):
                     q = c[0] // p[0]
                     c[:] = [x - q * y for x, y in zip(c, p)]
             nz = [c for c in nz if c[0]]
+        index *= abs(nz[0][0]) if nz else 0
         cols = [c[1:] for c in cols if not c[0]]
-    return LatticeBasis(n, cols)
+    return cols, index
 
 
 def left_kernel_basis(m: IntMatrix):

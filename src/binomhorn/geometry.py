@@ -163,20 +163,43 @@ class SupportFunction:
         return sum(a * Fraction(b) for a, b in zip(self.nu, beta))
 
 
+def _known_lattice_coordinates(A_J: IntMatrix, lattice: LatticeBasis):
+    """The columns of A_J in ``lattice``, the column Hermite basis of
+    their own span, known beforehand: the columns themselves when it is
+    the standard basis of Z^d, else by forward substitution on its
+    pivots, with no Hermite form."""
+    if lattice.rank == lattice.ambient_dim and all(
+            v[p] == 1 for v, p in zip(lattice.vectors, lattice.pivots)):
+        # a full column Hermite form with unit pivots is the identity
+        return A_J.columns()
+    coords = list(map(lattice.coordinates, A_J.columns()))
+    if None in coords:
+        raise BinomHornError("column outside the given lattice")
+    return coords
+
+
 class Cone:
     """conv(0, columns of A_J) in the coordinates of its column lattice.
 
     ``lattice`` is the basis of the column lattice that normalizes every
-    volume.  ``cells``, ``volume`` and ``supports`` are computed when
-    first read, from one facet scan over the distinct points of
-    {0} and the columns; a configuration with only rank + 1 distinct
-    points is a simplex, whose single cell needs no scan.
+    volume: the one column Hermite form of A_J, or, when the caller
+    knows it (the empty decomposition, whose A_J is the input's A, see
+    ``HornInput.a_lattice``), that basis as given, which must be the
+    column Hermite basis of the span of A_J; then no Hermite form runs.
+    ``cells``, ``volume`` and ``supports`` are computed when first read,
+    from one facet scan over the distinct points of {0} and the
+    columns; a configuration with only rank + 1 distinct points is a
+    simplex, whose single cell needs no scan.
     """
 
-    def __init__(self, A_J: IntMatrix):
+    def __init__(self, A_J: IntMatrix, lattice: LatticeBasis | None = None):
         if A_J.ncols == 0:
             raise BinomHornError("degenerate point set: no columns")
-        self.lattice, self.coords = own_lattice_coordinates(A_J)
+        if lattice is None:
+            self.lattice, self.coords = own_lattice_coordinates(A_J)
+        else:
+            self.lattice = lattice
+            self.coords = _known_lattice_coordinates(A_J, lattice)
         self.rank = self.lattice.rank
         if self.rank == 0:
             raise BinomHornError("degenerate point set: rank 0")

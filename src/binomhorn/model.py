@@ -19,15 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import ConventionError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
-    bareiss_det,
+    column_hnf,
+    echelon_kernel,
     frac_solve,
-    left_kernel_basis,
 )
 
 
@@ -146,6 +146,7 @@ class ValidationReport:
     certificate: tuple | None = None  # unmixed vector in the column span
     A: IntMatrix | None = None        # canonical A, when ok
     functional: tuple | None = None   # h with h . a_j >= 1 on A, when ok
+    g: int | None = None              # [sat ZB : ZB], when ok
 
 
 def validate_B(B: IntMatrix) -> ValidationReport:
@@ -153,28 +154,34 @@ def validate_B(B: IntMatrix) -> ValidationReport:
     span meets the nonnegative orthant only in 0.
 
     The rank is read off the left kernel {y : y B = 0}, computed once
-    for the canonical A: it has rank n - rank(B), so rank(B) < m exactly
-    when it has more than n - m vectors.  The column span is the kernel
-    of the canonical A (see compute_A), so by Gordan's alternative B is
-    mixed exactly when the columns of A are pointed: one ``is_pointed``
-    program decides it.  On acceptance the report carries A and its
-    functional.  On rejection it carries a primitive integer
-    certificate: a nonzero vector v >= 0 in the column span, namely the
-    unbounded ray of that program.
+    for the canonical A by the gcd elimination of [B^T; I]
+    (``echelon_kernel``): it has rank n - rank(B), so rank(B) < m
+    exactly when it has more than n - m vectors.  The same elimination
+    gives g = [sat ZB : ZB], the product of its pivots, which is the
+    gcd of the maximal minors of B, so no Hermite form of B is needed
+    for it.  The column span is the kernel of the canonical A (see
+    compute_A), so by Gordan's alternative B is mixed exactly when the
+    columns of A are pointed: one ``is_pointed`` program decides it.
+    On acceptance the report carries A, its functional and g.  On
+    rejection it carries a primitive integer certificate: a nonzero
+    vector v >= 0 in the column span, namely the unbounded ray of that
+    program.
     """
     n, m = B.nrows, B.ncols
-    kernel = left_kernel_basis(B)
+    cols, g = echelon_kernel(B.transpose())
+    kernel = LatticeBasis(n, cols)
     if kernel.rank != n - m:
         return ValidationReport(ok=False, reason=f"rank(B) < {m}")
     # LatticeBasis vectors are already the rows of a row Hermite form
-    A = IntMatrix(kernel.vectors)
+    A = IntMatrix._of(kernel.vectors, n)
     if m == n > 0:
         # a square B spans all of Q^n, and A has no rows to test
         cert = (1,) + (0,) * (n - 1)
     else:
         pr = is_pointed(A)
         if pr.pointed:
-            return ValidationReport(ok=True, A=A, functional=pr.functional)
+            return ValidationReport(ok=True, A=A, functional=pr.functional,
+                                    g=g)
         cert = pr.combination
     return ValidationReport(
         ok=False,
@@ -202,7 +209,15 @@ def compute_A(B: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class HornInput:
-    """A validated pair (B, A) with derived sizes and certificates."""
+    """A validated pair (B, A) with derived sizes and certificates.
+
+    ``g`` is [sat ZB : ZB], read off validation's kernel elimination
+    (``validate_B``), and ``a_lattice`` the column Hermite basis of ZA:
+    the standard basis of Z^d for the canonical A, ``column_hnf(T)``
+    for a supplied A = T A_c.  They are the lattice index and the cone
+    lattice of the empty decomposition, whose B_J is B and whose A_J is
+    A, so no decomposition computes them again.
+    """
 
     B: IntMatrix
     A: IntMatrix
@@ -211,6 +226,8 @@ class HornInput:
     d: int
     pointed_functional: tuple
     a_column_index: int  # index of ZA inside Z^d (1 when spanning)
+    g: int
+    a_lattice: LatticeBasis
 
     @property
     def a_spans_standard_lattice(self) -> bool:
@@ -251,8 +268,9 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
     second program runs.  The checks A B = 0 and rank(A) = d, h and the
     index of ZA in Z^d all read the coordinates T of the rows of A in
     the canonical A's Hermite basis, found by substitution: a row without
-    them is off the left kernel, det T = 0 means rank(A) < d, the index
-    is |det T|, and h solves h T = h_c, a d x d system.  Whether its
+    them is off the left kernel, ZA = ZT, so one column Hermite form of
+    T gives rank(A), the index (the product of its pivots) and the
+    lattice ``a_lattice``, and h solves h T = h_c, a d x d system.  Whether its
     columns span all of Z^d is recorded but not enforced: published
     systems are often written with an A whose column lattice has finite
     index in Z^d, and every quantity computed here is normalized against
@@ -265,6 +283,7 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
         # a basis of the saturated left kernel: its columns span Z^d
         A, functional = vr.A, vr.functional
         idx = 1
+        lattice = LatticeBasis._of_hermite(d, IntMatrix.identity(d).data)
     else:
         if A.shape != (d, n):
             raise ConventionError(
@@ -277,12 +296,16 @@ def make_horn_input(B: IntMatrix, A: IntMatrix | None = None, *,
         if None in T:
             raise ConventionError("A B != 0")
         T = IntMatrix._of(tuple(T), d)
-        det = bareiss_det(T)
-        if det == 0:
-            raise ConventionError(f"rank(A) != {d}")
-        # the columns of vr.A span Z^d, so [Z^d : ZA] = |det T|; and
+        # the columns of vr.A span Z^d, so ZA = ZT: its column Hermite
+        # form has d columns exactly when rank(A) = d, and then
+        # [Z^d : ZA] = |det T| is the product of its pivots; and
         # h A = h_c vr.A for the one h with h T = h_c
-        idx = abs(det)
+        H = column_hnf(T)
+        if H.ncols != d:
+            raise ConventionError(f"rank(A) != {d}")
+        lattice = LatticeBasis._of_hermite(d, H.columns())
+        idx = prod(H.data[i][i] for i in range(d))
         functional = frac_solve(T.columns(), vr.functional)
     return HornInput(B=B, A=A, n=n, m=m, d=d,
-                     pointed_functional=functional, a_column_index=idx)
+                     pointed_functional=functional, a_column_index=idx,
+                     g=vr.g, a_lattice=lattice)

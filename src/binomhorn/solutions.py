@@ -252,7 +252,7 @@ def _component_points(dec: Decomposition, gamma, G: PuiseuxSeries, coords):
         if v is None:
             raise BinomHornError("point is not on the component lattice")
         out.append((pt, c.as_rational(), dec.N.mul_vec(v)))
-    return out
+    return tuple(out)
 
 
 # -- characters ------------------------------------------------------------------
@@ -389,7 +389,9 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
 
     What does not depend on the parameter is kept where a caller that
     reuses ``hi`` across parameters finds it again: the atlas of each
-    decomposition and cap (``Decomposition.atlas``), the coset
+    decomposition and cap (``Decomposition.atlas``), the points of the
+    component polynomial at each gamma and cap
+    (``Decomposition.component_points``), the coset
     representatives and the inverted block of each cell
     (``Decomposition.cell_plans``), and the ``WordTable`` of each T
     (``dec.word_table(T)``), with its ``Truncation``, which every
@@ -446,9 +448,11 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
                   for t, w in twists]
         for gamma, comp in zip(atlas.representatives,
                                atlas.bounded_components):
-            points = _component_points(
-                dec, gamma, component_polynomial(dec.M, gamma, comp),
-                wt.coords)
+            points = dec.component_points.get((gamma, cap))
+            if points is None:
+                points = dec.component_points[gamma, cap] = \
+                    _component_points(dec, gamma, component_polynomial(
+                        dec.M, gamma, comp), wt.coords)
             beta_shifted = _shift_beta(beta, dec, gamma)
             for plan in dec.cell_plans:
                 sigma = plan[0]

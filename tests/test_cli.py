@@ -205,6 +205,28 @@ def test_undecodable_file_exit_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_byte_order_mark_is_read_as_utf8(tmp_path, capsys):
+    # a leading UTF-8 byte-order mark, as some editors write, changes no
+    # byte of stdout; a file that is not UTF-8 still exits 2
+    text = (ROOT / "fixtures" / "erdelyi.mat").read_bytes()
+    plain, marked = tmp_path / "plain.mat", tmp_path / "marked.mat"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    for cmd in ("validate", "decompose", "rank"):
+        outs = []
+        for p in (plain, marked):
+            code = main([cmd, "--B", str(p)])
+            captured = capsys.readouterr()
+            outs.append((code, captured.out.encode("utf-8"), captured.err))
+        assert outs[0] == outs[1] and outs[0][0] == 0, cmd
+    bad = tmp_path / "bad.mat"
+    bad.write_bytes(b"\xef\xbb\xbf\xff" + text)
+    assert main(["validate", "--B", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: not UTF-8 text")
+
+
 def test_subgraphs_cap_exit_5(tmp_path, capsys):
     p = tmp_path / "inf.mat"
     p.write_text("1 -1\n-1 1\n")  # every antidiagonal is bounded: infinite mu

@@ -32,11 +32,13 @@ import pytest
 from binomhorn import (
     BinomHornError,
     CapExceededError,
+    Cone,
     InfiniteRankError,
     IntMatrix,
     Scalar,
     andean_report,
     bounded_atlas,
+    degree_cross_check,
     enumerate_decompositions,
     generic_rank,
     int_rank,
@@ -53,6 +55,7 @@ from binomhorn.exact_linalg import (
     kernel_basis,
     left_kernel_basis,
     saturated_span,
+    saturation_index,
 )
 from binomhorn.geometry import own_lattice_coordinates
 from binomhorn.solutions import _character_weights, _twists
@@ -596,8 +599,11 @@ def test_toral_blocks_are_square_invertible_with_the_full_kernel():
 def test_lattice_fields_are_computed_when_read(B_him, B_nh, B_ds):
     andean = 0
     for B in (B_him, B_nh, B_ds):
-        decs = enumerate_decompositions(make_horn_input(B))
-        assert all("g" not in vars(dec) for dec in decs)
+        hi = make_horn_input(B)
+        decs = enumerate_decompositions(hi)
+        # the empty block's g is validation's, kept from the walk on
+        assert decs[0].rowset_Jbar == () and vars(decs[0])["g"] == hi.g
+        assert all("g" not in vars(dec) for dec in decs[1:])
         for dec in decs:
             assert dec.g == smith_index(dec.B_J)
             assert dec.L_basis == smith_saturated_span(dec.B_J)
@@ -732,6 +738,87 @@ def test_lattice_facts_match_the_routes_they_replaced_hypothesis():
         check_lattice_facts(make_horn_input(B), Counter())
 
     prop()
+
+
+# -- the empty block's lattice facts come from validation ------------------------
+
+def empty_block_from_scratch(hi):
+    """g of B and the cone over A by the routes every other block takes:
+    ``saturation_index`` of B_J = B, and a ``Cone`` over A_J = A with
+    its own Hermite form."""
+    cone = Cone(hi.A)
+    return (saturation_index(hi.B), cone.lattice, cone.coords, cone.cells,
+            cone.volume, cone.supports)
+
+
+def test_empty_block_takes_its_lattice_facts_from_validation():
+    # g and the cone (lattice, coordinates, cells, volume, supports) of
+    # the empty block against the from-scratch route, on the lattice
+    # oracle's inputs with the canonical A, the published ones and each
+    # with another supplied A of the same rational row space
+    rng = random.Random(2032)
+    inputs = lattice_oracle_inputs()
+    inputs += [make_horn_input(hi.B, other_A(hi.A, rng)) for hi in inputs]
+    seen = Counter()
+    for hi in inputs:
+        empty = hi.decompositions[0]
+        assert empty.rowset_Jbar == () and empty.is_toral
+        assert empty.B_J == hi.B and empty.A_J == hi.A
+        got = (empty.g, empty.cone.lattice, empty.cone.coords,
+               empty.cone.cells, empty.cone.volume, empty.cone.supports)
+        assert got == empty_block_from_scratch(hi), hi.B.tolist()
+        assert empty.cone.lattice is hi.a_lattice
+        lattice = hi.a_lattice
+        assert hi.a_column_index == abs(bareiss_det(
+            IntMatrix.from_columns(lattice.vectors)))
+        canonical = hi.A == make_horn_input(hi.B).A
+        assert canonical <= (hi.a_column_index == 1)
+        seen["canonical" if canonical else "supplied",
+             hi.a_column_index > 1, hi.g > 1] += 1
+    assert min(seen["canonical", False, g] for g in (False, True)) >= 10
+    assert min(seen["supplied", True, g] for g in (False, True)) >= 10
+    assert sum(seen["supplied", False, g] for g in (False, True)) >= 5, seen
+
+
+def test_chain_ranks_compute_no_lattice_fact_after_validation(monkeypatch):
+    # generic_rank and degree_cross_check of a permuted chain read g and
+    # the cone of the only toral block, the empty one, from validation,
+    # and the walk builds its sets directly: no Hermite form, kernel,
+    # saturation index or dataclass __init__ runs after make_horn_input
+    import sys
+    from binomhorn import decomp, exact_linalg
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    names = ("row_hnf", "column_hnf", "saturation_index", "kernel_basis",
+             "echelon_kernel")
+    wrappers = {getattr(exact_linalg, name): counting(name, getattr(
+        exact_linalg, name)) for name in names}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "binomhorn" or modname.startswith("binomhorn."):
+            for attr, val in list(vars(mod).items()):
+                if callable(val) and val in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[val])
+    monkeypatch.setattr(decomp.Decomposition, "__init__", counting(
+        "Decomposition.__init__", decomp.Decomposition.__init__))
+    for n, sets in ((10, 11), (14, 29)):
+        for seed in range(3):
+            calls.clear()
+            hi = make_horn_input(IntMatrix(chain_rows(n, random.Random(seed))))
+            # validation itself runs the kernel and the Hermite basis of A
+            assert calls["echelon_kernel"] == 1 and calls["row_hnf"] >= 1
+            calls.clear()
+            rep, cross = generic_rank(hi), degree_cross_check(hi)
+            assert calls == Counter(), (n, seed)
+            assert rep.total == 2 and cross is None
+            assert len(hi.decompositions) == sets
+            (summand,) = rep.summands
+            assert (summand.rowset, summand.g) == ((), hi.g)
 
 
 def test_decompose_reports_match_goldens(monkeypatch):

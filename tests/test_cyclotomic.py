@@ -4,6 +4,7 @@ equality and hash for the constructor, products, inverses, roots of
 unity and the cyclotomic polynomials themselves."""
 
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -27,6 +28,33 @@ def check(got, N, form):
 
 def random_coeffs(rng, length):
     return [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(length)]
+
+
+def test_rational_hash_is_the_int_and_fraction_hash():
+    # the hash of a rational Scalar, read off (nums[0], den) with no
+    # Fraction, against the hash of the equal Fraction (and int): seeded
+    # values, negatives, -1 (hashed -2), den a multiple of the hash
+    # modulus P (hashed +-inf), numerators past P, and orders N > 1
+    P = sys.hash_info.modulus
+    rng = random.Random(2031)
+    values = [F(0), F(1), F(-1), F(-2), F(1, 2), F(-1, 2), F(1, P),
+              F(-1, P), F(3, 2 * P), F(P), F(-P), F(P + 1, 3), F(-1, P - 1),
+              F(2 ** 70 + 1, 2 ** 61 - 1), F(-(2 ** 80), 3 ** 40),
+              F(-(P + 2), 2)]  # -1 modulo P, which hash() takes to -2
+    values += [F(rng.randint(-10 ** 25, 10 ** 25), rng.randint(1, 10 ** 25))
+               for _ in range(300)]
+    seen = set()
+    for x in values:
+        for N in (1, 3, 4, 12, 105):
+            s = Scalar.rational(x, N)
+            assert s == x and hash(s) == hash(x), (x, N)
+            if x.denominator == 1:
+                assert s == int(x) and hash(s) == hash(int(x))
+        seen.add(hash(x))
+    assert {-2, sys.hash_info.inf, -sys.hash_info.inf} <= seen
+    # an irrational element hashes its form, equal elements alike
+    z = Scalar.root_of_unity(3)
+    assert hash(z * z * z * z) == hash(z)
 
 
 @pytest.mark.parametrize("N", ORDERS)

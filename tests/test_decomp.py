@@ -5,6 +5,7 @@ import pytest
 
 from binomhorn import (
     IntMatrix,
+    LatticeBasis,
     SizeLimitError,
     andean_report,
     decomp,
@@ -122,7 +123,8 @@ def test_size_limit():
     fake = HornInput(B=IntMatrix([[1 if i == 0 else -1 if i == 1 else 0]
                                   for i in range(31)]),
                      A=IntMatrix.zero(30, 31), n=31, m=1, d=30,
-                     pointed_functional=(), a_column_index=1)
+                     pointed_functional=(), a_column_index=1, g=1,
+                     a_lattice=LatticeBasis(30, IntMatrix.identity(30).data))
     with pytest.raises(SizeLimitError):
         enumerate_decompositions(fake)
 

@@ -17,15 +17,18 @@ from binomhorn import (
     row_hnf,
     Scalar,
 )
+from binomhorn.cli import read_matrix
 from binomhorn.exact_linalg import (
     bareiss_det,
     column_hnf,
     coordinate_map,
+    echelon_kernel,
     frac_solve,
     rref,
     saturated_span,
     saturation_index,
 )
+from binomhorn.model import validate_B
 from binomhorn.solutions import _character_weights, component_characters
 from linalg_reference import (
     frac_rank,
@@ -405,6 +408,81 @@ def test_hermite_pivot_index_at_the_wall_shapes(shape):
         cols[j] = tuple(3 * x for x in cols[j])
         tripled = IntMatrix.from_columns(cols)
         assert saturation_index(tripled) == sat_index(tripled) == 3 * index
+
+
+def check_pivot_product(B):
+    """The product of the pivots of the kernel elimination of B^T, which
+    validation keeps as g, against ``saturation_index(B)``: equal for
+    independent columns, and 0 (where ``saturation_index`` raises) for
+    dependent ones.  Returns it."""
+    cols, g = echelon_kernel(B.transpose())
+    assert LatticeBasis(B.nrows, cols) == left_kernel_basis(B)
+    if int_rank(B) == B.ncols:
+        assert g == saturation_index(B) > 0, B.tolist()
+    else:
+        assert g == 0, B.tolist()
+        with pytest.raises(ValueError):
+            saturation_index(B)
+    vr = validate_B(B)
+    if vr.ok:
+        assert vr.g == g
+    else:
+        assert vr.g is None
+    return g
+
+
+def test_kernel_pivot_product_is_the_saturation_index():
+    # the fixtures (the A files read as B too, whose columns are
+    # dependent), permuted chains, seeded random B with a tripled column
+    # in one draw of three and a repeated, doubled column in one of five
+    from test_combinatorics_oracles import chain_rows
+    from pathlib import Path
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    seen = Counter()
+    for path in sorted(fixtures.glob("*.mat")):
+        seen["fixture", check_pivot_product(read_matrix(str(path))) > 0] += 1
+    for n in (6, 10, 14, 18):  # n / 2 odd, else the chain loses rank
+        B = IntMatrix(chain_rows(n, random.Random(n)))
+        assert check_pivot_product(B) > 0
+        assert validate_B(B).ok
+        seen["chain"] += 1
+    rng = random.Random(1979)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        k = rng.randint(0, n)
+        cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if k and rng.random() < 1 / 3:
+            cols[0] = [3 * x for x in cols[0]]
+        if k > 1 and rng.random() < 0.2:
+            cols[-1] = [2 * x for x in cols[0]]
+        g = check_pivot_product(IntMatrix.from_columns(cols, nrows=n))
+        seen["random", "dependent" if g == 0 else "no column" if not k
+             else "g > 1" if g > 1 else "g = 1"] += 1
+    assert seen["fixture", True] == 6 and seen["fixture", False] == 4, seen
+    assert min(seen["random", kind] for kind in (
+        "dependent", "no column", "g > 1", "g = 1")) >= 10, seen
+
+
+@pytest.mark.parametrize("shape", [(30, 15), (40, 20)])
+def test_kernel_pivot_product_at_the_wall_shapes(shape):
+    # the product validation keeps as g, on the random B of the index
+    # wall (the same draws), with one column tripled, which triples it,
+    # and with a column repeated, which makes it 0
+    n, k = shape
+    rng = random.Random(n * 100 + k)
+    for bound in (2, 3):
+        while True:
+            m = IntMatrix([[rng.randint(-bound, bound) for _ in range(k)]
+                           for _ in range(n)])
+            if int_rank(m) == k:
+                break
+        index = check_pivot_product(m)
+        cols = m.columns()
+        j = rng.randrange(k)
+        cols[j] = tuple(3 * x for x in cols[j])
+        assert check_pivot_product(IntMatrix.from_columns(cols)) == 3 * index
+        cols[j] = cols[j - 1]
+        assert check_pivot_product(IntMatrix.from_columns(cols)) == 0
 
 
 def test_saturation_index_matches_the_smith_index():

@@ -453,6 +453,44 @@ def test_row_plans_are_shared_across_betas(fixture, root, B_erd, A_erd,
     assert len(keys) > 100
 
 
+@pytest.mark.parametrize("fixture, root", [("erdelyi", 1), ("ds06", 3)])
+def test_component_points_once_across_betas(fixture, root, monkeypatch,
+                                            B_erd, A_erd, B_ds, A_ds):
+    # the component polynomial at each gamma and its points are built
+    # at the first beta and kept on the decomposition by (gamma, cap):
+    # later betas, and another T, build none, and the solutions equal
+    # those of a fresh input
+    from binomhorn import solutions
+    built = []
+    for name in ("component_polynomial", "_component_points"):
+        inner = getattr(solutions, name)
+
+        def counting(*args, inner=inner, name=name):
+            built.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(solutions, name, counting)
+    B, A = (B_erd, A_erd) if fixture == "erdelyi" else (B_ds, A_ds)
+    hi = make_horn_input(B, A)
+    counts = []
+    for beta, T in (((F(1, 5), F(2, 7)), 8), ((F(3, 7), F(4, 5)), 8),
+                    ((F(9, 5), F(6, 7)), 6)):
+        got = solution_basis(hi, beta, T=T, field_root=root)
+        counts.append(len(built))
+        want = solution_basis(make_horn_input(B, A), beta, T=T,
+                              field_root=root)
+        assert [s.series.terms for s in got] == [s.series.terms
+                                                 for s in want]
+        del built[counts[-1]:]
+    gammas = sum(dec.atlas().mu for dec in hi.decompositions
+                 if dec.is_toral)
+    assert counts == [2 * gammas] * 3 and gammas > 0
+    assert sorted(key for dec in hi.decompositions if dec.is_toral
+                  for key in dec.component_points) == sorted(
+        (gamma, 1000) for dec in hi.decompositions if dec.is_toral
+        for gamma in dec.atlas().representatives)
+
+
 def test_series_wall_at_T80(B_ds, A_ds):
     # ds06 with its three characters at T = 80; a series layer that
     # loses its integer paths or rebuilds per-term work fails here fast
