@@ -45,7 +45,6 @@ from .series import (
 )
 from .solutions import (
     Solution,
-    component_characters,
     component_polynomial,
     solution_basis,
     verify_annihilation,

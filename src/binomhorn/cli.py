@@ -4,9 +4,10 @@ Matrices are read from text files (one row per line, whitespace-separated
 integers, '#' comments ignored).  Every report is a single JSON object
 with sorted keys, a schema tag, and the input matrices echoed back.
 
-Exit codes: 0 success, 2 input or convention violation, 3 generically
-infinite rank, 4 resonance or very-generic violation, 5 subgraph level cap
-exceeded or mu certified infinite.
+Exit codes: 0 success, 1 a ``verify`` solution that fails its interior
+check, 2 input or convention violation, 3 generically infinite rank, 4
+resonance or very-generic violation, 5 subgraph level cap exceeded or mu
+certified infinite.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def cmd_rank(args):
 
 def cmd_horn_ops(args):
     B = read_matrix(args.B)
-    c = parse_rationals(args.c) if args.c else tuple(Fraction(0)
-                                                     for _ in range(B.nrows))
+    c = parse_rationals(args.c) if args.c is not None else tuple(
+        Fraction(0) for _ in range(B.nrows))
     if len(c) != B.nrows:
         raise ConventionError(
             f"parameter c needs {B.nrows} entries, got {len(c)}")

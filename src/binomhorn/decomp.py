@@ -44,17 +44,17 @@ is enumerated once, each of its cones is built once, each atlas once per
 cap and each word table once per T.  B_J always has full column rank,
 since a vector of its kernel, padded with zeros on the columns of M,
 lies in the kernel of B.  So the index g of its column span in the
-saturation is the product of the pivots of its row Hermite form
-(``saturation_index``), and the rank formula reads g without
-saturating B_J.
+saturation is the pivot product of the kernel elimination of B_J^T
+(``echelon_kernel``), and the rank formula reads g without saturating
+B_J.
 
 The empty set, which every B has and which is always toral, computes
-neither: its B_J is B and its A_J is A, so it takes g from the pivots
-of validation's kernel elimination (``HornInput.g``) and builds its
-cone on the column Hermite basis of ZA that validation knows
-(``HornInput.a_lattice``), with no Hermite form.  A rank whose only
-toral block is the empty one, as on the permuted chains, runs no
-lattice routine after validation.
+neither: its B_J is B and its A_J is A, so it takes g from the same
+elimination in validation (``HornInput.g``) and builds its cone on the
+column Hermite basis of ZA that validation knows
+(``HornInput.a_lattice``).  A rank whose only toral block is the empty
+one, as on the permuted chains, runs no lattice routine after
+validation.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import CapExceededError, SizeLimitError
 from .exact_linalg import (
@@ -71,10 +71,9 @@ from .exact_linalg import (
     LatticeBasis,
     _bareiss_rank,
     column_hnf,
-    coordinate_map,
+    echelon_kernel,
     rref,
     saturated_span,
-    saturation_index,
 )
 from .geometry import Cone
 from .model import HornInput
@@ -95,12 +94,11 @@ class Decomposition:
     the saturation of the column span of B_J inside Z^J (coordinates
     indexed by J in increasing order), computed from B_J when first read
     by the series code; when M takes every column (p = m), B_J has none
-    and ``L_basis`` is the zero lattice of Z^J, with no saturation.
-    ``g`` is the index of the span in its saturation, the product of the
-    diagonal of ``row_hnf(B_J)`` (``saturation_index``, see the module
-    docstring), also computed when first read: the rank formula reads it
-    only for toral decompositions, and the empty product makes it 1 when
-    p = m.  ``cone`` holds the cells, volume and support functions of
+    and ``L_basis`` is the zero lattice of Z^J.  ``g`` is the index of
+    the span in its saturation (see the module docstring), also computed
+    when first read: the rank formula reads it only for toral
+    decompositions, and it is 1 when p = m.  ``cone`` holds the cells,
+    volume and support functions of
     A_J, likewise computed when first read; the empty set has its g and
     the lattice of its cone from the input instead.
     ``component_points`` keeps the points of each component polynomial
@@ -166,13 +164,11 @@ class Decomposition:
 
     @cached_property
     def L_basis(self) -> LatticeBasis:
-        if self.p == self.B.ncols:  # B_J has no column
-            return LatticeBasis(len(self.J), ())
         return saturated_span(self.B_J)
 
     @cached_property
     def g(self) -> int:
-        return saturation_index(self.B_J)
+        return echelon_kernel(self.B_J.transpose())[1]
 
     @cached_property
     def cone(self) -> Cone:
@@ -247,11 +243,10 @@ class WordTable:
     offset sum_i k_i L_i in Z^J; ``reach`` gives, for each coordinate of
     J, the bound T max_i |L_i| on the offsets; ``lifted`` holds each u
     embedded in the n coordinates of B (zero on Jbar).  ``truncation``
-    is the one ``Truncation`` of those solutions, and ``coords`` maps an
-    integer vector of length q to its coordinates against the columns
-    of M (see ``coordinate_map``).  ``columns`` lists the offsets u by
-    coordinate of J, once per table, for the Gamma-ratio products of
-    every (gamma, cell exponent) and parameter (``solutions._gamma_terms``).
+    is the one ``Truncation`` of those solutions.  ``columns`` lists the
+    offsets u by coordinate of J, once per table, for the Gamma-ratio
+    products of every (gamma, cell exponent) and parameter
+    (``solutions._gamma_terms``).
     ``classes(w, order)`` gives each word's class under the character of
     weight w, built once per weight and order, and ``row_plan`` the
     words a point of a solution keeps and their offsets, once per point.
@@ -261,7 +256,6 @@ class WordTable:
     reach: tuple
     lifted: tuple
     truncation: Truncation
-    coords: Callable
 
     @cached_property
     def columns(self):
@@ -396,8 +390,7 @@ def _word_table(dec: Decomposition, T: int) -> WordTable:
     return WordTable(
         words=words, reach=reach, lifted=tuple(lift(u) for _, u in words),
         truncation=Truncation(basis=tuple(map(lift, dec.L_basis.vectors)),
-                              bound=T, dim=n),
-        coords=coordinate_map(dec.M.columns(), dec.M.nrows))
+                              bound=T, dim=n))
 
 
 def _bits(mask):

@@ -3,7 +3,8 @@
 Each maps to one CLI exit code, its class attribute ``exit_code``: 2 for
 input and convention errors, 3 infinite rank, 4 resonance or a
 parameter that is not very generic, 5 the subgraph level cap hit or mu
-certified infinite.
+certified infinite.  Exit 1 is no error: ``verify`` returns it when a
+solution fails its interior check.
 """
 
 

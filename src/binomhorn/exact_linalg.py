@@ -1,23 +1,23 @@
 """Arbitrary-precision integer and rational linear algebra.
 
 Everything here is exact: matrices hold Python ints, and rational rows
-are scaled to integers before any elimination.  Every rational solve
-and null space, and every pivot choice, reads one fraction-free
-Gauss-Jordan routine, ``rref``; ranks come from its forward-only form,
-integer kernels from one echelon pass of gcd column operations.  A
-lattice held in Hermite form reads its facts off its pivots: the
-coordinates of a vector by forward substitution, and the index of a
-sublattice as one determinant ratio; coordinates against any other
-independent vectors come from ``coordinate_map``.  No floating point
-anywhere.  Provides Hermite normal forms, integer kernels, saturated
-spans and lattice indices, and those solvers.
+are scaled to integers before any elimination.  Each lattice fact has
+one route.  Rational solves, pivot choices and the |det| of a square
+block (its last pivot) read one fraction-free Gauss-Jordan routine,
+``rref``; ranks come from its forward-only form.  Integer kernels, left
+kernels, orthogonal complements and saturated spans come from one
+echelon pass of gcd column operations, ``echelon_kernel``, whose pivot
+product is also the index g of a column span in its saturation.  A
+lattice is held in column Hermite form and reads the coordinates of a
+vector off its pivots by forward substitution; ``coordinate_forms``
+turns the coordinates against other independent vectors into integer
+matrix-vector products.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from operator import mul
+from math import lcm
 
 
 class IntMatrix:
@@ -149,7 +149,8 @@ def rref(rows, ncols):
     pivots[i], every other row holds 0 there, and the rows past the
     pivots are zero; dividing by d gives the usual reduced form.  Every
     entry is a minor of the scaled rows, so each division is exact; d is
-    the last pivot, or 1 when there is none.
+    the last pivot, or 1 when there is none, and of a nonsingular square
+    integer matrix it is the determinant up to sign.
     """
     a = []
     for row in rows:
@@ -188,31 +189,6 @@ def frac_solve(rows, rhs):
     for c, row in zip(pivots, red):
         x[c] = Fraction(row[nc], d)
     return tuple(x)
-
-
-def bareiss_det(m: IntMatrix):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def int_rank(m: IntMatrix):
@@ -264,23 +240,6 @@ def row_hnf(m: IntMatrix):
 def column_hnf(m: IntMatrix):
     """Column-style Hermite normal form (transpose of row_hnf of transpose)."""
     return row_hnf(m.transpose()).transpose()
-
-
-def saturation_index(m: IntMatrix):
-    """Index of the integer column span of m in its saturation
-    (Q colspan m) intersect Z^nrows, for m of full column rank.
-
-    Both that index and the index of the row lattice of m in Z^ncols
-    are the product of the Smith invariants of m, so it is the product
-    of the pivots of the row Hermite form, which is square and upper
-    triangular (Cohen, GTM 138, 2.4; Kannan-Bachem 1979): one Hermite
-    form and no saturation.  It is 1 when m has no column; dependent
-    columns raise ValueError.
-    """
-    h = row_hnf(m)
-    if h.nrows != m.ncols:
-        raise ValueError("columns are dependent")
-    return prod(row[i] for i, row in enumerate(h.data))
 
 
 # -- lattices ------------------------------------------------------------------
@@ -389,8 +348,9 @@ def echelon_kernel(m: IntMatrix):
     m U = [L | 0], U unimodular, so for m of full row rank their
     product is [Z^nrows : column span of m], which is the gcd of the
     maximal minors of m and so the index of the row lattice of m in
-    its saturation (``saturation_index`` of the transpose; Cohen,
-    GTM 138, 2.4).  It is 0 exactly when the rows are dependent.
+    its saturation (Cohen, GTM 138, 2.4): on B^T it is
+    g = [sat ZB : ZB], for every block B_J alike.  It is 0 exactly when
+    the rows are dependent.
     """
     n = m.ncols
     cols = [[*col, *(int(i == j) for i in range(n))]
@@ -416,28 +376,13 @@ def left_kernel_basis(m: IntMatrix):
 
 
 def saturated_span(m: IntMatrix):
-    """(Q colspan m) intersect Z^nrows as a LatticeBasis, for any columns.
-
-    One rref of m^T gives integer rows spanning the rational left kernel
-    (``_null_rows``); the integer kernel of those rows is the saturated
-    span.
+    """(Q colspan m) intersect Z^nrows as a LatticeBasis, for any columns:
+    the integer kernel of the rows of ``left_kernel_basis(m)``, which
+    vanish exactly on the rational column span.  A matrix without
+    columns gives the zero lattice.
     """
-    n = m.nrows
-    ys = _null_rows(*rref(m.transpose().data, n), n)
-    return kernel_basis(IntMatrix._of(tuple(map(tuple, ys)), n))
-
-
-def _null_rows(pivots, red, d, n):
-    """Integer rows spanning the rational null space of a matrix with n
-    columns, from its ``rref`` (pivots, red, d): for each free column f
-    the row y with y_f = d, y_p = -red_p[f] at each pivot p, and zero
-    elsewhere."""
-    ys = [[0] * n for _ in range(n - len(pivots))]
-    for y, f in zip(ys, sorted(set(range(n)) - set(pivots))):
-        y[f] = d
-        for p, row in zip(pivots, red):
-            y[p] = -row[f]
-    return ys
+    ys = left_kernel_basis(m).vectors
+    return kernel_basis(IntMatrix._of(ys, m.nrows))
 
 
 def coordinate_forms(vectors, n):
@@ -450,10 +395,10 @@ def coordinate_forms(vectors, n):
     gives both.  Its pivots are the first coordinates on which the
     vectors restrict to an invertible block, and its right block E turns
     that block into d I, so E^T over d inverts it: P holds E^T on the
-    pivot coordinates and zeros elsewhere.  The null space of its left
-    block is the orthogonal complement of the span, so its rows C (see
-    ``_null_rows``) vanish exactly on the rational span.  C has
-    n - len(vectors) rows and P has len(vectors).
+    pivot coordinates and zeros elsewhere.  C is the basis of the left
+    kernel of the vectors as columns (``left_kernel_basis``), the
+    orthogonal complement of their span, so it vanishes exactly on the
+    rational span.  C has n - len(vectors) rows and P has len(vectors).
     """
     vectors = tuple(tuple(int(x) for x in vec) for vec in vectors)
     r = len(vectors)
@@ -468,36 +413,5 @@ def coordinate_forms(vectors, n):
     for i, p_row in enumerate(P):
         for t, row in zip(rows, red):
             p_row[t] = sign * row[n + i]
-    C = _null_rows(rows, red, d, n)
-    return (tuple(map(tuple, C)), tuple(map(tuple, P)), sign * d)
-
-
-def coordinate_map(vectors, n):
-    """Integer coordinates against independent integer vectors of length
-    n, through their ``coordinate_forms`` computed here.
-
-    Returns a function taking an integer or rational vector to the tuple
-    of its integer coordinates, or to None when the vector lies outside
-    the lattice the vectors span; a vector of the wrong length raises
-    ValueError.  A call costs two small integer matrix-vector products,
-    not an elimination.
-    """
-    C, P, d = coordinate_forms(vectors, n)
-
-    def coordinates(y):
-        if len(y) != n:
-            raise ValueError(f"vector of length {len(y)}, expected {n}")
-        if any(x.denominator != 1 for x in y):
-            return None
-        y = [x.numerator for x in y]
-        if any(sum(map(mul, row, y)) for row in C):
-            return None
-        k = []
-        for row in P:
-            q, rem = divmod(sum(map(mul, row, y)), d)
-            if rem:
-                return None
-            k.append(q)
-        return tuple(k)
-
-    return coordinates
+    C = left_kernel_basis(IntMatrix.from_columns(vectors, nrows=n)).vectors
+    return C, tuple(map(tuple, P)), sign * d

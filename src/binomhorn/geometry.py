@@ -1,13 +1,14 @@
 """Exact polyhedral data of the column configurations A_J, one cone each.
 
 A ``Cone`` rewrites the columns of A_J in a basis of their own integer
-column span, once: the basis is the one column Hermite form of A_J, and
-the coordinates follow from its pivots by forward substitution.  It
-reads everything else lazily from one scan for the facets of
-conv(0, columns) in those coordinates:
+column span, once (``own_lattice_coordinates``): the basis is the one
+column Hermite form of A_J, and the coordinates follow from its pivots
+by forward substitution.  It reads everything else lazily from one
+scan for the facets of conv(0, columns) in those coordinates:
 
 - the cells: 0 coned over a triangulation of each facet not containing
-  it, each with its integer volume in the column lattice;
+  it, each with its integer volume in the column lattice, the last
+  pivot of ``rref``;
 - the normalized volume, r! times the Euclidean volume in those
   coordinates, as the sum of the cells;
 - the primitive support functions of the facets through 0: rational
@@ -34,7 +35,6 @@ from .errors import BinomHornError
 from .exact_linalg import (
     IntMatrix,
     LatticeBasis,
-    bareiss_det,
     column_hnf,
     frac_solve,
     rref,
@@ -132,15 +132,22 @@ def _triangulate_rec(pts, labels, dim):
 
 # -- the cone over one column configuration -----------------------------------
 
-def own_lattice_coordinates(A_J: IntMatrix):
+def own_lattice_coordinates(A_J: IntMatrix,
+                            lattice: LatticeBasis | None = None):
     """Columns of A_J rewritten in a canonical basis of their own span.
 
     Returns (lattice, coords) where coords[j] is an integer vector of
-    length rank(A_J).  The one column Hermite form of A_J is the basis,
-    and the coordinates come from it by forward substitution on its
-    pivots (``LatticeBasis.coordinates``), with no further elimination.
+    length rank(A_J).  The basis is the one column Hermite form of A_J,
+    or ``lattice`` when the caller knows it, and the coordinates come
+    from it by forward substitution on its pivots, with no further
+    elimination: none at all when the basis is the identity.
     """
-    lattice = LatticeBasis._of_hermite(A_J.nrows, column_hnf(A_J).columns())
+    if lattice is None:
+        lattice = LatticeBasis._of_hermite(A_J.nrows,
+                                           column_hnf(A_J).columns())
+    if lattice.rank == lattice.ambient_dim and all(
+            v[p] == 1 for v, p in zip(lattice.vectors, lattice.pivots)):
+        return lattice, A_J.columns()
     coords = list(map(lattice.coordinates, A_J.columns()))
     if None in coords:
         raise BinomHornError("column outside its own lattice")
@@ -163,21 +170,6 @@ class SupportFunction:
         return sum(a * Fraction(b) for a, b in zip(self.nu, beta))
 
 
-def _known_lattice_coordinates(A_J: IntMatrix, lattice: LatticeBasis):
-    """The columns of A_J in ``lattice``, the column Hermite basis of
-    their own span, known beforehand: the columns themselves when it is
-    the standard basis of Z^d, else by forward substitution on its
-    pivots, with no Hermite form."""
-    if lattice.rank == lattice.ambient_dim and all(
-            v[p] == 1 for v, p in zip(lattice.vectors, lattice.pivots)):
-        # a full column Hermite form with unit pivots is the identity
-        return A_J.columns()
-    coords = list(map(lattice.coordinates, A_J.columns()))
-    if None in coords:
-        raise BinomHornError("column outside the given lattice")
-    return coords
-
-
 class Cone:
     """conv(0, columns of A_J) in the coordinates of its column lattice.
 
@@ -195,11 +187,7 @@ class Cone:
     def __init__(self, A_J: IntMatrix, lattice: LatticeBasis | None = None):
         if A_J.ncols == 0:
             raise BinomHornError("degenerate point set: no columns")
-        if lattice is None:
-            self.lattice, self.coords = own_lattice_coordinates(A_J)
-        else:
-            self.lattice = lattice
-            self.coords = _known_lattice_coordinates(A_J, lattice)
+        self.lattice, self.coords = own_lattice_coordinates(A_J, lattice)
         self.rank = self.lattice.rank
         if self.rank == 0:
             raise BinomHornError("degenerate point set: rank 0")
@@ -230,10 +218,10 @@ class Cone:
                 for simplex in _triangulate_rec([pts[i] for i in members],
                                                 [labels[i] for i in members],
                                                 r - 1)]
-        return sorted(
-            (simplex, abs(bareiss_det(IntMatrix([self.coords[j]
-                                                 for j in simplex]))))
-            for simplex in simplices)
+        # the last pivot of a nonsingular square block is its |det|
+        return sorted((simplex, abs(rref([self.coords[j] for j in simplex],
+                                         r)[2]))
+                      for simplex in simplices)
 
     @cached_property
     def volume(self) -> int:

@@ -238,8 +238,12 @@ class PuiseuxSeries:
         return tuple(b + x for b, x in zip(self.base, z))
 
     def coefficient(self, exponent):
+        """The coefficient at ``exponent``; a wrong length raises."""
+        if len(exponent) != self.nvars:
+            raise ValueError(f"exponent of length {len(exponent)}, "
+                             f"expected {self.nvars}")
         z = tuple(Fraction(e) - b for e, b in zip(exponent, self.base))
-        if len(z) != self.nvars or any(x.denominator != 1 for x in z):
+        if any(x.denominator != 1 for x in z):
             return Scalar.zero(self.field_order)
         return self.terms.get(tuple(int(x) for x in z),
                               Scalar.zero(self.field_order))

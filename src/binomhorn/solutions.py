@@ -31,7 +31,7 @@ from .errors import (
     ResonanceError,
     VeryGenericError,
 )
-from .exact_linalg import IntMatrix, row_hnf, rref
+from .exact_linalg import IntMatrix, frac_solve, row_hnf, rref
 from .geometry import very_generic_check, _shift_beta
 from .model import HornInput
 from .series import (
@@ -242,43 +242,28 @@ def _assemble_via_gamma(dec: Decomposition, points, n, v_local,
              list(map(floordiv, dens, g))))
 
 
-def _component_points(dec: Decomposition, gamma, G: PuiseuxSeries, coords):
+def _component_points(dec: Decomposition, gamma, G: PuiseuxSeries):
     """(point, rational coefficient, N v) for the points gamma + M v of
-    G, sorted; ``coords`` maps an offset to its coordinates v against
-    the columns of M."""
+    G, sorted, with v the integer solution of the square system M v =
+    point - gamma (``frac_solve``)."""
     out = []
     for pt, c in sorted(G.terms.items()):
-        v = coords(list(map(sub, pt, gamma)))
-        if v is None:
+        v = frac_solve(dec.M.data, list(map(sub, pt, gamma)))
+        if v is None or any(x.denominator != 1 for x in v):
             raise BinomHornError("point is not on the component lattice")
-        out.append((pt, c.as_rational(), dec.N.mul_vec(v)))
+        out.append((pt, c.as_rational(), dec.N.mul_vec(
+            [x.numerator for x in v])))
     return tuple(out)
 
 
 # -- characters ------------------------------------------------------------------
 
-def component_characters(dec: Decomposition, field_order: int):
-    """The g = [sat(Z B_J) : Z B_J] characters of sat(Z B_J) trivial on
-    Z B_J.
-
-    Returns a list of (index tuple, callable) pairs; the callable maps
-    the coordinates k of a lattice vector in ``dec.L_basis`` to a Scalar
-    root of unity, roots[w . k mod len(roots)] for the roots and the
-    weight vector w of the character in ``_twists``.  Requires the
-    exponent of the group to divide the cyclotomic order.
-    """
-    roots, twists = _twists(dec, field_order)
-
-    def make(w):
-        return lambda k: roots[sum(map(mul, w, k)) % len(roots)]
-
-    return [(t, make(w)) for t, w in twists]
-
-
 def _twists(dec: Decomposition, field_order: int):
-    """(roots, [(index tuple, weight vector)]) for the characters of
-    ``component_characters``: the character with weight w maps the
-    coordinates k of a lattice vector to roots[w . k mod len(roots)].
+    """(roots, [(index tuple, weight vector)]) for the g =
+    [sat(Z B_J) : Z B_J] characters of sat(Z B_J) trivial on Z B_J: the
+    character with weight w maps the coordinates k of a lattice vector
+    in ``dec.L_basis`` to roots[w . k mod len(roots)].  Requires the
+    exponent of the group to divide the cyclotomic order.
 
     The weights are those of ``_character_weights`` on the coordinates
     of the columns of B_J, divided by step, the gcd of the order and
@@ -452,7 +437,7 @@ def solution_basis(hi: HornInput, beta, T: int = 6, field_root: int = 1,
             if points is None:
                 points = dec.component_points[gamma, cap] = \
                     _component_points(dec, gamma, component_polynomial(
-                        dec.M, gamma, comp), wt.coords)
+                        dec.M, gamma, comp))
             beta_shifted = _shift_beta(beta, dec, gamma)
             for plan in dec.cell_plans:
                 sigma = plan[0]

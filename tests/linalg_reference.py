@@ -16,14 +16,18 @@ simplex, and ``is_pointed_by_fraction_ratios`` is that simplex as it was
 when its ratio test built one ``Fraction`` per row, the reference for
 the cross-multiplied test.  ``lattice_index`` is the index of a span
 in a Hermite basis as one determinant ratio on its pivots, the route by
-which a supplied A once got its index.
+which a supplied A once got its index.  ``bareiss_det`` is the
+fraction-free determinant the library's cell volumes once read, and
+``hermite_index`` the pivot product of one row Hermite form, the route
+by which g once came for every block but the empty one; the library
+reads both off other eliminations now (``rref``, ``echelon_kernel``).
 """
 
 from fractions import Fraction
 from itertools import product
 from math import prod
 
-from binomhorn.exact_linalg import IntMatrix, LatticeBasis, bareiss_det, row_hnf
+from binomhorn.exact_linalg import IntMatrix, LatticeBasis, row_hnf
 from binomhorn.model import PointedReport, _clear_denominators
 
 
@@ -169,6 +173,43 @@ def smith_normal_form(m: IntMatrix):
             negate_row(t)
         t += 1
     return IntMatrix(U), IntMatrix(a), IntMatrix(V)
+
+
+def bareiss_det(m: IntMatrix):
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = m.nrows
+    if n != m.ncols:
+        raise ValueError("determinant of non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def hermite_index(m: IntMatrix):
+    """[sat(Z colspan m) : Z colspan m] for m of full column rank: the
+    product of the pivots of the row Hermite form of m, which is square
+    and upper triangular, since both indices are the product of the
+    Smith invariants of m (Cohen, GTM 138, 2.4).  It is 1 when m has no
+    column; dependent columns raise ValueError."""
+    h = row_hnf(m)
+    if h.nrows != m.ncols:
+        raise ValueError("columns are dependent")
+    return prod(row[i] for i, row in enumerate(h.data))
 
 
 def lattice_index(lattice, vectors):

@@ -12,13 +12,16 @@ exponents of a support's sheets.  ``word_coordinates``,
 ``word_length`` and ``covered`` decide, one offset and one sheet at a
 time, whether a truncated series knows its full value at an offset:
 the per-term test that ``Truncation.coverage`` answers from integer
-forms.  They solve by the Fraction elimination of ``linalg_reference``,
-apart from those forms.  Tests read them as small, separately checkable
-pieces of the pipeline.
+forms, whose coordinates ``forms_coordinates`` reads one offset at a
+time.  They solve by the Fraction elimination of ``linalg_reference``,
+apart from those forms.  ``twist_characters`` turns the weights of
+``solutions._twists`` into one callable per character, on the word
+coordinates, where the library reads only the class of each word.
+Tests read them as small, separately checkable pieces of the pipeline.
 """
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 from binomhorn import (
     BinomHornError,
@@ -29,7 +32,8 @@ from binomhorn import (
 )
 from binomhorn.series import PuiseuxSeries, Support, Truncation
 from binomhorn.decomp import WordTable, _words
-from binomhorn.solutions import _gamma_terms, _ratio_tables, _zero_cut
+from binomhorn.solutions import (_gamma_terms, _ratio_tables, _twists,
+                                 _zero_cut)
 from binomhorn.subgraph import Component, _explore, _steps
 from linalg_reference import lattice_coordinates
 
@@ -92,8 +96,7 @@ def column_terms(words, reach, trunc, tables, w):
     ``WordTable`` on every coordinate, whose row plan at the translate w
     keeps the words above the zero cut."""
     table = WordTable(words=tuple(words), reach=reach,
-                      lifted=tuple(u for _, u in words), truncation=trunc,
-                      coords=None)
+                      lifted=tuple(u for _, u in words), truncation=trunc)
     cut = _zero_cut(table.columns or [()] * len(w), tables, w)
     offsets, _, zcols = table.row_plan(tuple(w), cut)
     return zip(offsets, *_gamma_terms(zcols, tables))
@@ -135,6 +138,20 @@ def word_coordinates(trunc: Truncation, offset):
     return lattice_coordinates(trunc.basis, offset)
 
 
+def forms_coordinates(forms, y):
+    """The coordinates of y read off ``coordinate_forms`` (C, P, d), as
+    ``Truncation.coverage`` reads them: None unless y is integral,
+    C y = 0 and d divides every entry of P y."""
+    C, P, d = forms
+    if any(Fraction(x).denominator != 1 for x in y):
+        return None
+    y = [int(x) for x in y]
+    if any(sum(map(mul, row, y)) for row in C):
+        return None
+    k = [sum(map(mul, row, y)) for row in P]
+    return None if any(x % d for x in k) else tuple(x // d for x in k)
+
+
 def word_length(trunc: Truncation, offset):
     """The l1 norm of ``word_coordinates``, or None off the lattice."""
     k = word_coordinates(trunc, offset)
@@ -172,3 +189,16 @@ def component_of(M: IntMatrix, gamma) -> Component:
     comp = _explore(_steps(M), gamma)
     assert comp.bounded or comp.witness is not None
     return comp
+
+
+def twist_characters(dec, field_order):
+    """The characters of sat(Z B_J) trivial on Z B_J as (index tuple,
+    callable) pairs, from ``_twists``: the callable maps the coordinates
+    k of a lattice vector in ``dec.L_basis`` to the Scalar root of unity
+    roots[w . k mod len(roots)] of the character's weight w."""
+    roots, twists = _twists(dec, field_order)
+
+    def make(w):
+        return lambda k: roots[sum(a * b for a, b in zip(w, k)) % len(roots)]
+
+    return [(t, make(w)) for t, w in twists]

@@ -168,9 +168,11 @@ def test_negative_cap_exit_2(paths, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["solve", "--B", "erd", "--beta", "1/2,,1/3"],
     ["verify", "--B", "erd", "--beta", "1/2,1/3,"],
-    ["horn-ops", "--B", "gauss", "--c", ",1,2,3,4"]])
+    ["horn-ops", "--B", "gauss", "--c", ",1,2,3,4"],
+    ["horn-ops", "--B", "gauss", "--c", ""]])
 def test_empty_rational_entry_exit_2(paths, capsys, argv):
-    # a dropped entry is an input error, not a shorter vector
+    # a dropped entry is an input error, not a shorter vector, and an
+    # empty --c is one empty entry, not the default c = 0
     code = main([paths.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2

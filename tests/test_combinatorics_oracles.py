@@ -49,18 +49,24 @@ from binomhorn.cli import main, read_matrix
 from binomhorn.decomp import _admissible_rowsets
 from binomhorn.exact_linalg import (
     LatticeBasis,
-    bareiss_det,
     column_hnf,
-    coordinate_map,
     kernel_basis,
     left_kernel_basis,
     saturated_span,
-    saturation_index,
 )
 from binomhorn.geometry import own_lattice_coordinates
-from binomhorn.solutions import _character_weights, _twists
+from binomhorn.series import PuiseuxSeries
+from binomhorn.solutions import _character_weights, _component_points, _twists
 from binomhorn.subgraph import Component, _dominates, _steps
-from linalg_reference import lattice_index, smith_index, smith_saturated_span
+from linalg_reference import (
+    bareiss_det,
+    lattice_coordinates,
+    lattice_index,
+    smith_character_weights,
+    smith_index,
+    smith_saturated_span,
+)
+from pipeline_reference import twist_characters
 from test_model import other_A, random_pointed_rows
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -617,22 +623,21 @@ def test_lattice_fields_are_computed_when_read(B_him, B_nh, B_ds):
 def reference_own_lattice_coordinates(A_J):
     """The cone's lattice and coordinates by the route the library
     replaced: the nonzero columns of the column Hermite form reduced
-    again by ``LatticeBasis``, and the coordinates from
-    ``coordinate_map``."""
+    again by ``LatticeBasis``, and the coordinates by Fraction
+    elimination."""
     lattice = LatticeBasis(A_J.nrows, [c for c in column_hnf(A_J).columns()
                                        if any(c)])
-    return lattice, list(map(coordinate_map(lattice.vectors, A_J.nrows),
-                             A_J.columns()))
+    return lattice, [lattice_coordinates(lattice.vectors, c)
+                     for c in A_J.columns()]
 
 
 def reference_twists(dec, order):
     """``solutions._twists`` with the coordinates of the columns of B_J
-    in ``L_basis`` from ``coordinate_map``."""
+    in ``L_basis`` by Fraction elimination."""
     L = dec.L_basis
     if L.rank == 0 or dec.g == 1:
         return [Scalar.one(order)], [((), ())]
-    coords = list(map(coordinate_map(L.vectors, L.ambient_dim),
-                      dec.B_J.columns()))
+    coords = [lattice_coordinates(L.vectors, c) for c in dec.B_J.columns()]
     weights = _character_weights(IntMatrix.from_columns(coords,
                                                         nrows=L.rank), order)
     step = gcd(order, *(x for _, w in weights for x in w))
@@ -689,17 +694,18 @@ def check_lattice_facts(hi, seen):
             reference_own_lattice_coordinates(dec.A_J), (hi.B.tolist(),
                                                          dec.label)
         L = dec.L_basis
-        assert list(map(L.coordinates, B_J.columns())) == list(map(
-            coordinate_map(L.vectors, L.ambient_dim), B_J.columns()))
+        assert list(map(L.coordinates, B_J.columns())) == [
+            lattice_coordinates(L.vectors, c) for c in B_J.columns()]
         if dec.is_toral and want > 1:
             assert _twists(dec, want) == reference_twists(dec, want)
         seen[dec.klass, want > 1] += 1
 
 
 def test_lattice_facts_match_the_routes_they_replaced():
-    # g from the row Hermite form of B_J against the saturated span's
-    # index, the cone over A_J against its twice-reduced Hermite basis
-    # and coordinate_map, and the twists against coordinate_map, on
+    # g from the kernel elimination of B_J^T against the saturated
+    # span's index, the cone over A_J against its twice-reduced Hermite
+    # basis and Fraction elimination, and the twists against Fraction
+    # elimination, on
     # every decomposition of the fixtures, of random valid B and of
     # those times a nonunimodular U
     seen = Counter()
@@ -740,14 +746,144 @@ def test_lattice_facts_match_the_routes_they_replaced_hypothesis():
     prop()
 
 
+# -- one route per lattice fact, each against its oracle ---------------------------
+
+def check_one_route_per_fact(hi, rng, seen):
+    """Every lattice fact of every decomposition of hi, read on its one
+    route, against its oracle in ``linalg_reference``: g against the
+    Smith index, ``L_basis`` against the Smith saturated span, the cone's
+    coordinates against Fraction elimination and its cell volumes
+    against the Bareiss determinant, the coordinates against the square
+    block M (``_component_points``) against Fraction elimination, and
+    the characters (``_twists``) against the Smith row transform."""
+    for dec in hi.decompositions:
+        B_J = dec.B_J
+        g = smith_index(B_J)
+        assert dec.g == g, (hi.B.tolist(), dec.label)
+        assert dec.L_basis == smith_saturated_span(B_J), dec.label
+        seen[dec.klass, g > 1, dec.q > 0] += 1
+        if not dec.is_toral:
+            continue
+        cone = dec.cone
+        lattice, coords = own_lattice_coordinates(dec.A_J)
+        assert (cone.lattice, cone.coords) == (lattice, coords)
+        assert coords == [lattice_coordinates(lattice.vectors, c)
+                          for c in dec.A_J.columns()]
+        for simplex, volume in cone.cells:
+            assert volume == abs(bareiss_det(IntMatrix(
+                [coords[j] for j in simplex]))) > 0
+        if dec.q:
+            gamma = tuple(rng.randint(0, 3) for _ in range(dec.q))
+            cols = dec.M.columns()
+            points = {tuple(a + b for a, b in zip(gamma, dec.M.mul_vec(v)))
+                      for v in ([rng.randint(-3, 3) for _ in cols]
+                                for _ in range(4))}
+            got = _component_points(dec, gamma, PuiseuxSeries(
+                dec.q, dict.fromkeys(points, 1)))
+            assert [pt for pt, _, _ in got] == sorted(points)
+            for pt, _, nv in got:
+                v = lattice_coordinates(cols, [a - b for a, b in
+                                               zip(pt, gamma)])
+                assert nv == dec.N.mul_vec(v)
+            # |det M| > 1 leaves a unit vector off the lattice of M
+            off = next((e for e in IntMatrix.identity(dec.q).data
+                        if lattice_coordinates(cols, e) is None), None)
+            if off is not None:
+                with pytest.raises(BinomHornError):
+                    _component_points(dec, gamma, PuiseuxSeries(dec.q, {
+                        tuple(a + b for a, b in zip(gamma, off)): 1}))
+                seen["off the M lattice"] += 1
+        if g > 1:
+            L = dec.L_basis
+            C = IntMatrix.from_columns([lattice_coordinates(L.vectors, c)
+                                        for c in B_J.columns()],
+                                       nrows=L.rank)
+            want = {tuple(Scalar.root_of_unity(g, x) for x in w)
+                    for _, w in smith_character_weights(C, g)}
+            units = IntMatrix.identity(L.rank).data
+            got = {tuple(fn(k) for k in units)
+                   for _, fn in twist_characters(dec, g)}
+            assert got == want, (hi.B.tolist(), dec.label)
+
+
+def beside_erdelyi(B):
+    """B and the Erdelyi B as diagonal blocks: the Erdelyi rows 2 and 3
+    make a toral block whose B_J is B padded with zero rows, so its g is
+    that of B, where a block of B alone rarely has g > 1."""
+    erdelyi = read_matrix(ROOT / "fixtures" / "erdelyi.mat")
+    return IntMatrix([[*row, 0, 0] for row in B.data]
+                     + [[0] * B.ncols + list(row) for row in erdelyi.data])
+
+
+def test_each_lattice_fact_matches_its_oracle():
+    # the fixtures, seeded random valid B, each of those times a dense
+    # and a diagonal nonunimodular U, and those beside the Erdelyi B, on
+    # every decomposition
+    fixtures = ROOT / "fixtures"
+    inputs = []
+    for name in ("erdelyi", "ds06", "himalayan", "nonholonomic", "gauss"):
+        B = read_matrix(fixtures / f"{name}.mat")
+        inputs.append(make_horn_input(B))
+        if name != "gauss":
+            inputs.append(make_horn_input(
+                B, read_matrix(fixtures / f"{name}_A.mat")))
+    rng = random.Random(3301)
+    inputs += random_inputs(rng, 20)
+    scaled = [times_nonunimodular(rng, hi, diagonal)
+              for hi in inputs for diagonal in (False, True)]
+    inputs += scaled
+    inputs += [make_horn_input(beside_erdelyi(hi.B)) for hi in scaled[::4]]
+    seen = Counter()
+    for hi in inputs:
+        check_one_route_per_fact(hi, rng, seen)
+    assert min(seen[k] for k in (
+        ("toral", True, False), ("toral", False, False),
+        ("toral", False, True), ("andean", False, True))) >= 20, seen
+    assert seen["toral", True, True] >= 10, seen
+    assert seen["off the M lattice"] >= 30, seen
+
+
+def test_each_lattice_fact_matches_its_oracle_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def prop(data):
+        # a valid B, n <= 7, the kernel of a drawn A, times a drawn
+        # nonsingular U when one is drawn
+        n = data.draw(st.integers(2, 7))
+        d = data.draw(st.integers(1, n - 1))
+        first = st.lists(st.integers(1, 2), min_size=n, max_size=n)
+        row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        A = IntMatrix([data.draw(first)]
+                      + data.draw(st.lists(row, min_size=d - 1,
+                                           max_size=d - 1)))
+        hypothesis.assume(int_rank(A) == d)
+        B = IntMatrix.from_columns(kernel_basis(A).vectors, nrows=n)
+        if data.draw(st.booleans()):
+            m = B.ncols
+            entry = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+            U = IntMatrix(data.draw(st.lists(entry, min_size=m, max_size=m)))
+            hypothesis.assume(bareiss_det(U) != 0)
+            B = B.mul(U)
+        if data.draw(st.booleans()):
+            B = beside_erdelyi(B)
+        seed = data.draw(st.integers(0, 2 ** 16))
+        check_one_route_per_fact(make_horn_input(B), random.Random(seed),
+                                 Counter())
+
+    prop()
+
+
 # -- the empty block's lattice facts come from validation ------------------------
 
 def empty_block_from_scratch(hi):
-    """g of B and the cone over A by the routes every other block takes:
-    ``saturation_index`` of B_J = B, and a ``Cone`` over A_J = A with
-    its own Hermite form."""
+    """g of B by the Smith oracle, and the cone over A by the route every
+    other block takes: a ``Cone`` over A_J = A with its own Hermite
+    form."""
     cone = Cone(hi.A)
-    return (saturation_index(hi.B), cone.lattice, cone.coords, cone.cells,
+    return (smith_index(hi.B), cone.lattice, cone.coords, cone.cells,
             cone.volume, cone.supports)
 
 
@@ -784,7 +920,7 @@ def test_chain_ranks_compute_no_lattice_fact_after_validation(monkeypatch):
     # generic_rank and degree_cross_check of a permuted chain read g and
     # the cone of the only toral block, the empty one, from validation,
     # and the walk builds its sets directly: no Hermite form, kernel,
-    # saturation index or dataclass __init__ runs after make_horn_input
+    # saturated span or dataclass __init__ runs after make_horn_input
     import sys
     from binomhorn import decomp, exact_linalg
     calls = Counter()
@@ -795,7 +931,7 @@ def test_chain_ranks_compute_no_lattice_fact_after_validation(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    names = ("row_hnf", "column_hnf", "saturation_index", "kernel_basis",
+    names = ("row_hnf", "column_hnf", "saturated_span", "kernel_basis",
              "echelon_kernel")
     wrappers = {getattr(exact_linalg, name): counting(name, getattr(
         exact_linalg, name)) for name in names}

@@ -19,21 +19,21 @@ from binomhorn import (
 )
 from binomhorn.cli import read_matrix
 from binomhorn.exact_linalg import (
-    bareiss_det,
     column_hnf,
-    coordinate_map,
+    coordinate_forms,
     echelon_kernel,
     frac_solve,
     rref,
     saturated_span,
-    saturation_index,
 )
 from binomhorn.model import validate_B
-from binomhorn.solutions import _character_weights, component_characters
+from binomhorn.solutions import _character_weights
 from linalg_reference import (
+    bareiss_det,
     frac_rank,
     frac_solve as reference_solve,
     gauss_jordan,
+    hermite_index,
     invariant_factors,
     lattice_coordinates,
     lattice_index,
@@ -43,6 +43,7 @@ from linalg_reference import (
     smith_normal_form as reference_smith,
     smith_saturated_span,
 )
+from pipeline_reference import forms_coordinates, twist_characters
 
 
 def solve_integer(m, b):
@@ -148,9 +149,9 @@ def test_kernel_matches_b_columns(B_erd, A_erd):
     assert kb.rank == 2
     bcols = LatticeBasis(4, B_erd.columns())
     for v in kb.vectors:
-        assert coordinate_map(bcols.vectors, bcols.ambient_dim)(v) is not None
+        assert lattice_coordinates(bcols.vectors, v) is not None
     for c in B_erd.columns():
-        assert coordinate_map(kb.vectors, kb.ambient_dim)(c) is not None
+        assert lattice_coordinates(kb.vectors, c) is not None
 
 
 def test_kernel_rank_sum():
@@ -269,7 +270,7 @@ def test_saturation_b_ds(B_ds):
     assert lattice_index(s, B_ds.columns()) == 3
     assert sat_index(IntMatrix.from_columns(s.vectors)) == 1
     for c in B_ds.columns():
-        assert coordinate_map(s.vectors, s.ambient_dim)(c) is not None
+        assert lattice_coordinates(s.vectors, c) is not None
 
 
 def test_saturation_idempotent():
@@ -289,7 +290,7 @@ def test_saturation_idempotent():
         assert lattice_index(s, l.vectors) == index_via_minor_gcd(l)
         assert s.rank == l.rank
         for v in l.vectors:
-            assert coordinate_map(s.vectors, s.ambient_dim)(v) is not None
+            assert lattice_coordinates(s.vectors, v) is not None
 
 
 def test_lattice_index_examples(B_erd, B_ds):
@@ -388,11 +389,12 @@ def test_index_past_the_smith_wall(shape):
 @pytest.mark.parametrize("shape", [(20, 10), (24, 12), (30, 15), (20, 20),
                                    (40, 20)])
 def test_hermite_pivot_index_at_the_wall_shapes(shape):
-    # the index read off the pivots of one row Hermite form, as g is,
-    # against the saturated span's index on the random B of the index
+    # g on its one route, the pivot product of the kernel elimination of
+    # B^T, against the pivots of one row Hermite form (the route g once
+    # took) and the saturated span's index on the random B of the index
     # wall (the same draws), and with one column tripled, which triples
-    # the index; a g that goes back to saturating each B_J, or a Hermite
-    # form whose entries blow up, fails here fast and by name
+    # the index; a g that goes back to saturating each B_J, or an
+    # elimination whose entries blow up, fails here fast and by name
     n, k = shape
     rng = random.Random(n * 100 + k)
     for bound in (2, 3):
@@ -401,28 +403,30 @@ def test_hermite_pivot_index_at_the_wall_shapes(shape):
                            for _ in range(n)])
             if int_rank(m) == k:
                 break
-        index = saturation_index(m)
-        assert index == sat_index(m)
+        index = echelon_kernel(m.transpose())[1]
+        assert index == hermite_index(m) == sat_index(m)
         cols = m.columns()
         j = rng.randrange(k)
         cols[j] = tuple(3 * x for x in cols[j])
         tripled = IntMatrix.from_columns(cols)
-        assert saturation_index(tripled) == sat_index(tripled) == 3 * index
+        assert (echelon_kernel(tripled.transpose())[1] == hermite_index(tripled)
+                == sat_index(tripled) == 3 * index)
 
 
 def check_pivot_product(B):
     """The product of the pivots of the kernel elimination of B^T, which
-    validation keeps as g, against ``saturation_index(B)``: equal for
-    independent columns, and 0 (where ``saturation_index`` raises) for
-    dependent ones.  Returns it."""
+    validation keeps as g and every block reads as its g, against the
+    pivot product of the row Hermite form of B (``hermite_index``):
+    equal for independent columns, and 0 (where ``hermite_index``
+    raises) for dependent ones.  Returns it."""
     cols, g = echelon_kernel(B.transpose())
     assert LatticeBasis(B.nrows, cols) == left_kernel_basis(B)
     if int_rank(B) == B.ncols:
-        assert g == saturation_index(B) > 0, B.tolist()
+        assert g == hermite_index(B) > 0, B.tolist()
     else:
         assert g == 0, B.tolist()
         with pytest.raises(ValueError):
-            saturation_index(B)
+            hermite_index(B)
     vr = validate_B(B)
     if vr.ok:
         assert vr.g == g
@@ -486,8 +490,9 @@ def test_kernel_pivot_product_at_the_wall_shapes(shape):
 
 
 def test_saturation_index_matches_the_smith_index():
-    # small shapes, every column count 0..n, with dependent columns (one
-    # draw in five repeats a column, doubled) raising ValueError
+    # g's route, the kernel pivot product of m^T, on small shapes, every
+    # column count 0..n, with dependent columns (one draw in five repeats
+    # a column, doubled) giving 0
     rng = random.Random(1979)
     seen = Counter()
     for _ in range(600):
@@ -498,13 +503,13 @@ def test_saturation_index_matches_the_smith_index():
             for row in rows:
                 row[-1] = 2 * row[0]
         m = IntMatrix(rows, ncols=k)
+        g = echelon_kernel(m.transpose())[1]
         if int_rank(m) < k:
-            with pytest.raises(ValueError):
-                saturation_index(m)
+            assert g == 0, m.tolist()
             seen["dependent"] += 1
             continue
         want = smith_index(m)
-        assert saturation_index(m) == want, m.tolist()
+        assert g == want, m.tolist()
         seen["no column" if not k else "index > 1" if want > 1
              else "index 1"] += 1
     assert min(seen.values()) >= 20 and len(seen) == 4, seen
@@ -514,9 +519,11 @@ def test_saturation_index_matches_the_smith_index():
 
 def saturation_coordinates(m):
     """The square coordinates of the independent columns of m in their
-    saturation, the matrix component_characters reads."""
-    coords = coordinate_map(saturated_span(m).vectors, m.nrows)
-    return IntMatrix.from_columns(map(coords, m.columns()), nrows=m.ncols)
+    saturation, the matrix ``solutions._twists`` reads."""
+    s = saturated_span(m)
+    return IntMatrix.from_columns(
+        [lattice_coordinates(s.vectors, c) for c in m.columns()],
+        nrows=m.ncols)
 
 
 def unimodular(rng, r):
@@ -596,10 +603,9 @@ def test_eight_column_characters_are_exact():
         if not 1 < g <= 64:
             continue
         dec = SimpleNamespace(L_basis=L, B_J=m, g=g)
-        chars = component_characters(dec, g)
+        chars = twist_characters(dec, g)
         assert len(chars) == g
-        coords = coordinate_map(L.vectors, L.ambient_dim)
-        cols = [coords(col) for col in m.columns()]
+        cols = [lattice_coordinates(L.vectors, col) for col in m.columns()]
         one = Scalar.one(g)
         units = IntMatrix.identity(8).data
         values = set()
@@ -726,9 +732,9 @@ def test_rref_and_frac_solve_match_fraction_elimination():
 
 
 def test_coordinates_match_fraction_elimination():
-    # coordinate_map against Fraction elimination on the vectors as
-    # columns, for integer and rational vectors inside and outside the
-    # lattice
+    # coordinate_forms, its C the left kernel of the vectors, against
+    # Fraction elimination on the vectors as columns, for integer and
+    # rational vectors inside and outside the lattice
     rng = random.Random(71)
     seen = Counter()
     for _ in range(2000):
@@ -737,11 +743,12 @@ def test_coordinates_match_fraction_elimination():
         vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r)]
         if r and frac_rank(vecs) < r:
             with pytest.raises(ValueError):
-                coordinate_map(vecs, n)
+                coordinate_forms(vecs, n)
             seen["dependent"] += 1
             continue
         L = LatticeBasis(n, vecs)
-        coords = coordinate_map(L.vectors, n)
+        forms = coordinate_forms(L.vectors, n)
+        assert len(forms[0]) == n - r and len(forms[1]) == r and forms[2] > 0
         for _ in range(3):
             if r and rng.random() < 0.5:
                 k = [rng.randint(-5, 5) for _ in range(r)]
@@ -752,7 +759,7 @@ def test_coordinates_match_fraction_elimination():
             if rng.random() < 0.3:
                 y = [Fraction(x, rng.choice((1, 2))) for x in y]
             want = lattice_coordinates(L.vectors, y)
-            assert coords(y) == want, (L, y)
+            assert forms_coordinates(forms, y) == want, (L, y)
             seen["inside" if want is not None else "outside"] += 1
     assert min(seen.values()) >= 50 and len(seen) == 3, seen
 
@@ -770,8 +777,8 @@ def in_span_vector(rng, vectors, n):
 
 
 def check_hermite_coordinates(L, y, seen):
-    """L.coordinates(y) against coordinate_map on the same basis."""
-    want = coordinate_map(L.vectors, L.ambient_dim)(y)
+    """L.coordinates(y) against Fraction elimination on the same basis."""
+    want = lattice_coordinates(L.vectors, y)
     assert L.coordinates(y) == want, (L, y)
     if want is not None:
         seen["inside"] += 1
@@ -781,9 +788,9 @@ def check_hermite_coordinates(L, y, seen):
         seen["off span"] += 1
 
 
-def test_hermite_coordinates_match_coordinate_map():
-    # forward substitution on the Hermite pivots against coordinate_map
-    # on the same basis, for lattices of every rank 0..n, n <= 8, and for
+def test_hermite_coordinates_match_elimination():
+    # forward substitution on the Hermite pivots against Fraction
+    # elimination on the same basis, for lattices of every rank 0..n, n <= 8, and for
     # vectors on the lattice, in its span but off it, and off its span
     rng = random.Random(2027)
     seen = Counter()
@@ -801,7 +808,7 @@ def test_hermite_coordinates_match_coordinate_map():
     assert min(seen.values()) >= 200 and len(seen) == 3, seen
 
 
-def test_hermite_coordinates_match_coordinate_map_hypothesis():
+def test_hermite_coordinates_match_elimination_hypothesis():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -837,30 +844,30 @@ def test_hermite_coordinates_reject_wrong_lengths():
 
 
 def test_coordinates_reject_wrong_lengths():
-    L = LatticeBasis(2, [(1, 0)])
-    for bad in ((3, 0, 7), (3,)):
+    # vectors of the wrong length, and a right-hand side of M v = y (the
+    # route to the coordinates against a square block M) of the wrong
+    # length, raise
+    for bad in (((3, 0, 7),), ((3,),)):
         with pytest.raises(ValueError):
-            coordinate_map(L.vectors, L.ambient_dim)(bad)
-    empty = LatticeBasis(3, [])
-    with pytest.raises(ValueError):
-        coordinate_map(empty.vectors, empty.ambient_dim)((0, 0))
-    coords = coordinate_map(L.vectors, L.ambient_dim)
-    assert coords((3, 0)) == (3,) and coords((3, 1)) is None
+            coordinate_forms(bad, 2)
+    forms = coordinate_forms(((1, 0),), 2)
+    assert forms_coordinates(forms, (3, 0)) == (3,)
+    assert forms_coordinates(forms, (3, 1)) is None
     for rhs in ([1], [1, 2, 3]):
         with pytest.raises(ValueError):
             frac_solve([[1, 0], [0, 1]], rhs)
 
 
-def test_coordinate_map_of_no_vectors_checks_lengths():
-    # the empty list still knows its ambient dimension
-    coords = coordinate_map((), 3)
-    assert coords((0, 0, 0)) == () and coords((0, 1, 0)) is None
-    assert coords((Fraction(1, 2), 0, 0)) is None
-    for bad in ((0, 0), (0, 0, 0, 0)):
-        with pytest.raises(ValueError):
-            coords(bad)
+def test_coordinate_forms_of_no_vectors():
+    # the empty list still knows its ambient dimension: C is the
+    # identity, the left kernel of a 3 x 0 matrix
+    forms = coordinate_forms((), 3)
+    assert forms == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (), 1)
+    assert forms_coordinates(forms, (0, 0, 0)) == ()
+    assert forms_coordinates(forms, (0, 1, 0)) is None
+    assert forms_coordinates(forms, (Fraction(1, 2), 0, 0)) is None
     with pytest.raises(ValueError):
-        coordinate_map(((1, 0),), 3)
+        coordinate_forms(((1, 0),), 3)
 
 
 def test_row_hnf_canonical():

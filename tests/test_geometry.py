@@ -27,12 +27,12 @@ from binomhorn import geometry
 from binomhorn.errors import BinomHornError
 from binomhorn.exact_linalg import (
     LatticeBasis,
-    bareiss_det,
     column_hnf,
     int_rank,
 )
 from binomhorn.geometry import own_lattice_coordinates
 from linalg_reference import (
+    bareiss_det,
     frac_nullspace,
     frac_rank,
     frac_solve,

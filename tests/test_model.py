@@ -19,11 +19,10 @@ from binomhorn import (
 )
 from binomhorn import model
 from binomhorn.cli import main
-from binomhorn.exact_linalg import (LatticeBasis, bareiss_det, coordinate_map,
-                                    int_rank, row_hnf)
-from linalg_reference import (fm_feasible, frac_rank, frac_solve,
+from binomhorn.exact_linalg import LatticeBasis, int_rank, row_hnf
+from linalg_reference import (bareiss_det, fm_feasible, frac_rank, frac_solve,
                               invariant_factors, is_pointed_by_fraction_ratios,
-                              lattice_index)
+                              lattice_coordinates, lattice_index)
 
 
 def test_validate_accepts_fixtures(B_erd, B_gauss, B_ds, B_nh, B_him):
@@ -85,8 +84,7 @@ def test_compute_a_defining_property(B_erd, B_nh, B_ds, B_gauss):
         # and the kernel of A contains every column of B
         ker = kernel_basis(A)
         for k in range(B.ncols):
-            assert coordinate_map(ker.vectors, ker.ambient_dim)(
-                B.column(k)) is not None
+            assert lattice_coordinates(ker.vectors, B.column(k)) is not None
 
 
 def test_compute_a_b_nh_is_row_equivalent_to_published(B_nh, A_nh):
@@ -102,11 +100,10 @@ def test_compute_a_b_erd_vs_published(B_erd, A_erd):
     A = compute_A(B_erd)
     mine = LatticeBasis(4, [tuple(r) for r in A.data])
     for r in A_erd.data:
-        assert coordinate_map(mine.vectors, mine.ambient_dim)(
-            tuple(r)) is not None
+        assert lattice_coordinates(mine.vectors, r) is not None
     published = LatticeBasis(4, [tuple(r) for r in A_erd.data])
-    assert None in map(coordinate_map(published.vectors,
-                                      published.ambient_dim), mine.vectors)
+    assert None in (lattice_coordinates(published.vectors, v)
+                    for v in mine.vectors)
     assert int_rank(A_erd) == int_rank(A) == 2
 
 

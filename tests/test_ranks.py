@@ -128,8 +128,8 @@ def test_rank_five_row_mellin_variant():
 
 def test_andean_report_is_computed_once_per_input(monkeypatch, B_him):
     # two rank evaluations of one input saturate nothing: g is read off
-    # the row Hermite form of each toral B_J (the empty block's off
-    # validation's kernel elimination), and the verdict reads
+    # the kernel elimination of each toral B_J^T (the empty block's off
+    # validation's, the same route), and the verdict reads
     # rank M; reading the directions then saturates each Andean A_J
     # once, and a second read saturates nothing
     from binomhorn import decomp

@@ -137,6 +137,16 @@ def test_horn_ops_single_column_paper_formula():
     assert op.expanded_p() == {(1,): F(-1)}
 
 
+def test_coefficient_rejects_a_wrong_length():
+    # zip would cut a long exponent to nvars and read the term there
+    s = PuiseuxSeries(2, {(1, 2): 5})
+    assert s.coefficient((1, 2)) == 5
+    assert s.coefficient((F(1, 2), 2)) == 0
+    for bad in ((1, 2, 99), (1,), ()):
+        with pytest.raises(ValueError, match="expected 2"):
+            s.coefficient(bad)
+
+
 def test_classical_horn_operators_do_not_act_on_a_series(B_gauss):
     # horn-ops prints them; apply and verify take only the binomial and
     # Euler operators of the Horn system, here on a truncated series so

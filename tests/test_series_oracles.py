@@ -37,9 +37,8 @@ from binomhorn import (
 )
 from binomhorn.cyclotomic import cyclotomic_polynomial
 from binomhorn.decomp import _l1_ball
-from binomhorn.exact_linalg import coordinate_map
 from binomhorn.series import PuiseuxSeries, Support, Truncation, apply_operator
-from binomhorn.solutions import _ratio_tables, component_characters
+from binomhorn.solutions import _ratio_tables
 from linalg_reference import (
     frac_solve,
     lattice_coordinates,
@@ -49,9 +48,11 @@ from linalg_reference import (
 from pipeline_reference import (
     column_terms,
     covered,
+    forms_coordinates,
     gamma_series,
     gamma_terms,
     sheet_bases,
+    twist_characters,
     word_coordinates,
     word_length,
 )
@@ -344,11 +345,13 @@ def test_gamma_series_ds06_characters_match_reference(B_ds, A_ds):
     # untwisted series reproduces the twist on lattice offsets
     hi = make_horn_input(B_ds, A_ds)
     dec = next(d for d in enumerate_decompositions(hi) if d.g > 1)
-    chars = component_characters(dec, 3)
+    chars = twist_characters(dec, 3)
     refs = reference_characters(dec, 3)
     assert sorted(refs) == [t for t, _ in chars]
     L = dec.L_basis
-    coords = coordinate_map(L.vectors, L.ambient_dim)
+
+    def coords(u):
+        return lattice_coordinates(L.vectors, u)
     rng = random.Random(7)
     for t, fn in chars:
         for _ in range(3):
@@ -834,9 +837,8 @@ def test_characters_match_reference_and_reject_outside(B_ds, A_ds):
     refs = reference_characters(dec, 3)
     rng = random.Random(11)
     L = dec.L_basis
-    cols = [coordinate_map(L.vectors, L.ambient_dim)(col)
-            for col in dec.B_J.columns()]
-    for t, fn in component_characters(dec, 3):
+    cols = [lattice_coordinates(L.vectors, col) for col in dec.B_J.columns()]
+    for t, fn in twist_characters(dec, 3):
         for _ in range(20):
             k = tuple(rng.randint(-4, 4) for _ in range(L.rank))
             u = tuple(sum(map(mul, k, row)) for row in zip(*L.vectors))
@@ -851,7 +853,9 @@ def test_characters_match_reference_and_reject_outside(B_ds, A_ds):
 
 # -- word coordinates ---------------------------------------------------------------
 
-def test_coordinate_map_matches_elimination():
+def test_truncation_forms_match_elimination():
+    # the coordinates a truncation's integer forms give, as its coverage
+    # test reads them, against Fraction elimination
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(2, 5)
@@ -864,7 +868,7 @@ def test_coordinate_map_matches_elimination():
             except ValueError:
                 continue
             break
-        coords = coordinate_map(L.vectors, n)
+        forms = Truncation(basis=L.vectors, bound=0, dim=n)._forms
         for _ in range(15):
             kind = rng.random()
             if kind < 0.5 and r:
@@ -875,7 +879,8 @@ def test_coordinate_map_matches_elimination():
                 y = [rng.randint(-5, 5) for _ in range(n)]
             if rng.random() < 0.3:
                 y = [F(x, rng.choice([1, 2])) for x in y]
-            assert coords(y) == lattice_coordinates(L.vectors, y)
+            assert forms_coordinates(forms, y) == \
+                lattice_coordinates(L.vectors, y)
 
 
 def test_word_coordinates_are_reused_per_truncation():
@@ -1100,15 +1105,15 @@ def check_twisted_terms(hi, T, draws):
         for sol in sols:
             dec = decs[sol.rowset]
             L = dec.L_basis
-            coords = coordinate_map(L.vectors, L.ambient_dim)
-            fn = dict(component_characters(dec, 3))[sol.character]
+            fn = dict(twist_characters(dec, 3))[sol.character]
             base = plain[sol.rowset, sol.gamma, sol.series.support.alpha]
             assert set(sol.series.terms) == set(base.terms)
             for z, got in sol.series.terms.items():
                 # the sheet translate of z agrees with it off J
                 t = next(t for t in sol.series.support.translates
                          if all(z[j] == t[j] for j in dec.rowset_Jbar))
-                k = coords([z[j] - t[j] for j in dec.J])
+                k = lattice_coordinates(L.vectors,
+                                        [z[j] - t[j] for j in dec.J])
                 e = roots.index(fn(k))
                 q = base.terms[z].as_rational()
                 want = Scalar(3, [c * q for c in roots[e].coeffs])

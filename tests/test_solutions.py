@@ -24,18 +24,16 @@ from binomhorn import (
     solution_basis,
     verify_annihilation,
 )
-from binomhorn.exact_linalg import column_hnf, coordinate_map, frac_solve
+from binomhorn.exact_linalg import column_hnf, frac_solve
 from binomhorn import decomp, series
 from binomhorn.series import Truncation, lattice_binomials
-from binomhorn.solutions import (
-    _cell_exponents,
-    _character_weights,
-    component_characters,
-)
+from binomhorn.solutions import _cell_exponents, _character_weights, _twists
+from linalg_reference import lattice_coordinates
 from pipeline_reference import (
     component_of,
     gamma_series,
     sheet_bases,
+    twist_characters,
     word_length,
 )
 
@@ -249,16 +247,16 @@ def test_gamma_series_rejects_wrong_lattice():
 def test_component_characters_ds(B_ds, A_ds):
     hi = make_horn_input(B_ds, A_ds)
     dec = enumerate_decompositions(hi)[0]
-    chars = component_characters(dec, 3)
+    chars = twist_characters(dec, 3)
     assert len(chars) == 3
     # the callables take coordinates in dec.L_basis
     L = dec.L_basis
-    coords = coordinate_map(L.vectors, L.ambient_dim)
     units = [tuple(int(i == j) for j in range(L.rank)) for i in range(L.rank)]
     for k in range(2):
         col = B_ds.column(k)
         for _, fn in chars:
-            assert fn(coords(col)) == 1  # trivial on the column span
+            # trivial on the column span
+            assert fn(lattice_coordinates(L.vectors, col)) == 1
     values = {tuple(repr(fn(g)) for g in units) for _, fn in chars}
     assert len(values) == 3  # characters separate the saturation
     for _, fn in chars:
@@ -274,7 +272,7 @@ def test_component_characters_need_enough_roots(B_ds, A_ds):
     hi = make_horn_input(B_ds, A_ds)
     dec = enumerate_decompositions(hi)[0]
     with pytest.raises(BinomHornError, match="need order 3"):
-        component_characters(dec, 2)
+        _twists(dec, 2)
     with pytest.raises(BinomHornError, match="need order 4"):
         _character_weights(IntMatrix([[4, 0], [0, 1]]), 2)
     klein = _character_weights(IntMatrix([[2, 2], [0, 2]]), 2)
@@ -296,11 +294,11 @@ def test_characters_build_only_the_roots_they_read(B_ds, A_ds, monkeypatch):
     monkeypatch.setattr(Scalar, "root_of_unity", staticmethod(counting))
     hi = make_horn_input(B_ds, A_ds)
     dec = next(dec for dec in hi.decompositions if dec.is_toral)
-    chars = component_characters(dec, 2403)
+    chars = twist_characters(dec, 2403)
     assert 0 < len(calls) <= 3
     weights = dict(_character_weights(IntMatrix.from_columns(
-        map(coordinate_map(dec.L_basis.vectors, dec.L_basis.ambient_dim),
-            dec.B_J.columns())), 2403))
+        [lattice_coordinates(dec.L_basis.vectors, c)
+         for c in dec.B_J.columns()]), 2403))
     assert len(chars) == len(weights) == 3
     for t, fn in chars:
         w = weights[t]
@@ -389,7 +387,7 @@ def test_ds_nine_twisted_solutions(B_ds, A_ds):
     # twisted solutions also satisfy their own twisted lattice binomials
     dec = enumerate_decompositions(hi)[0]
     for s in sols:
-        chars = dict(component_characters(dec, 3))
+        chars = dict(twist_characters(dec, 3))
         fn = chars[s.character]
         sat = dec.L_basis
         ops_rho = []
@@ -957,7 +955,7 @@ def test_twists_combined_with_component_shifts():
         dec = decs[s.decomposition]
         if dec.g == 1:
             continue
-        fn = dict(component_characters(dec, 2))[s.character]
+        fn = dict(twist_characters(dec, 2))[s.character]
         ops_rho = []
         for i, vec in enumerate(dec.L_basis.vectors):
             k = tuple(int(i == j) for j in range(dec.L_basis.rank))

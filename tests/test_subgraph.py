@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from binomhorn import CapExceededError, IntMatrix, bounded_atlas
-from binomhorn.exact_linalg import bareiss_det
+from linalg_reference import bareiss_det
 from pipeline_reference import component_of
 from test_combinatorics_oracles import assert_face_certificate, points_of_degree
 
